@@ -2,6 +2,15 @@
 //! (optional) bin-packer → n-to-1 aggregator, with incremental **delta**
 //! updates flowing through all three and every offer value stored once
 //! in the pipeline's [`OfferSlab`].
+//!
+//! The paper's component *accumulates* flex-offer updates in the
+//! group-builder and processes them **in bulk** when aggregates are
+//! needed. [`AggregationPipeline::accumulate`] /
+//! [`AggregationPipeline::flush`] are that mode: a caller that ingests a
+//! wave of submissions stages each one for the price of a `Vec` push and
+//! pays one chain pass per wave — one group flush, one bin-packing and
+//! one profile re-fold per *touched aggregate*, not per update.
+//! [`AggregationPipeline::apply`] is the two back-to-back.
 
 use crate::aggregate::AggregatedFlexOffer;
 use crate::binpack::BinPacker;
@@ -50,16 +59,43 @@ impl AggregationPipeline {
         self.aggregator.set_pool(Pool::new(threads));
     }
 
-    /// Run a batch of offer updates through the whole chain; returns the
-    /// aggregated flex-offer updates.
-    pub fn apply(&mut self, updates: Vec<FlexOfferUpdate>) -> Vec<AggregateUpdate> {
+    /// Queue offer updates without processing them — the paper's §4 bulk
+    /// mode: "flex-offer updates are accumulated within the group-builder
+    /// until their further processing is invoked". Until the next
+    /// [`flush`](Self::flush) every accessor of this pipeline (aggregates,
+    /// slab lookups, counts, disaggregation) still describes the state as
+    /// of the previous flush.
+    pub fn accumulate(&mut self, updates: impl IntoIterator<Item = FlexOfferUpdate>) {
         self.groups.accumulate(updates);
+    }
+
+    /// Run everything accumulated so far through the whole chain in one
+    /// pass — each touched group is flushed, bin-packed and re-folded
+    /// once, however many of the accumulated updates hit it — and return
+    /// the aggregated flex-offer updates. The updates are processed in
+    /// accumulation order, so the resulting grouping and membership equal
+    /// applying them one [`apply`](Self::apply) at a time; what a batch
+    /// skips are the intermediate aggregate snapshots (and the aggregate
+    /// id a group that is created *and* emptied inside one batch would
+    /// have been given).
+    pub fn flush(&mut self) -> Vec<AggregateUpdate> {
+        if self.groups.pending_len() == 0 {
+            return Vec::new();
+        }
         let group_updates = self.groups.flush(&mut self.slab);
         let subgroup_updates = match &mut self.binpacker {
             Some(bp) => bp.apply(group_updates, &self.slab),
             None => BinPacker::passthrough(group_updates),
         };
         self.aggregator.apply(subgroup_updates, &self.slab)
+    }
+
+    /// [`accumulate`](Self::accumulate) + [`flush`](Self::flush): run a
+    /// batch of offer updates (and anything accumulated before it)
+    /// through the whole chain; returns the aggregated flex-offer updates.
+    pub fn apply(&mut self, updates: Vec<FlexOfferUpdate>) -> Vec<AggregateUpdate> {
+        self.accumulate(updates);
+        self.flush()
     }
 
     /// Pipeline with the *integrated* bounded group-builder (§4 Research
@@ -228,6 +264,39 @@ mod tests {
         }
         assert_eq!(scratch.aggregate_count(), incremental.aggregate_count());
         assert_eq!(scratch.report(), incremental.report());
+    }
+
+    #[test]
+    fn accumulate_then_flush_is_one_pass_over_the_batch() {
+        // 1000 offers staged in dribs, one replacement and one delete on
+        // top: a single flush emits each touched aggregate once and lands
+        // in the state one-at-a-time application reaches.
+        let offers: Vec<FlexOffer> = FlexOfferGenerator::with_seed(7).take(1000).collect();
+        let mut eager = AggregationPipeline::new(AggregationParams::p3(8, 8), None);
+        let mut bulk = AggregationPipeline::new(AggregationParams::p3(8, 8), None);
+        let mut updates: Vec<FlexOfferUpdate> = offers
+            .iter()
+            .cloned()
+            .map(FlexOfferUpdate::Insert)
+            .collect();
+        updates.push(FlexOfferUpdate::Insert(offers[3].clone()));
+        updates.push(FlexOfferUpdate::Delete(offers[5].id()));
+        for u in &updates {
+            eager.apply(vec![u.clone()]);
+            bulk.accumulate([u.clone()]);
+        }
+        assert_eq!(bulk.aggregate_count(), 0, "nothing derived moves yet");
+        assert_eq!(bulk.offer_count(), 0);
+        let emitted = bulk.flush();
+        assert_eq!(emitted.len(), bulk.aggregate_count());
+        assert_eq!(bulk.delta_stats().emitted as usize, bulk.aggregate_count());
+        assert!(eager.delta_stats().emitted >= 1000);
+        assert_eq!(bulk.report(), eager.report());
+        assert_eq!(bulk.offer_count(), 999);
+        assert!(
+            bulk.flush().is_empty(),
+            "an empty buffer flushes to nothing"
+        );
     }
 
     #[test]

@@ -33,6 +33,38 @@
 //!
 //! [`BrpNode::plan_with_baseline`] runs phases 1+3 back-to-back for
 //! callers without forecast updates.
+//!
+//! ## Ingest: accumulate, then flush before read
+//!
+//! An accepted submission updates the pool, the datastore, the WAL and
+//! its reply on the spot, but its [`FlexOfferUpdate`] is only *staged*
+//! in the engine ([`PlanEngine::stage_offer_updates`]) — the paper's
+//! aggregation component accumulates updates and processes them in bulk
+//! (§4). A wave of submissions then costs one pipeline pass — one group
+//! flush, one profile re-fold and one staged export per *touched
+//! aggregate* — instead of one per offer. Everything derived from the
+//! pipeline (aggregates, `exports`, `outbox`, a live plan) describes the
+//! last flush, so the node keeps a single rule: **flush before anything
+//! reads derived state**. The read points are
+//!
+//! * the top of [`BrpNode::prepare_plan`] — the round's expiry deletes
+//!   join the staged submissions in the same single pass;
+//! * [`Message::ResyncRequest`] / every snapshot the node volunteers
+//!   (heal, retransmit, recovery), which walk `exports`;
+//! * a TSO [`Message::Assignment`] (and the replay of an islanded commit
+//!   marker), which disaggregates through `exports` and the pipeline;
+//! * [`BrpNode::commit_plan`], which takes the live plan;
+//! * in [`BrpNode::recover`], the logged outbox-flush and provisional
+//!   markers, and the closing resync snapshot;
+//! * a **live plan**, which is a standing reader: while
+//!   [`BrpNode::live_window`] is `Some`, the buffer is flushed at the end
+//!   of the [`BrpNode::handle`] that filled it, so a late submission
+//!   still folds into the plan as a trickle.
+//!
+//! Nothing selects between the two timings but the node's own state, and
+//! WAL snapshots encode the pool only, so durability never depended on
+//! the buffer. [`BrpNode::exported_offer_ids`] is the one `&self`
+//! accessor over derived state; it reports the last flush.
 
 use crate::datastore::{
     DataStore, EnergyType, MeasurementFact, OfferFact, OfferState, ScheduleFact,
@@ -368,19 +400,17 @@ impl BrpNode {
         .encode()
     }
 
-    /// Restore from a decoded snapshot: the pool is re-fed through the
-    /// aggregation pipeline (which rebuilds aggregates, exports and
-    /// outbox as a full refresh — the parent's pooled view is then
-    /// reconciled by the recovery resync snapshot), and the duplicate
-    /// filters resume where the crashed node's windows stood.
+    /// Restore from a decoded snapshot: the pool is staged for the
+    /// aggregation pipeline like any other ingest (its flush rebuilds
+    /// aggregates, exports and outbox as a full refresh — the parent's
+    /// pooled view is then reconciled by the recovery resync snapshot),
+    /// and the duplicate filters resume where the crashed node's windows
+    /// stood.
     fn restore_snapshot(&mut self, snap: BrpSnapshot) {
-        let mut inserts = Vec::with_capacity(snap.pool.len());
         for (offer, from) in snap.pool {
-            inserts.push(FlexOfferUpdate::Insert(offer.clone()));
+            self.engine
+                .stage_offer_updates([FlexOfferUpdate::Insert(offer.clone())]);
             self.pool.insert(offer.id(), (offer, from));
-        }
-        if !inserts.is_empty() {
-            self.apply_updates(inserts);
         }
         self.rx.clear();
         for (sender, below, seen, dups) in snap.rx {
@@ -432,8 +462,13 @@ impl BrpNode {
                 match rec.envelope.message {
                     // Outbox-flush marker: these staged deltas left the
                     // node before the crash — replay the flush as the
-                    // state transition it was.
-                    Message::MacroOfferDeltas(_) => node.outbox.clear(),
+                    // state transition it was. The submissions replayed
+                    // so far are what that flush carried, so they go
+                    // through the pipeline (and into the outbox) first.
+                    Message::MacroOfferDeltas(_) => {
+                        node.flush_staged();
+                        node.outbox.clear();
+                    }
                     // Provisional markers: non-empty = an islanded
                     // commit's macro ledger (re-apply it so the pool
                     // effect of the crashed commit is reproduced); empty
@@ -531,20 +566,19 @@ impl BrpNode {
         std::mem::take(&mut self.islanded_log)
     }
 
-    /// Current number of aggregates.
-    pub fn aggregate_count(&self) -> usize {
-        self.engine.pipeline().aggregate_count()
-    }
-
-    /// Export deltas staged for the next forward (TSO mode).
-    pub fn staged_deltas(&self) -> usize {
-        self.outbox.len()
-    }
-
-    /// Run pool deltas through the engine (pipeline + live-plan fold)
-    /// and stage the aggregate changes as export deltas in TSO mode.
+    /// Stage pool deltas and flush at once — for callers that have just
+    /// read derived state (a commit's or an assignment's deletes).
     fn apply_updates(&mut self, updates: Vec<FlexOfferUpdate>) {
-        let (agg_updates, _fold) = self.engine.apply_offer_updates(updates);
+        self.engine.stage_offer_updates(updates);
+        self.flush_staged();
+    }
+
+    /// Run everything staged in the engine through the pipeline in one
+    /// pass (+ live-plan fold) and stage the aggregate changes as export
+    /// deltas in TSO mode. Every reader of derived state calls this
+    /// first (see the module docs); a no-op when nothing is staged.
+    fn flush_staged(&mut self) {
+        let (agg_updates, _fold) = self.engine.flush_offer_updates();
         // Stage only when the deltas can actually be flushed somewhere:
         // without a parent the outbox would grow without bound.
         if self.config.forward_to_tso && self.parent.is_some() {
@@ -639,6 +673,11 @@ impl BrpNode {
             }
             _ => Vec::new(),
         };
+        // A live plan is a standing reader of the pipeline: whatever
+        // this envelope staged folds into it now, as a trickle.
+        if self.engine.live_window().is_some() {
+            self.flush_staged();
+        }
         self.maybe_compact();
         out
     }
@@ -649,6 +688,7 @@ impl BrpNode {
     /// outbox is cleared — re-sending those deltas after the snapshot
     /// would only replay state the snapshot already carries.
     fn on_resync_request(&mut self, from: NodeId, now: TimeSlot) -> Vec<Envelope> {
+        self.flush_staged();
         self.outbox.clear();
         // Exported aggregates are live by construction, but this path
         // also runs right after WAL recovery — skip (rather than panic
@@ -675,7 +715,12 @@ impl BrpNode {
 
     /// Exported macro-offer ids currently live (the parent's pool should
     /// contain exactly these — the chaos invariant checker's
-    /// "no phantom offers" probe).
+    /// "no phantom offers" probe). Reflects the last flush: a submission
+    /// still staged has no export yet. The probe is unaffected — it looks
+    /// for parent-pooled offers this node no longer exports, and a staged
+    /// insert has never been sent up, so nothing of it is pooled at the
+    /// parent; deletes are never left staged (expiry, commit and
+    /// assignment flush on the spot).
     pub fn exported_offer_ids(&self) -> Vec<FlexOfferId> {
         self.exports.keys().map(|id| FlexOfferId(*id)).collect()
     }
@@ -688,8 +733,8 @@ impl BrpNode {
         let reply = match self.pool.entry(id) {
             // Replayed submission of an offer already pooled (an
             // unsequenced duplicate the network dedup cannot catch):
-            // re-acknowledge without touching the pipeline — the pool
-            // state must not churn.
+            // re-acknowledge without staging anything — the pool state
+            // must not churn.
             Entry::Occupied(e) if e.get().0 == offer => {
                 let value = match decision {
                     AcceptanceDecision::Accept { value } => value,
@@ -713,7 +758,8 @@ impl BrpNode {
                         slot: now,
                         state: OfferState::Accepted,
                     });
-                    self.apply_updates(vec![FlexOfferUpdate::Insert(offer)]);
+                    self.engine
+                        .stage_offer_updates([FlexOfferUpdate::Insert(offer)]);
                     Message::OfferAccepted { offer: id, value }
                 }
                 AcceptanceDecision::Reject(_) => {
@@ -730,9 +776,10 @@ impl BrpNode {
         vec![Envelope::new(self.id, from, now, reply)]
     }
 
-    /// Drop offers whose assignment deadline has passed. The round's
-    /// deletes go through the pipeline as ONE batch, so each touched
-    /// group is flushed once instead of once per expired offer.
+    /// Drop offers whose assignment deadline has passed. The deletes are
+    /// only staged: the caller's flush runs them and the round's staged
+    /// submissions through the pipeline as ONE batch, so each touched
+    /// group is flushed once per round.
     fn expire(&mut self, now: TimeSlot) -> usize {
         let expired: Vec<FlexOfferId> = self
             .pool
@@ -749,14 +796,8 @@ impl BrpNode {
                 state: OfferState::Expired,
             });
         }
-        if !expired.is_empty() {
-            self.apply_updates(
-                expired
-                    .iter()
-                    .map(|id| FlexOfferUpdate::Delete(*id))
-                    .collect(),
-            );
-        }
+        self.engine
+            .stage_offer_updates(expired.iter().map(|id| FlexOfferUpdate::Delete(*id)));
         expired.len()
     }
 
@@ -802,6 +843,9 @@ impl BrpNode {
             expired: self.expire(now),
             ..PlanReport::default()
         };
+        // The round's one bulk pass: every submission staged since the
+        // last read point plus the expiry deletes above.
+        self.flush_staged();
 
         if self.config.forward_to_tso {
             report.eligible_macro = self.engine.eligible_count(window_start, baseline.len());
@@ -981,6 +1025,7 @@ impl BrpNode {
     /// state. Returns the assignment envelopes plus the final schedule
     /// cost, or `None` when no plan is live.
     pub fn commit_plan(&mut self, now: TimeSlot) -> Option<(Vec<Envelope>, f64)> {
+        self.flush_staged();
         let (problem, solution, cost) = self.engine.commit()?;
         if self.islanded_round {
             self.islanded_round = false;
@@ -1137,6 +1182,7 @@ impl BrpNode {
         now: TimeSlot,
         state: OfferState,
     ) -> Vec<Envelope> {
+        self.flush_staged();
         let Some(agg_id) = self.exports.get(&schedule.offer_id.value()).copied() else {
             return Vec::new();
         };
@@ -1235,6 +1281,9 @@ impl NodeRuntime for BrpNode {
 }
 
 #[cfg(test)]
+mod ingest_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use mirabel_core::{EnergyRange, Profile};
@@ -1264,8 +1313,16 @@ mod tests {
         assert!(matches!(replies[0].message, Message::OfferAccepted { .. }));
         assert_eq!(replies[0].to, NodeId(10));
         assert_eq!(brp.pool_size(), 1);
-        assert_eq!(brp.aggregate_count(), 1);
         assert_eq!(brp.store.count_in_state(OfferState::Accepted), 1);
+        // The submission is only staged; the round's flush aggregates it.
+        let (_, report) = brp.prepare_plan(
+            TimeSlot(0),
+            TimeSlot(96),
+            vec![0.0; 96],
+            MarketPrices::flat(96, 0.08, 0.03, 100.0),
+            vec![0.2; 96],
+        );
+        assert_eq!(report.eligible_macro, 1, "one offer → one aggregate");
     }
 
     #[test]
@@ -1344,7 +1401,6 @@ mod tests {
         for i in 0..9 {
             submit(&mut brp, offer(i, i, 110, 90, 8), 100 + i, 0);
         }
-        assert!(brp.aggregate_count() >= 3);
         let (envelopes, report) = brp.plan_with_baseline(
             TimeSlot(80),
             TimeSlot(96),
@@ -1352,10 +1408,20 @@ mod tests {
             MarketPrices::flat(96, 0.08, 0.03, 100.0),
             vec![0.2; 96],
         );
+        assert_eq!(report.eligible_macro, 3, "nine offers in bins of three");
         assert_eq!(report.assignments, 9);
         assert_eq!(envelopes.len(), 9);
         assert_eq!(brp.pool_size(), 0);
-        assert_eq!(brp.aggregate_count(), 0);
+        // Every bin collapsed: the next round finds nothing to plan.
+        let (envelopes, report) = brp.plan_with_baseline(
+            TimeSlot(81),
+            TimeSlot(96),
+            vec![-1.0; 96],
+            MarketPrices::flat(96, 0.08, 0.03, 100.0),
+            vec![0.2; 96],
+        );
+        assert_eq!(report.eligible_macro, 0);
+        assert!(envelopes.is_empty());
     }
 
     #[test]
@@ -1467,7 +1533,6 @@ mod tests {
         for i in 0..10 {
             submit(&mut brp, offer(i, i, 110, 90, 8), 100 + i, 0);
         }
-        assert!(brp.staged_deltas() > 0, "submissions stage export deltas");
         let (envelopes, report) = brp.plan_with_baseline(
             TimeSlot(80),
             TimeSlot(96),
@@ -1489,7 +1554,6 @@ mod tests {
         }
         // Flushed: a second plan with no new offers forwards no deltas —
         // it degrades to a liveness heartbeat instead.
-        assert_eq!(brp.staged_deltas(), 0);
         let (envelopes, report) = brp.plan_with_baseline(
             TimeSlot(81),
             TimeSlot(96),
@@ -1795,8 +1859,21 @@ mod tests {
         assert!(out.is_empty(), "local mode: no parent to resync");
         assert_eq!(recovered.pool_size(), twin.pool_size());
         assert_eq!(recovered.pool_digest(), twin.pool_digest());
-        assert_eq!(recovered.aggregate_count(), twin.aggregate_count());
         assert!(recovered.wal().is_some(), "the log resumes after recovery");
+        // Same pool → same aggregates → the same plan.
+        let mut recovered = recovered;
+        let plan = |brp: &mut BrpNode| {
+            brp.prepare_plan(
+                TimeSlot(1),
+                TimeSlot(96),
+                vec![-1.0; 96],
+                MarketPrices::flat(96, 0.08, 0.03, 100.0),
+                vec![0.2; 96],
+            )
+        };
+        let (_, report) = plan(&mut recovered);
+        assert_eq!(report.eligible_macro, 1);
+        assert_eq!(report, plan(&mut twin).1);
     }
 
     #[test]
@@ -1873,11 +1950,18 @@ mod tests {
             panic!("expected ResyncSnapshot, got {:?}", out[0].message);
         };
         assert!(!offers.is_empty(), "snapshot carries the export set");
-        assert_eq!(
-            recovered.staged_deltas(),
-            0,
-            "resync snapshot supersedes the outbox"
+        // The resync snapshot superseded the re-derived outbox: the next
+        // round has nothing to forward.
+        let mut recovered = recovered;
+        let (envelopes, report) = recovered.prepare_plan(
+            TimeSlot(82),
+            TimeSlot(96),
+            vec![0.0; 96],
+            MarketPrices::flat(96, 0.08, 0.03, 100.0),
+            vec![0.2; 96],
         );
+        assert_eq!(report.forwarded, 0);
+        assert!(matches!(envelopes[0].message, Message::Heartbeat { .. }));
     }
 
     /// Tight failure-detector horizons for the islanding tests: silence

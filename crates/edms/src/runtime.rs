@@ -33,6 +33,25 @@
 //!   the whole hierarchy as one list of planners instead of hand-ordered
 //!   per-level calls.
 //!
+//! ## Accumulate, then flush before read
+//!
+//! The paper's aggregation component accumulates flex-offer updates and
+//! processes them in bulk when aggregates are needed (§4). The engine
+//! exposes that split as [`PlanEngine::stage_offer_updates`] (a `Vec`
+//! push into the group-builder's buffer) and
+//! [`PlanEngine::flush_offer_updates`] (one pipeline pass over the whole
+//! buffer + the live-plan fold); [`PlanEngine::apply_offer_updates`] is
+//! the two back to back. Staged updates are invisible to everything
+//! derived, so the owning node keeps **one rule: flush before anything
+//! reads derived state**. The readers are [`PlanEngine::pipeline`]
+//! (aggregates, slab lookups, disaggregation),
+//! [`PlanEngine::eligible_macros`] / [`PlanEngine::eligible_count`] /
+//! [`PlanEngine::prepare`], and the live plan itself — a *standing*
+//! reader: while [`PlanEngine::live_window`] is `Some`, a node flushes at
+//! the end of the `handle` that staged something, so late changes still
+//! splice into the plan as a trickle. Whether to flush now or later is
+//! thus derived from state the node observes, never configured.
+//!
 //! One `NodeRuntime` level list is one **region**. The multi-region
 //! [`Federation`](crate::federation::Federation) instantiates N of
 //! these hierarchies — each with its own network, WAL namespace and
@@ -42,7 +61,9 @@
 //! region-oblivious.
 
 use crate::message::Envelope;
-use mirabel_aggregate::{AggregateUpdate, AggregationPipeline, FlexOfferUpdate};
+use mirabel_aggregate::{
+    AggregateUpdate, AggregatedFlexOffer, AggregationPipeline, FlexOfferUpdate,
+};
 use mirabel_core::exec::Pool;
 use mirabel_core::{FlexOffer, FlexOfferId, NodeId, TimeSlot};
 use mirabel_forecast::ForecastEvent;
@@ -213,7 +234,8 @@ impl PlanEngine {
 
     /// The aggregation pipeline (read-only; mutate through
     /// [`apply_offer_updates`](Self::apply_offer_updates) so live plans
-    /// stay in sync).
+    /// stay in sync). Reflects the last flush: staged updates are not in
+    /// it yet.
     pub fn pipeline(&self) -> &AggregationPipeline {
         &self.pipeline
     }
@@ -249,13 +271,28 @@ impl PlanEngine {
         self.live.as_ref().map(|l| l.eval.total())
     }
 
-    /// Macro offers that fit entirely inside `[start, start+horizon)`.
-    pub fn eligible_macros(&self, start: TimeSlot, horizon: usize) -> Vec<FlexOffer> {
+    /// Aggregates that fit entirely inside `[start, start+horizon)`, in
+    /// ascending id order (schedulers are order-sensitive).
+    fn eligible_aggregates(
+        &self,
+        start: TimeSlot,
+        horizon: usize,
+    ) -> impl Iterator<Item = &AggregatedFlexOffer> {
         let end = start + horizon as u32;
         self.pipeline
-            .macro_offers()
-            .into_iter()
-            .filter(|m| m.earliest_start() >= start && m.latest_end() <= end)
+            .aggregates()
+            .filter(move |a| a.earliest_start >= start && a.latest_start + a.duration() <= end)
+    }
+
+    /// Macro offers that fit entirely inside `[start, start+horizon)`.
+    /// The window test runs on the aggregate, so only the eligible ones
+    /// are materialized as `FlexOffer`s (profile + member-id clone each).
+    pub fn eligible_macros(&self, start: TimeSlot, horizon: usize) -> Vec<FlexOffer> {
+        self.eligible_aggregates(start, horizon)
+            .map(|a| {
+                a.to_flex_offer()
+                    .expect("aggregates are valid flex-offers by construction")
+            })
             .collect()
     }
 
@@ -263,11 +300,7 @@ impl PlanEngine {
     /// aggregate store — no `FlexOffer` materialization (reporting-only
     /// callers must not pay O(aggregates × profile) clones).
     pub fn eligible_count(&self, start: TimeSlot, horizon: usize) -> usize {
-        let end = start + horizon as u32;
-        self.pipeline
-            .aggregates()
-            .filter(|a| a.earliest_start >= start && a.latest_start + a.duration() <= end)
-            .count()
+        self.eligible_aggregates(start, horizon).count()
     }
 
     /// Phase 1: schedule the eligible macro offers against `baseline`
@@ -395,11 +428,32 @@ impl PlanEngine {
     ///
     /// Returns the pipeline's aggregate update stream (for forwarding up
     /// the hierarchy) plus the live-plan fold report, when one applied.
+    ///
+    /// This is [`stage_offer_updates`](Self::stage_offer_updates) +
+    /// [`flush_offer_updates`](Self::flush_offer_updates) back to back.
     pub fn apply_offer_updates(
         &mut self,
         updates: Vec<FlexOfferUpdate>,
     ) -> (Vec<AggregateUpdate>, Option<OfferDeltaReport>) {
-        let agg_updates = self.pipeline.apply(updates);
+        self.stage_offer_updates(updates);
+        self.flush_offer_updates()
+    }
+
+    /// Accumulate offer-pool deltas in the pipeline's group-builder
+    /// without processing them. Nothing derived moves — aggregates, slab
+    /// and live plan all keep describing the last flush — so the owner
+    /// must [`flush_offer_updates`](Self::flush_offer_updates) before it
+    /// reads any of them (the module docs' flush-before-read rule).
+    pub fn stage_offer_updates(&mut self, updates: impl IntoIterator<Item = FlexOfferUpdate>) {
+        self.pipeline.accumulate(updates);
+    }
+
+    /// Run everything staged through the aggregation pipeline in one
+    /// pass and fold the emitted aggregate changes into the live plan,
+    /// exactly as [`apply_offer_updates`](Self::apply_offer_updates)
+    /// describes. A no-op (empty stream, `None`) when nothing is staged.
+    pub fn flush_offer_updates(&mut self) -> (Vec<AggregateUpdate>, Option<OfferDeltaReport>) {
+        let agg_updates = self.pipeline.flush();
         let report = self.fold_into_live(&agg_updates);
         (agg_updates, report)
     }

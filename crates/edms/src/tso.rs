@@ -574,7 +574,9 @@ impl TsoNode {
     /// Rebuild a crashed TSO from the store its WAL left behind:
     /// restore the latest snapshot, replay the tail (ingests re-handle
     /// with their original clock; assignment markers re-apply their
-    /// pool deletions), then re-anchor every known BRP through the
+    /// pool deletions, staged through the engine and flushed before the
+    /// next ingest reads the pipeline — one batch per replayed commit),
+    /// then re-anchor every known BRP through the
     /// resync path — the returned envelopes are one
     /// [`Message::ResyncRequest`] per BRP, asking each for the bounded
     /// state snapshot that heals whatever the crash window lost.
@@ -598,19 +600,25 @@ impl TsoNode {
         for rec in records {
             if rec.envelope.from == id {
                 // Replay-unsafe commit marker: the offer left the pool
-                // when this assignment was sent.
+                // when this assignment was sent. A commit logs one marker
+                // per assignment, so the deletes are staged and go
+                // through the pipeline as one batch per commit.
                 if let Message::Assignment { schedule, .. } = &rec.envelope.message {
                     if node.sources.remove(&schedule.offer_id).is_some() {
                         node.engine
-                            .apply_offer_updates(vec![FlexOfferUpdate::Delete(schedule.offer_id)]);
+                            .stage_offer_updates([FlexOfferUpdate::Delete(schedule.offer_id)]);
                     }
                 }
             } else if rec.replay_safe && rec.envelope.to == id {
+                // `dispatch` reads the pipeline (snapshot diffs compare
+                // pooled values): flush before read.
+                node.engine.flush_offer_updates();
                 // Replies regenerated during replay were already sent
                 // (or lost) in the pre-crash timeline; drop them.
                 let _ = node.dispatch(rec.envelope, rec.recorded_at);
             }
         }
+        node.engine.flush_offer_updates();
         node.replaying = false;
         node.attach_wal(wal);
         let out = node
@@ -984,6 +992,9 @@ mod tests {
         );
         assert_eq!(envelopes.len(), 2);
         assert_eq!(tso.pool_size(), 0);
+        // Traffic after the commit: replay must flush the markers' staged
+        // deletes before this delta's dispatch reads the pipeline.
+        insert(&mut tso, 1, macro_offer(1_000_000_002, 120));
         let store = tso.take_wal().unwrap().into_store();
         let (recovered, _) = TsoNode::recover(
             NodeId(99),
@@ -998,10 +1009,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            recovered.pool_size(),
-            0,
+            recovered.pooled_ids(),
+            vec![FlexOfferId(1_000_000_002)],
             "assigned offers must not resurrect on replay"
         );
+        assert_eq!(recovered.aggregate_count(), 1);
+        // Three replayed inserts emit an aggregate each; the commit's two
+        // marker deletes went through the pipeline as ONE batch, which
+        // empties their group outright — one delete at a time would have
+        // emitted the half-empty aggregate in between.
+        assert_eq!(recovered.pipeline().delta_stats().emitted, 3);
     }
 
     #[test]
