@@ -353,6 +353,11 @@ pub struct DeadLetter {
 #[derive(Debug)]
 pub struct DeadLetterQueue {
     letters: Vec<DeadLetter>,
+    /// Letters retained per interned link id (links past the end hold
+    /// none), so the cap check in `push` reads one counter instead of
+    /// scanning the queue — a held partition pushes thousands of letters
+    /// onto a long queue.
+    per_link: Vec<u32>,
     per_link_cap: usize,
 }
 
@@ -360,6 +365,7 @@ impl Default for DeadLetterQueue {
     fn default() -> DeadLetterQueue {
         DeadLetterQueue {
             letters: Vec::new(),
+            per_link: Vec::new(),
             per_link_cap: DeadLetterQueue::DEFAULT_PER_LINK_CAP,
         }
     }
@@ -393,8 +399,12 @@ impl DeadLetterQueue {
     /// link's oldest letter (the caller accounts the drop).
     fn push(&mut self, letter: DeadLetter) -> Option<DeadLetter> {
         let link = letter.link;
-        let evicted = if self.letters.iter().filter(|l| l.link == link).count() >= self.per_link_cap
-        {
+        if self.per_link.len() <= link as usize {
+            self.per_link.resize(link as usize + 1, 0);
+        }
+        let held = &mut self.per_link[link as usize];
+        // One out, one in: an eviction leaves the link's count as it was.
+        let evicted = if *held as usize >= self.per_link_cap {
             let oldest = self
                 .letters
                 .iter()
@@ -402,6 +412,7 @@ impl DeadLetterQueue {
                 .expect("cap >= 1, so at least one letter on the link");
             Some(self.letters.remove(oldest))
         } else {
+            *held += 1;
             None
         };
         self.letters.push(letter);
@@ -410,9 +421,16 @@ impl DeadLetterQueue {
 
     /// Remove and return every letter `pred` selects, preserving order.
     fn take_if(&mut self, mut pred: impl FnMut(&DeadLetter) -> bool) -> Vec<DeadLetter> {
+        let per_link = &mut self.per_link;
         let (taken, kept) = std::mem::take(&mut self.letters)
             .into_iter()
-            .partition(|l| pred(l));
+            .partition(|l| {
+                let take = pred(l);
+                if take {
+                    per_link[l.link as usize] -= 1;
+                }
+                take
+            });
         self.letters = kept;
         taken
     }
@@ -1207,6 +1225,78 @@ mod tests {
             got.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![Some(2), Some(3), Some(4)]
         );
+    }
+
+    /// The queue's per-link counters against a recount of its letters.
+    fn assert_counts_match_recount(n: &Network) {
+        let q = &n.dead_letters;
+        let mut recount = vec![0u32; q.per_link.len()];
+        for l in &q.letters {
+            recount[l.link as usize] += 1;
+        }
+        assert_eq!(q.per_link, recount);
+    }
+
+    #[test]
+    fn dead_letter_link_counts_survive_eviction_replay_and_heal() {
+        let mut n = Network::reliable();
+        n.set_dead_letter_cap(3);
+        n.register(NodeId(1));
+        n.cut(NodeId(0), NodeId(1));
+        // Interleave a partitioned link (0→1, pushed past its cap), an
+        // unregistered recipient (0→2) and one that never comes back (0→3).
+        for at in 0..5 {
+            n.route(env(1, at));
+            n.route(env(2, at));
+            if at < 2 {
+                n.route(env(3, at));
+            }
+            assert_counts_match_recount(&n);
+        }
+        assert_eq!(n.dead_letters().len(), 3 + 3 + 2);
+        assert_eq!(n.stats().dropped_dead_letters, 4);
+        let retained: Vec<(u64, Option<u64>)> = n
+            .dead_letters()
+            .letters()
+            .iter()
+            .map(|l| (l.envelope.to.value(), l.envelope.seq))
+            .collect();
+        assert_eq!(
+            retained,
+            [
+                (3, Some(0)),
+                (3, Some(1)),
+                (1, Some(2)),
+                (2, Some(2)),
+                (1, Some(3)),
+                (2, Some(3)),
+                (1, Some(4)),
+                (2, Some(4)),
+            ],
+            "each link keeps its freshest three, queue order untouched"
+        );
+
+        // `register` replays 0→2 only; the freed link then refills.
+        n.register(NodeId(2));
+        assert_counts_match_recount(&n);
+        assert_eq!(n.stats().replayed, 3);
+        n.deregister(NodeId(2)); // its three queued messages dead-letter again
+        assert_counts_match_recount(&n);
+        n.route(env(2, 9)); // at the cap: evicts 0→2's oldest
+        assert_counts_match_recount(&n);
+        assert_eq!(n.stats().dropped_dead_letters, 5);
+
+        // Heal replays 0→1; 0→2 and 0→3 stay retained.
+        n.heal(NodeId(0), NodeId(1));
+        n.advance(TimeSlot(10));
+        assert_counts_match_recount(&n);
+        assert_eq!(n.drain(NodeId(1), TimeSlot(10)).len(), 3);
+        assert_eq!(n.dead_letters().len(), 3 + 2);
+        n.route(env(3, 10));
+        n.route(env(3, 11)); // fourth letter on 0→3: evicts its oldest
+        assert_counts_match_recount(&n);
+        assert_eq!(n.dead_letters().len(), 3 + 3);
+        assert_eq!(n.stats().dropped_dead_letters, 6);
     }
 
     #[test]

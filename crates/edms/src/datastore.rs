@@ -19,9 +19,10 @@
 //! measurements, flex-offer lifecycle events, schedules and prices.
 //! Queries are the star-join aggregations the control loop needs.
 
+use crate::comm::IdHashBuilder;
 use mirabel_core::{ActorId, FlexOfferId, Price, TimeSlot};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// Energy-type dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -48,6 +49,18 @@ pub enum OfferState {
     Provisional,
     /// Timed out without assignment; open contract applied.
     Expired,
+}
+
+/// Offers per current [`OfferState`], as [`DataStore::state_counts`]
+/// tallies them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StateCounts([usize; 5]);
+
+impl StateCounts {
+    /// Offers whose latest recorded state is `state`.
+    pub fn of(&self, state: OfferState) -> usize {
+        self.0[state as usize]
+    }
 }
 
 /// Actor dimension row; `market_area` snowflakes into the market-area
@@ -282,12 +295,29 @@ impl DataStore {
         out
     }
 
-    /// Count offers currently in `state`.
+    /// How many offers currently sit in each lifecycle state, from one
+    /// pass over the offer facts: walking newest-first, the first fact
+    /// seen for an offer is its latest state. O(facts), one id set, no
+    /// ordered map — the closing report of a run asks for every state of
+    /// every BRP, so it calls this once per store instead of
+    /// [`DataStore::count_in_state`] once per state.
+    pub fn state_counts(&self) -> StateCounts {
+        let mut seen: HashSet<FlexOfferId, IdHashBuilder> =
+            HashSet::with_capacity_and_hasher(self.offers.len() / 2, IdHashBuilder::default());
+        let mut counts = StateCounts::default();
+        for f in self.offers.iter().rev() {
+            if seen.insert(f.offer) {
+                counts.0[f.state as usize] += 1;
+            }
+        }
+        counts
+    }
+
+    /// Count offers currently in `state`. A full
+    /// [`DataStore::state_counts`] pass per call: ask for the counts once
+    /// when more than one state is wanted.
     pub fn count_in_state(&self, state: OfferState) -> usize {
-        self.offer_states()
-            .values()
-            .filter(|&&s| s == state)
-            .count()
+        self.state_counts().of(state)
     }
 
     /// Total scheduled energy and flexibility credit over all schedule
@@ -408,6 +438,19 @@ mod tests {
         assert_eq!(s.count_in_state(OfferState::Assigned), 1);
         assert_eq!(s.count_in_state(OfferState::Expired), 1);
         assert_eq!(s.count_in_state(OfferState::Rejected), 0);
+        // The one-pass tally agrees with the latest-state map, state by
+        // state: the superseded `Accepted` fact of offer 1 counts nowhere.
+        let counts = s.state_counts();
+        for state in [
+            OfferState::Accepted,
+            OfferState::Rejected,
+            OfferState::Assigned,
+            OfferState::Provisional,
+            OfferState::Expired,
+        ] {
+            let by_map = s.offer_states().values().filter(|&&x| x == state).count();
+            assert_eq!(counts.of(state), by_map, "{state:?}");
+        }
     }
 
     #[test]

@@ -174,7 +174,7 @@ pub use chaos::{
 pub use comm::{
     ChaosPhase, ChaosPlan, DeadLetterQueue, DeadLetterReason, FailureModel, Network, NetworkStats,
 };
-pub use datastore::{DataStore, OfferState};
+pub use datastore::{DataStore, OfferState, StateCounts};
 pub use federation::{
     ExchangeGateway, ExchangeReport, Federation, FederationConfig, FederationReport,
     FederationStats, RegionStats,

@@ -24,6 +24,23 @@ enum OfferStatus {
     FallenBack(ScheduledFlexOffer),
 }
 
+impl OfferStatus {
+    /// Still waiting for a decision or an assignment.
+    fn is_open(&self) -> bool {
+        matches!(self, OfferStatus::Pending | OfferStatus::Accepted)
+    }
+
+    /// The schedule the device is committed to, if any, and whether it
+    /// came from an assignment (`true`) or the open contract (`false`).
+    fn committed(&self) -> Option<(bool, &ScheduledFlexOffer)> {
+        match self {
+            OfferStatus::Assigned(s) => Some((true, s)),
+            OfferStatus::FallenBack(s) => Some((false, s)),
+            _ => None,
+        }
+    }
+}
+
 /// The level-1 node.
 #[derive(Debug)]
 pub struct ProsumerNode {
@@ -34,6 +51,9 @@ pub struct ProsumerNode {
     /// The responsible BRP's node id.
     pub brp: NodeId,
     offers: BTreeMap<FlexOfferId, (FlexOffer, OfferStatus)>,
+    /// Offers still `Pending` or `Accepted`. The history only grows, so
+    /// [`ProsumerNode::on_slot`] consults this before walking it.
+    open: usize,
     fallback_count: usize,
     assigned_count: usize,
 }
@@ -46,6 +66,7 @@ impl ProsumerNode {
             actor,
             brp,
             offers: BTreeMap::new(),
+            open: 0,
             fallback_count: 0,
             assigned_count: 0,
         }
@@ -53,8 +74,12 @@ impl ProsumerNode {
 
     /// Submit a flex-offer; returns the envelope for the network.
     pub fn submit(&mut self, offer: FlexOffer, now: TimeSlot) -> Envelope {
-        self.offers
+        let replaced = self
+            .offers
             .insert(offer.id(), (offer.clone(), OfferStatus::Pending));
+        if !replaced.is_some_and(|(_, status)| status.is_open()) {
+            self.open += 1;
+        }
         Envelope::new(self.id, self.brp, now, Message::SubmitOffer(offer))
     }
 
@@ -70,9 +95,10 @@ impl ProsumerNode {
             }
             Message::OfferRejected { offer } => {
                 if let Some((o, status)) = self.offers.get_mut(&offer) {
-                    if matches!(*status, OfferStatus::Pending | OfferStatus::Accepted) {
+                    if status.is_open() {
                         *status = OfferStatus::FallenBack(ScheduledFlexOffer::open_contract(o));
                         self.fallback_count += 1;
+                        self.open -= 1;
                     }
                 }
             }
@@ -80,11 +106,10 @@ impl ProsumerNode {
                 if let Some((offer, status)) = self.offers.get_mut(&schedule.offer_id) {
                     // Late assignments (after fallback) are ignored: the
                     // device is already committed to the open contract.
-                    if matches!(*status, OfferStatus::Pending | OfferStatus::Accepted)
-                        && schedule.validate_against(offer, 1e-6).is_ok()
-                    {
+                    if status.is_open() && schedule.validate_against(offer, 1e-6).is_ok() {
                         *status = OfferStatus::Assigned(schedule);
                         self.assigned_count += 1;
+                        self.open -= 1;
                     }
                 }
             }
@@ -94,15 +119,24 @@ impl ProsumerNode {
 
     /// Advance the clock: any offer whose assignment deadline has passed
     /// without an assignment falls back to the open contract. Returns the
-    /// offers that fell back this step.
+    /// offers that fell back this step. With nothing open — the usual
+    /// case once a cycle's assignments have arrived — it returns without
+    /// touching the offer history.
     pub fn on_slot(&mut self, now: TimeSlot) -> Vec<FlexOfferId> {
+        debug_assert_eq!(
+            self.open,
+            self.offers.values().filter(|(_, s)| s.is_open()).count(),
+            "open-offer count drifted from the history"
+        );
         let mut fell_back = Vec::new();
+        if self.open == 0 {
+            return fell_back;
+        }
         for (id, (offer, status)) in self.offers.iter_mut() {
-            if matches!(*status, OfferStatus::Pending | OfferStatus::Accepted)
-                && offer.is_expired(now)
-            {
+            if status.is_open() && offer.is_expired(now) {
                 *status = OfferStatus::FallenBack(ScheduledFlexOffer::open_contract(offer));
                 self.fallback_count += 1;
+                self.open -= 1;
                 fell_back.push(*id);
             }
         }
@@ -110,18 +144,41 @@ impl ProsumerNode {
     }
 
     /// Realized flexible energy at slot `t`: the sum over all committed
-    /// (assigned or fallen-back) schedules. Consumption positive.
+    /// (assigned or fallen-back) schedules, in offer-id order.
+    /// Consumption positive.
+    ///
+    /// A point query that walks the node's whole offer history, so
+    /// O(history) per call. The closing report of a run does not call it
+    /// per slot — it fills a ledger from
+    /// [`ProsumerNode::for_each_committed_load`] instead — but must
+    /// reproduce what summing this over the prosumers would give, bit for
+    /// bit: this is the accounting's reference, and its oracle in tests.
     pub fn flexible_load_at(&self, t: TimeSlot) -> f64 {
         self.offers
             .values()
-            .map(|(offer, status)| {
-                let schedule = match status {
-                    OfferStatus::Assigned(s) | OfferStatus::FallenBack(s) => s,
-                    _ => return 0.0,
-                };
-                offer.demand_sign() * schedule.energy_at(t).kwh()
+            .map(|(offer, status)| match status.committed() {
+                Some((_, schedule)) => offer.demand_sign() * schedule.energy_at(t).kwh(),
+                None => 0.0,
             })
             .sum()
+    }
+
+    /// Visit `(slot, signed kWh)` for every slot of every committed
+    /// (assigned or fallen-back) schedule: offers ascending by id, each
+    /// schedule's slots ascending, consumption positive. One pass over
+    /// the history, O(offers × duration) — every non-zero term
+    /// [`ProsumerNode::flexible_load_at`] would add for any slot, each
+    /// exactly once and in the same per-slot order.
+    pub fn for_each_committed_load(&self, mut f: impl FnMut(TimeSlot, f64)) {
+        for (offer, status) in self.offers.values() {
+            let Some((_, schedule)) = status.committed() else {
+                continue;
+            };
+            let sign = offer.demand_sign();
+            for (i, e) in schedule.slot_energies.iter().enumerate() {
+                f(schedule.start + i as u32, sign * e.kwh());
+            }
+        }
     }
 
     /// Committed schedules (assigned or fallen back) whose energy
@@ -132,11 +189,9 @@ impl ProsumerNode {
         self.offers
             .values()
             .filter(|(offer, status)| {
-                let schedule = match status {
-                    OfferStatus::Assigned(s) | OfferStatus::FallenBack(s) => s,
-                    _ => return false,
-                };
-                schedule.validate_against(offer, tol).is_err()
+                status
+                    .committed()
+                    .is_some_and(|(_, s)| s.validate_against(offer, tol).is_err())
             })
             .count()
     }
@@ -158,12 +213,9 @@ impl ProsumerNode {
             if o.earliest_start() < start || o.earliest_start() >= end {
                 continue;
             }
-            let (assigned, s) = match status {
-                OfferStatus::Assigned(s) => (true, s),
-                OfferStatus::FallenBack(s) => (false, s),
-                _ => continue,
-            };
-            f(*id, assigned, s.start, &s.slot_energies);
+            if let Some((assigned, s)) = status.committed() {
+                f(*id, assigned, s.start, &s.slot_energies);
+            }
         }
     }
 
@@ -180,6 +232,13 @@ impl ProsumerNode {
     /// All offers ever submitted.
     pub fn offer_count(&self) -> usize {
         self.offers.len()
+    }
+
+    /// Every offer ever submitted, ascending by id — what the closing
+    /// report's test oracle rebuilds the open-contract world from.
+    #[cfg(test)]
+    pub(crate) fn submitted_offers(&self) -> impl Iterator<Item = &FlexOffer> {
+        self.offers.values().map(|(offer, _)| offer)
     }
 }
 
@@ -327,5 +386,74 @@ mod tests {
         p.submit(o, TimeSlot(0));
         p.on_slot(TimeSlot(10));
         assert!((p.flexible_load_at(TimeSlot(20)) + 3.0).abs() < 1e-12);
+    }
+
+    fn assign(p: &mut ProsumerNode, o: &FlexOffer, start: i64) {
+        p.handle(Envelope::new(
+            NodeId(1),
+            NodeId(10),
+            TimeSlot(5),
+            Message::Assignment {
+                schedule: ScheduledFlexOffer::at_min(o, TimeSlot(start)),
+                discount_per_kwh: Price(0.02),
+            },
+        ));
+    }
+
+    #[test]
+    fn open_count_follows_every_transition() {
+        // `on_slot` debug-asserts the count against a recount, so calling
+        // it after each transition is the check.
+        let mut p = node();
+        assert!(p.on_slot(TimeSlot(0)).is_empty());
+        let (a, b, c) = (offer(1, 20, 10), offer(2, 20, 10), offer(3, 20, 12));
+        for o in [&a, &b, &c] {
+            p.submit((*o).clone(), TimeSlot(0));
+        }
+        p.submit(a.clone(), TimeSlot(0)); // resubmission of an open offer
+        assert_eq!(p.open, 3);
+        assign(&mut p, &a, 22);
+        assign(&mut p, &a, 23); // duplicate assignment: already committed
+        assert!(p.on_slot(TimeSlot(1)).is_empty());
+        p.handle(Envelope::new(
+            NodeId(1),
+            NodeId(10),
+            TimeSlot(2),
+            Message::OfferRejected {
+                offer: FlexOfferId(2),
+            },
+        ));
+        assert_eq!(p.open, 1);
+        assert_eq!(p.on_slot(TimeSlot(12)), vec![FlexOfferId(3)]);
+        assert_eq!(p.open, 0);
+        assert!(p.on_slot(TimeSlot(13)).is_empty());
+        assert_eq!(p.assigned_count() + p.fallback_count(), 3);
+    }
+
+    #[test]
+    fn committed_load_visitor_matches_the_point_query() {
+        // Three committed offers overlapping across slots 20..=23, one
+        // still open: folding the visitor per slot, in visiting order,
+        // gives `flexible_load_at` exactly.
+        let mut p = node();
+        let (a, b, c, d) = (
+            offer(1, 20, 10),
+            offer(2, 20, 10),
+            offer(3, 20, 10),
+            offer(4, 20, 15),
+        );
+        for o in [&a, &b, &c, &d] {
+            p.submit((*o).clone(), TimeSlot(0));
+        }
+        assign(&mut p, &a, 21);
+        assign(&mut p, &b, 22);
+        p.on_slot(TimeSlot(10)); // c falls back to [20, 22); d stays open
+        let mut by_slot: BTreeMap<TimeSlot, f64> = BTreeMap::new();
+        p.for_each_committed_load(|t, kwh| *by_slot.entry(t).or_insert(0.0) += kwh);
+        assert_eq!(by_slot.len(), 4);
+        for t in 15..30 {
+            let folded = by_slot.get(&TimeSlot(t)).copied().unwrap_or(0.0);
+            assert_eq!(folded, p.flexible_load_at(TimeSlot(t)), "slot {t}");
+        }
     }
 }

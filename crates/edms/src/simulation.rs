@@ -52,6 +52,33 @@
 //! exactly the changed slots, repair with parallel multi-start chains —
 //! instead of rebuilding and resolving its scheduling problem. Execution
 //! and the imbalance accounting use the refined baseline as ground truth.
+//!
+//! ## Closing report
+//!
+//! [`RegionSim::finish`] prices the run as Σ|baseline + flexible load|
+//! over every executed slot, once for each of two worlds, and each
+//! world's flexible load is one dense per-slot ledger (origin slot plus
+//! a `Vec<f64>`):
+//!
+//! * the **shadow** ledger holds the open-contract execution (earliest
+//!   start, maximum energy) of every offer ever submitted — what would
+//!   have run with no scheduling at all. It is filled as offers are
+//!   generated, in submission order;
+//! * the **realized** ledger holds what the prosumers actually committed
+//!   to (assignments and fallbacks). It is filled in `finish()` by one
+//!   pass over each prosumer's committed schedules
+//!   ([`ProsumerNode::for_each_committed_load`]), so the accounting costs
+//!   O(offers × duration) however many cycles ran; the window loop only
+//!   reads `baseline + ledger[slot]`.
+//!
+//! **Addition order is part of the result.** Float addition does not
+//! associate, and `imbalance_before` / `imbalance_after` are compared
+//! bit for bit between twin runs, so the realized ledger adds in the
+//! order the reference does — [`ProsumerNode::flexible_load_at`] summed
+//! over the prosumer list for each slot: within one prosumer its offers
+//! in offer-id order into a partial of their own, then the partials in
+//! prosumer-list order. Terms that are zero are skipped; they change no
+//! sum. The tests hold `finish()` to that reference on random configs.
 
 use crate::brp::{BrpConfig, BrpNode, IslandedRound, SchedulerKind};
 use crate::comm::{ChaosPlan, FailureModel, Network, NetworkStats};
@@ -360,6 +387,50 @@ fn plan_signature(prosumers: &[ProsumerNode], window: TimeSlot, horizon: u32) ->
     h
 }
 
+/// Signed flexible load per slot (kWh, consumption positive), dense over
+/// the slot range it has been asked to hold: an origin slot plus one
+/// `f64` per slot from there, grown on demand in either direction. The
+/// closing report keeps two — see "Closing report" in the module docs.
+#[derive(Debug, Default)]
+struct SlotLedger {
+    origin: i64,
+    load: Vec<f64>,
+}
+
+impl SlotLedger {
+    /// The `len` slots from `start`, zero where nothing was added yet.
+    fn slots_mut(&mut self, start: TimeSlot, len: usize) -> &mut [f64] {
+        let from = start.index();
+        if self.load.is_empty() {
+            self.origin = from;
+        }
+        if from < self.origin {
+            let pad = (self.origin - from) as usize;
+            self.load.splice(0..0, std::iter::repeat_n(0.0, pad));
+            self.origin = from;
+        }
+        let at = (from - self.origin) as usize;
+        if self.load.len() < at + len {
+            self.load.resize(at + len, 0.0);
+        }
+        &mut self.load[at..at + len]
+    }
+
+    /// Slot `t` alone.
+    fn slot_mut(&mut self, t: TimeSlot) -> &mut f64 {
+        &mut self.slots_mut(t, 1)[0]
+    }
+
+    /// The load at `t`; zero outside the range held.
+    fn at(&self, t: TimeSlot) -> f64 {
+        usize::try_from(t.index() - self.origin)
+            .ok()
+            .and_then(|i| self.load.get(i))
+            .copied()
+            .unwrap_or(0.0)
+    }
+}
+
 /// One region's entire hierarchy plus the state its cycle loop carries:
 /// the unit a [`Federation`](crate::federation::Federation) drives on
 /// its own [`Pool`] lane, and what [`simulate`] runs exactly one of.
@@ -388,10 +459,10 @@ pub struct RegionSim {
     offers_submitted: usize,
     replans: usize,
     crashes: usize,
-    /// Shadow open-contract execution of every submitted offer, plus the
-    /// ground-truth baseline, per executed window. Ordered map: the
-    /// accounting walk must be reproducible byte-for-byte across runs.
-    shadow_load: BTreeMap<i64, f64>,
+    /// Shadow open-contract execution of every submitted offer, added
+    /// in submission order.
+    shadow_load: SlotLedger,
+    /// The ground-truth baseline of every executed window, by start slot.
     baselines: Vec<(TimeSlot, Vec<f64>)>,
     plan_signatures: Vec<u64>,
     /// Islanded planning rounds drained from the BRPs, cycle-then-node
@@ -503,7 +574,7 @@ impl RegionSim {
             offers_submitted: 0,
             replans: 0,
             crashes: 0,
-            shadow_load: BTreeMap::new(),
+            shadow_load: SlotLedger::default(),
             baselines: Vec::new(),
             plan_signatures: Vec::with_capacity(cycles),
             islanded: Vec::new(),
@@ -649,10 +720,10 @@ impl RegionSim {
                 *offers_submitted += 1;
                 // Shadow world: open contract (earliest start, max energy).
                 let open = ScheduledFlexOffer::open_contract(&offer);
-                for (i, e) in open.slot_energies.iter().enumerate() {
-                    *shadow_load
-                        .entry(open.start.index() + i as i64)
-                        .or_insert(0.0) += offer.demand_sign() * e.kwh();
+                let sign = offer.demand_sign();
+                let slots = shadow_load.slots_mut(open.start, open.slot_energies.len());
+                for (load, e) in slots.iter_mut().zip(&open.slot_energies) {
+                    *load += sign * e.kwh();
                 }
                 let env = p.submit(offer, t0);
                 network.route(env);
@@ -943,62 +1014,71 @@ impl RegionSim {
     /// prosumers back for the closing sweep, account imbalances against
     /// the shadow open-contract world, and run the invariant probes.
     pub fn finish(mut self) -> SimulationReport {
-        let s = SLOTS_PER_DAY;
+        self.closing_sweep();
+        self.report()
+    }
+
+    /// The slot after the last executed window.
+    fn end(&self) -> TimeSlot {
+        TimeSlot((self.cfg.cycles as i64 + 1) * SLOTS_PER_DAY as i64)
+    }
+
+    /// Closing sweep (churn only): bring every churned-out prosumer back
+    /// so the run's accounting is closed — replayed dead letters drain,
+    /// and anything still pending falls back. Without churn nothing is
+    /// offline and this does nothing.
+    fn closing_sweep(&mut self) {
+        if self.cfg.churn_fraction <= 0.0 {
+            return;
+        }
+        let end = self.end();
+        self.network.advance(end);
+        for (i, p) in self.prosumers.iter_mut().enumerate() {
+            if self.offline.remove(&i) {
+                self.network.register(p.id);
+            }
+            p.on_slot(end);
+            pump(&mut self.network, p, end);
+        }
+    }
+
+    /// The report of a swept run: imbalance accounting from the two slot
+    /// ledgers (module docs, "Closing report"), offer-state tallies, and
+    /// the invariant probes.
+    fn report(self) -> SimulationReport {
+        let end = self.end();
         let cfg = &self.cfg;
-        let network = &mut self.network;
-        let prosumers = &mut self.prosumers;
+        let prosumers = &self.prosumers;
         let brps = &self.brps;
         let tso = &self.tso;
 
-        // --- Closing sweep (churn only) ---------------------------------
-        // Bring every churned-out prosumer back so the run's accounting
-        // is closed: replayed dead letters drain, and anything still
-        // pending falls back. Without churn this is skipped — nothing is
-        // offline.
-        if cfg.churn_fraction > 0.0 {
-            let end = TimeSlot((cfg.cycles as i64 + 1) * s as i64);
-            network.advance(end);
-            for (i, p) in prosumers.iter_mut().enumerate() {
-                if self.offline.remove(&i) {
-                    network.register(p.id);
-                }
-                p.on_slot(end);
-                pump(network, p, end);
-            }
-        }
-
         // --- Accounting -------------------------------------------------
+        let realized = realized_load(prosumers);
         let mut imbalance_before = 0.0;
         let mut imbalance_after = 0.0;
         for (window, baseline) in &self.baselines {
             for (i, &b) in baseline.iter().enumerate() {
                 let t = *window + i as u32;
-                let open = self.shadow_load.get(&t.index()).copied().unwrap_or(0.0);
-                let realized: f64 = prosumers.iter().map(|p| p.flexible_load_at(t)).sum();
-                imbalance_before += (b + open).abs();
-                imbalance_after += (b + realized).abs();
+                imbalance_before += (b + self.shadow_load.at(t)).abs();
+                imbalance_after += (b + realized.at(t)).abs();
             }
         }
 
-        let accepted: usize = brps
-            .iter()
-            .map(|b| {
-                b.store.count_in_state(OfferState::Accepted)
-                    + b.store.count_in_state(OfferState::Assigned)
-                    + b.store.count_in_state(OfferState::Provisional)
-                    + b.store.count_in_state(OfferState::Expired)
-            })
-            .sum();
-        let rejected: usize = brps
-            .iter()
-            .map(|b| b.store.count_in_state(OfferState::Rejected))
-            .sum();
+        let mut accepted = 0;
+        let mut rejected = 0;
+        for b in brps {
+            let counts = b.store.state_counts();
+            accepted += counts.of(OfferState::Accepted)
+                + counts.of(OfferState::Assigned)
+                + counts.of(OfferState::Provisional)
+                + counts.of(OfferState::Expired);
+            rejected += counts.of(OfferState::Rejected);
+        }
 
         // Invariant probes. Phantom offers: anything still pooled at the
         // TSO that no BRP exports and whose deadline has not already
         // passed (the latter are cleaned by the next expiry sweep by
         // construction).
-        let end = TimeSlot((cfg.cycles as i64 + 1) * s as i64);
         let phantom_offers = if cfg.use_tso {
             let exported: BTreeSet<u64> = brps
                 .iter()
@@ -1035,6 +1115,31 @@ impl RegionSim {
             provisional_superseded,
         }
     }
+}
+
+/// The realized flexible load of a run, per slot: one pass over every
+/// prosumer's committed schedules. A prosumer's offers first add up in a
+/// partial of its own (offer-id order), and the partials then join the
+/// total in prosumer-list order — the addition order of summing
+/// [`ProsumerNode::flexible_load_at`] over the list for each slot, which
+/// float addition needs to give the same bits.
+fn realized_load(prosumers: &[ProsumerNode]) -> SlotLedger {
+    let mut total = SlotLedger::default();
+    let mut partial = SlotLedger::default();
+    let mut touched: Vec<TimeSlot> = Vec::new();
+    for p in prosumers {
+        p.for_each_committed_load(|t, kwh| {
+            *partial.slot_mut(t) += kwh;
+            touched.push(t);
+        });
+        // A slot two of the prosumer's offers share is listed twice: the
+        // first visit moves the whole partial, the second adds the zero
+        // left behind.
+        for t in touched.drain(..) {
+            *total.slot_mut(t) += std::mem::take(partial.slot_mut(t));
+        }
+    }
+    total
 }
 
 /// One config builder for initial construction AND crash-restarts: a
@@ -1076,6 +1181,8 @@ pub fn simulate(cfg: SimulationConfig) -> SimulationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::federation::{Federation, FederationConfig};
+    use proptest::prelude::*;
 
     #[test]
     fn two_level_scheduling_reduces_imbalance() {
@@ -1246,5 +1353,178 @@ mod tests {
         });
         assert_eq!(report.replans, 0);
         assert!(report.assigned > 0);
+    }
+
+    /// Run `cfg` to the end and hold its closing report to the reference
+    /// it replaced, bit for bit: a per-slot map of open contracts filled
+    /// offer by offer, the realized load of a slot as
+    /// `flexible_load_at` summed over the prosumer list, and every state
+    /// count as a filter over the latest-state map.
+    fn checked_report(cfg: SimulationConfig) -> SimulationReport {
+        let cycles = cfg.cycles;
+        let mut sim = RegionSim::new(cfg, RegionId::DEFAULT);
+        for c in 0..cycles {
+            sim.run_cycle(c);
+        }
+        sim.closing_sweep();
+
+        // A slot only ever sees one cycle's offers, so prosumer-list then
+        // offer-id order is submission order for every slot.
+        let mut shadow: BTreeMap<i64, f64> = BTreeMap::new();
+        for offer in sim.prosumers.iter().flat_map(|p| p.submitted_offers()) {
+            let open = ScheduledFlexOffer::open_contract(offer);
+            for (i, e) in open.slot_energies.iter().enumerate() {
+                *shadow.entry(open.start.index() + i as i64).or_insert(0.0) +=
+                    offer.demand_sign() * e.kwh();
+            }
+        }
+        let realized = realized_load(&sim.prosumers);
+        let (mut before, mut after) = (0.0, 0.0);
+        for (window, baseline) in &sim.baselines {
+            for (i, &b) in baseline.iter().enumerate() {
+                let t = *window + i as u32;
+                let open = shadow.get(&t.index()).copied().unwrap_or(0.0);
+                let scanned: f64 = sim.prosumers.iter().map(|p| p.flexible_load_at(t)).sum();
+                // Slot by slot, not only in the sums below: one slot's
+                // last-bit difference can round away in a run-long total.
+                // (`==` on floats is exact but for the sign of a zero,
+                // which no |baseline + load| sees.)
+                assert_eq!(sim.shadow_load.at(t), open, "shadow load at {t:?}");
+                assert_eq!(realized.at(t), scanned, "realized load at {t:?}");
+                before += (b + open).abs();
+                after += (b + scanned).abs();
+            }
+        }
+        let in_state = |state: OfferState| -> usize {
+            sim.brps
+                .iter()
+                .flat_map(|b| b.store.offer_states().into_values())
+                .filter(|&s| s == state)
+                .count()
+        };
+        let accepted = in_state(OfferState::Accepted)
+            + in_state(OfferState::Assigned)
+            + in_state(OfferState::Provisional)
+            + in_state(OfferState::Expired);
+        let rejected = in_state(OfferState::Rejected);
+
+        let report = sim.report();
+        assert_eq!(report.imbalance_before.to_bits(), before.to_bits());
+        assert_eq!(report.imbalance_after.to_bits(), after.to_bits());
+        assert_eq!((report.accepted, report.rejected), (accepted, rejected));
+        report
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn closing_report_matches_the_per_slot_scan(
+            seed in 0u64..1_000_000,
+            use_tso in 0u8..2,
+            brps in 1usize..4,
+            prosumers_per_brp in 1usize..6,
+            // Up to eight a day, so that a prosumer's own offers share
+            // slots often: only there can a wrong addition order show.
+            offers_per_prosumer in 1usize..9,
+            cycles in 1usize..4,
+            fault in 0u8..4,
+            churn in 0u8..2,
+        ) {
+            let failure = match fault {
+                0 => FailureModel::reliable(),
+                1 => FailureModel::drop(0.3),
+                2 => FailureModel::delay(2).jittered_by(3),
+                _ => FailureModel::drop(0.1).duplicated(0.3),
+            };
+            let cfg = SimulationConfig {
+                brps,
+                prosumers_per_brp,
+                cycles,
+                offers_per_prosumer,
+                failure,
+                churn_fraction: if churn == 1 { 0.3 } else { 0.0 },
+                seed,
+                use_tso: use_tso == 1,
+                budget_evaluations: 100,
+                repair_chains: 1,
+                ..SimulationConfig::default()
+            };
+            let report = checked_report(cfg);
+            prop_assert!(report.offers_submitted > 0);
+        }
+    }
+
+    #[test]
+    fn federated_closing_reports_match_the_scan_and_their_solo_twins() {
+        let cfg = FederationConfig {
+            regions: 2,
+            sim: SimulationConfig {
+                brps: 2,
+                prosumers_per_brp: 4,
+                cycles: 3,
+                offers_per_prosumer: 6,
+                failure: FailureModel::drop(0.2).duplicated(0.2),
+                churn_fraction: 0.25,
+                seed: 7,
+                use_tso: true,
+                budget_evaluations: 1_000,
+                ..SimulationConfig::default()
+            },
+            ..FederationConfig::default()
+        };
+        let report = Federation::run(cfg.clone());
+        for (r, region) in report.regions.iter().enumerate() {
+            let twin = checked_report(Federation::region_config(&cfg, RegionId(r as u64)));
+            assert_eq!(*region, twin, "region {r} diverged from its solo twin");
+        }
+    }
+
+    #[test]
+    fn slot_ledger_grows_both_ways_and_reads_zero_outside() {
+        let mut ledger = SlotLedger::default();
+        assert_eq!(ledger.at(TimeSlot(5)), 0.0);
+        ledger
+            .slots_mut(TimeSlot(100), 3)
+            .copy_from_slice(&[1.0, 2.0, 3.0]);
+        *ledger.slot_mut(TimeSlot(97)) += 7.0;
+        *ledger.slot_mut(TimeSlot(104)) -= 4.0;
+        let read: Vec<f64> = (96..106).map(|t| ledger.at(TimeSlot(t))).collect();
+        assert_eq!(read, [0.0, 7.0, 0.0, 0.0, 1.0, 2.0, 3.0, 0.0, -4.0, 0.0]);
+        assert_eq!(ledger.at(TimeSlot(-1_000)), 0.0);
+    }
+
+    /// Release-scale witness that the closing report is linear in the
+    /// offers handled: over a long run it must cost less than the rounds
+    /// it reports on. The run-long per-slot scan it replaced took five
+    /// times the rounds at this shape (5.1 s against 0.95 s) where this
+    /// takes a twentieth (28 ms against 0.64 s), so host speed cancels.
+    #[test]
+    #[ignore = "release-scale smoke: run with cargo test --release -- --ignored"]
+    fn long_run_report_is_cheaper_than_its_rounds() {
+        let cfg = SimulationConfig {
+            brps: 4,
+            prosumers_per_brp: 500,
+            cycles: 48,
+            offers_per_prosumer: 1,
+            use_tso: true,
+            seed: 42,
+            ..SimulationConfig::default()
+        };
+        let cycles = cfg.cycles;
+        let mut sim = RegionSim::new(cfg, RegionId::DEFAULT);
+        let rounds = std::time::Instant::now();
+        for c in 0..cycles {
+            sim.run_cycle(c);
+        }
+        let rounds = rounds.elapsed();
+        let closing = std::time::Instant::now();
+        let report = sim.finish();
+        let closing = closing.elapsed();
+        assert_eq!(report.assigned + report.fallbacks, report.offers_submitted);
+        assert!(
+            closing < rounds,
+            "finish() took {closing:?}, the {cycles} rounds {rounds:?}"
+        );
     }
 }
