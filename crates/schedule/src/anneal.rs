@@ -13,6 +13,7 @@ use crate::problem::SchedulingProblem;
 use crate::solution::{jitter_move, Budget, Recorder, ScheduleResult, Solution};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
 
 /// Metropolis local search over complete schedules.
 #[derive(Debug, Clone, Copy)]
@@ -86,13 +87,17 @@ pub struct HybridScheduler {
 
 impl HybridScheduler {
     /// Spend ~20 % of the budget on greedy constructions, then hand the
-    /// best constructions to the EA as seeds.
+    /// best constructions to the EA as seeds. The returned trajectory is
+    /// one curve over both phases, on the run's own evaluation count and
+    /// clock.
     pub fn run(&self, problem: &SchedulingProblem, budget: Budget, seed: u64) -> ScheduleResult {
+        let started = Instant::now();
         let greedy_budget = Budget {
             max_evaluations: (budget.max_evaluations / 5).max(1),
             max_time: budget.max_time.map(|t| t / 5),
         };
         let g = GreedyScheduler.run(problem, greedy_budget, seed);
+        let greedy_elapsed = started.elapsed();
         let remaining = Budget {
             max_evaluations: budget.max_evaluations.saturating_sub(g.evaluations).max(1),
             max_time: budget.max_time.map(|t| t.saturating_sub(t / 5)),
@@ -103,6 +108,20 @@ impl HybridScheduler {
             seed ^ 0x9e37_79b9,
             vec![g.solution.clone()],
         );
+        // The EA counted evaluations and time from its own start, and
+        // its first points (the seed re-priced, random individuals) do
+        // not improve on what the greedy phase had already found.
+        let mut trajectory = g.trajectory;
+        let mut best = trajectory.last().map_or(f64::INFINITY, |p| p.best_cost);
+        for mut point in result.trajectory {
+            if point.best_cost < best {
+                best = point.best_cost;
+                point.evaluations += g.evaluations;
+                point.elapsed += greedy_elapsed;
+                trajectory.push(point);
+            }
+        }
+        result.trajectory = trajectory;
         // The hybrid can never be worse than its greedy seed.
         if g.cost.total() < result.cost.total() {
             result.solution = g.solution;
@@ -184,6 +203,43 @@ mod tests {
             h.cost.total(),
             ea.cost.total()
         );
+    }
+
+    #[test]
+    fn hybrid_trajectory_spans_both_phases() {
+        let p = small(5);
+        let budget = 5_000;
+        let h = HybridScheduler::default().run(&p, Budget::evaluations(budget), 3);
+        let first = h.trajectory.first().expect("non-empty trajectory");
+        assert!(
+            first.evaluations <= budget / 5,
+            "first point at {} evaluations is past the greedy fifth",
+            first.evaluations
+        );
+        for w in h.trajectory.windows(2) {
+            assert!(w[1].best_cost <= w[0].best_cost);
+            assert!(w[1].evaluations >= w[0].evaluations);
+            assert!(w[1].elapsed >= w[0].elapsed);
+        }
+        let last = h.trajectory.last().expect("non-empty trajectory");
+        assert!(last.evaluations <= h.evaluations);
+        // The greedy phase's curve comes first, unshifted; the EA's
+        // improvements follow, counted from where greedy stopped.
+        let g = GreedyScheduler.run(&p, Budget::evaluations(budget / 5), 3);
+        for (hp, gp) in h.trajectory.iter().zip(&g.trajectory) {
+            assert_eq!(
+                (hp.evaluations, hp.best_cost),
+                (gp.evaluations, gp.best_cost)
+            );
+        }
+        let ea_first = h
+            .trajectory
+            .get(g.trajectory.len())
+            .expect("the EA phase improved on its seed");
+        assert!(ea_first.evaluations > g.evaluations);
+        // The curve ends at the reported cost (delta-scored points carry
+        // float drift the final full evaluation does not).
+        assert!((last.best_cost - h.cost.total()).abs() < 1e-6);
     }
 
     #[test]

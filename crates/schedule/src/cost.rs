@@ -9,6 +9,7 @@
 
 use crate::problem::SchedulingProblem;
 use crate::solution::Solution;
+use mirabel_core::FlexOffer;
 use serde::{Deserialize, Serialize};
 
 /// Cost components of one evaluated schedule (EUR).
@@ -85,22 +86,64 @@ pub fn residual_imbalance_into(
     }
 }
 
-/// Evaluate a solution: place offers, trade optimally, price the residual.
-pub fn evaluate(problem: &SchedulingProblem, solution: &Solution) -> CostBreakdown {
-    debug_assert_eq!(solution.placements.len(), problem.offers.len());
-    let residual = residual_imbalance(problem, solution);
+/// Per-slot `(min, width)` energy bounds (kWh) of every offer, flattened
+/// in offer order: slot `k` of offer `j` sits at `Σ duration(offers[..j]) + k`.
+///
+/// The profile's run-length encoding is unrolled once here so that
+/// [`evaluate_into`] reads a slice per evaluation. Build it once per
+/// scheduler run from `problem.offers` and drop it with the run: it is
+/// stale as soon as the offer list changes, which a live
+/// [`DeltaEvaluator`](crate::DeltaEvaluator) does in place.
+pub fn slot_table(offers: &[FlexOffer]) -> Vec<(f64, f64)> {
+    let mut slots = Vec::with_capacity(offers.iter().map(|o| o.duration() as usize).sum());
+    for slice in offers.iter().flat_map(|o| o.profile().slices()) {
+        let bounds = (slice.energy.min().kwh(), slice.energy.width().kwh());
+        slots.extend(std::iter::repeat_n(bounds, slice.duration as usize));
+    }
+    slots
+}
 
-    // Offer activation cost.
+/// The cost kernel — the reference semantics of the cost model: place
+/// offers, trade optimally, price the residual, in one pass per offer
+/// slot and one per horizon slot.
+///
+/// `slots` is [`slot_table`] of `problem.offers`. `residual` is scratch
+/// owned by the caller: whatever it held is discarded, and on return it
+/// holds the solution's residual imbalance (what [`residual_imbalance`]
+/// computes). A caller that keeps both across calls evaluates without
+/// allocating.
+pub fn evaluate_into(
+    problem: &SchedulingProblem,
+    slots: &[(f64, f64)],
+    solution: &Solution,
+    residual: &mut Vec<f64>,
+) -> CostBreakdown {
+    debug_assert_eq!(solution.placements.len(), problem.offers.len());
+    residual.clear();
+    residual.extend_from_slice(&problem.baseline_imbalance);
+
+    // Deposit every placement's energy and sum its activation cost.
     let mut offer_cost = 0.0;
+    let mut at = 0;
     for (placement, offer) in solution.placements.iter().zip(&problem.offers) {
-        let energy: f64 = offer
-            .profile()
-            .slot_ranges()
+        let sign = offer.demand_sign();
+        let base = problem.slot_index(placement.start);
+        let duration = offer.duration() as usize;
+        let mut energy = 0.0;
+        for ((&(min, width), &frac), r) in slots[at..at + duration]
+            .iter()
             .zip(&placement.fractions)
-            .map(|(r, &f)| r.lerp(f).kwh())
-            .sum();
+            .zip(&mut residual[base..base + duration])
+        {
+            // `EnergyRange::lerp`, on the unrolled bounds.
+            let e = min + width * frac.clamp(0.0, 1.0);
+            *r += sign * e;
+            energy += e;
+        }
+        at += duration;
         offer_cost += energy * offer.unit_price().eur();
     }
+    debug_assert_eq!(at, slots.len(), "slot table built for other offers");
 
     // Closed-form per-slot market transactions + residual pricing.
     let cap = problem.prices.max_trade_per_slot;
@@ -134,6 +177,17 @@ pub fn evaluate(problem: &SchedulingProblem, solution: &Solution) -> CostBreakdo
         energy_bought,
         energy_sold,
     }
+}
+
+/// Evaluate a solution: the allocating convenience form of
+/// [`evaluate_into`], for callers that price a solution once.
+pub fn evaluate(problem: &SchedulingProblem, solution: &Solution) -> CostBreakdown {
+    evaluate_into(
+        problem,
+        &slot_table(&problem.offers),
+        solution,
+        &mut Vec::new(),
+    )
 }
 
 #[cfg(test)]

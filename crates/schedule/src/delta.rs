@@ -410,6 +410,17 @@ impl<'p> DeltaEvaluator<'p> {
         &self.solution
     }
 
+    /// Exchange the evaluated solution with `other` without touching the
+    /// cached cost state, which is therefore stale until the next
+    /// [`resync`](Self::resync). This is how the EA keeps one evaluator
+    /// for a whole run: swap the individual to refine in, `resync`,
+    /// search, swap the refined individual back out.
+    pub(crate) fn swap_solution(&mut self, other: &mut Solution) {
+        debug_assert_eq!(other.placements.len(), self.solution.placements.len());
+        self.undo.active = false;
+        std::mem::swap(&mut self.solution, other);
+    }
+
     /// Consume the evaluator, yielding the current solution.
     pub fn into_solution(self) -> Solution {
         self.solution

@@ -15,8 +15,36 @@
 //! through the [`DeltaEvaluator`] — the local-mutation path costs
 //! O(offer duration) per move instead of a full re-evaluation, so the
 //! refinement is nearly free relative to the crossover evaluations.
+//!
+//! ## Who owns which buffer across a generation
+//!
+//! A generation allocates nothing once the first one has run; every
+//! buffer below lives as long as [`EvolutionaryScheduler::run_seeded`]:
+//!
+//! * `population` and `next` — the two generations. Elites and children
+//!   are written into `next`, then the two `Vec`s are swapped; neither is
+//!   ever dropped.
+//! * `spare` — the individuals of the generation that was just replaced.
+//!   An elite or a child starts as a spare overwritten by
+//!   [`Solution::clone_from`] (and a crossover gene by
+//!   [`Placement::clone_from`]), which reuse the spare's `Vec`s. Only
+//!   the first generation finds `spare` empty and allocates.
+//! * the slot table and the residual buffer — the
+//!   [`cost::evaluate_into`](crate::cost::evaluate_into) kernel's inputs,
+//!   built once from `problem.offers` and shared by every child. The
+//!   kernel is the reference semantics of the cost model and
+//!   [`evaluate`] is a wrapper that allocates both per call, so a child's
+//!   cost is bit-identical either way (debug builds assert it).
+//! * one [`DeltaEvaluator`] for the memetic step. Each generation swaps
+//!   the best individual in, resyncs the cached cost state to it, climbs,
+//!   and swaps the refined individual back out; between generations the
+//!   evaluator holds a placeholder solution and is not read.
+//!
+//! None of this changes what is computed: the RNG draw sequence and the
+//! order of every floating-point operation are those of the plain
+//! clone-per-child formulation, so plans are identical to it bit for bit.
 
-use crate::cost::evaluate;
+use crate::cost::{evaluate, evaluate_into, slot_table};
 use crate::delta::{hill_climb, DeltaEvaluator};
 use crate::problem::SchedulingProblem;
 use crate::solution::{Budget, Placement, Recorder, ScheduleResult, Solution};
@@ -81,6 +109,17 @@ impl EvolutionaryScheduler {
         placement.repair(offer);
     }
 
+    /// `source` copied into a recycled individual: a buffer-reusing
+    /// `clone_from` onto one of last generation's `spare` solutions, so
+    /// only the first generation allocates.
+    fn recycled(spare: &mut Vec<Solution>, source: &Solution) -> Solution {
+        let mut s = spare.pop().unwrap_or(Solution {
+            placements: Vec::new(),
+        });
+        s.clone_from(source);
+        s
+    }
+
     /// Run the EA until the budget is exhausted; the population is seeded
     /// with random individuals plus extras passed in `seeds` (used by the
     /// hybrid scheduler).
@@ -96,44 +135,66 @@ impl EvolutionaryScheduler {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut recorder = Recorder::new(budget);
 
+        // Per-run evaluation state: every individual is priced through
+        // the cost kernel on this one slot table and residual buffer.
+        let slots = slot_table(&problem.offers);
+        let mut residual = Vec::new();
+        let mut price = |s: &Solution| {
+            let c = evaluate_into(problem, &slots, s, &mut residual).total();
+            debug_assert_eq!(
+                c.to_bits(),
+                evaluate(problem, s).total().to_bits(),
+                "kernel on reused buffers diverged from evaluate()"
+            );
+            c
+        };
+
         let mut population: Vec<(Solution, f64)> = Vec::with_capacity(cfg.population);
         for s in seeds.into_iter().take(cfg.population) {
-            let c = evaluate(problem, &s).total();
+            let c = price(&s);
             recorder.record(c);
             population.push((s, c));
         }
         while population.len() < cfg.population {
             let s = Solution::random(problem, &mut rng);
-            let c = evaluate(problem, &s).total();
+            let c = price(&s);
             recorder.record(c);
             population.push((s, c));
         }
 
+        // Generation-to-generation buffers (see the module docs): the
+        // generation being built, the dead individuals it is built from,
+        // and the memetic step's evaluator.
+        let mut next: Vec<(Solution, f64)> = Vec::with_capacity(cfg.population);
+        let mut spare: Vec<Solution> = Vec::with_capacity(cfg.population);
+        let mut refiner = DeltaEvaluator::new(problem, Solution::baseline(problem));
+
+        let tournament = |rng: &mut StdRng, pop: &[(Solution, f64)]| -> usize {
+            let mut best = rng.gen_range(0..pop.len());
+            for _ in 1..cfg.tournament {
+                let c = rng.gen_range(0..pop.len());
+                if pop[c].1 < pop[best].1 {
+                    best = c;
+                }
+            }
+            best
+        };
+
         while !recorder.exhausted() {
             population.sort_by(|a, b| a.1.total_cmp(&b.1));
-            let mut next: Vec<(Solution, f64)> =
-                population.iter().take(cfg.elitism).cloned().collect();
-
-            let tournament = |rng: &mut StdRng, pop: &[(Solution, f64)]| -> usize {
-                let mut best = rng.gen_range(0..pop.len());
-                for _ in 1..cfg.tournament {
-                    let c = rng.gen_range(0..pop.len());
-                    if pop[c].1 < pop[best].1 {
-                        best = c;
-                    }
-                }
-                best
-            };
+            for (elite, c) in population.iter().take(cfg.elitism) {
+                next.push((Self::recycled(&mut spare, elite), *c));
+            }
 
             while next.len() < cfg.population && !recorder.exhausted() {
                 let a = tournament(&mut rng, &population);
                 let b = tournament(&mut rng, &population);
                 let (pa, pb) = (&population[a].0, &population[b].0);
                 // uniform per-gene crossover
-                let mut child = pa.clone();
+                let mut child = Self::recycled(&mut spare, pa);
                 for (g, gene_b) in child.placements.iter_mut().zip(&pb.placements) {
                     if rng.gen_bool(cfg.crossover_rate) {
-                        *g = gene_b.clone();
+                        g.clone_from(gene_b);
                     }
                 }
                 // mutation + repair
@@ -142,11 +203,12 @@ impl EvolutionaryScheduler {
                         Self::mutate_gene(g, offer, &mut rng);
                     }
                 }
-                let c = evaluate(problem, &child).total();
+                let c = price(&child);
                 recorder.record(c);
                 next.push((child, c));
             }
-            population = next;
+            std::mem::swap(&mut population, &mut next);
+            spare.extend(next.drain(..).map(|(s, _)| s));
 
             // Memetic refinement: first-improvement hill climb on the
             // generation's best individual, scored via the delta
@@ -158,26 +220,31 @@ impl EvolutionaryScheduler {
                     .min_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
                     .map(|(i, _)| i)
                     .expect("population is non-empty");
-                let (sol, _) = population.swap_remove(best_idx);
-                let mut eval = DeltaEvaluator::new(problem, sol);
-                // Building the evaluator is one full-cost evaluation's
+                // The refined individual goes last and the former last
+                // takes its place: tournaments index this order.
+                let last = population.len() - 1;
+                population.swap(best_idx, last);
+                let (sol, cost) = &mut population[last];
+                refiner.swap_solution(sol);
+                refiner.resync();
+                // Re-arming the evaluator is one full-cost evaluation's
                 // worth of work; charge it to the budget like any other.
                 recorder.tick();
-                let f_cur = hill_climb(
-                    &mut eval,
+                *cost = hill_climb(
+                    &mut refiner,
                     &mut recorder,
                     &mut rng,
                     cfg.local_search_moves,
                     None,
                     Self::mutate_gene,
                 );
-                population.push((eval.into_solution(), f_cur));
+                refiner.swap_solution(sol);
             }
         }
 
         population.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let best = population.remove(0).0;
-        let cost = evaluate(problem, &best);
+        let best = population.swap_remove(0).0;
+        let cost = evaluate_into(problem, &slots, &best, &mut residual);
         recorder.finish(best, cost)
     }
 

@@ -11,7 +11,7 @@
 //! enough, choosing per-slot energies by joint water-filling (exact when
 //! offers carry no energy flexibility, as in the paper's probe).
 
-use crate::cost::evaluate;
+use crate::cost::{evaluate_into, slot_table};
 use crate::problem::SchedulingProblem;
 use crate::solution::{Budget, Placement, Recorder, ScheduleResult, Solution};
 use mirabel_core::OfferKind;
@@ -124,9 +124,11 @@ impl ExhaustiveScheduler {
         let n = problem.offers.len();
         let mut shifts = vec![0u32; n];
         let mut best: Option<(Solution, f64)> = None;
+        let slots = slot_table(&problem.offers);
+        let mut residual = Vec::new();
         loop {
             let candidate = Self::fill_energies(problem, &shifts);
-            let cost = evaluate(problem, &candidate).total();
+            let cost = evaluate_into(problem, &slots, &candidate, &mut residual).total();
             recorder.record(cost);
             if best.as_ref().is_none_or(|(_, c)| cost < *c) {
                 best = Some((candidate, cost));
@@ -136,7 +138,7 @@ impl ExhaustiveScheduler {
             loop {
                 if i == n {
                     let (solution, _) = best.expect("non-empty enumeration");
-                    let cost = evaluate(problem, &solution);
+                    let cost = evaluate_into(problem, &slots, &solution, &mut residual);
                     return Some(recorder.finish(solution, cost));
                 }
                 if shifts[i] < problem.offers[i].time_flexibility() {

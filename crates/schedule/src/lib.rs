@@ -41,22 +41,40 @@
 //!
 //! Two evaluation paths coexist by design:
 //!
-//! 1. **Full:** [`cost::evaluate`] rebuilds the residual-imbalance vector
-//!    and prices every horizon slot — O(offers × duration + horizon).
-//!    It is the *reference semantics* of the cost model: simple, stateless
-//!    and obviously correct. Schedulers use it once per run to produce
-//!    the final [`CostBreakdown`].
-//! 2. **Delta:** [`DeltaEvaluator`] caches the residual vector, per-slot
+//! 1. **Full:** the kernel [`cost::evaluate_into`] deposits every
+//!    placement into a residual-imbalance vector, sums activation energy
+//!    in the same loop, and prices every horizon slot — O(offers ×
+//!    duration + horizon), one pass. It is the *reference semantics* of
+//!    the cost model and the only per-slot pricing loop for a whole
+//!    solution. Its two buffers belong to the caller: the flattened
+//!    `(min, width)` table from [`cost::slot_table`], valid for one offer
+//!    list and therefore built per scheduler run, never stored on the
+//!    problem (a live evaluator inserts and removes offers in place); and
+//!    the residual scratch, overwritten on every call. A search loop that
+//!    prices whole solutions (the EA's children, the exhaustive
+//!    enumeration) owns one of each for the run and evaluates without
+//!    allocating. [`cost::evaluate`] wraps the kernel with fresh buffers
+//!    for callers that price a solution once — every scheduler's final
+//!    [`CostBreakdown`], the debug cross-checks, tests.
+//! 2. **Delta:** [`DeltaEvaluator`] owns the residual vector, per-slot
 //!    market/mismatch cost and per-offer activation cost, and updates the
 //!    running total in O(offer duration) when a single offer's placement
 //!    changes — the only kind of move the metaheuristics make. The
-//!    propose → score → accept/revert loop is allocation-free.
+//!    propose → score → accept/revert loop is allocation-free: the
+//!    scratch placement and the undo log are the evaluator's own and
+//!    circulate with the solution's placements. A search that refines
+//!    many solutions in turn (the EA's memetic step) keeps one evaluator
+//!    and swaps each solution in and out around a
+//!    [`resync`](DeltaEvaluator::resync).
 //!
 //! The two paths are kept honest against each other three ways: a
-//! debug-build assertion inside every committed move, property tests
-//! replaying random move sequences, and the `full_vs_delta` bench that
-//! tracks the speedup (per-move delta cost is independent of the offer
-//! count, so the gap widens linearly with instance size).
+//! debug-build assertion inside every committed move (and on every EA
+//! child, kernel on reused buffers against [`cost::evaluate`]), property
+//! tests replaying random move sequences and comparing the kernel field
+//! for field with a literal two-pass transcription of the cost model,
+//! and the `full_vs_delta` bench that tracks the speedup (per-move delta
+//! cost is independent of the offer count, so the gap widens linearly
+//! with instance size).
 //!
 //! ## Event-driven incremental replanning
 //!
