@@ -31,9 +31,6 @@
 //! [`Message::MacroOfferDeltas`] batch per planning round — snapshots
 //! never cross the wire.
 //!
-//! [`BrpNode::plan_with_baseline`] runs phases 1+3 back-to-back for
-//! callers without forecast updates.
-//!
 //! ## Ingest: accumulate, then flush before read
 //!
 //! An accepted submission updates the pool, the datastore, the WAL and
@@ -65,26 +62,32 @@
 //! WAL snapshots encode the pool only, so durability never depended on
 //! the buffer. [`BrpNode::exported_offer_ids`] is the one `&self`
 //! accessor over derived state; it reports the last flush.
+//!
+//! ## Durability
+//!
+//! The node's durable half is a journal; [`crate::wal`] states its
+//! contract once for both planner levels. What is BRP-specific: the
+//! snapshot is the pool plus the duplicate filters (everything else is
+//! derived), and the markers are the outbox flush, the islanded commit
+//! ledger and the empty report that hands that ledger off.
 
 use crate::datastore::{
     DataStore, EnergyType, MeasurementFact, OfferFact, OfferState, ScheduleFact,
 };
 use crate::message::{Envelope, Message};
 use crate::runtime::{Node, NodeRuntime, PlanEngine, RuntimeConfig};
-use crate::wal::{NodeWal, WalConfig, WalStore};
+use crate::wal::{Journal, NodeWal, WalConfig, WalStore};
 use crate::wire::{
     DedupRx, LinkHealth, LinkHealthConfig, LinkHealthStats, LinkState, RetransmitTracker,
 };
 use mirabel_aggregate::{
     AggregateUpdate, AggregationParams, AggregationPipeline, BinPackerConfig, FlexOfferUpdate,
 };
-use mirabel_core::codec::{put_u64, take_u64, CodecError, Wire};
-use mirabel_core::{
-    AggregateId, FlexOffer, FlexOfferId, NodeId, Price, ScheduledFlexOffer, TimeSlot,
-};
+use mirabel_core::codec::{CodecError, Wire};
+use mirabel_core::{AggregateId, FlexOffer, FlexOfferId, NodeId, ScheduledFlexOffer, TimeSlot};
 use mirabel_forecast::{ForecastEvent, ForecastModel, HwtConfig, HwtModel, Seasonality};
 use mirabel_negotiate::{AcceptanceDecision, AcceptancePolicy, PreExecutionPricing};
-use mirabel_schedule::{evaluate, MarketPrices, SchedulingProblem, Solution};
+use mirabel_schedule::MarketPrices;
 use mirabel_timeseries::TimeSeries;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -193,18 +196,10 @@ pub struct BrpNode {
     /// sender only, never iterated, so its order cannot leak into
     /// results (snapshots sort by sender before encoding).
     rx: HashMap<u64, DedupRx, crate::comm::IdHashBuilder>,
-    /// Optional write-ahead event log: when attached, every accepted
-    /// inbound envelope (and every outbox flush) is appended *before*
-    /// the state mutation it causes, with snapshot-then-truncate
-    /// compaction bounding replay length.
-    wal: Option<NodeWal>,
-    /// Set while [`BrpNode::recover`] re-drives logged events through
-    /// the handlers: suppresses WAL re-appends (and lets callers drop
-    /// the regenerated replies, which were already sent pre-crash).
-    replaying: bool,
-    /// Event id of the most recently ingested envelope — the causation
-    /// link stamped onto the outbox-flush records it triggers.
-    last_ingest_event: Option<u64>,
+    /// The durable half: write-ahead log plus marker causation (see
+    /// [`crate::wal`]); detached — every call a no-op — until a WAL is
+    /// attached, and while [`BrpNode::recover`] replays.
+    journal: Journal,
     /// Failure detector for the TSO link (meaningful in TSO mode only).
     health: LinkHealth,
     /// Piggybacked-ack bookkeeping for upward outbox flushes.
@@ -246,54 +241,33 @@ pub struct IslandedRound {
     pub assignments: usize,
 }
 
-/// Decoded form of the state snapshot a BRP installs at WAL compaction
-/// points: the offer pool (with source nodes) plus the per-sender
-/// duplicate-filter states. Everything else a BRP holds — aggregates,
-/// exports, outbox — is *derived* and is rebuilt by re-feeding the pool
-/// through the aggregation pipeline on restore.
+/// The state snapshot a BRP installs at WAL compaction points: the
+/// offer pool (with source nodes) plus the per-sender duplicate-filter
+/// states. Everything else a BRP holds — aggregates, exports, outbox —
+/// is *derived* and is rebuilt by re-feeding the pool through the
+/// aggregation pipeline on restore.
 struct BrpSnapshot {
     pool: Vec<(FlexOffer, NodeId)>,
-    /// `(sender, delivered_below, seen, duplicates)` per inbound stream.
-    rx: Vec<(u64, u64, Vec<u64>, u64)>,
+    /// One row per inbound stream, sorted by sender.
+    rx: Vec<DedupRow>,
 }
 
-impl BrpSnapshot {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u64(&mut out, self.pool.len() as u64);
-        for (offer, from) in &self.pool {
-            offer.encode(&mut out);
-            from.encode(&mut out);
-        }
-        put_u64(&mut out, self.rx.len() as u64);
-        for (sender, below, seen, dups) in &self.rx {
-            put_u64(&mut out, *sender);
-            put_u64(&mut out, *below);
-            seen.encode(&mut out);
-            put_u64(&mut out, *dups);
-        }
-        out
+/// `(sender, ((delivered_below, seen), duplicates))`: nested pairs
+/// because pairs are what the codec implements — the bytes are the four
+/// fields in a row.
+type DedupRow = (u64, ((u64, Vec<u64>), u64));
+
+impl Wire for BrpSnapshot {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.pool.encode(out);
+        self.rx.encode(out);
     }
 
-    fn decode(mut buf: &[u8]) -> Result<BrpSnapshot, CodecError> {
-        let buf = &mut buf;
-        let pool_len = usize::decode(buf)?;
-        let mut pool = Vec::with_capacity(pool_len.min(buf.len()));
-        for _ in 0..pool_len {
-            let offer = FlexOffer::decode(buf)?;
-            let from = NodeId::decode(buf)?;
-            pool.push((offer, from));
-        }
-        let rx_len = usize::decode(buf)?;
-        let mut rx = Vec::with_capacity(rx_len.min(buf.len() + 1));
-        for _ in 0..rx_len {
-            let sender = take_u64(buf)?;
-            let below = take_u64(buf)?;
-            let seen = Vec::<u64>::decode(buf)?;
-            let dups = take_u64(buf)?;
-            rx.push((sender, below, seen, dups));
-        }
-        Ok(BrpSnapshot { pool, rx })
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(BrpSnapshot {
+            pool: Wire::decode(buf)?,
+            rx: Wire::decode(buf)?,
+        })
     }
 }
 
@@ -318,9 +292,7 @@ impl BrpNode {
             exports: BTreeMap::new(),
             outbox: BTreeMap::new(),
             rx: HashMap::default(),
-            wal: None,
-            replaying: false,
-            last_ingest_event: None,
+            journal: Journal::default(),
             health,
             retransmit: RetransmitTracker::default(),
             parent_heard: 0,
@@ -336,18 +308,18 @@ impl BrpNode {
     /// the node installs a compacting snapshot every
     /// [`WalConfig::snapshot_every`] events.
     pub fn attach_wal(&mut self, wal: NodeWal) {
-        self.wal = Some(wal);
+        self.journal.attach(wal);
     }
 
     /// The attached WAL, if any (diagnostics: tail length, io errors).
     pub fn wal(&self) -> Option<&NodeWal> {
-        self.wal.as_ref()
+        self.journal.wal()
     }
 
     /// Detach and return the WAL (the chaos harness keeps the "disk"
     /// alive across a simulated crash this way).
     pub fn take_wal(&mut self) -> Option<NodeWal> {
-        self.wal.take()
+        self.journal.detach()
     }
 
     /// Network-injected duplicates this node's at-most-once filters
@@ -376,14 +348,14 @@ impl BrpNode {
         digest
     }
 
-    /// Encode the node's durable state for a WAL snapshot.
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut rx: Vec<(u64, u64, Vec<u64>, u64)> = self
+    /// The node's durable state for a WAL snapshot.
+    fn snapshot(&self) -> BrpSnapshot {
+        let mut rx: Vec<_> = self
             .rx
             .iter()
             .map(|(sender, dedup)| {
                 let (below, seen, dups) = dedup.export_state();
-                (*sender, below, seen, dups)
+                (*sender, ((below, seen), dups))
             })
             .collect();
         // The rx map is a HashMap: sort so snapshot bytes (and thus WAL
@@ -397,7 +369,6 @@ impl BrpNode {
                 .collect(),
             rx,
         }
-        .encode()
     }
 
     /// Restore from a decoded snapshot: the pool is staged for the
@@ -413,20 +384,17 @@ impl BrpNode {
             self.pool.insert(offer.id(), (offer, from));
         }
         self.rx.clear();
-        for (sender, below, seen, dups) in snap.rx {
+        for (sender, ((below, seen), dups)) in snap.rx {
             self.rx
                 .insert(sender, DedupRx::from_state(below, seen, dups));
         }
     }
 
-    /// Install a compacting snapshot when the WAL's tail has grown past
-    /// its configured bound.
-    fn maybe_compact(&mut self) {
-        if self.wal.as_ref().is_some_and(NodeWal::wants_snapshot) {
-            let bytes = self.snapshot_bytes();
-            if let Some(wal) = self.wal.as_mut() {
-                wal.install_snapshot(&bytes);
-            }
+    /// Install a compacting snapshot when the journal's tail has grown
+    /// past its configured bound.
+    fn compact(&mut self) {
+        if self.journal.wants_snapshot() {
+            self.journal.compact(self.snapshot());
         }
     }
 
@@ -445,15 +413,12 @@ impl BrpNode {
         wal_config: WalConfig,
         now: TimeSlot,
     ) -> std::io::Result<(BrpNode, Vec<Envelope>)> {
-        let (wal, snapshot, records) = NodeWal::recover(store, wal_config)?;
+        let (journal, snapshot, tail) = Journal::reopen::<BrpSnapshot>(store, wal_config)?;
         let mut node = BrpNode::new(id, parent, config);
-        if let Some(bytes) = snapshot {
-            if let Ok(snap) = BrpSnapshot::decode(&bytes) {
-                node.restore_snapshot(snap);
-            }
+        if let Some(snap) = snapshot {
+            node.restore_snapshot(snap);
         }
-        node.replaying = true;
-        for rec in records {
+        for rec in tail {
             if rec.replay_safe && rec.envelope.to == id {
                 // Re-drive the ingest through the real handler; the
                 // regenerated replies are dropped.
@@ -476,61 +441,59 @@ impl BrpNode {
                     Message::ProvisionalReport { assignments, .. } => {
                         if assignments.is_empty() {
                             node.provisional.clear();
-                        } else {
-                            for s in assignments {
-                                node.provisional.insert(s.offer_id, s.clone());
-                                let _ = node.apply_macro_assignment(
-                                    s,
-                                    Price(0.0),
-                                    rec.recorded_at,
-                                    OfferState::Provisional,
-                                );
-                            }
+                        }
+                        for s in assignments {
+                            node.provisional.insert(s.offer_id, s.clone());
+                            let _ = node.apply_macro_assignment(
+                                s,
+                                rec.recorded_at,
+                                OfferState::Provisional,
+                            );
                         }
                     }
                     _ => {}
                 }
             }
         }
-        node.replaying = false;
-        node.wal = Some(wal);
-        let mut out = Vec::new();
-        if node.config.forward_to_tso {
-            if let Some(parent) = node.parent {
-                // A restart is a reconciliation point: if the crashed
-                // node died mid-island, its rebuilt provisional ledger
-                // ships ahead of the re-anchoring snapshot, exactly like
-                // a live heal would send it.
-                if !node.provisional.is_empty() {
-                    let assignments: Vec<ScheduledFlexOffer> =
-                        node.provisional.values().cloned().collect();
-                    node.provisional.clear();
-                    if let Some(wal) = node.wal.as_mut() {
-                        let marker = Envelope::new(
-                            node.id,
-                            parent,
-                            now,
-                            Message::ProvisionalReport {
-                                window_start: now,
-                                assignments: Vec::new(),
-                            },
-                        );
-                        wal.append(&marker, None, false, now);
-                    }
-                    out.push(Envelope::new(
-                        node.id,
-                        parent,
-                        now,
-                        Message::ProvisionalReport {
-                            window_start: now,
-                            assignments,
-                        },
-                    ));
-                }
-                out.extend(node.on_resync_request(parent, now));
-            }
-        }
+        node.journal = journal;
+        // A restart is a reconciliation point: if the crashed node died
+        // mid-island, its rebuilt provisional ledger ships ahead of the
+        // re-anchoring snapshot, exactly like a live heal would send it.
+        let out = match node.parent {
+            Some(parent) if node.config.forward_to_tso => node.reconcile(parent, now),
+            _ => Vec::new(),
+        };
         Ok((node, out))
+    }
+
+    /// The reconciliation hand-off, at heal and at restart alike: the
+    /// provisional macro assignments FIRST — the TSO audits them against
+    /// its pre-snapshot pool (still pooled here → adopt, already assigned
+    /// elsewhere → supersede) — then a full export snapshot that
+    /// re-anchors its pooled view of this node.
+    fn reconcile(&mut self, parent: NodeId, now: TimeSlot) -> Vec<Envelope> {
+        let mut out = Vec::new();
+        if !self.provisional.is_empty() {
+            let report = |window_start, assignments| {
+                let message = Message::ProvisionalReport {
+                    window_start,
+                    assignments,
+                };
+                Envelope::new(self.id, parent, now, message)
+            };
+            // Log the hand-off as an *empty* report marker: replaying it
+            // wipes the provisional ledger the earlier commit markers
+            // rebuilt.
+            self.journal.mark(&report(now, Vec::new()), now);
+            let ledger = std::mem::take(&mut self.provisional);
+            out.push(report(
+                self.islanded_since.unwrap_or(now),
+                ledger.into_values().collect(),
+            ));
+        }
+        self.islanded_since = None;
+        out.extend(self.on_resync_request(parent, now));
+        out
     }
 
     /// Offers currently pooled.
@@ -564,13 +527,6 @@ impl BrpNode {
     /// invariant checks).
     pub fn take_islanded_rounds(&mut self) -> Vec<IslandedRound> {
         std::mem::take(&mut self.islanded_log)
-    }
-
-    /// Stage pool deltas and flush at once — for callers that have just
-    /// read derived state (a commit's or an assignment's deletes).
-    fn apply_updates(&mut self, updates: Vec<FlexOfferUpdate>) {
-        self.engine.stage_offer_updates(updates);
-        self.flush_staged();
     }
 
     /// Run everything staged in the engine through the pipeline in one
@@ -623,13 +579,8 @@ impl BrpNode {
         }
         // Append-before-apply: only *accepted* envelopes reach the log,
         // so replay re-runs the duplicate filter through the exact same
-        // state sequence. `recorded_at` pins the handling clock so
-        // replayed deadline decisions match the originals.
-        if !self.replaying {
-            if let Some(wal) = self.wal.as_mut() {
-                self.last_ingest_event = Some(wal.append(&envelope, None, true, now));
-            }
-        }
+        // state sequence.
+        self.journal.ingest(&envelope, now);
         // Any accepted envelope from the parent is proof of TSO life —
         // the failure detector restarts its silence clock on it, and the
         // count is what this node's own heartbeats piggyback as an ack.
@@ -659,10 +610,11 @@ impl BrpNode {
                 }
                 Vec::new()
             }
-            Message::Assignment {
-                schedule,
-                discount_per_kwh,
-            } => self.on_tso_assignment(schedule, discount_per_kwh, now),
+            // An assignment for an exported macro offer coming back from
+            // the TSO, which prices nothing: discounts are set here.
+            Message::Assignment { schedule, .. } => {
+                self.apply_macro_assignment(schedule, now, OfferState::Assigned)
+            }
             Message::ResyncRequest => self.on_resync_request(envelope.from, now),
             Message::Heartbeat { seen } => {
                 if Some(envelope.from) == self.parent {
@@ -678,7 +630,7 @@ impl BrpNode {
         if self.engine.live_window().is_some() {
             self.flush_staged();
         }
-        self.maybe_compact();
+        self.compact();
         out
     }
 
@@ -888,50 +840,10 @@ impl BrpNode {
                     return (Vec::new(), report);
                 }
                 LinkState::Recovering => {
-                    // RECONCILE: traffic resumed after an island. Ship
-                    // the provisional macro assignments FIRST — the TSO
-                    // audits them against its pre-snapshot pool (still
-                    // pooled here → adopt, already assigned elsewhere →
-                    // supersede) — then a full export snapshot that
-                    // re-anchors its pooled view of this node.
-                    let mut out = Vec::new();
-                    if !self.provisional.is_empty() {
-                        let assignments: Vec<ScheduledFlexOffer> =
-                            self.provisional.values().cloned().collect();
-                        self.provisional.clear();
-                        // Log the hand-off as an *empty* report marker:
-                        // replaying it wipes the provisional ledger the
-                        // earlier commit markers rebuilt.
-                        if !self.replaying {
-                            if let Some(wal) = self.wal.as_mut() {
-                                let marker = Envelope::new(
-                                    self.id,
-                                    parent,
-                                    now,
-                                    Message::ProvisionalReport {
-                                        window_start: now,
-                                        assignments: Vec::new(),
-                                    },
-                                );
-                                wal.append(&marker, self.last_ingest_event, false, now);
-                            }
-                        }
-                        out.push(Envelope::new(
-                            self.id,
-                            parent,
-                            now,
-                            Message::ProvisionalReport {
-                                window_start: self.islanded_since.unwrap_or(now),
-                                assignments,
-                            },
-                        ));
-                    }
-                    self.islanded_since = None;
-                    out.extend(self.on_resync_request(parent, now));
+                    // RECONCILE: traffic resumed after an island.
+                    let out = self.reconcile(parent, now);
                     self.health.tick(now);
-                    if !self.replaying {
-                        self.maybe_compact();
-                    }
+                    self.compact();
                     return (out, report);
                 }
                 LinkState::Up | LinkState::Suspect => {}
@@ -984,15 +896,10 @@ impl BrpNode {
             }
             self.retransmit.on_flush(now);
             let env = Envelope::new(self.id, parent, now, Message::MacroOfferDeltas(deltas));
-            // Log the flush as a (non-replay-safe) outbound marker:
-            // replay treats it as "these staged deltas left the node",
-            // caused by the last ingested event.
-            if !self.replaying {
-                if let Some(wal) = self.wal.as_mut() {
-                    wal.append(&env, self.last_ingest_event, false, now);
-                }
-                self.maybe_compact();
-            }
+            // Log the flush as a marker: replay treats it as "these staged
+            // deltas left the node".
+            self.journal.mark(&env, now);
+            self.compact();
             return (vec![env], report);
         }
 
@@ -1027,51 +934,44 @@ impl BrpNode {
     pub fn commit_plan(&mut self, now: TimeSlot) -> Option<(Vec<Envelope>, f64)> {
         self.flush_staged();
         let (problem, solution, cost) = self.engine.commit()?;
-        if self.islanded_round {
-            self.islanded_round = false;
-            // Capture the macro-level schedules in export-id space
-            // *before* disaggregation collapses the aggregates: this
-            // ledger is what the TSO audits at reconciliation.
-            let macros: Vec<ScheduledFlexOffer> = solution
-                .to_schedules(&problem)
-                .into_iter()
-                .map(|s| ScheduledFlexOffer {
-                    offer_id: FlexOfferId(self.id.value() * 1_000_000_000 + s.offer_id.value()),
-                    start: s.start,
-                    slot_energies: s.slot_energies,
-                })
-                .collect();
-            let envelopes =
-                self.disaggregate_and_assign(&problem, &solution, now, OfferState::Provisional);
-            for m in &macros {
-                self.provisional.insert(m.offer_id, m.clone());
-            }
-            if let Some(round) = self.islanded_log.last_mut() {
-                round.committed_cost = Some(cost);
-                round.assignments = envelopes.len();
-            }
-            // Commit marker: replaying a non-empty self-addressed report
-            // rebuilds the provisional ledger a crashed island had
-            // accumulated.
-            if !self.replaying && !macros.is_empty() {
-                if let Some(wal) = self.wal.as_mut() {
-                    let marker = Envelope::new(
-                        self.id,
-                        self.id,
-                        now,
-                        Message::ProvisionalReport {
-                            window_start: self.islanded_since.unwrap_or(now),
-                            assignments: macros,
-                        },
-                    );
-                    wal.append(&marker, self.last_ingest_event, false, now);
-                }
-                self.maybe_compact();
-            }
+        let schedules = solution.to_schedules(&problem);
+        let islanded = std::mem::take(&mut self.islanded_round);
+        let state = if islanded {
+            OfferState::Provisional
+        } else {
+            OfferState::Assigned
+        };
+        let envelopes = self.disaggregate_and_assign(&schedules, now, state);
+        if !islanded {
             return Some((envelopes, cost));
         }
-        let envelopes =
-            self.disaggregate_and_assign(&problem, &solution, now, OfferState::Assigned);
+        if let Some(round) = self.islanded_log.last_mut() {
+            round.committed_cost = Some(cost);
+            round.assignments = envelopes.len();
+        }
+        // The macro-level schedules in export-id space: this ledger is
+        // what the TSO audits at reconciliation.
+        let macros: Vec<ScheduledFlexOffer> = schedules
+            .into_iter()
+            .map(|s| ScheduledFlexOffer {
+                offer_id: FlexOfferId(self.id.value() * 1_000_000_000 + s.offer_id.value()),
+                ..s
+            })
+            .collect();
+        self.provisional
+            .extend(macros.iter().map(|m| (m.offer_id, m.clone())));
+        // Commit marker: replaying a non-empty self-addressed report
+        // rebuilds the provisional ledger a crashed island had
+        // accumulated.
+        if !macros.is_empty() {
+            let message = Message::ProvisionalReport {
+                window_start: self.islanded_since.unwrap_or(now),
+                assignments: macros,
+            };
+            self.journal
+                .mark(&Envelope::new(self.id, self.id, now, message), now);
+            self.compact();
+        }
         Some((envelopes, cost))
     }
 
@@ -1080,49 +980,25 @@ impl BrpNode {
         self.engine.live_window()
     }
 
-    /// One-shot planning: [`prepare_plan`](Self::prepare_plan) followed
-    /// immediately by [`commit_plan`](Self::commit_plan) — for callers
-    /// with no forecast updates between scheduling and assignment.
-    pub fn plan_with_baseline(
-        &mut self,
-        now: TimeSlot,
-        window_start: TimeSlot,
-        baseline: Vec<f64>,
-        prices: MarketPrices,
-        penalties: Vec<f64>,
-    ) -> (Vec<Envelope>, PlanReport) {
-        let (mut envelopes, mut report) =
-            self.prepare_plan(now, window_start, baseline, prices, penalties);
-        if let Some((assignments, cost)) = self.commit_plan(now) {
-            report.cost = Some(cost);
-            report.assignments = assignments.len();
-            envelopes.extend(assignments);
-        }
-        (envelopes, report)
-    }
-
-    /// Turn a macro-level solution into micro assignments for prosumers,
-    /// recording each assigned offer in the given lifecycle state
-    /// (`Assigned` for connected rounds, `Provisional` for islanded
-    /// ones).
+    /// Turn macro schedules (local aggregate-id space) into micro
+    /// assignments for prosumers, recording each assigned offer in the
+    /// given lifecycle state (`Assigned` for connected rounds,
+    /// `Provisional` for islanded ones).
     fn disaggregate_and_assign(
         &mut self,
-        problem: &SchedulingProblem,
-        solution: &Solution,
+        macro_schedules: &[ScheduledFlexOffer],
         now: TimeSlot,
         state: OfferState,
     ) -> Vec<Envelope> {
         let mut out = Vec::new();
         // Collect every assigned offer's delete and run them through the
         // pipeline as one batch after the loop: each touched group is
-        // flushed once per planning round, not once per micro assignment.
+        // flushed once per call, not once per micro assignment.
         let mut deletes = Vec::new();
-        let schedules = solution.to_schedules(problem);
-        for macro_schedule in schedules {
+        for macro_schedule in macro_schedules {
             let agg_id = AggregateId(macro_schedule.offer_id.value());
-            let micro = match self.engine.pipeline().disaggregate(agg_id, &macro_schedule) {
-                Ok(m) => m,
-                Err(_) => continue,
+            let Ok(micro) = self.engine.pipeline().disaggregate(agg_id, macro_schedule) else {
+                continue;
             };
             for schedule in micro {
                 let Some((offer, source)) = self.pool.remove(&schedule.offer_id) else {
@@ -1154,31 +1030,24 @@ impl BrpNode {
             }
         }
         if !deletes.is_empty() {
-            self.apply_updates(deletes);
+            // Deleting the assigned members collapses their aggregates;
+            // in TSO mode the resulting `Removed` deltas are staged so the
+            // parent's pool forgets the exports too. Flushed on the spot:
+            // this path has just read derived state.
+            self.engine.stage_offer_updates(deletes);
+            self.flush_staged();
         }
         out
     }
 
-    /// Handle an assignment for an exported macro offer coming back from
-    /// the TSO: disaggregate into micro assignments.
-    fn on_tso_assignment(
-        &mut self,
-        schedule: ScheduledFlexOffer,
-        discount: Price,
-        now: TimeSlot,
-    ) -> Vec<Envelope> {
-        self.apply_macro_assignment(schedule, discount, now, OfferState::Assigned)
-    }
-
-    /// Disaggregate one export-space macro schedule into micro
-    /// assignments, recording each in the given lifecycle state. Also
-    /// the replay path for islanded commit markers: the deterministic
-    /// pipeline rebuilds the same aggregates, so re-applying the logged
-    /// macro ledger reproduces the crashed island's pool effect exactly.
+    /// Disaggregate one export-space macro schedule — a TSO assignment —
+    /// into micro assignments. Also the replay path for islanded commit
+    /// markers: the deterministic pipeline rebuilds the same aggregates,
+    /// so re-applying the logged macro ledger reproduces the crashed
+    /// island's pool effect exactly.
     fn apply_macro_assignment(
         &mut self,
         schedule: ScheduledFlexOffer,
-        _discount: Price,
         now: TimeSlot,
         state: OfferState,
     ) -> Vec<Envelope> {
@@ -1189,57 +1058,9 @@ impl BrpNode {
         // Rewrite the schedule to reference the local aggregate id.
         let local = ScheduledFlexOffer {
             offer_id: FlexOfferId(agg_id.value()),
-            start: schedule.start,
-            slot_energies: schedule.slot_energies,
+            ..schedule
         };
-        let micro = match self.engine.pipeline().disaggregate(agg_id, &local) {
-            Ok(m) => m,
-            Err(_) => return Vec::new(),
-        };
-        let mut out = Vec::new();
-        let mut deletes = Vec::new();
-        for s in micro {
-            let Some((offer, source)) = self.pool.remove(&s.offer_id) else {
-                continue;
-            };
-            deletes.push(FlexOfferUpdate::Delete(s.offer_id));
-            let discount = self.config.pricing.discount_per_kwh(&offer, now);
-            self.store.record_offer(OfferFact {
-                offer: offer.id(),
-                actor: offer.owner(),
-                slot: now,
-                state,
-            });
-            self.store.record_schedule(ScheduleFact {
-                offer: offer.id(),
-                start: s.start,
-                total_kwh: s.total_energy().kwh(),
-                discount,
-            });
-            out.push(Envelope::new(
-                self.id,
-                source,
-                now,
-                Message::Assignment {
-                    schedule: s,
-                    discount_per_kwh: discount,
-                },
-            ));
-        }
-        if !deletes.is_empty() {
-            // Deleting the assigned members collapses the aggregate; the
-            // resulting `Removed` delta is staged so the TSO's pool
-            // forgets the export too.
-            self.apply_updates(deletes);
-        }
-        out
-    }
-
-    /// Evaluate how a given set of realized flexible loads would cost
-    /// under a baseline — used by the simulation for before/after
-    /// comparisons.
-    pub fn cost_of(problem: &SchedulingProblem, solution: &Solution) -> f64 {
-        evaluate(problem, solution).total()
+        self.disaggregate_and_assign(&[local], now, state)
     }
 }
 
@@ -1286,7 +1107,7 @@ mod ingest_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mirabel_core::{EnergyRange, Profile};
+    use mirabel_core::{EnergyRange, Price, Profile};
 
     fn offer(id: u64, owner: u64, es: i64, deadline: i64, tf: u32) -> FlexOffer {
         FlexOffer::builder(id, owner)
@@ -1303,6 +1124,26 @@ mod tests {
             Envelope::new(NodeId(from), brp.id, TimeSlot(now), Message::SubmitOffer(o)),
             TimeSlot(now),
         )
+    }
+
+    /// One prepare-then-commit round with no forecast updates in between:
+    /// the commit's envelopes and final cost are folded into what
+    /// `prepare_plan` returned.
+    fn plan_round(
+        brp: &mut BrpNode,
+        now: TimeSlot,
+        window_start: TimeSlot,
+        baseline: Vec<f64>,
+        prices: MarketPrices,
+        penalties: Vec<f64>,
+    ) -> (Vec<Envelope>, PlanReport) {
+        let (mut envelopes, mut report) =
+            brp.prepare_plan(now, window_start, baseline, prices, penalties);
+        if let Some((assignments, cost)) = brp.commit_plan(now) {
+            report.cost = Some(cost);
+            envelopes.extend(assignments);
+        }
+        (envelopes, report)
     }
 
     #[test]
@@ -1343,7 +1184,8 @@ mod tests {
     fn expiry_drops_pool_entries() {
         let mut brp = BrpNode::new(NodeId(1), None, BrpConfig::default());
         submit(&mut brp, offer(1, 7, 100, 50, 12), 10, 0);
-        let (_, report) = brp.plan_with_baseline(
+        let (_, report) = plan_round(
+            &mut brp,
             TimeSlot(60), // past the deadline
             TimeSlot(61),
             vec![0.0; 96],
@@ -1367,7 +1209,8 @@ mod tests {
             );
         }
         let baseline: Vec<f64> = (0..96).map(|k| if k < 48 { -2.0 } else { 1.0 }).collect();
-        let (envelopes, report) = brp.plan_with_baseline(
+        let (envelopes, report) = plan_round(
+            &mut brp,
             TimeSlot(80),
             TimeSlot(96),
             baseline,
@@ -1375,7 +1218,6 @@ mod tests {
             vec![0.2; 96],
         );
         assert!(report.eligible_macro > 0);
-        assert_eq!(report.assignments, 20);
         assert_eq!(envelopes.len(), 20);
         assert!(report.cost.is_some());
         // every assignment goes back to the submitting node
@@ -1401,7 +1243,8 @@ mod tests {
         for i in 0..9 {
             submit(&mut brp, offer(i, i, 110, 90, 8), 100 + i, 0);
         }
-        let (envelopes, report) = brp.plan_with_baseline(
+        let (envelopes, report) = plan_round(
+            &mut brp,
             TimeSlot(80),
             TimeSlot(96),
             vec![-1.0; 96],
@@ -1409,11 +1252,11 @@ mod tests {
             vec![0.2; 96],
         );
         assert_eq!(report.eligible_macro, 3, "nine offers in bins of three");
-        assert_eq!(report.assignments, 9);
         assert_eq!(envelopes.len(), 9);
         assert_eq!(brp.pool_size(), 0);
         // Every bin collapsed: the next round finds nothing to plan.
-        let (envelopes, report) = brp.plan_with_baseline(
+        let (envelopes, report) = plan_round(
+            &mut brp,
             TimeSlot(81),
             TimeSlot(96),
             vec![-1.0; 96],
@@ -1445,7 +1288,8 @@ mod tests {
                 );
             }
             let baseline: Vec<f64> = (0..96).map(|k| if k < 48 { -2.0 } else { 1.0 }).collect();
-            let (_, report) = brp.plan_with_baseline(
+            let (_, report) = plan_round(
+                &mut brp,
                 TimeSlot(80),
                 TimeSlot(96),
                 baseline,
@@ -1533,7 +1377,8 @@ mod tests {
         for i in 0..10 {
             submit(&mut brp, offer(i, i, 110, 90, 8), 100 + i, 0);
         }
-        let (envelopes, report) = brp.plan_with_baseline(
+        let (envelopes, report) = plan_round(
+            &mut brp,
             TimeSlot(80),
             TimeSlot(96),
             vec![0.0; 96],
@@ -1554,7 +1399,8 @@ mod tests {
         }
         // Flushed: a second plan with no new offers forwards no deltas —
         // it degrades to a liveness heartbeat instead.
-        let (envelopes, report) = brp.plan_with_baseline(
+        let (envelopes, report) = plan_round(
+            &mut brp,
             TimeSlot(81),
             TimeSlot(96),
             vec![0.0; 96],
@@ -1580,7 +1426,8 @@ mod tests {
         for i in 0..50 {
             submit(&mut brp, offer(i, i, 110 + i as i64, 90, 4), 100 + i, 0);
         }
-        brp.plan_with_baseline(
+        plan_round(
+            &mut brp,
             TimeSlot(10),
             TimeSlot(96),
             vec![0.0; 96],
@@ -1588,7 +1435,8 @@ mod tests {
             vec![0.2; 96],
         );
         submit(&mut brp, offer(777, 7, 120, 90, 4), 100, 11);
-        let (envelopes, report) = brp.plan_with_baseline(
+        let (envelopes, report) = plan_round(
+            &mut brp,
             TimeSlot(12),
             TimeSlot(96),
             vec![0.0; 96],
@@ -1612,7 +1460,8 @@ mod tests {
         for i in 0..5 {
             submit(&mut brp, offer(i, i, 110, 90, 8), 100 + i, 0);
         }
-        let (envelopes, _) = brp.plan_with_baseline(
+        let (envelopes, _) = plan_round(
+            &mut brp,
             TimeSlot(80),
             TimeSlot(96),
             vec![0.0; 96],
@@ -1921,7 +1770,8 @@ mod tests {
         for i in 0..10 {
             submit(&mut brp, offer(i, i, 110, 90, 8), 100 + i, 0);
         }
-        let (envelopes, _) = brp.plan_with_baseline(
+        let (envelopes, _) = plan_round(
+            &mut brp,
             TimeSlot(80),
             TimeSlot(96),
             vec![0.0; 96],
@@ -1980,7 +1830,8 @@ mod tests {
     }
 
     fn plan(brp: &mut BrpNode, now: i64) -> (Vec<Envelope>, PlanReport) {
-        brp.plan_with_baseline(
+        plan_round(
+            brp,
             TimeSlot(now),
             TimeSlot(96),
             vec![-1.0; 96],
@@ -2007,7 +1858,6 @@ mod tests {
         let (envelopes, report) = plan(&mut brp, 20);
         assert_eq!(brp.link_state(), LinkState::Down);
         assert!(report.cost.is_some(), "local pass scheduled the pool");
-        assert_eq!(report.assignments, 10);
         assert_eq!(envelopes.len(), 10, "micro assignments to prosumers");
         assert_eq!(brp.pool_size(), 0);
         assert_eq!(brp.store.count_in_state(OfferState::Provisional), 10);

@@ -24,7 +24,7 @@
 //! datastore, and an identical parent-side pooled view with ids erased.
 
 use super::*;
-use mirabel_core::{EnergyRange, Profile};
+use mirabel_core::{EnergyRange, Price, Profile};
 use proptest::prelude::*;
 
 const PARENT: NodeId = NodeId(99);

@@ -161,9 +161,9 @@ impl ExchangeGateway {
     /// and a snapshot replaces that peer's imported view before the
     /// buffered tail re-applies.
     pub fn handle(&mut self, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
-        match &envelope.message {
+        let (from, seq) = (envelope.from, envelope.seq);
+        match envelope.message {
             Message::ExchangeOfferDeltas(_) => {
-                let from = envelope.from;
                 let (deliverable, request_resync) =
                     self.rx.entry(from).or_default().receive(envelope);
                 for env in deliverable {
@@ -185,19 +185,14 @@ impl ExchangeGateway {
                 self.snapshots_served += 1;
                 vec![Envelope::new(
                     self.endpoint,
-                    envelope.from,
+                    from,
                     now,
                     Message::ResyncSnapshot {
                         offers: self.exports.values().cloned().collect(),
                     },
                 )]
             }
-            Message::ResyncSnapshot { .. } => {
-                let from = envelope.from;
-                let seq = envelope.seq;
-                let Message::ResyncSnapshot { offers } = envelope.message else {
-                    unreachable!("matched above");
-                };
+            Message::ResyncSnapshot { offers } => {
                 // A snapshot is authoritative: replace the peer's view
                 // wholesale, then apply the buffered tail on top.
                 self.imports
@@ -231,15 +226,6 @@ impl ExchangeGateway {
     /// This gateway's current published exports (ascending id).
     pub fn exports(&self) -> impl Iterator<Item = &FlexOffer> {
         self.exports.values()
-    }
-
-    /// The imported view of `peer`'s exports (empty if it never
-    /// published).
-    pub fn imports_from(&self, peer: NodeId) -> Vec<&FlexOffer> {
-        self.imports
-            .get(&peer)
-            .map(|m| m.values().collect())
-            .unwrap_or_default()
     }
 
     /// Total imported macro offers across all peers.

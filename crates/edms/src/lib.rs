@@ -108,15 +108,14 @@
 //! * [`datastore`] — the Data Management component: a multidimensional
 //!   star-schema store (dimension + fact tables, \[6\]) materializing
 //!   the node's event history into queryable facts;
-//! * [`wal`] — the **event-sourced persistence layer**: every envelope
-//!   a node ingests (and every outbox flush it emits) is encoded with
-//!   the [`mirabel_core::codec::Wire`] binary codec, wrapped in an
-//!   [`EventRecord`] (`event_id` / `causation_id` /
-//!   `replay_safe`) and appended to a pluggable
-//!   [`WalStore`] *before* the node's state mutates.
-//!   Snapshot-then-truncate compaction bounds replay length; a crashed
-//!   BRP rebuilds from snapshot + tail replay
-//!   ([`BrpNode::recover`](brp::BrpNode::recover)), re-registers (the
+//! * [`wal`] — the **event-sourced persistence layer**, and the one
+//!   place the journal contract both planner levels follow is stated:
+//!   [`EventRecord`]s appended to a pluggable [`WalStore`] before the
+//!   node's state mutates, replay-unsafe markers for what planning
+//!   emitted, snapshot-then-truncate compaction. A crashed BRP or TSO
+//!   rebuilds from snapshot + tail replay
+//!   ([`BrpNode::recover`](brp::BrpNode::recover),
+//!   [`TsoNode::recover`](tso::TsoNode::recover)), re-registers (the
 //!   dead-letter queue replays what it missed), and re-anchors its
 //!   sequenced streams through the resync-snapshot path;
 //! * [`prosumer`] / [`brp`] / [`tso`] — the three node roles, wiring the

@@ -133,8 +133,6 @@ pub struct PlanReport {
     pub eligible_macro: usize,
     /// Macro-offer deltas forwarded to the parent node.
     pub forwarded: usize,
-    /// Micro assignments produced.
-    pub assignments: usize,
     /// Total schedule cost, when scheduled locally.
     pub cost: Option<f64>,
 }

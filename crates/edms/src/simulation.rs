@@ -753,73 +753,55 @@ impl RegionSim {
             }
         }
 
-        // 1c. Crash-restarts scheduled for this cycle: the BRP's entire
-        //     in-memory state is destroyed; only its WAL store (the
-        //     "disk") survives. Recovery mirrors real node churn:
-        //     deregister (queued messages — including this round's
+        // 1c. Crash-restarts scheduled for this cycle, BRP or TSO alike:
+        //     the node's entire in-memory state is destroyed; only its
+        //     WAL store (the "disk") survives. Recovery mirrors real node
+        //     churn: deregister (queued messages — including this round's
         //     still-undrained submissions — dead-letter), rebuild from
         //     snapshot + tail replay, re-register (the dead letters
         //     replay into the fresh inbox), and route the recovery
-        //     resync snapshot that re-anchors the parent's pooled view.
+        //     envelopes — a BRP's resync snapshot re-anchors the TSO's
+        //     pooled view of it, a TSO's resync requests are each
+        //     answered with a full export snapshot that re-seeds the
+        //     stream. With no WAL attached the crash is total amnesia:
+        //     the node restarts cold and re-learns its pool only through
+        //     resyncs and fresh traffic.
         for node in cfg.chaos.crashes_between(t0, t0 + s) {
-            // The TSO gets the same crash-restart treatment as a BRP:
-            // rebuild from its surviving WAL store, then re-anchor every
-            // BRP by routing the recovery ResyncRequests (each answered
-            // with a full export snapshot that re-seeds the stream).
-            if cfg.use_tso && node == tso_id {
-                *crashes += 1;
-                network.deregister(node);
-                let survived_store = tso.take_wal().map(NodeWal::into_store);
-                let (rebuilt, recovery_out) = match (survived_store, cfg.wal) {
-                    (Some(store), Some(wal_config)) => TsoNode::recover(
-                        tso_id,
-                        AggregationParams::p0(),
-                        make_tso_runtime(cfg),
-                        store,
-                        wal_config,
-                        t0,
-                    )
-                    .expect("in-memory WAL stores cannot fail"),
-                    // No WAL: total amnesia — the cold TSO re-learns the
-                    // macro pool only through resyncs and fresh deltas.
-                    _ => (
-                        TsoNode::with_config(
-                            tso_id,
-                            AggregationParams::p0(),
-                            make_tso_runtime(cfg),
-                        ),
-                        Vec::new(),
-                    ),
-                };
-                *tso = rebuilt;
-                network.register(node);
-                network.send_all(recovery_out);
-                continue;
-            }
-            let Some(idx) = brps.iter().position(|b| b.id == node) else {
-                continue;
+            let mut brp = brps.iter_mut().find(|b| b.id == node);
+            let wal = match &mut brp {
+                Some(brp) => brp.take_wal(),
+                None if cfg.use_tso && node == tso_id => tso.take_wal(),
+                None => continue,
             };
             *crashes += 1;
             network.deregister(node);
-            let survived_store = brps[idx].take_wal().map(NodeWal::into_store);
-            let (rebuilt, recovery_out) = match (survived_store, cfg.wal) {
-                (Some(store), Some(wal_config)) => BrpNode::recover(
-                    node,
-                    cfg.use_tso.then_some(tso_id),
-                    make_brp_config(cfg),
-                    store,
-                    wal_config,
-                    t0,
-                )
-                .expect("in-memory WAL stores cannot fail"),
-                // No WAL attached: the crash is total amnesia and the
-                // node restarts cold.
-                _ => (
-                    BrpNode::new(node, cfg.use_tso.then_some(tso_id), make_brp_config(cfg)),
-                    Vec::new(),
-                ),
+            let store = wal.map(NodeWal::into_store).zip(cfg.wal);
+            let recovery_out = match brp {
+                Some(brp) => {
+                    let (parent, config) = (cfg.use_tso.then_some(tso_id), make_brp_config(cfg));
+                    let (rebuilt, out) = match store {
+                        Some((store, wal)) => {
+                            BrpNode::recover(node, parent, config, store, wal, t0)
+                                .expect("in-memory WAL stores cannot fail")
+                        }
+                        None => (BrpNode::new(node, parent, config), Vec::new()),
+                    };
+                    *brp = rebuilt;
+                    out
+                }
+                None => {
+                    let (aggregation, runtime) = (AggregationParams::p0(), make_tso_runtime(cfg));
+                    let (rebuilt, out) = match store {
+                        Some((store, wal)) => {
+                            TsoNode::recover(node, aggregation, runtime, store, wal, t0)
+                                .expect("in-memory WAL stores cannot fail")
+                        }
+                        None => (TsoNode::with_config(node, aggregation, runtime), Vec::new()),
+                    };
+                    *tso = rebuilt;
+                    out
+                }
             };
-            brps[idx] = rebuilt;
             network.register(node);
             network.send_all(recovery_out);
         }

@@ -23,12 +23,16 @@
 //! it — no cloned `FlexOffer` pool.
 //!
 //! The resync path is also the **crash-recovery** path: a BRP rebuilt
-//! from its write-ahead log (see [`crate::wal`]) announces itself with
-//! an *unsolicited* [`Message::ResyncSnapshot`], and the TSO's
+//! from its write-ahead log announces itself with an *unsolicited*
+//! [`Message::ResyncSnapshot`], and the TSO's
 //! [`snapshot diff`](TsoNode::handle) plus per-stream
 //! [`SequencedRx::resynced`] re-anchor its pooled view and the sequence
 //! numbers in one round-trip — the TSO cannot tell a recovery from an
-//! ordinary lost-delta resync.
+//! ordinary lost-delta resync. The TSO itself is durable the same way a
+//! BRP is: its journal follows the one contract stated in
+//! [`crate::wal`]. TSO-specific are the snapshot (pool, stream guards,
+//! ack and audit counters) and the markers (one per committed
+//! assignment).
 //!
 //! In a multi-region [`Federation`](crate::federation::Federation) the
 //! TSO is also the **export boundary**: mid-cycle — after planning and
@@ -43,10 +47,10 @@ use crate::message::{Envelope, Message};
 use crate::runtime::{
     Node, NodeRuntime, OfferDeltaReport, PlanEngine, PlanReport, ReplanReport, RuntimeConfig,
 };
-use crate::wal::{NodeWal, WalConfig, WalStore};
+use crate::wal::{Journal, NodeWal, WalConfig, WalStore};
 use crate::wire::{SequencedRx, SequencedRxState, StreamStats};
 use mirabel_aggregate::{AggregationParams, AggregationPipeline, FlexOfferUpdate};
-use mirabel_core::codec::{put_u64, take_u64, CodecError, Wire};
+use mirabel_core::codec::{CodecError, Wire};
 use mirabel_core::{AggregateId, FlexOffer, FlexOfferId, NodeId, Price, TimeSlot};
 use mirabel_forecast::ForecastEvent;
 use mirabel_schedule::{MarketPrices, SchedulingProblem, Solution};
@@ -82,13 +86,9 @@ pub struct TsoNode {
     /// Provisional assignments superseded at reconciliation: the TSO
     /// had already decided the offer globally.
     provisional_superseded: u64,
-    /// Write-ahead log (append-before-apply), when attached.
-    wal: Option<NodeWal>,
-    /// Event id of the envelope currently being ingested.
-    last_ingest_event: Option<u64>,
-    /// True while [`recover`](Self::recover) replays the WAL tail:
-    /// replayed envelopes must not re-append.
-    replaying: bool,
+    /// The durable half (see [`crate::wal`]): detached until a WAL is
+    /// attached, and while [`recover`](Self::recover) replays.
+    journal: Journal,
 }
 
 impl TsoNode {
@@ -120,9 +120,7 @@ impl TsoNode {
             applied: BTreeMap::new(),
             provisional_adopted: 0,
             provisional_superseded: 0,
-            wal: None,
-            last_ingest_event: None,
-            replaying: false,
+            journal: Journal::default(),
         }
     }
 
@@ -195,53 +193,33 @@ impl TsoNode {
     /// With a WAL attached the envelope is appended **before** any state
     /// mutates (append-before-apply), so a crash mid-handle replays it.
     pub fn handle(&mut self, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
-        if !self.replaying {
-            if let Some(wal) = self.wal.as_mut() {
-                self.last_ingest_event = Some(wal.append(&envelope, None, true, now));
-            }
-        }
-        let out = self.dispatch(envelope, now);
-        self.maybe_compact();
-        out
-    }
-
-    fn dispatch(&mut self, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
-        match &envelope.message {
+        self.journal.ingest(&envelope, now);
+        let (from, seq) = (envelope.from, envelope.seq);
+        let mut out = Vec::new();
+        match envelope.message {
             Message::MacroOfferDeltas(_) | Message::Heartbeat { .. } => {
-                let from = envelope.from;
                 let (deliverable, request_resync) =
                     self.rx.entry(from).or_default().receive(envelope);
                 for env in deliverable {
                     self.deliver(env);
                 }
                 if request_resync {
-                    return vec![Envelope::new(self.id, from, now, Message::ResyncRequest)];
+                    out.push(Envelope::new(self.id, from, now, Message::ResyncRequest));
                 }
-                Vec::new()
             }
-            Message::ProvisionalReport { .. } => {
-                // Audited on receipt, OUTSIDE the sequenced guard. An
-                // islanded BRP's delta stream usually carries a loss gap
-                // by the time it heals; riding the guard would park the
-                // report behind that gap and the resync snapshot that
-                // always follows it would re-anchor past it, silently
-                // discarding the reconciliation hand-off. The snapshot's
-                // `resynced` also swallows the report's sequence slot,
-                // so skipping the guard leaves no phantom gap — and the
-                // audit must see the **pre-snapshot** pool anyway.
-                let from = envelope.from;
-                let Message::ProvisionalReport { assignments, .. } = envelope.message else {
-                    unreachable!("matched above");
-                };
+            // Audited on receipt, OUTSIDE the sequenced guard. An
+            // islanded BRP's delta stream usually carries a loss gap
+            // by the time it heals; riding the guard would park the
+            // report behind that gap and the resync snapshot that
+            // always follows it would re-anchor past it, silently
+            // discarding the reconciliation hand-off. The snapshot's
+            // `resynced` also swallows the report's sequence slot,
+            // so skipping the guard leaves no phantom gap — and the
+            // audit must see the **pre-snapshot** pool anyway.
+            Message::ProvisionalReport { assignments, .. } => {
                 self.audit_provisional(from, assignments);
-                Vec::new()
             }
-            Message::ResyncSnapshot { .. } => {
-                let from = envelope.from;
-                let seq = envelope.seq;
-                let Message::ResyncSnapshot { offers } = envelope.message else {
-                    unreachable!("matched above");
-                };
+            Message::ResyncSnapshot { offers } => {
                 // Splice only the differences: a snapshot that confirms
                 // the pooled view must not disturb the live plan (or its
                 // repair seed stream).
@@ -254,27 +232,21 @@ impl TsoNode {
                 for env in released {
                     self.deliver(env);
                 }
-                Vec::new()
             }
-            _ => Vec::new(),
+            _ => {}
         }
+        self.compact();
+        out
     }
 
     /// Apply one in-order deliverable envelope released by a stream
-    /// guard.
+    /// guard. Only delta batches do anything: a heartbeat is pure
+    /// liveness — the BRP-side detector is its consumer, the TSO only
+    /// needs it to keep the stream's sequence numbers contiguous.
     fn deliver(&mut self, env: Envelope) {
-        let from = env.from;
-        match env.message {
-            Message::MacroOfferDeltas(updates) => {
-                self.apply_deltas(from, updates);
-                *self.applied.entry(from).or_insert(0) += 1;
-            }
-            Message::Heartbeat { .. } => {
-                // Pure liveness: the BRP-side detector is the consumer;
-                // the TSO only needs the envelope to keep the stream's
-                // sequence numbers contiguous.
-            }
-            _ => {}
+        if let Message::MacroOfferDeltas(updates) = env.message {
+            self.apply_deltas(env.from, updates);
+            *self.applied.entry(env.from).or_insert(0) += 1;
         }
     }
 
@@ -485,16 +457,14 @@ impl TsoNode {
         if !deletes.is_empty() {
             self.engine.apply_offer_updates(deletes);
         }
-        // Commit markers: each assignment is appended replay-unsafe so
-        // recovery re-applies its pool deletion ("this offer left the
-        // pool here") without re-planning — the TSO's analogue of the
-        // BRP's outbox-flush markers.
-        if let Some(wal) = self.wal.as_mut() {
-            for env in &out {
-                wal.append(env, self.last_ingest_event, false, now);
-            }
+        // Commit markers: each assignment is logged so recovery
+        // re-applies its pool deletion ("this offer left the pool here")
+        // without re-planning — the TSO's analogue of the BRP's
+        // outbox-flush markers.
+        for env in &out {
+            self.journal.mark(env, now);
         }
-        self.maybe_compact();
+        self.compact();
         Some((out, cost))
     }
 
@@ -507,18 +477,18 @@ impl TsoNode {
     /// appended before it is applied, and committed assignments are
     /// appended as replay-unsafe markers.
     pub fn attach_wal(&mut self, wal: NodeWal) {
-        self.wal = Some(wal);
+        self.journal.attach(wal);
     }
 
     /// The attached WAL, if any.
     pub fn wal(&self) -> Option<&NodeWal> {
-        self.wal.as_ref()
+        self.journal.wal()
     }
 
     /// Detach and return the WAL — the "disk" a simulated crash leaves
     /// behind for [`recover`](Self::recover).
     pub fn take_wal(&mut self) -> Option<NodeWal> {
-        self.wal.take()
+        self.journal.detach()
     }
 
     /// Encode the node's recoverable state for a WAL snapshot.
@@ -562,12 +532,9 @@ impl TsoNode {
 
     /// Install a snapshot and truncate the log when the tail is long
     /// enough (see [`WalConfig::snapshot_every`]).
-    fn maybe_compact(&mut self) {
-        if self.wal.as_ref().is_some_and(NodeWal::wants_snapshot) {
-            let bytes = self.snapshot().to_bytes();
-            if let Some(wal) = self.wal.as_mut() {
-                wal.install_snapshot(&bytes);
-            }
+    fn compact(&mut self) {
+        if self.journal.wants_snapshot() {
+            self.journal.compact(self.snapshot());
         }
     }
 
@@ -580,7 +547,6 @@ impl TsoNode {
     /// resync path — the returned envelopes are one
     /// [`Message::ResyncRequest`] per BRP, asking each for the bounded
     /// state snapshot that heals whatever the crash window lost.
-    #[allow(clippy::type_complexity)]
     pub fn recover(
         id: NodeId,
         aggregation: AggregationParams,
@@ -589,20 +555,17 @@ impl TsoNode {
         wal_config: WalConfig,
         now: TimeSlot,
     ) -> std::io::Result<(TsoNode, Vec<Envelope>)> {
-        let (wal, snapshot, records) = NodeWal::recover(store, wal_config)?;
+        let (journal, snapshot, tail) = Journal::reopen::<TsoSnapshot>(store, wal_config)?;
         let mut node = TsoNode::with_config(id, aggregation, cfg);
-        if let Some(bytes) = snapshot {
-            if let Ok(snap) = TsoSnapshot::from_bytes(&bytes) {
-                node.restore_snapshot(snap);
-            }
+        if let Some(snap) = snapshot {
+            node.restore_snapshot(snap);
         }
-        node.replaying = true;
-        for rec in records {
+        for rec in tail {
             if rec.envelope.from == id {
-                // Replay-unsafe commit marker: the offer left the pool
-                // when this assignment was sent. A commit logs one marker
-                // per assignment, so the deletes are staged and go
-                // through the pipeline as one batch per commit.
+                // Commit marker: the offer left the pool when this
+                // assignment was sent. A commit logs one marker per
+                // assignment, so the deletes are staged and go through
+                // the pipeline as one batch per commit.
                 if let Message::Assignment { schedule, .. } = &rec.envelope.message {
                     if node.sources.remove(&schedule.offer_id).is_some() {
                         node.engine
@@ -610,39 +573,22 @@ impl TsoNode {
                     }
                 }
             } else if rec.replay_safe && rec.envelope.to == id {
-                // `dispatch` reads the pipeline (snapshot diffs compare
+                // `handle` reads the pipeline (snapshot diffs compare
                 // pooled values): flush before read.
                 node.engine.flush_offer_updates();
                 // Replies regenerated during replay were already sent
                 // (or lost) in the pre-crash timeline; drop them.
-                let _ = node.dispatch(rec.envelope, rec.recorded_at);
+                let _ = node.handle(rec.envelope, rec.recorded_at);
             }
         }
         node.engine.flush_offer_updates();
-        node.replaying = false;
-        node.attach_wal(wal);
+        node.journal = journal;
         let out = node
             .rx
             .keys()
             .map(|&brp| Envelope::new(id, brp, now, Message::ResyncRequest))
             .collect();
         Ok((node, out))
-    }
-
-    /// One-shot planning: [`prepare_plan`](Self::prepare_plan) followed
-    /// immediately by [`commit_plan`](Self::commit_plan).
-    pub fn plan(
-        &mut self,
-        now: TimeSlot,
-        window_start: TimeSlot,
-        baseline: Vec<f64>,
-        prices: MarketPrices,
-        penalties: Vec<f64>,
-    ) -> Vec<Envelope> {
-        self.prepare_plan(now, window_start, baseline, prices, penalties);
-        self.commit_plan(now)
-            .map(|(envelopes, _)| envelopes)
-            .unwrap_or_default()
     }
 }
 
@@ -662,47 +608,20 @@ struct TsoSnapshot {
 
 impl Wire for TsoSnapshot {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.pool.len() as u64);
-        for (offer, src) in &self.pool {
-            offer.encode(out);
-            src.encode(out);
-        }
-        put_u64(out, self.rx.len() as u64);
-        for (node, state) in &self.rx {
-            node.encode(out);
-            state.encode(out);
-        }
-        put_u64(out, self.applied.len() as u64);
-        for (node, count) in &self.applied {
-            node.encode(out);
-            count.encode(out);
-        }
-        put_u64(out, self.provisional_adopted);
-        put_u64(out, self.provisional_superseded);
+        self.pool.encode(out);
+        self.rx.encode(out);
+        self.applied.encode(out);
+        self.provisional_adopted.encode(out);
+        self.provisional_superseded.encode(out);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let pool_len = take_u64(buf)? as usize;
-        let mut pool = Vec::with_capacity(pool_len.min(1024));
-        for _ in 0..pool_len {
-            pool.push((FlexOffer::decode(buf)?, NodeId::decode(buf)?));
-        }
-        let rx_len = take_u64(buf)? as usize;
-        let mut rx = Vec::with_capacity(rx_len.min(1024));
-        for _ in 0..rx_len {
-            rx.push((NodeId::decode(buf)?, SequencedRxState::decode(buf)?));
-        }
-        let applied_len = take_u64(buf)? as usize;
-        let mut applied = Vec::with_capacity(applied_len.min(1024));
-        for _ in 0..applied_len {
-            applied.push((NodeId::decode(buf)?, u64::decode(buf)?));
-        }
         Ok(TsoSnapshot {
-            pool,
-            rx,
-            applied,
-            provisional_adopted: take_u64(buf)?,
-            provisional_superseded: take_u64(buf)?,
+            pool: Wire::decode(buf)?,
+            rx: Wire::decode(buf)?,
+            applied: Wire::decode(buf)?,
+            provisional_adopted: Wire::decode(buf)?,
+            provisional_superseded: Wire::decode(buf)?,
         })
     }
 }
@@ -775,6 +694,21 @@ mod tests {
         );
     }
 
+    /// One prepare-then-commit round; the commit's assignments.
+    fn plan_round(
+        tso: &mut TsoNode,
+        now: TimeSlot,
+        window_start: TimeSlot,
+        baseline: Vec<f64>,
+        prices: MarketPrices,
+        penalties: Vec<f64>,
+    ) -> Vec<Envelope> {
+        tso.prepare_plan(now, window_start, baseline, prices, penalties);
+        tso.commit_plan(now)
+            .map(|(envelopes, _)| envelopes)
+            .unwrap_or_default()
+    }
+
     #[test]
     fn pools_macro_offer_deltas_without_cloning() {
         let mut tso = TsoNode::new(NodeId(99), AggregationParams::p0(), 5_000);
@@ -804,7 +738,8 @@ mod tests {
         let mut tso = TsoNode::new(NodeId(99), AggregationParams::p0(), 5_000);
         insert(&mut tso, 1, macro_offer(1_000_000_001, 120));
         insert(&mut tso, 2, macro_offer(2_000_000_001, 120));
-        let envelopes = tso.plan(
+        let envelopes = plan_round(
+            &mut tso,
             TimeSlot(100),
             TimeSlot(96),
             vec![-5.0; 96],
@@ -825,7 +760,8 @@ mod tests {
     fn offers_outside_window_deferred() {
         let mut tso = TsoNode::new(NodeId(99), AggregationParams::p0(), 1_000);
         insert(&mut tso, 1, macro_offer(1_000_000_001, 500));
-        let envelopes = tso.plan(
+        let envelopes = plan_round(
+            &mut tso,
             TimeSlot(100),
             TimeSlot(96),
             vec![0.0; 96],
@@ -983,7 +919,8 @@ mod tests {
         tso.attach_wal(NodeWal::in_memory(WalConfig::default()));
         insert(&mut tso, 1, macro_offer(1_000_000_001, 120));
         insert(&mut tso, 2, macro_offer(2_000_000_001, 120));
-        let envelopes = tso.plan(
+        let envelopes = plan_round(
+            &mut tso,
             TimeSlot(100),
             TimeSlot(96),
             vec![-5.0; 96],

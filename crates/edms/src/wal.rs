@@ -4,19 +4,42 @@
 //! The paper's EDMS "stores flex-offers, supply and demand measurements,
 //! forecasts, etc." so that every actor level can recover and audit its
 //! state. This module is that persistence substrate for the
-//! reproduction: every envelope a node ingests (and every outbox flush
-//! it emits) is encoded with the [`Wire`] codec, wrapped in an
-//! [`EventRecord`] — `event_id`, `causation_id`, `replay_safe` — and
-//! appended to a [`WalStore`] *before* the node mutates its in-memory
-//! state. A crashed node then rebuilds bit-for-bit recoverable state by
-//! restoring the latest snapshot and replaying the events appended
-//! since (see `BrpNode::recover`), and re-anchors its sequenced streams
-//! through the existing resync-snapshot path.
+//! reproduction, and — the hierarchy being homogeneous — the *one* place
+//! its rules are decided: the BRP and the TSO both keep their durable
+//! half in a crate-private `Journal` and differ only in what they
+//! snapshot and how they replay a marker.
 //!
-//! Replay length is bounded by **snapshot-then-truncate compaction**:
-//! every [`WalConfig::snapshot_every`] appended events the owning node
-//! installs an encoded state snapshot and the store truncates the log,
-//! so recovery cost is O(snapshot + tail), never O(lifetime).
+//! ## The journal contract
+//!
+//! * **Append before apply.** Every envelope a node accepts is encoded
+//!   with the [`Wire`] codec, wrapped in an [`EventRecord`] and appended
+//!   to the [`WalStore`] *before* the node mutates any in-memory state
+//!   (`Journal::ingest`), stamped with the handling clock so a replayed
+//!   deadline decision matches the original.
+//! * **Markers are replay-unsafe and carry their cause.** What a node
+//!   *emits* as the durable effect of planning — a BRP's outbox flush,
+//!   its islanded commit ledger and the hand-off that clears it, a TSO's
+//!   committed assignments — is appended with `replay_safe = false` and
+//!   the event id of the last ingested envelope as `causation_id`
+//!   (`Journal::mark`). Recovery never re-handles a marker; the owning
+//!   node re-applies it as the state transition it recorded.
+//! * **Detached while replaying.** A journal without a [`NodeWal`]
+//!   ignores every call. A node being rebuilt replays its tail with the
+//!   reopened log held aside and attaches it only afterwards, so a
+//!   replayed event cannot re-append (and the replies it regenerates,
+//!   already sent before the crash, are dropped by the caller).
+//! * **Snapshot, then truncate.** Every [`WalConfig::snapshot_every`]
+//!   appended events the node installs its encoded state and the store
+//!   truncates the log, so recovery costs O(snapshot + tail), never
+//!   O(lifetime). A snapshot that does not decode *exactly* — cut
+//!   short, malformed, or with bytes left over — restores nothing at
+//!   either level; the tail still replays, and the resync protocol heals
+//!   the rest.
+//!
+//! A crashed node rebuilds by reopening its store, restoring the
+//! snapshot, replaying the tail and re-anchoring its sequenced streams
+//! through the resync-snapshot path (`BrpNode::recover`,
+//! `TsoNode::recover`).
 //!
 //! Two stores are provided: [`MemWalStore`] (deterministic simulations
 //! and chaos campaigns) and [`FileWalStore`] (length- and
@@ -162,16 +185,6 @@ impl MemWalStore {
     /// An empty store.
     pub fn new() -> MemWalStore {
         MemWalStore::default()
-    }
-
-    /// Frames appended since the last snapshot.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether a snapshot is installed.
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshot.is_some()
     }
 }
 
@@ -468,6 +481,79 @@ impl NodeWal {
     }
 }
 
+/// The durable half of a planner node: the optional [`NodeWal`] plus
+/// the causation link for the markers it logs. See the module docs for
+/// the contract; every method is a no-op while no WAL is attached.
+#[derive(Debug, Default)]
+pub(crate) struct Journal {
+    wal: Option<NodeWal>,
+    /// Event id of the most recently ingested envelope.
+    last_ingest: Option<u64>,
+}
+
+impl Journal {
+    /// Start (or resume) logging into `wal`.
+    pub(crate) fn attach(&mut self, wal: NodeWal) {
+        self.wal = Some(wal);
+    }
+
+    /// The attached WAL, if any.
+    pub(crate) fn wal(&self) -> Option<&NodeWal> {
+        self.wal.as_ref()
+    }
+
+    /// Stop logging and hand the WAL back.
+    pub(crate) fn detach(&mut self) -> Option<NodeWal> {
+        self.wal.take()
+    }
+
+    /// Log an accepted inbound envelope, before the node applies it.
+    pub(crate) fn ingest(&mut self, envelope: &Envelope, now: TimeSlot) {
+        if let Some(wal) = self.wal.as_mut() {
+            self.last_ingest = Some(wal.append(envelope, None, true, now));
+        }
+    }
+
+    /// Log a replay-unsafe marker, caused by the last ingested envelope.
+    pub(crate) fn mark(&mut self, marker: &Envelope, now: TimeSlot) {
+        if let Some(wal) = self.wal.as_mut() {
+            wal.append(marker, self.last_ingest, false, now);
+        }
+    }
+
+    /// Whether the tail has reached [`WalConfig::snapshot_every`].
+    pub(crate) fn wants_snapshot(&self) -> bool {
+        self.wal.as_ref().is_some_and(NodeWal::wants_snapshot)
+    }
+
+    /// Install the node's state as the new snapshot and truncate the log.
+    /// Taken by value: the state is as large as its encoding, so it is
+    /// freed before the store copies the bytes.
+    pub(crate) fn compact(&mut self, state: impl Wire) {
+        if let Some(wal) = self.wal.as_mut() {
+            let bytes = state.to_bytes();
+            drop(state);
+            wal.install_snapshot(&bytes);
+        }
+    }
+
+    /// Reopen the store a crashed node left behind: the journal to attach
+    /// once the tail is replayed, the snapshot if one is installed and
+    /// decodes exactly, and the events appended since it.
+    pub(crate) fn reopen<S: Wire>(
+        store: Box<dyn WalStore>,
+        config: WalConfig,
+    ) -> std::io::Result<(Journal, Option<S>, Vec<EventRecord>)> {
+        let (wal, snapshot, tail) = NodeWal::recover(store, config)?;
+        let journal = Journal {
+            wal: Some(wal),
+            last_ingest: None,
+        };
+        let snapshot = snapshot.and_then(|bytes| S::from_bytes(&bytes).ok());
+        Ok((journal, snapshot, tail))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,6 +688,44 @@ mod tests {
         assert_eq!(records.len(), 1, "only the post-snapshot tail replays");
         assert_eq!(records[0].event_id, 3);
         assert_eq!(wal2.next_event_id(), 4, "event-id sequence resumes");
+    }
+
+    #[test]
+    fn journal_is_inert_detached_and_links_markers_to_their_ingest() {
+        let config = WalConfig { snapshot_every: 3 };
+        let mut journal = Journal::default();
+        journal.ingest(&env(0), TimeSlot(0));
+        journal.mark(&env(1), TimeSlot(0));
+        journal.compact(7u64);
+        assert!(!journal.wants_snapshot());
+        assert!(journal.detach().is_none(), "detached calls log nothing");
+
+        journal.attach(NodeWal::in_memory(config));
+        journal.mark(&env(2), TimeSlot(1)); // nothing ingested yet
+        journal.ingest(&env(3), TimeSlot(1));
+        journal.mark(&env(4), TimeSlot(2));
+        assert!(journal.wants_snapshot());
+        let store = journal.detach().unwrap().into_store();
+        let (mut journal, snapshot, tail) = Journal::reopen::<u64>(store, config).unwrap();
+        assert_eq!(snapshot, None);
+        let links: Vec<_> = tail
+            .iter()
+            .map(|r| (r.event_id, r.causation_id, r.replay_safe))
+            .collect();
+        assert_eq!(
+            links,
+            vec![(0, None, false), (1, None, true), (2, Some(1), false)]
+        );
+
+        // A snapshot restores only if it decodes exactly: the pair below
+        // reads back as a pair, and as nothing when asked for one `u64`.
+        journal.compact((9u64, 4u64));
+        let store = journal.detach().unwrap().into_store();
+        let (mut journal, snapshot, tail) = Journal::reopen::<(u64, u64)>(store, config).unwrap();
+        assert_eq!((snapshot, tail.len()), (Some((9, 4)), 0));
+        let store = journal.detach().unwrap().into_store();
+        let (_, snapshot, _) = Journal::reopen::<u64>(store, config).unwrap();
+        assert_eq!(snapshot, None, "trailing bytes reject the snapshot");
     }
 
     #[test]

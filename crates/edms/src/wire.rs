@@ -492,12 +492,6 @@ impl LinkHealth {
         self.state
     }
 
-    /// Whether the owning node should operate islanded (link presumed
-    /// unreachable).
-    pub fn is_down(&self) -> bool {
-        self.state == LinkState::Down
-    }
-
     /// Detector counters.
     pub fn stats(&self) -> LinkHealthStats {
         self.stats

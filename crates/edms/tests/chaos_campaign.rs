@@ -7,15 +7,19 @@
 //! to a twin run that never saw the storm. Plus property tests over
 //! random chaos plans and a pool-width determinism check.
 
+use mirabel_aggregate::{AggregationParams, FlexOfferUpdate};
 use mirabel_core::exec::Pool;
-use mirabel_core::{EnergyRange, FlexOffer, NodeId, Profile, TimeSlot};
+use mirabel_core::{
+    EnergyRange, FlexOffer, FlexOfferId, NodeId, Profile, ScheduledFlexOffer, TimeSlot,
+};
 use mirabel_edms::chaos::{
     crash_of, delay_burst, loss_storm, partition_between, run_campaign, CampaignConfig,
 };
 use mirabel_edms::{
     simulate, BrpConfig, BrpNode, ChaosPlan, Envelope, FailureModel, LinkHealthConfig, Message,
-    NodeWal, SimulationConfig, WalConfig,
+    NodeWal, RuntimeConfig, SimulationConfig, TsoNode, WalConfig,
 };
+use mirabel_schedule::MarketPrices;
 use proptest::prelude::*;
 
 /// The simulation's fixed node ids: BRP `b` is `NodeId(1 + b)`, the TSO
@@ -204,6 +208,179 @@ fn islanding_campaign_deterministic_across_pool_widths() {
     assert!(narrow.converged(), "{}", narrow.summary());
 }
 
+/// The crash scaffold both node-level twin checks share: feed `events`
+/// into a WAL-backed node and its WAL-less twin, and `crash` the former —
+/// only its WAL store survives, `recover` rebuilds it — right before
+/// event `crash_at` (after the last one when `crash_at` is past the
+/// end). Returns the rebuilt node and the twin.
+fn crash_mid_stream<N, E>(
+    (mut node, mut twin): (N, N),
+    events: &[E],
+    crash_at: usize,
+    apply: impl Fn(&mut N, usize, &E),
+    crash: impl Fn(N) -> N,
+) -> (N, N) {
+    let crash_at = crash_at.min(events.len());
+    for (i, event) in events.iter().enumerate() {
+        if i == crash_at {
+            node = crash(node);
+        }
+        apply(&mut node, i, event);
+        apply(&mut twin, i, event);
+    }
+    if crash_at == events.len() {
+        node = crash(node);
+    }
+    (node, twin)
+}
+
+/// One step of the TSO twin's input: an envelope off the (lossy,
+/// duplicating) BRP → TSO wire, or a full planning round.
+#[derive(Debug, Clone)]
+enum TsoStep {
+    Deliver(Envelope),
+    PlanRound,
+}
+
+/// Macro offer `slot` of BRP `brp`, in export-id space. Slots 0..=4 fit
+/// the planning window `[96, 192)`, slot 5 lies beyond it and stays
+/// pooled; `hi` varies the value under an unchanged id. Deadlines sit
+/// far past the twin's clock (one slot per step): pool expiry at
+/// `prepare_plan` is not journaled, so a twin check that let offers
+/// expire would compare a replayed pool against an aged one.
+fn tso_macro_offer(brp: u64, slot: u64, hi: u64) -> FlexOffer {
+    let es = 100 + 20 * slot as i64;
+    FlexOffer::builder(brp * 1_000_000_000 + slot, brp)
+        .earliest_start(TimeSlot(es))
+        .time_flexibility(8)
+        .assignment_before(TimeSlot(es - 10))
+        .profile(Profile::uniform(
+            4,
+            EnergyRange::new(2.0, 6.0 + hi as f64).unwrap(),
+        ))
+        .build()
+        .unwrap()
+}
+
+/// Turn raw `(kind, brp, a, b, jitter)` draws into TSO steps, stamping
+/// each envelope with its sender's stream sequence number the way the
+/// network would — except that `jitter` 0 first burns a number (a lost
+/// envelope: the receiver sees a gap) and `jitter` 1 reuses the previous
+/// one (a network duplicate).
+fn tso_steps(raw: &[(u8, u64, u64, u64, u8)]) -> Vec<TsoStep> {
+    let tso = NodeId(99);
+    let mut next_seq = [0u64; 3];
+    raw.iter()
+        .map(|&(kind, brp, a, b, jitter)| {
+            let from = 1 + brp;
+            let id = |slot: u64| FlexOfferId(from * 1_000_000_000 + slot);
+            let message = match kind {
+                0..=2 => {
+                    let mut updates = vec![FlexOfferUpdate::Insert(tso_macro_offer(from, a, b))];
+                    if b % 2 == 1 {
+                        updates.push(FlexOfferUpdate::Delete(id(b)));
+                    }
+                    Message::MacroOfferDeltas(updates)
+                }
+                3 => Message::Heartbeat { seen: a },
+                4 => Message::ResyncSnapshot {
+                    offers: vec![tso_macro_offer(from, a, 0), tso_macro_offer(from, b, a)],
+                },
+                // One entry the sender may well pool (adopt), one it
+                // cannot: the id belongs to a peer BRP (supersede).
+                5 => Message::ProvisionalReport {
+                    window_start: TimeSlot(96),
+                    assignments: [(from, a), (1 + (brp + 1) % 3, b)]
+                        .map(|(owner, slot)| {
+                            let offer = tso_macro_offer(owner, slot, 0);
+                            ScheduledFlexOffer::at_min(&offer, offer.earliest_start())
+                        })
+                        .to_vec(),
+                },
+                _ => return TsoStep::PlanRound,
+            };
+            let seq = &mut next_seq[brp as usize];
+            match jitter {
+                0 => *seq += 1,
+                1 => *seq = seq.saturating_sub(1),
+                _ => {}
+            }
+            let env = Envelope::new(NodeId(from), tso, TimeSlot(0), message).with_seq(*seq);
+            *seq += 1;
+            TsoStep::Deliver(env)
+        })
+        .collect()
+}
+
+fn tso_prepare(tso: &mut TsoNode, now: TimeSlot) -> Vec<Envelope> {
+    let prices = MarketPrices::flat(96, 0.08, 0.03, 1000.0);
+    tso.prepare_plan(now, TimeSlot(96), vec![-3.0; 96], prices, vec![0.2; 96])
+        .0
+}
+
+proptest! {
+    /// The TSO mirror of `random_crash_point_replays_to_identical_pool`:
+    /// a random stream of delta batches, heartbeats, resync snapshots and
+    /// provisional reports from three BRPs — with lost and duplicated
+    /// sequence numbers — interleaved with prepare + commit rounds, fed to
+    /// a WAL-backed TSO and a WAL-less twin. The former crashes at a
+    /// random step; snapshot + tail replay (commit markers included) must
+    /// leave the pool, every stream guard's counters, the reconciliation
+    /// audit and the acks the next round's heartbeats carry exactly where
+    /// the twin's stand.
+    #[test]
+    fn random_tso_crash_point_replays_to_identical_state(
+        raw in proptest::collection::vec((0u8..8, 0u64..3, 0u64..6, 0u64..6, 0u8..6), 1..28),
+        crash_at in 0usize..28,
+        snapshot_every in 1usize..16,
+    ) {
+        let wal_config = WalConfig { snapshot_every };
+        let tso_id = NodeId(99);
+        let runtime = || RuntimeConfig { budget_evaluations: 400, ..RuntimeConfig::default() };
+        let fresh = || TsoNode::with_config(tso_id, AggregationParams::p0(), runtime());
+        let mut tso = fresh();
+        tso.attach_wal(NodeWal::in_memory(wal_config));
+        let (mut tso, mut twin) = crash_mid_stream(
+            (tso, fresh()),
+            &tso_steps(&raw),
+            crash_at,
+            |node, i, step| {
+                let now = TimeSlot(i as i64);
+                match step {
+                    TsoStep::Deliver(envelope) => drop(node.handle(envelope.clone(), now)),
+                    TsoStep::PlanRound => {
+                        tso_prepare(node, now);
+                        node.commit_plan(now);
+                    }
+                }
+            },
+            |mut node| {
+                let store = node.take_wal().expect("WAL attached").into_store();
+                let (rebuilt, out) = TsoNode::recover(
+                    tso_id,
+                    AggregationParams::p0(),
+                    runtime(),
+                    store,
+                    wal_config,
+                    TimeSlot(crash_at as i64),
+                )
+                .expect("in-memory stores cannot fail");
+                assert!(out.iter().all(|e| matches!(e.message, Message::ResyncRequest)));
+                rebuilt
+            },
+        );
+
+        prop_assert_eq!(tso.pooled_ids(), twin.pooled_ids());
+        prop_assert_eq!(tso.aggregate_count(), twin.aggregate_count());
+        for brp in 1..=3 {
+            prop_assert_eq!(tso.stream_stats(NodeId(brp)), twin.stream_stats(NodeId(brp)));
+        }
+        prop_assert_eq!(tso.provisional_audit(), twin.provisional_audit());
+        let now = TimeSlot(raw.len() as i64);
+        prop_assert_eq!(tso_prepare(&mut tso, now), tso_prepare(&mut twin, now));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -310,41 +487,33 @@ proptest! {
         let config = BrpConfig::default();
         let mut brp = BrpNode::new(brp_id, None, config.clone());
         brp.attach_wal(NodeWal::in_memory(wal_config));
-        let mut twin = BrpNode::new(brp_id, None, config.clone());
+        let twin = BrpNode::new(brp_id, None, config.clone());
         let now = TimeSlot(0);
 
-        let crash_at = crash_at.min(offers.len());
-        for (i, &(es, tf)) in offers.iter().enumerate() {
-            if i == crash_at {
-                let store = brp.take_wal().expect("WAL attached").into_store();
+        let (brp, twin) = crash_mid_stream(
+            (brp, twin),
+            &offers,
+            crash_at,
+            |node, i, &(es, tf)| {
+                let offer = FlexOffer::builder(i as u64, 500 + i as u64)
+                    .earliest_start(TimeSlot(es))
+                    .latest_start(TimeSlot(es + tf as i64))
+                    .assignment_before(TimeSlot(es))
+                    .profile(Profile::uniform(2, EnergyRange::new(1.0, 2.0).unwrap()))
+                    .build()
+                    .unwrap();
+                let from = NodeId(500 + i as u64);
+                node.handle(Envelope::new(from, brp_id, now, Message::SubmitOffer(offer)), now);
+            },
+            |mut node| {
+                let store = node.take_wal().expect("WAL attached").into_store();
                 let (rebuilt, out) =
                     BrpNode::recover(brp_id, None, config.clone(), store, wal_config, now)
                         .expect("in-memory stores cannot fail");
-                prop_assert!(out.is_empty(), "local-mode recovery emits nothing");
-                brp = rebuilt;
-            }
-            let offer = FlexOffer::builder(i as u64, 500 + i as u64)
-                .earliest_start(TimeSlot(es))
-                .latest_start(TimeSlot(es + tf as i64))
-                .assignment_before(TimeSlot(es))
-                .profile(Profile::uniform(2, EnergyRange::new(1.0, 2.0).unwrap()))
-                .build()
-                .unwrap();
-            let from = NodeId(500 + i as u64);
-            for node in [&mut brp, &mut twin] {
-                node.handle(
-                    Envelope::new(from, brp_id, now, Message::SubmitOffer(offer.clone())),
-                    now,
-                );
-            }
-        }
-        if crash_at >= offers.len() {
-            let store = brp.take_wal().expect("WAL attached").into_store();
-            let (rebuilt, _) =
-                BrpNode::recover(brp_id, None, config, store, wal_config, now)
-                    .expect("in-memory stores cannot fail");
-            brp = rebuilt;
-        }
+                assert!(out.is_empty(), "local-mode recovery emits nothing");
+                rebuilt
+            },
+        );
 
         prop_assert_eq!(brp.pool_size(), twin.pool_size());
         prop_assert_eq!(brp.pool_digest(), twin.pool_digest());

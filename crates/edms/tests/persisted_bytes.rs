@@ -1,0 +1,462 @@
+//! The bytes a planner node persists are a compatibility contract: a
+//! WAL store written by one build must recover under the next.
+//!
+//! Two halves:
+//!
+//! 1. **Pinned bytes.** A scripted BRP (TSO mode: ingest, upward flush,
+//!    one islanded commit, a restart hand-off, a heal) and a scripted TSO
+//!    (delta streams with a gap, heartbeat, provisional audit, resync,
+//!    one committed round) run over in-memory WALs at three snapshot
+//!    cadences, and an FNV-1a digest of everything `WalStore::load`
+//!    returns — snapshot and frames — is compared against constants
+//!    recorded before the node layer moved onto the shared journal. A
+//!    refactor that changes one persisted byte, or the point at which a
+//!    snapshot is installed, fails here.
+//! 2. **Corrupt snapshots degrade.** The same stores, with the snapshot
+//!    truncated at every offset or one bit flipped per byte: `recover`
+//!    returns `Ok` and never panics at either level. And with one byte
+//!    appended, an undecodable snapshot means the same thing at both —
+//!    restore nothing, replay the tail.
+
+use mirabel_aggregate::{AggregationParams, FlexOfferUpdate};
+use mirabel_core::{
+    EnergyRange, FlexOffer, FlexOfferId, NodeId, Profile, ScheduledFlexOffer, TimeSlot,
+};
+use mirabel_edms::{
+    BrpConfig, BrpNode, Envelope, LinkHealthConfig, MemWalStore, Message, NodeWal, RuntimeConfig,
+    TsoNode, WalConfig, WalStore,
+};
+use mirabel_schedule::MarketPrices;
+
+const BRP: NodeId = NodeId(3);
+const TSO: NodeId = NodeId(99);
+
+/// Snapshot cadences the scripts run at: compaction after every event
+/// (the store is all snapshot), every fourth (snapshot plus tail), and
+/// never within the script (all frames).
+const CADENCES: [usize; 3] = [1, 4, 256];
+
+/// FNV-1a 64 over everything a store loads: the snapshot (presence,
+/// length, bytes) and every frame (length, bytes), in order.
+fn store_digest(store: &mut dyn WalStore) -> u64 {
+    fn eat(h: &mut u64, bytes: &[u8]) {
+        for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let (snapshot, frames) = store.load().expect("in-memory load cannot fail");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    match snapshot {
+        Some(bytes) => eat(&mut h, &bytes),
+        None => eat(&mut h, b"no snapshot"),
+    }
+    for frame in &frames {
+        eat(&mut h, frame);
+    }
+    h
+}
+
+fn micro_offer(id: u64) -> FlexOffer {
+    FlexOffer::builder(id, 50 + id)
+        .earliest_start(TimeSlot(110 + (id as i64 % 3)))
+        .time_flexibility(8)
+        .assignment_before(TimeSlot(90))
+        .profile(Profile::uniform(2, EnergyRange::new(1.0, 2.0).unwrap()))
+        .build()
+        .unwrap()
+}
+
+fn macro_offer(id: u64, es: i64) -> FlexOffer {
+    FlexOffer::builder(id, 1)
+        .earliest_start(TimeSlot(es))
+        .time_flexibility(8)
+        .assignment_before(TimeSlot(es - 10))
+        .profile(Profile::uniform(4, EnergyRange::new(5.0, 10.0).unwrap()))
+        .build()
+        .unwrap()
+}
+
+/// Silence of 4+ slots is `Down`; retransmits effectively disabled.
+fn brp_config() -> BrpConfig {
+    BrpConfig {
+        forward_to_tso: true,
+        budget_evaluations: 2_000,
+        link_health: LinkHealthConfig {
+            suspect_after: 2,
+            down_after: 4,
+            retransmit_base: 1_000_000,
+            max_retransmits: 0,
+        },
+        ..BrpConfig::default()
+    }
+}
+
+fn tso_runtime() -> RuntimeConfig {
+    RuntimeConfig {
+        budget_evaluations: 2_000,
+        ..RuntimeConfig::default()
+    }
+}
+
+fn brp_round(brp: &mut BrpNode, now: i64) -> Vec<Envelope> {
+    let (mut out, _) = brp.prepare_plan(
+        TimeSlot(now),
+        TimeSlot(96),
+        vec![-1.0; 96],
+        MarketPrices::flat(96, 0.08, 0.03, 100.0),
+        vec![0.2; 96],
+    );
+    if let Some((assignments, _)) = brp.commit_plan(TimeSlot(now)) {
+        out.extend(assignments);
+    }
+    out
+}
+
+fn submit(brp: &mut BrpNode, offer: FlexOffer, from: u64, seq: u64, now: i64) {
+    let env = Envelope::new(
+        NodeId(from),
+        BRP,
+        TimeSlot(now),
+        Message::SubmitOffer(offer),
+    )
+    .with_seq(seq);
+    brp.handle(env, TimeSlot(now));
+}
+
+fn recover_brp(store: Box<dyn WalStore>, cadence: usize, now: i64) -> (BrpNode, Vec<Envelope>) {
+    BrpNode::recover(
+        BRP,
+        Some(TSO),
+        brp_config(),
+        store,
+        WalConfig {
+            snapshot_every: cadence,
+        },
+        TimeSlot(now),
+    )
+    .expect("in-memory stores cannot fail")
+}
+
+/// Where the BRP script stops and hands its store over.
+#[derive(Clone, Copy, PartialEq)]
+enum BrpStage {
+    /// Crashed right after its first islanded commit.
+    MidIsland,
+    /// After the restart that handed the rebuilt ledger off.
+    Restarted,
+    /// After a second island healed over the live link.
+    Healed,
+}
+
+const BRP_STAGES: [BrpStage; 3] = [BrpStage::MidIsland, BrpStage::Restarted, BrpStage::Healed];
+
+/// Run the BRP script up to `stage` and return the store it leaves.
+fn brp_store(cadence: usize, stage: BrpStage) -> Box<dyn WalStore> {
+    let mut brp = BrpNode::new(BRP, Some(TSO), brp_config());
+    brp.attach_wal(NodeWal::in_memory(WalConfig {
+        snapshot_every: cadence,
+    }));
+    // Ingest: six submissions, one sender skipping a sequence number so
+    // its duplicate filter persists a non-empty `seen` set, one
+    // network-duplicated envelope that must not reach the log.
+    for i in 0..6u64 {
+        submit(&mut brp, micro_offer(i), 100 + i, 0, 0);
+    }
+    submit(&mut brp, micro_offer(6), 100, 2, 0);
+    submit(&mut brp, micro_offer(6), 100, 2, 0);
+    // Round 1: link presumed up, the staged deltas flush upward.
+    let out = brp_round(&mut brp, 10);
+    assert!(matches!(out[0].message, Message::MacroOfferDeltas(_)));
+    // Round 2: ten silent slots — the node islands and commits locally.
+    let out = brp_round(&mut brp, 20);
+    assert_eq!(out.len(), 7, "islanded commit assigns the whole pool");
+    assert!(brp.provisional_count() > 0);
+    let store = brp.take_wal().expect("attached").into_store();
+    if stage == BrpStage::MidIsland {
+        return store;
+    }
+
+    // Restart mid-island: while the commit marker is still in the tail
+    // the rebuilt ledger ships with the recovery, and `recover` itself
+    // logs the hand-off. (A snapshot holds the pool and the duplicate
+    // filters only, so a compaction after the commit retires the marker
+    // and the restart has no ledger to hand off — cadence 1 pins that
+    // store too.)
+    let (mut brp, out) = recover_brp(store, cadence, 21);
+    let snapshot = out.last().expect("recovery re-anchors the parent");
+    assert!(matches!(snapshot.message, Message::ResyncSnapshot { .. }));
+    if stage == BrpStage::Restarted {
+        return brp
+            .take_wal()
+            .expect("recovery resumes the log")
+            .into_store();
+    }
+
+    // Second island, then a heal over the live link: fresh offers, a
+    // flushing round that starts the restarted detector's silence
+    // clock, a silent round, a parent heartbeat, the reconciling round.
+    for i in 10..14u64 {
+        submit(&mut brp, micro_offer(i), 100 + i, 1, 22);
+    }
+    let out = brp_round(&mut brp, 30);
+    assert!(matches!(out[0].message, Message::MacroOfferDeltas(_)));
+    let out = brp_round(&mut brp, 40);
+    assert_eq!(out.len(), 4, "second island commits the new offers");
+    let beat = Envelope::new(TSO, BRP, TimeSlot(41), Message::Heartbeat { seen: 1 }).with_seq(0);
+    brp.handle(beat, TimeSlot(41));
+    submit(&mut brp, micro_offer(20), 120, 0, 41);
+    let out = brp_round(&mut brp, 42);
+    assert!(matches!(out[0].message, Message::ProvisionalReport { .. }));
+    assert!(matches!(out[1].message, Message::ResyncSnapshot { .. }));
+    brp.take_wal().expect("attached").into_store()
+}
+
+fn recover_tso(store: Box<dyn WalStore>, cadence: usize, now: i64) -> (TsoNode, Vec<Envelope>) {
+    TsoNode::recover(
+        TSO,
+        AggregationParams::p0(),
+        tso_runtime(),
+        store,
+        WalConfig {
+            snapshot_every: cadence,
+        },
+        TimeSlot(now),
+    )
+    .expect("in-memory stores cannot fail")
+}
+
+/// The store the TSO script leaves behind, plus the live node's
+/// observable state for the recovery comparison.
+fn tso_store(cadence: usize) -> (Box<dyn WalStore>, TsoNode) {
+    let mut tso = TsoNode::with_config(TSO, AggregationParams::p0(), tso_runtime());
+    tso.attach_wal(NodeWal::in_memory(WalConfig {
+        snapshot_every: cadence,
+    }));
+    let send = |tso: &mut TsoNode, from: u64, seq: u64, now: i64, message: Message| {
+        let env = Envelope::new(NodeId(from), TSO, TimeSlot(now), message).with_seq(seq);
+        tso.handle(env, TimeSlot(now))
+    };
+    let insert = |id: u64, es: i64| FlexOfferUpdate::Insert(macro_offer(id, es));
+    // Two in-order streams.
+    send(
+        &mut tso,
+        1,
+        0,
+        0,
+        Message::MacroOfferDeltas(vec![
+            insert(1_000_000_001, 120),
+            insert(1_000_000_002, 121),
+            insert(1_000_000_003, 400),
+        ]),
+    );
+    send(
+        &mut tso,
+        2,
+        0,
+        0,
+        Message::MacroOfferDeltas(vec![insert(2_000_000_001, 120), insert(2_000_000_002, 130)]),
+    );
+    send(&mut tso, 2, 1, 1, Message::Heartbeat { seen: 0 });
+    // A gap on BRP 1's stream: seq 2 arrives before seq 1, is parked (the
+    // snapshot persists the parked envelope) and answered with a resync
+    // request; the late seq 1 closes the gap.
+    let out = send(
+        &mut tso,
+        1,
+        2,
+        2,
+        Message::MacroOfferDeltas(vec![insert(1_000_000_004, 122)]),
+    );
+    assert!(matches!(out[0].message, Message::ResyncRequest));
+    send(
+        &mut tso,
+        1,
+        1,
+        2,
+        Message::MacroOfferDeltas(vec![FlexOfferUpdate::Delete(FlexOfferId(1_000_000_002))]),
+    );
+    // Reconciliation: one pooled offer adopted, one unknown superseded.
+    send(
+        &mut tso,
+        2,
+        2,
+        3,
+        Message::ProvisionalReport {
+            window_start: TimeSlot(96),
+            assignments: vec![
+                ScheduledFlexOffer::at_min(&macro_offer(2_000_000_002, 130), TimeSlot(130)),
+                ScheduledFlexOffer::at_min(&macro_offer(2_000_000_777, 130), TimeSlot(130)),
+            ],
+        },
+    );
+    // A snapshot that re-anchors BRP 2 on a changed export set.
+    send(
+        &mut tso,
+        2,
+        3,
+        3,
+        Message::ResyncSnapshot {
+            offers: vec![
+                macro_offer(2_000_000_001, 120),
+                macro_offer(2_000_000_003, 125),
+            ],
+        },
+    );
+    assert_eq!(tso.provisional_audit(), (1, 1));
+    // One committed round: assignment markers reach the log.
+    let (beats, _) = tso.prepare_plan(
+        TimeSlot(100),
+        TimeSlot(96),
+        vec![-5.0; 96],
+        MarketPrices::flat(96, 0.08, 0.03, 1000.0),
+        vec![0.2; 96],
+    );
+    assert_eq!(beats.len(), 2);
+    let (assignments, _) = tso.commit_plan(TimeSlot(100)).expect("live plan");
+    assert_eq!(assignments.len(), 4, "the window's offers are assigned");
+    // Traffic after the commit.
+    send(
+        &mut tso,
+        1,
+        3,
+        101,
+        Message::MacroOfferDeltas(vec![insert(1_000_000_005, 410)]),
+    );
+    let store = tso.take_wal().expect("attached").into_store();
+    (store, tso)
+}
+
+/// Digests recorded at the commit before the journal refactor, one row
+/// per cadence in [`CADENCES`]: the BRP's three stores, then the TSO's.
+const PINNED: [([u64; 3], u64); 3] = [
+    (
+        [
+            0x0e2f_f178_8e8c_bed7,
+            0x0e2f_f178_8e8c_bed7,
+            0xc020_e0d4_b25e_ad82,
+        ],
+        0xf470_7e06_46ac_1655,
+    ),
+    (
+        [
+            0x7e88_6b16_abb9_a7da,
+            0x9c03_c9d6_aa82_0420,
+            0xe885_93d8_a98b_f206,
+        ],
+        0x188e_447b_9191_bf9a,
+    ),
+    (
+        [
+            0xfa3f_41d7_f16c_06d1,
+            0x7b54_9629_9397_5875,
+            0xadbf_4b96_5333_4f6b,
+        ],
+        0x30ad_ea32_a97d_0359,
+    ),
+];
+
+#[test]
+fn persisted_bytes_are_pinned() {
+    let mut seen = Vec::new();
+    for cadence in CADENCES {
+        let brp = BRP_STAGES.map(|stage| store_digest(&mut *brp_store(cadence, stage)));
+        let (mut tso, _) = tso_store(cadence);
+        seen.push((brp, store_digest(&mut *tso)));
+    }
+    assert_eq!(
+        seen, PINNED,
+        "a persisted byte (or a compaction point) changed: {seen:#x?}"
+    );
+}
+
+#[test]
+fn pinned_stores_recover_to_the_live_state() {
+    for cadence in CADENCES {
+        let mid_island = brp_store(cadence, BrpStage::MidIsland);
+        let (node, out) = recover_brp(mid_island, cadence, 21);
+        if cadence != 1 {
+            assert_eq!(out.len(), 2, "ledger hand-off, then the snapshot");
+            assert!(matches!(out[0].message, Message::ProvisionalReport { .. }));
+        }
+        assert_eq!((node.pool_size(), node.provisional_count()), (0, 0));
+        let healed = brp_store(cadence, BrpStage::Healed);
+        let (node, out) = recover_brp(healed, cadence, 43);
+        assert_eq!(out.len(), 1, "nothing provisional left to hand off");
+        assert_eq!((node.pool_size(), node.provisional_count()), (1, 0));
+
+        let (store, live) = tso_store(cadence);
+        let (node, out) = recover_tso(store, cadence, 102);
+        assert_eq!(out.len(), 2, "one resync request per known BRP");
+        assert_eq!(node.pooled_ids(), live.pooled_ids());
+        assert_eq!(node.provisional_audit(), live.provisional_audit());
+        for brp in [NodeId(1), NodeId(2)] {
+            assert_eq!(node.stream_stats(brp), live.stream_stats(brp));
+        }
+    }
+}
+
+/// A fresh store holding `snapshot` and `frames`.
+fn store_with(snapshot: &[u8], frames: &[Vec<u8>]) -> Box<dyn WalStore> {
+    let mut store = MemWalStore::new();
+    store.install_snapshot(snapshot).unwrap();
+    for frame in frames {
+        store.append(frame).unwrap();
+    }
+    Box::new(store)
+}
+
+/// Copies of `store` with its snapshot corrupted: truncated at each
+/// offset, and one bit flipped per byte.
+fn corrupted(mut store: Box<dyn WalStore>) -> Vec<Box<dyn WalStore>> {
+    let (snapshot, frames) = store.load().unwrap();
+    let snapshot = snapshot.expect("cadence 4 installs a snapshot");
+    let truncated = (0..snapshot.len()).map(|cut| snapshot[..cut].to_vec());
+    let flipped = (0..snapshot.len()).map(|at| {
+        let mut bytes = snapshot.clone();
+        bytes[at] ^= 1 << (at % 8);
+        bytes
+    });
+    truncated
+        .chain(flipped)
+        .map(|bytes| store_with(&bytes, &frames))
+        .collect()
+}
+
+#[test]
+fn corrupt_snapshots_degrade_without_panicking() {
+    // Cadence 4 leaves a snapshot *and* a tail, so a rejected snapshot
+    // still has frames to replay over the empty node. The helpers unwrap
+    // `recover`'s result: an `Err` or a panic fails the test alike.
+    for stage in [BrpStage::MidIsland, BrpStage::Healed] {
+        for copy in corrupted(brp_store(4, stage)) {
+            recover_brp(copy, 4, 50);
+        }
+    }
+    for copy in corrupted(tso_store(4).0) {
+        recover_tso(copy, 4, 102);
+    }
+}
+
+#[test]
+fn trailing_snapshot_bytes_restore_nothing_at_both_levels() {
+    // An undecodable snapshot means the same thing at both levels: it is
+    // not half-trusted — nothing is restored and only the tail replays.
+    // Cadence 1: the whole state is in the snapshot, the tail is empty.
+    let with_trailing_byte = |mut store: Box<dyn WalStore>| {
+        let (snapshot, frames) = store.load().unwrap();
+        assert!(frames.is_empty());
+        let mut bytes = snapshot.expect("snapshot installed");
+        bytes.push(0);
+        store_with(&bytes, &frames)
+    };
+    let (node, _) = recover_brp(with_trailing_byte(brp_store(1, BrpStage::Healed)), 1, 43);
+    assert_eq!(node.pool_size(), 0, "BRP restored from a rejected snapshot");
+
+    let (node, out) = recover_tso(with_trailing_byte(tso_store(1).0), 1, 102);
+    assert!(
+        node.pooled_ids().is_empty(),
+        "TSO restored from a rejected snapshot"
+    );
+    assert!(out.is_empty(), "no stream survived to re-anchor");
+}
