@@ -4,7 +4,7 @@
 //! algorithms … using the Holt-Winters Triple Seasonal Exponential
 //! Smoothing (HWT) … on the publicly available UK energy demand dataset."
 //! The UK data set is replaced by the synthetic UK-style demand generator
-//! (DESIGN.md §3).
+//! (`mirabel_timeseries::generator::DemandGenerator`).
 //!
 //! ```sh
 //! cargo run --release -p mirabel-bench --bin fig4a

@@ -4,7 +4,7 @@
 //! horizons … we used a supply data set, which contains wind energy data
 //! … the supply data set shows a much higher decrease in accuracy with
 //! increasing horizon." Demand and wind data sets are replaced by the
-//! synthetic generators (DESIGN.md §3).
+//! synthetic generators (`mirabel_timeseries::generator`).
 //!
 //! As in MIRABEL, the HWT smoothing parameters are estimated per series
 //! (random-restart Nelder-Mead) before forecasting — wind relies on the

@@ -1,9 +1,9 @@
 //! Shared helpers for the experiment harness binaries.
 //!
-//! Each binary under `src/bin/` regenerates one figure of the paper's §9
-//! evaluation (see `DESIGN.md` §4 for the experiment index and
-//! `EXPERIMENTS.md` for recorded outputs). All binaries honour the
-//! `MIRABEL_QUICK=1` environment variable to run a reduced-size version.
+//! Each `fig*` binary under `src/bin/` regenerates one figure of the
+//! paper's §9 evaluation; its module docs quote the figure and give the
+//! command. All binaries honour the `MIRABEL_QUICK=1` environment
+//! variable to run a reduced-size version.
 
 #![forbid(unsafe_code)]
 
@@ -52,11 +52,6 @@ pub fn line_fit(xs: &[f64], ys: &[f64]) -> (f64, f64) {
     let a = (n * sxy - sx * sy) / denom;
     let b = (sy - a * sx) / n;
     (a, b)
-}
-
-/// Print a markdown-style table row.
-pub fn row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
 }
 
 /// Resample a best-so-far trajectory onto a fixed time grid: for each

@@ -5,7 +5,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
@@ -86,41 +85,6 @@ impl Default for RegionId {
     }
 }
 
-/// Monotonically increasing id source, safe to share across threads.
-#[derive(Debug, Default)]
-pub struct IdSource {
-    next: AtomicU64,
-}
-
-impl IdSource {
-    /// Create a source starting at `first`.
-    pub fn starting_at(first: u64) -> IdSource {
-        IdSource {
-            next: AtomicU64::new(first),
-        }
-    }
-
-    /// Allocate the next raw id.
-    pub fn next(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Allocate a typed flex-offer id.
-    pub fn next_flex_offer(&self) -> FlexOfferId {
-        FlexOfferId(self.next())
-    }
-
-    /// Allocate a typed aggregate id.
-    pub fn next_aggregate(&self) -> AggregateId {
-        AggregateId(self.next())
-    }
-
-    /// Allocate a typed group id.
-    pub fn next_group(&self) -> GroupId {
-        GroupId(self.next())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,34 +103,5 @@ mod tests {
     fn region_default_is_zero() {
         assert_eq!(RegionId::default(), RegionId::DEFAULT);
         assert_eq!(RegionId::DEFAULT.value(), 0);
-    }
-
-    #[test]
-    fn id_source_monotonic() {
-        let s = IdSource::default();
-        let a = s.next_flex_offer();
-        let b = s.next_flex_offer();
-        assert!(b.value() > a.value());
-    }
-
-    #[test]
-    fn id_source_threaded_uniqueness() {
-        use std::collections::HashSet;
-        use std::sync::Arc;
-        let s = Arc::new(IdSource::default());
-        let mut handles = vec![];
-        for _ in 0..4 {
-            let s = Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                (0..1000).map(|_| s.next()).collect::<Vec<_>>()
-            }));
-        }
-        let mut seen = HashSet::new();
-        for h in handles {
-            for id in h.join().unwrap() {
-                assert!(seen.insert(id), "duplicate id {id}");
-            }
-        }
-        assert_eq!(seen.len(), 4000);
     }
 }

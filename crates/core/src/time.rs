@@ -47,13 +47,6 @@ impl TimeSlot {
         self.0.rem_euclid(SLOTS_PER_DAY as i64) as u32
     }
 
-    /// Slot-of-week in `0..SLOTS_PER_WEEK`; the epoch is defined to fall on
-    /// a Monday at 00:00.
-    #[inline]
-    pub fn slot_of_week(self) -> u32 {
-        self.0.rem_euclid(SLOTS_PER_WEEK as i64) as u32
-    }
-
     /// Day index since the epoch (floor division, negative for history).
     #[inline]
     pub fn day(self) -> i64 {
@@ -146,58 +139,6 @@ impl fmt::Display for TimeSlot {
     }
 }
 
-/// Inclusive-start, exclusive-end slot window `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct SlotWindow {
-    /// First slot inside the window.
-    pub start: TimeSlot,
-    /// First slot after the window.
-    pub end: TimeSlot,
-}
-
-impl SlotWindow {
-    /// Create a window; `end` is clamped to be at least `start`.
-    pub fn new(start: TimeSlot, end: TimeSlot) -> SlotWindow {
-        SlotWindow {
-            start,
-            end: end.max(start),
-        }
-    }
-
-    /// Window covering `len` slots from `start`.
-    pub fn of_len(start: TimeSlot, len: SlotSpan) -> SlotWindow {
-        SlotWindow {
-            start,
-            end: start + len,
-        }
-    }
-
-    /// Number of slots in the window.
-    pub fn len(&self) -> SlotSpan {
-        (self.end.0 - self.start.0) as SlotSpan
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// Whether `slot` is inside the window.
-    pub fn contains(&self, slot: TimeSlot) -> bool {
-        slot >= self.start && slot < self.end
-    }
-
-    /// Intersection with another window (possibly empty).
-    pub fn intersect(&self, other: &SlotWindow) -> SlotWindow {
-        SlotWindow::new(self.start.max(other.start), self.end.min(other.end))
-    }
-
-    /// Iterate over all slots in the window.
-    pub fn iter(&self) -> impl Iterator<Item = TimeSlot> {
-        (self.start.0..self.end.0).map(TimeSlot)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,35 +202,6 @@ mod tests {
         assert_eq!(TimeSlot(0).to_string(), "d0+00:00");
         assert_eq!(TimeSlot(88).to_string(), "d0+22:00");
         assert_eq!(TimeSlot(97).to_string(), "d1+00:15");
-    }
-
-    #[test]
-    fn window_basics() {
-        let w = SlotWindow::of_len(TimeSlot(10), 5);
-        assert_eq!(w.len(), 5);
-        assert!(w.contains(TimeSlot(10)));
-        assert!(w.contains(TimeSlot(14)));
-        assert!(!w.contains(TimeSlot(15)));
-        assert!(!w.is_empty());
-        assert_eq!(w.iter().count(), 5);
-    }
-
-    #[test]
-    fn window_intersection() {
-        let a = SlotWindow::of_len(TimeSlot(0), 10);
-        let b = SlotWindow::of_len(TimeSlot(5), 10);
-        let i = a.intersect(&b);
-        assert_eq!(i.start, TimeSlot(5));
-        assert_eq!(i.end, TimeSlot(10));
-        let disjoint = SlotWindow::of_len(TimeSlot(20), 5);
-        assert!(a.intersect(&disjoint).is_empty());
-    }
-
-    #[test]
-    fn window_end_clamped() {
-        let w = SlotWindow::new(TimeSlot(5), TimeSlot(2));
-        assert!(w.is_empty());
-        assert_eq!(w.len(), 0);
     }
 
     #[test]

@@ -220,7 +220,8 @@ fn fnv1a32(bytes: &[u8]) -> u32 {
 ///
 /// Log frames are `[len: u32 LE][fnv1a32: u32 LE][payload]`; a torn
 /// tail (incomplete length, short payload, or checksum mismatch) ends
-/// the replay at the last intact frame instead of failing recovery.
+/// the replay at the last intact frame instead of failing recovery, and
+/// `load` truncates the file there so later appends stay readable.
 /// Snapshots are written to a temporary file and renamed into place, so
 /// a crash mid-install leaves the previous snapshot readable.
 #[derive(Debug)]
@@ -274,7 +275,9 @@ impl FileWalStore {
         Ok(self.log.as_mut().expect("just opened"))
     }
 
-    fn parse_frames(bytes: &[u8]) -> Vec<Vec<u8>> {
+    /// The intact frames at the head of `bytes`, and how many bytes
+    /// they span.
+    fn parse_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
         let mut frames = Vec::new();
         let mut at = 0usize;
         while bytes.len() - at >= 8 {
@@ -291,7 +294,7 @@ impl FileWalStore {
             frames.push(payload.to_vec());
             at = end;
         }
-        frames
+        (frames, at)
     }
 }
 
@@ -326,7 +329,17 @@ impl WalStore for FileWalStore {
             Ok(mut f) => {
                 let mut bytes = Vec::new();
                 f.read_to_end(&mut bytes)?;
-                FileWalStore::parse_frames(&bytes)
+                let (frames, intact) = FileWalStore::parse_frames(&bytes);
+                if intact < bytes.len() {
+                    // Cut the torn tail off: `append` would write behind
+                    // it, and every later load would stop there again.
+                    self.log = None;
+                    fs::OpenOptions::new()
+                        .write(true)
+                        .open(self.log_path())?
+                        .set_len(intact as u64)?;
+                }
+                frames
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
@@ -759,6 +772,45 @@ mod tests {
         assert_eq!(records[1].causation_id, Some(1));
         assert!(!records[1].replay_safe);
         assert_eq!(wal.next_event_id(), 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appends_after_a_torn_tail_recovery_are_readable() {
+        let dir = std::env::temp_dir().join(format!(
+            "mirabel-wal-torn-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let mut store = FileWalStore::open(&dir).unwrap();
+        store.append(b"first").unwrap();
+        let first_len = fs::read(dir.join("wal.log")).unwrap().len();
+        store.append(b"second").unwrap();
+        let intact = fs::read(dir.join("wal.log")).unwrap();
+
+        // The last frame cut at every offset, then whole but corrupt.
+        let mut damaged: Vec<Vec<u8>> = (first_len..intact.len())
+            .map(|cut| intact[..cut].to_vec())
+            .collect();
+        let mut flipped = intact.clone();
+        *flipped.last_mut().unwrap() ^= 0x01;
+        damaged.push(flipped);
+
+        for log in damaged {
+            fs::write(dir.join("wal.log"), &log).unwrap();
+            let mut store = FileWalStore::open(&dir).unwrap();
+            let (_, frames) = store.load().unwrap();
+            assert_eq!(frames, vec![b"first".to_vec()], "{} bytes", log.len());
+            store.append(b"third").unwrap();
+            let (_, frames) = FileWalStore::open(&dir).unwrap().load().unwrap();
+            assert_eq!(
+                frames,
+                vec![b"first".to_vec(), b"third".to_vec()],
+                "{} bytes",
+                log.len()
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

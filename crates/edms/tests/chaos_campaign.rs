@@ -138,6 +138,34 @@ fn duplication_is_invisible_to_outcomes() {
     assert_eq!(noisy.energy_violations, 0);
 }
 
+/// Journaling is observably inert: with nothing crashing, a run whose
+/// nodes append to write-ahead logs — compacting after every event,
+/// every sixteenth, or never within the run — reports exactly what the
+/// run without logs reports, with and without a TSO.
+#[test]
+fn wal_is_invisible_to_outcomes() {
+    for use_tso in [false, true] {
+        let run = |wal: Option<WalConfig>| {
+            simulate(SimulationConfig {
+                prosumers_per_brp: 12,
+                use_tso,
+                churn_fraction: 0.10,
+                wal,
+                ..three_level(3, 42)
+            })
+        };
+        let bare = run(None);
+        assert!(bare.assigned > 0, "nothing assigned: {bare:?}");
+        for snapshot_every in [1, 16, 256] {
+            assert_eq!(
+                run(Some(WalConfig { snapshot_every })),
+                bare,
+                "use_tso {use_tso}, snapshot_every {snapshot_every}"
+            );
+        }
+    }
+}
+
 /// The same chaos seed must produce bit-identical campaign reports at
 /// any worker-pool width — chaos recovery is deterministic, not merely
 /// eventually consistent.
@@ -206,6 +234,37 @@ fn islanding_campaign_deterministic_across_pool_widths() {
     assert_eq!(narrow, dual);
     assert_eq!(narrow, wide);
     assert!(narrow.converged(), "{}", narrow.summary());
+
+    // The limit case: horizons that trip on the first poll island every
+    // BRP in every window (BRP 1 is cut off for good on top), so all
+    // balancing is local. Flexibility is then assigned provisionally,
+    // not dropped.
+    let cut_off = |pool: Pool| {
+        simulate(SimulationConfig {
+            chaos: ChaosPlan::reliable().phase(partition_between(0, 8, BRP0, TSO)),
+            link_health: LinkHealthConfig {
+                suspect_after: 0,
+                down_after: 0,
+                ..tight_link_health()
+            },
+            pool,
+            ..three_level(8, 512)
+        })
+    };
+    let islanded = cut_off(Pool::new(1));
+    assert_eq!(islanded, cut_off(Pool::new(8)));
+    assert_eq!(
+        islanded.islanded.len(),
+        3 * 8,
+        "a local pass per BRP and cycle"
+    );
+    assert!(islanded.islanded.iter().all(|round| round.assignments > 0));
+    assert!(islanded.assigned > 0);
+    assert_eq!(
+        islanded.assigned + islanded.fallbacks,
+        islanded.offers_submitted
+    );
+    assert_eq!(islanded.phantom_offers + islanded.energy_violations, 0);
 }
 
 /// The crash scaffold both node-level twin checks share: feed `events`

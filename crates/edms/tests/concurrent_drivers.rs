@@ -148,8 +148,8 @@ fn concurrent_pump_dispatches_without_inline_fallbacks() {
 /// EU-scale smoke (`--ignored`; run in release): one full planning round
 /// over a million prosumers — 8 BRPs × 125k — through the concurrent
 /// level pump on the global (core-sized) pool. Correctness probes only;
-/// throughput numbers come from the bench crate's `BENCH_throughput`
-/// emitter.
+/// throughput is the layered benchmark's `round_ms_p50` / `offers_per_s`
+/// (`steady_10k`) and `exec.width_speedup`.
 #[test]
 #[ignore = "release-scale: ~1M prosumers, run with --ignored"]
 fn million_prosumer_round_survives_concurrent_drivers() {

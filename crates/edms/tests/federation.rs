@@ -88,6 +88,16 @@ fn splits_hold_invariants_and_width_never_changes_a_report() {
             "{regions}-region split: width 2 vs 8 diverged"
         );
     }
+    // Intra-region byte metering (off above) counts the same at any width.
+    let metered = |width| {
+        Federation::run(FederationConfig {
+            meter_bytes: true,
+            ..split_shape(4, 4, 32, Pool::new(width))
+        })
+    };
+    let narrow = metered(1);
+    assert!(narrow.intra_region_bytes() > 0);
+    assert_eq!(narrow, metered(8), "metered 4-region split: width 1 vs 8");
 }
 
 /// Fault isolation without chaos: every region inside a federation is
@@ -145,8 +155,8 @@ fn four_thousand_prosumer_population_splits_cleanly() {
 /// The headline configuration: 4 regions × 250k prosumers — the same
 /// million-prosumer population the monolithic hierarchy's release smoke
 /// drives, sharded. Correctness probes plus the exchange-traffic bound;
-/// throughput numbers come from the bench crate's `BENCH_federation`
-/// emitter.
+/// throughput is the layered benchmark's `fed_100k` workload, the
+/// traffic itself `federation.exchange_byte_ratio` / `.deltas_published`.
 #[test]
 #[ignore = "release-scale: 4 × 250k prosumers, run with --release -- --ignored"]
 fn four_region_million_prosumer_round() {

@@ -3,7 +3,7 @@
 //! The EGRV model solves one small normal-equations system per intra-day
 //! period (at most a dozen regressors), so a simple Cholesky factorization
 //! with a ridge fallback is entirely sufficient — and keeps the workspace
-//! free of an external linear-algebra dependency (DESIGN.md §6).
+//! free of an external linear-algebra dependency.
 
 /// Errors from the tiny solver.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,6 +1,6 @@
 //! Synthetic energy time series.
 //!
-//! Substitutes for the paper's evaluation data (DESIGN.md §3):
+//! Substitutes for the paper's evaluation data:
 //!
 //! * [`DemandGenerator`] stands in for the UK NationalGrid half-hourly
 //!   national demand series: strong daily and weekly seasonality, a smooth

@@ -13,7 +13,7 @@
 //! * [`calendar`] — day-of-week/holiday context used by the EGRV model,
 //! * [`generator`] — synthetic multi-seasonal demand and wind-supply
 //!   processes that reproduce the statistical properties the experiments
-//!   rely on (documented in `DESIGN.md` §3),
+//!   rely on (each generator's docs name the data set it stands in for),
 //! * [`store`] — the measurement side of the Data Management component.
 
 #![forbid(unsafe_code)]
