@@ -1,93 +1,31 @@
 //! The level-2 balance-responsible-party (trader) node: the full LEDMS.
 //!
-//! The Control component is [`BrpNode::handle`] plus the planning
-//! life-cycle: collect offers from prosumers, decide acceptance
-//! (Negotiation), aggregate incrementally (Aggregation), forecast the
-//! baseline (Forecasting), schedule the macro offers (Scheduling),
-//! disaggregate and send assignments back — or forward the macro-offer
-//! *delta stream* to the TSO and disaggregate *its* assignments instead
-//! (paper §2: "the process is essentially repeated at a higher level").
+//! A BRP is a [`PlannerNode`] whose child port is [`Offers`]: flex-offers
+//! straight from prosumers, decided on by the Negotiation component
+//! (acceptance on submission, pre-execution pricing on assignment),
+//! recorded by the Data Management component, and pooled by value. With
+//! [`BrpConfig::forward_to_tso`] it is linked to its TSO and forwards its
+//! macro-offer delta stream instead of scheduling locally — until the
+//! link goes `Down` and it islands. The life-cycle, flush-before-read
+//! and durability rules are [`PlannerNode`]'s.
 //!
-//! ## The unified life-cycle
-//!
-//! Planning runs on the shared [`PlanEngine`]
-//! — the same prepare → replan → commit machinery the TSO uses one level
-//! up:
-//!
-//! 1. [`BrpNode::prepare_plan`] schedules the eligible macro offers and
-//!    keeps the result as a **live** `DeltaEvaluator` (owning its
-//!    problem) instead of throwing the search state away;
-//! 2. [`BrpNode::on_forecast_event`] consumes a typed
-//!    [`ForecastEvent`] from the pub/sub hub: rebase on exactly the
-//!    changed slots, scoped parallel multi-start repair — and offers
-//!    submitted *while the plan is live* are spliced straight into the
-//!    evaluator by the engine's offer-delta folding;
-//! 3. [`BrpNode::commit_plan`] disaggregates the live solution into
-//!    micro assignments once the window's deadline approaches.
-//!
-//! In TSO mode (`forward_to_tso`), the BRP does not schedule locally;
-//! instead every aggregate change its pipeline emits is staged as an
-//! export delta and flushed upward as one
-//! [`Message::MacroOfferDeltas`] batch per planning round — snapshots
-//! never cross the wire.
-//!
-//! ## Ingest: accumulate, then flush before read
-//!
-//! An accepted submission updates the pool, the datastore, the WAL and
-//! its reply on the spot, but its [`FlexOfferUpdate`] is only *staged*
-//! in the engine ([`PlanEngine::stage_offer_updates`]) — the paper's
-//! aggregation component accumulates updates and processes them in bulk
-//! (§4). A wave of submissions then costs one pipeline pass — one group
-//! flush, one profile re-fold and one staged export per *touched
-//! aggregate* — instead of one per offer. Everything derived from the
-//! pipeline (aggregates, `exports`, `outbox`, a live plan) describes the
-//! last flush, so the node keeps a single rule: **flush before anything
-//! reads derived state**. The read points are
-//!
-//! * the top of [`BrpNode::prepare_plan`] — the round's expiry deletes
-//!   join the staged submissions in the same single pass;
-//! * [`Message::ResyncRequest`] / every snapshot the node volunteers
-//!   (heal, retransmit, recovery), which walk `exports`;
-//! * a TSO [`Message::Assignment`] (and the replay of an islanded commit
-//!   marker), which disaggregates through `exports` and the pipeline;
-//! * [`BrpNode::commit_plan`], which takes the live plan;
-//! * in [`BrpNode::recover`], the logged outbox-flush and provisional
-//!   markers, and the closing resync snapshot;
-//! * a **live plan**, which is a standing reader: while
-//!   [`BrpNode::live_window`] is `Some`, the buffer is flushed at the end
-//!   of the [`BrpNode::handle`] that filled it, so a late submission
-//!   still folds into the plan as a trickle.
-//!
-//! Nothing selects between the two timings but the node's own state, and
-//! WAL snapshots encode the pool only, so durability never depended on
-//! the buffer. [`BrpNode::exported_offer_ids`] is the one `&self`
-//! accessor over derived state; it reports the last flush.
-//!
-//! ## Durability
-//!
-//! The node's durable half is a journal; [`crate::wal`] states its
-//! contract once for both planner levels. What is BRP-specific: the
-//! snapshot is the pool plus the duplicate filters (everything else is
-//! derived), and the markers are the outbox flush, the islanded commit
-//! ledger and the empty report that hands that ledger off.
+//! What is port-specific: submissions are filtered per sender by a
+//! [`DedupRx`] — at-most-once, not sequenced, since a lost submission is
+//! a negotiation-level loss the deadline fallback covers; an accepted
+//! submission updates the pool, the store and its reply on the spot and
+//! only *stages* its pipeline insert; and the snapshot is the pool plus
+//! the duplicate filters (everything else is derived).
 
-use crate::datastore::{
-    DataStore, EnergyType, MeasurementFact, OfferFact, OfferState, ScheduleFact,
-};
+use crate::datastore::{EnergyType, MeasurementFact, OfferFact, OfferState, ScheduleFact};
 use crate::message::{Envelope, Message};
-use crate::runtime::{Node, NodeRuntime, PlanEngine, RuntimeConfig};
-use crate::wal::{Journal, NodeWal, WalConfig, WalStore};
-use crate::wire::{
-    DedupRx, LinkHealth, LinkHealthConfig, LinkHealthStats, LinkState, RetransmitTracker,
-};
-use mirabel_aggregate::{
-    AggregateUpdate, AggregationParams, AggregationPipeline, BinPackerConfig, FlexOfferUpdate,
-};
-use mirabel_core::codec::{CodecError, Wire};
-use mirabel_core::{AggregateId, FlexOffer, FlexOfferId, NodeId, ScheduledFlexOffer, TimeSlot};
-use mirabel_forecast::{ForecastEvent, ForecastModel, HwtConfig, HwtModel, Seasonality};
+use crate::runtime::{ChildPort, PlanEngine, PlannerNode, RuntimeConfig};
+use crate::wal::{WalConfig, WalStore};
+use crate::wire::{DedupRx, LinkHealthConfig};
+use mirabel_aggregate::{AggregationParams, AggregationPipeline, BinPackerConfig, FlexOfferUpdate};
+use mirabel_core::codec::Wire;
+use mirabel_core::{FlexOffer, FlexOfferId, NodeId, Price, ScheduledFlexOffer, TimeSlot};
+use mirabel_forecast::{ForecastModel, HwtConfig, HwtModel, Seasonality};
 use mirabel_negotiate::{AcceptanceDecision, AcceptancePolicy, PreExecutionPricing};
-use mirabel_schedule::MarketPrices;
 use mirabel_timeseries::TimeSeries;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -109,8 +47,9 @@ pub struct BrpConfig {
     pub acceptance: AcceptancePolicy,
     /// Pricing scheme for assignments.
     pub pricing: PreExecutionPricing,
-    /// Forward macro-offer deltas to the TSO instead of scheduling
-    /// locally.
+    /// Forward macro-offer deltas to the parent TSO instead of scheduling
+    /// locally. A node given no parent schedules locally either way, and
+    /// one that does not forward ignores the parent it is given.
     pub forward_to_tso: bool,
     /// Parallel multi-start chains (K) per incremental repair.
     pub repair_chains: usize,
@@ -152,181 +91,197 @@ impl Default for BrpConfig {
     }
 }
 
-impl BrpConfig {
-    /// The shared runtime knobs carried by this configuration.
-    fn runtime(&self) -> RuntimeConfig {
-        RuntimeConfig {
-            scheduler: self.scheduler,
-            budget_evaluations: self.budget_evaluations,
-            initial_starts: self.initial_starts,
-            repair_chains: self.repair_chains,
-            repair_moves: self.repair_moves,
-            pool: self.pool.clone(),
-        }
-    }
-}
+/// The level-2 node: a planner node over [`Offers`].
+pub type BrpNode = PlannerNode<Offers>;
 
-/// The level-2 node.
+/// A BRP's child port: the accepted prosumer offers, by value, and what
+/// decides about them.
 #[derive(Debug)]
-pub struct BrpNode {
-    /// This node's id.
-    pub id: NodeId,
-    /// Parent TSO, if any.
-    pub parent: Option<NodeId>,
-    config: BrpConfig,
+pub struct Offers {
     /// Offer pool: id → (offer, source node). Ordered so every walk
-    /// (expiry, planning) is deterministic across runs.
+    /// (expiry, snapshots) is deterministic across runs.
     pool: BTreeMap<FlexOfferId, (FlexOffer, NodeId)>,
-    /// The shared planning runtime: pipeline + live plan.
-    engine: PlanEngine,
-    /// The Data Management component.
-    pub store: DataStore,
-    /// Exported macro-offer id → local aggregate id (TSO path).
-    exports: BTreeMap<u64, AggregateId>,
-    /// Net export deltas staged since the last forward (TSO path),
-    /// keyed by export id: `Some(aggregate)` = upsert pending (the
-    /// offer value is materialized once, at flush), `None` = delete
-    /// pending. Later changes to the same aggregate overwrite earlier
-    /// ones, so both the staging cost and the wire are proportional to
-    /// the number of aggregates that changed, not to churn.
-    outbox: BTreeMap<u64, Option<AggregateId>>,
     /// One at-most-once filter per sender: network-duplicated inbound
     /// envelopes (submissions, assignments, resync requests) are dropped
     /// before they reach a handler. A `HashMap` is safe: probed by
     /// sender only, never iterated, so its order cannot leak into
     /// results (snapshots sort by sender before encoding).
     rx: HashMap<u64, DedupRx, crate::comm::IdHashBuilder>,
-    /// The durable half: write-ahead log plus marker causation (see
-    /// [`crate::wal`]); detached — every call a no-op — until a WAL is
-    /// attached, and while [`BrpNode::recover`] replays.
-    journal: Journal,
-    /// Failure detector for the TSO link (meaningful in TSO mode only).
-    health: LinkHealth,
-    /// Piggybacked-ack bookkeeping for upward outbox flushes.
-    retransmit: RetransmitTracker,
-    /// Envelopes accepted from the parent so far — the cumulative count
-    /// this node's own heartbeats piggyback as an ack.
-    parent_heard: u64,
-    /// Whether the current live plan was prepared islanded (TSO link
-    /// `Down`): its commit stamps assignments provisional.
-    islanded_round: bool,
-    /// First slot of the current island (None while connected).
-    islanded_since: Option<TimeSlot>,
-    /// Macro-level provisional assignments (export-id space) committed
-    /// while islanded, pending the reconciliation handshake on heal.
-    provisional: BTreeMap<FlexOfferId, ScheduledFlexOffer>,
-    /// Per-window log of islanded planning rounds, drained by the
-    /// simulation ([`take_islanded_rounds`](Self::take_islanded_rounds)).
-    islanded_log: Vec<IslandedRound>,
+    acceptance: AcceptancePolicy,
+    pricing: PreExecutionPricing,
 }
 
-/// One islanded planning round: what the BRP's local engine prepared
-/// and committed for a window while its TSO link was `Down`. The chaos
-/// invariant checker asserts `committed_cost <= prepared_cost` — the
-/// islanded window's imbalance is bounded by the local-only optimum the
-/// engine found at prepare time (refreshed after each mid-window
-/// forecast repair, which legitimately moves the bound).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IslandedRound {
-    /// First slot of the islanded planning window.
-    pub window_start: TimeSlot,
-    /// Macro offers eligible for the local pass.
-    pub eligible: usize,
-    /// Cost of the local plan at prepare time (the local-only optimum),
-    /// refreshed after each mid-window forecast repair.
-    pub prepared_cost: Option<f64>,
-    /// Cost at commit time, after incremental refinements.
-    pub committed_cost: Option<f64>,
-    /// Provisional micro assignments the commit produced.
-    pub assignments: usize,
-}
-
-/// The state snapshot a BRP installs at WAL compaction points: the
-/// offer pool (with source nodes) plus the per-sender duplicate-filter
-/// states. Everything else a BRP holds — aggregates, exports, outbox —
-/// is *derived* and is rebuilt by re-feeding the pool through the
-/// aggregation pipeline on restore.
-struct BrpSnapshot {
-    pool: Vec<(FlexOffer, NodeId)>,
-    /// One row per inbound stream, sorted by sender.
-    rx: Vec<DedupRow>,
-}
+/// What a BRP installs at WAL compaction points, as the nested pair
+/// `(pool, duplicate filters)`: the offer pool with its source nodes, and
+/// one row per inbound stream, sorted by sender. Everything else a BRP
+/// holds — aggregates, exports, outbox — is *derived* and is rebuilt by
+/// re-feeding the pool through the aggregation pipeline on restore.
+type BrpSnapshot = (Vec<(FlexOffer, NodeId)>, Vec<DedupRow>);
 
 /// `(sender, ((delivered_below, seen), duplicates))`: nested pairs
 /// because pairs are what the codec implements — the bytes are the four
 /// fields in a row.
 type DedupRow = (u64, ((u64, Vec<u64>), u64));
 
-impl Wire for BrpSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pool.encode(out);
-        self.rx.encode(out);
+impl ChildPort for Offers {
+    type Snapshot = BrpSnapshot;
+
+    fn admit(&mut self, envelope: &Envelope) -> bool {
+        self.rx
+            .entry(envelope.from.value())
+            .or_default()
+            .accept(envelope.seq)
     }
 
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(BrpSnapshot {
-            pool: Wire::decode(buf)?,
-            rx: Wire::decode(buf)?,
-        })
+    fn on_child(node: &mut BrpNode, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
+        match envelope.message {
+            Message::SubmitOffer(offer) => vec![node.on_submit(offer, envelope.from, now)],
+            Message::Measurement {
+                actor,
+                start,
+                values,
+            } => {
+                for (i, &v) in values.iter().enumerate() {
+                    let (energy_type, kwh) = if v >= 0.0 {
+                        (EnergyType::Consumption, v)
+                    } else {
+                        (EnergyType::Production, -v)
+                    };
+                    node.store.record_measurement(MeasurementFact {
+                        slot: start + i as u32,
+                        actor,
+                        energy_type,
+                        kwh,
+                    });
+                }
+                Vec::new()
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    fn expire(node: &mut BrpNode, now: TimeSlot) -> usize {
+        let expired: Vec<_> = node
+            .down
+            .pool
+            .extract_if(.., |_, (offer, _)| offer.is_expired(now))
+            .collect();
+        for (id, (offer, _)) in &expired {
+            node.store.record_offer(OfferFact {
+                offer: *id,
+                actor: offer.owner(),
+                slot: now,
+                state: OfferState::Expired,
+            });
+        }
+        node.engine
+            .stage_offer_updates(expired.iter().map(|(id, _)| FlexOfferUpdate::Delete(*id)));
+        expired.len()
+    }
+
+    fn release(
+        node: &mut BrpNode,
+        member: &ScheduledFlexOffer,
+        now: TimeSlot,
+        state: OfferState,
+    ) -> Option<(NodeId, Price)> {
+        let (offer, source) = node.down.pool.remove(&member.offer_id)?;
+        let discount = node.down.pricing.discount_per_kwh(&offer, now);
+        node.store.record_offer(OfferFact {
+            offer: offer.id(),
+            actor: offer.owner(),
+            slot: now,
+            state,
+        });
+        node.store.record_schedule(ScheduleFact {
+            offer: offer.id(),
+            start: member.start,
+            total_kwh: member.total_energy().kwh(),
+            discount,
+        });
+        Some((source, discount))
+    }
+
+    fn snapshot(node: &BrpNode) -> BrpSnapshot {
+        let mut rx: Vec<DedupRow> = node
+            .down
+            .rx
+            .iter()
+            .map(|(sender, dedup)| {
+                let (below, seen, dups) = dedup.export_state();
+                (*sender, ((below, seen), dups))
+            })
+            .collect();
+        // The rx map is a HashMap: sort so snapshot bytes (and thus WAL
+        // contents) are identical across runs.
+        rx.sort_unstable_by_key(|row| row.0);
+        (node.down.pool.values().cloned().collect(), rx)
+    }
+
+    /// The pool is staged like any other ingest (its flush rebuilds the
+    /// aggregates, and a linked node's recovery snapshot re-anchors the
+    /// parent's view of them); the duplicate filters resume where the
+    /// crashed node's windows stood.
+    fn restore(node: &mut BrpNode, (pool, rx): BrpSnapshot) {
+        node.engine.stage_offer_updates(
+            pool.iter()
+                .map(|(offer, _)| FlexOfferUpdate::Insert(offer.clone())),
+        );
+        for (offer, from) in pool {
+            node.down.pool.insert(offer.id(), (offer, from));
+        }
+        node.down.rx = rx
+            .into_iter()
+            .map(|(sender, ((below, seen), dups))| (sender, DedupRx::from_state(below, seen, dups)))
+            .collect();
     }
 }
 
 impl BrpNode {
-    /// Create a BRP node. All parallel paths — pipeline flush included —
-    /// run on the config's shared worker pool (wired by [`PlanEngine`]).
+    /// Create a BRP node, linked to `parent` when the config forwards to
+    /// it (a parent is ignored otherwise). All parallel paths — pipeline
+    /// flush included — run on the config's shared worker pool.
     pub fn new(id: NodeId, parent: Option<NodeId>, config: BrpConfig) -> BrpNode {
         let pipeline = AggregationPipeline::new(config.aggregation, config.binpacker);
-        let engine = PlanEngine::new(
-            pipeline,
-            config.runtime(),
-            id.value().wrapping_mul(0x9e37_79b9),
-        );
-        let health = LinkHealth::new(config.link_health);
-        BrpNode {
-            id,
-            parent,
-            config,
+        let runtime = RuntimeConfig {
+            scheduler: config.scheduler,
+            budget_evaluations: config.budget_evaluations,
+            initial_starts: config.initial_starts,
+            repair_chains: config.repair_chains,
+            repair_moves: config.repair_moves,
+            pool: config.pool,
+        };
+        let engine = PlanEngine::new(pipeline, runtime, id.value().wrapping_mul(0x9e37_79b9));
+        let parent = parent
+            .filter(|_| config.forward_to_tso)
+            .map(|parent| (parent, config.link_health));
+        let offers = Offers {
             pool: BTreeMap::new(),
-            engine,
-            store: DataStore::new(),
-            exports: BTreeMap::new(),
-            outbox: BTreeMap::new(),
             rx: HashMap::default(),
-            journal: Journal::default(),
-            health,
-            retransmit: RetransmitTracker::default(),
-            parent_heard: 0,
-            islanded_round: false,
-            islanded_since: None,
-            provisional: BTreeMap::new(),
-            islanded_log: Vec::new(),
-        }
+            acceptance: config.acceptance,
+            pricing: config.pricing,
+        };
+        PlannerNode::assemble(id, engine, offers, parent)
     }
 
-    /// Attach a write-ahead log. From here on every accepted inbound
-    /// envelope and outbox flush is appended before it is applied, and
-    /// the node installs a compacting snapshot every
-    /// [`WalConfig::snapshot_every`] events.
-    pub fn attach_wal(&mut self, wal: NodeWal) {
-        self.journal.attach(wal);
-    }
-
-    /// The attached WAL, if any (diagnostics: tail length, io errors).
-    pub fn wal(&self) -> Option<&NodeWal> {
-        self.journal.wal()
-    }
-
-    /// Detach and return the WAL (the chaos harness keeps the "disk"
-    /// alive across a simulated crash this way).
-    pub fn take_wal(&mut self) -> Option<NodeWal> {
-        self.journal.detach()
+    /// Rebuild a crashed BRP from its surviving WAL store (see
+    /// [`PlannerNode::recover_from`]).
+    pub fn recover(
+        id: NodeId,
+        parent: Option<NodeId>,
+        config: BrpConfig,
+        store: Box<dyn WalStore>,
+        wal_config: WalConfig,
+        now: TimeSlot,
+    ) -> std::io::Result<(BrpNode, Vec<Envelope>)> {
+        BrpNode::new(id, parent, config).recover_from(store, wal_config, now)
     }
 
     /// Network-injected duplicates this node's at-most-once filters
     /// dropped, summed across its inbound sender streams — the dedup
     /// column of the federation's per-region stats rollup.
     pub fn dedup_duplicates(&self) -> u64 {
-        self.rx.values().map(|rx| rx.duplicates).sum()
+        self.down.rx.values().map(|rx| rx.duplicates).sum()
     }
 
     /// Order-independent digest of the pooled offers — recovery tests
@@ -334,7 +289,7 @@ impl BrpNode {
     pub fn pool_digest(&self) -> u64 {
         let mut digest: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut buf = Vec::new();
-        for (offer, from) in self.pool.values() {
+        for (offer, from) in self.down.pool.values() {
             buf.clear();
             offer.encode(&mut buf);
             from.encode(&mut buf);
@@ -348,409 +303,9 @@ impl BrpNode {
         digest
     }
 
-    /// The node's durable state for a WAL snapshot.
-    fn snapshot(&self) -> BrpSnapshot {
-        let mut rx: Vec<_> = self
-            .rx
-            .iter()
-            .map(|(sender, dedup)| {
-                let (below, seen, dups) = dedup.export_state();
-                (*sender, ((below, seen), dups))
-            })
-            .collect();
-        // The rx map is a HashMap: sort so snapshot bytes (and thus WAL
-        // contents) are identical across runs.
-        rx.sort_unstable_by_key(|row| row.0);
-        BrpSnapshot {
-            pool: self
-                .pool
-                .values()
-                .map(|(offer, from)| (offer.clone(), *from))
-                .collect(),
-            rx,
-        }
-    }
-
-    /// Restore from a decoded snapshot: the pool is staged for the
-    /// aggregation pipeline like any other ingest (its flush rebuilds
-    /// aggregates, exports and outbox as a full refresh — the parent's
-    /// pooled view is then reconciled by the recovery resync snapshot),
-    /// and the duplicate filters resume where the crashed node's windows
-    /// stood.
-    fn restore_snapshot(&mut self, snap: BrpSnapshot) {
-        for (offer, from) in snap.pool {
-            self.engine
-                .stage_offer_updates([FlexOfferUpdate::Insert(offer.clone())]);
-            self.pool.insert(offer.id(), (offer, from));
-        }
-        self.rx.clear();
-        for (sender, ((below, seen), dups)) in snap.rx {
-            self.rx
-                .insert(sender, DedupRx::from_state(below, seen, dups));
-        }
-    }
-
-    /// Install a compacting snapshot when the journal's tail has grown
-    /// past its configured bound.
-    fn compact(&mut self) {
-        if self.journal.wants_snapshot() {
-            self.journal.compact(self.snapshot());
-        }
-    }
-
-    /// Rebuild a crashed BRP from its surviving WAL store: restore the
-    /// latest snapshot, replay the events appended since (with the
-    /// original handling clock, replies suppressed — they were already
-    /// sent pre-crash), resume the WAL, and emit a voluntary
-    /// [`Message::ResyncSnapshot`] to the parent so its pooled view
-    /// re-anchors on the recovered export set. Returns the node plus the
-    /// recovery envelopes to route.
-    pub fn recover(
-        id: NodeId,
-        parent: Option<NodeId>,
-        config: BrpConfig,
-        store: Box<dyn WalStore>,
-        wal_config: WalConfig,
-        now: TimeSlot,
-    ) -> std::io::Result<(BrpNode, Vec<Envelope>)> {
-        let (journal, snapshot, tail) = Journal::reopen::<BrpSnapshot>(store, wal_config)?;
-        let mut node = BrpNode::new(id, parent, config);
-        if let Some(snap) = snapshot {
-            node.restore_snapshot(snap);
-        }
-        for rec in tail {
-            if rec.replay_safe && rec.envelope.to == id {
-                // Re-drive the ingest through the real handler; the
-                // regenerated replies are dropped.
-                let _ = BrpNode::handle(&mut node, rec.envelope, rec.recorded_at);
-            } else if rec.envelope.from == id {
-                match rec.envelope.message {
-                    // Outbox-flush marker: these staged deltas left the
-                    // node before the crash — replay the flush as the
-                    // state transition it was. The submissions replayed
-                    // so far are what that flush carried, so they go
-                    // through the pipeline (and into the outbox) first.
-                    Message::MacroOfferDeltas(_) => {
-                        node.flush_staged();
-                        node.outbox.clear();
-                    }
-                    // Provisional markers: non-empty = an islanded
-                    // commit's macro ledger (re-apply it so the pool
-                    // effect of the crashed commit is reproduced); empty
-                    // = the reconciliation hand-off that cleared it.
-                    Message::ProvisionalReport { assignments, .. } => {
-                        if assignments.is_empty() {
-                            node.provisional.clear();
-                        }
-                        for s in assignments {
-                            node.provisional.insert(s.offer_id, s.clone());
-                            let _ = node.apply_macro_assignment(
-                                s,
-                                rec.recorded_at,
-                                OfferState::Provisional,
-                            );
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        node.journal = journal;
-        // A restart is a reconciliation point: if the crashed node died
-        // mid-island, its rebuilt provisional ledger ships ahead of the
-        // re-anchoring snapshot, exactly like a live heal would send it.
-        let out = match node.parent {
-            Some(parent) if node.config.forward_to_tso => node.reconcile(parent, now),
-            _ => Vec::new(),
-        };
-        Ok((node, out))
-    }
-
-    /// The reconciliation hand-off, at heal and at restart alike: the
-    /// provisional macro assignments FIRST — the TSO audits them against
-    /// its pre-snapshot pool (still pooled here → adopt, already assigned
-    /// elsewhere → supersede) — then a full export snapshot that
-    /// re-anchors its pooled view of this node.
-    fn reconcile(&mut self, parent: NodeId, now: TimeSlot) -> Vec<Envelope> {
-        let mut out = Vec::new();
-        if !self.provisional.is_empty() {
-            let report = |window_start, assignments| {
-                let message = Message::ProvisionalReport {
-                    window_start,
-                    assignments,
-                };
-                Envelope::new(self.id, parent, now, message)
-            };
-            // Log the hand-off as an *empty* report marker: replaying it
-            // wipes the provisional ledger the earlier commit markers
-            // rebuilt.
-            self.journal.mark(&report(now, Vec::new()), now);
-            let ledger = std::mem::take(&mut self.provisional);
-            out.push(report(
-                self.islanded_since.unwrap_or(now),
-                ledger.into_values().collect(),
-            ));
-        }
-        self.islanded_since = None;
-        out.extend(self.on_resync_request(parent, now));
-        out
-    }
-
     /// Offers currently pooled.
     pub fn pool_size(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Current state of the TSO-link failure detector.
-    pub fn link_state(&self) -> LinkState {
-        self.health.state()
-    }
-
-    /// Counters kept by the TSO-link failure detector (federation
-    /// rollups absorb these per region).
-    pub fn link_health_stats(&self) -> LinkHealthStats {
-        self.health.stats()
-    }
-
-    /// Upward flushes the parent has not acknowledged yet.
-    pub fn unacked_flushes(&self) -> u64 {
-        self.retransmit.unacked()
-    }
-
-    /// Provisional macro assignments awaiting TSO reconciliation.
-    pub fn provisional_count(&self) -> usize {
-        self.provisional.len()
-    }
-
-    /// Drain the log of islanded planning rounds accumulated since the
-    /// last call (the simulation collects these per cycle for the chaos
-    /// invariant checks).
-    pub fn take_islanded_rounds(&mut self) -> Vec<IslandedRound> {
-        std::mem::take(&mut self.islanded_log)
-    }
-
-    /// Run everything staged in the engine through the pipeline in one
-    /// pass (+ live-plan fold) and stage the aggregate changes as export
-    /// deltas in TSO mode. Every reader of derived state calls this
-    /// first (see the module docs); a no-op when nothing is staged.
-    fn flush_staged(&mut self) {
-        let (agg_updates, _fold) = self.engine.flush_offer_updates();
-        // Stage only when the deltas can actually be flushed somewhere:
-        // without a parent the outbox would grow without bound.
-        if self.config.forward_to_tso && self.parent.is_some() {
-            self.stage_exports(&agg_updates);
-        }
-    }
-
-    /// Stage the pipeline's aggregate changes for the next upward flush
-    /// in the export id space (`brp-id * 1e9 + aggregate id`). Only the
-    /// *net* per-id effect is kept, and upserts stage the aggregate id —
-    /// the offer value is materialized once, at flush, never per
-    /// emission.
-    fn stage_exports(&mut self, updates: &[AggregateUpdate]) {
-        for u in updates {
-            match u {
-                AggregateUpdate::Upsert(agg) => {
-                    let export_id = self.id.value() * 1_000_000_000 + agg.id.value();
-                    self.exports.insert(export_id, agg.id);
-                    self.outbox.insert(export_id, Some(agg.id));
-                }
-                AggregateUpdate::Removed(agg_id) => {
-                    let export_id = self.id.value() * 1_000_000_000 + agg_id.value();
-                    if self.exports.remove(&export_id).is_some() {
-                        self.outbox.insert(export_id, None);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Handle one message; returns reply envelopes. Network-duplicated
-    /// envelopes (same per-link stream sequence number) are dropped by
-    /// the sender's [`DedupRx`] before reaching any handler.
-    pub fn handle(&mut self, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
-        if !self
-            .rx
-            .entry(envelope.from.value())
-            .or_default()
-            .accept(envelope.seq)
-        {
-            return Vec::new();
-        }
-        // Append-before-apply: only *accepted* envelopes reach the log,
-        // so replay re-runs the duplicate filter through the exact same
-        // state sequence.
-        self.journal.ingest(&envelope, now);
-        // Any accepted envelope from the parent is proof of TSO life —
-        // the failure detector restarts its silence clock on it, and the
-        // count is what this node's own heartbeats piggyback as an ack.
-        if Some(envelope.from) == self.parent {
-            self.health.heard(now);
-            self.parent_heard += 1;
-        }
-        let out = match envelope.message {
-            Message::SubmitOffer(offer) => self.on_submit(offer, envelope.from, now),
-            Message::Measurement {
-                actor,
-                start,
-                values,
-            } => {
-                for (i, &v) in values.iter().enumerate() {
-                    let (energy_type, kwh) = if v >= 0.0 {
-                        (EnergyType::Consumption, v)
-                    } else {
-                        (EnergyType::Production, -v)
-                    };
-                    self.store.record_measurement(MeasurementFact {
-                        slot: start + i as u32,
-                        actor,
-                        energy_type,
-                        kwh,
-                    });
-                }
-                Vec::new()
-            }
-            // An assignment for an exported macro offer coming back from
-            // the TSO, which prices nothing: discounts are set here.
-            Message::Assignment { schedule, .. } => {
-                self.apply_macro_assignment(schedule, now, OfferState::Assigned)
-            }
-            Message::ResyncRequest => self.on_resync_request(envelope.from, now),
-            Message::Heartbeat { seen } => {
-                if Some(envelope.from) == self.parent {
-                    self.health.heard_heartbeat(now);
-                    self.retransmit.on_ack(seen);
-                }
-                Vec::new()
-            }
-            _ => Vec::new(),
-        };
-        // A live plan is a standing reader of the pipeline: whatever
-        // this envelope staged folds into it now, as a trickle.
-        if self.engine.live_window().is_some() {
-            self.flush_staged();
-        }
-        self.compact();
-        out
-    }
-
-    /// Answer a parent's resync request with a bounded snapshot of the
-    /// complete current export set. The snapshot supersedes every delta
-    /// staged so far (the receiver re-anchors its stream on it), so the
-    /// outbox is cleared — re-sending those deltas after the snapshot
-    /// would only replay state the snapshot already carries.
-    fn on_resync_request(&mut self, from: NodeId, now: TimeSlot) -> Vec<Envelope> {
-        self.flush_staged();
-        self.outbox.clear();
-        // Exported aggregates are live by construction, but this path
-        // also runs right after WAL recovery — skip (rather than panic
-        // on) any export whose aggregate a truncated log failed to
-        // rebuild; the snapshot diff then retires it at the parent too.
-        let offers: Vec<FlexOffer> = self
-            .exports
-            .iter()
-            .filter_map(|(export_id, agg_id)| {
-                self.engine
-                    .pipeline()
-                    .aggregate(*agg_id)?
-                    .to_flex_offer_as(*export_id, self.id.value())
-                    .ok()
-            })
-            .collect();
-        vec![Envelope::new(
-            self.id,
-            from,
-            now,
-            Message::ResyncSnapshot { offers },
-        )]
-    }
-
-    /// Exported macro-offer ids currently live (the parent's pool should
-    /// contain exactly these — the chaos invariant checker's
-    /// "no phantom offers" probe). Reflects the last flush: a submission
-    /// still staged has no export yet. The probe is unaffected — it looks
-    /// for parent-pooled offers this node no longer exports, and a staged
-    /// insert has never been sent up, so nothing of it is pooled at the
-    /// parent; deletes are never left staged (expiry, commit and
-    /// assignment flush on the spot).
-    pub fn exported_offer_ids(&self) -> Vec<FlexOfferId> {
-        self.exports.keys().map(|id| FlexOfferId(*id)).collect()
-    }
-
-    fn on_submit(&mut self, offer: FlexOffer, from: NodeId, now: TimeSlot) -> Vec<Envelope> {
-        // One pool descent per submission: the entry doubles as the
-        // duplicate probe and the accept path's insertion slot.
-        let id = offer.id();
-        let decision = self.config.acceptance.decide(&offer, now);
-        let reply = match self.pool.entry(id) {
-            // Replayed submission of an offer already pooled (an
-            // unsequenced duplicate the network dedup cannot catch):
-            // re-acknowledge without staging anything — the pool state
-            // must not churn.
-            Entry::Occupied(e) if e.get().0 == offer => {
-                let value = match decision {
-                    AcceptanceDecision::Accept { value } => value,
-                    AcceptanceDecision::Reject(_) => 0.0,
-                };
-                Message::OfferAccepted { offer: id, value }
-            }
-            entry => match decision {
-                AcceptanceDecision::Accept { value } => {
-                    match entry {
-                        Entry::Occupied(mut e) => {
-                            e.insert((offer.clone(), from));
-                        }
-                        Entry::Vacant(v) => {
-                            v.insert((offer.clone(), from));
-                        }
-                    }
-                    self.store.record_offer(OfferFact {
-                        offer: id,
-                        actor: offer.owner(),
-                        slot: now,
-                        state: OfferState::Accepted,
-                    });
-                    self.engine
-                        .stage_offer_updates([FlexOfferUpdate::Insert(offer)]);
-                    Message::OfferAccepted { offer: id, value }
-                }
-                AcceptanceDecision::Reject(_) => {
-                    self.store.record_offer(OfferFact {
-                        offer: id,
-                        actor: offer.owner(),
-                        slot: now,
-                        state: OfferState::Rejected,
-                    });
-                    Message::OfferRejected { offer: id }
-                }
-            },
-        };
-        vec![Envelope::new(self.id, from, now, reply)]
-    }
-
-    /// Drop offers whose assignment deadline has passed. The deletes are
-    /// only staged: the caller's flush runs them and the round's staged
-    /// submissions through the pipeline as ONE batch, so each touched
-    /// group is flushed once per round.
-    fn expire(&mut self, now: TimeSlot) -> usize {
-        let expired: Vec<FlexOfferId> = self
-            .pool
-            .iter()
-            .filter(|(_, (o, _))| o.is_expired(now))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &expired {
-            let (offer, _) = self.pool.remove(id).expect("present");
-            self.store.record_offer(OfferFact {
-                offer: *id,
-                actor: offer.owner(),
-                slot: now,
-                state: OfferState::Expired,
-            });
-        }
-        self.engine
-            .stage_offer_updates(expired.iter().map(|id| FlexOfferUpdate::Delete(*id)));
-        expired.len()
+        self.down.pool.len()
     }
 
     /// Forecast the baseline imbalance for `[start, start+horizon)` from
@@ -772,332 +327,45 @@ impl BrpNode {
         model.forecast(horizon)
     }
 
-    /// Plan the window `[window_start, window_start+horizon)` against an
-    /// externally supplied baseline and keep the result as a live
-    /// evaluator for incremental replanning. In TSO mode, flushes the
-    /// staged export deltas upward instead. Returns forwarding envelopes
-    /// plus the report; assignments are produced later by
-    /// [`commit_plan`](Self::commit_plan).
-    pub fn prepare_plan(
-        &mut self,
-        now: TimeSlot,
-        window_start: TimeSlot,
-        baseline: Vec<f64>,
-        prices: MarketPrices,
-        penalties: Vec<f64>,
-    ) -> (Vec<Envelope>, PlanReport) {
-        // A new round starts: expiry deltas must not be folded into the
-        // previous window's (now stale) live plan, and whether this
-        // round runs islanded is decided afresh by the detector below.
-        self.engine.abandon();
-        self.islanded_round = false;
-        let mut report = PlanReport {
-            expired: self.expire(now),
-            ..PlanReport::default()
+    /// Decide a submission and reply. One pool descent: the entry
+    /// doubles as the duplicate probe and the accept path's slot.
+    fn on_submit(&mut self, offer: FlexOffer, from: NodeId, now: TimeSlot) -> Envelope {
+        let id = offer.id();
+        let value = match self.down.acceptance.decide(&offer, now) {
+            AcceptanceDecision::Accept { value } => Some(value),
+            AcceptanceDecision::Reject(_) => None,
         };
-        // The round's one bulk pass: every submission staged since the
-        // last read point plus the expiry deletes above.
-        self.flush_staged();
-
-        if self.config.forward_to_tso {
-            report.eligible_macro = self.engine.eligible_count(window_start, baseline.len());
-            let Some(parent) = self.parent else {
-                return (Vec::new(), report);
-            };
-            // Advance the failure detector — except out of `Recovering`,
-            // which must survive until the reconciliation handshake below
-            // has run; its own tick then confirms the heal.
-            let state = if self.health.state() == LinkState::Recovering {
-                LinkState::Recovering
-            } else {
-                self.health.tick(now)
-            };
-            match state {
-                LinkState::Down => {
-                    // ISLAND: the TSO is presumed unreachable. Keep the
-                    // staged export deltas (the heal-time snapshot
-                    // supersedes them) and run the local engine over this
-                    // node's own pool — which naturally covers every
-                    // offer the TSO has not assigned, including ones it
-                    // previously passed over. The commit stamps the
-                    // resulting assignments provisional.
-                    self.islanded_round = true;
-                    if self.islanded_since.is_none() {
-                        self.islanded_since = Some(window_start);
-                    }
-                    let (eligible, cost) =
-                        self.engine
-                            .prepare(window_start, baseline, prices, penalties);
-                    report.eligible_macro = eligible;
-                    report.cost = cost;
-                    self.islanded_log.push(IslandedRound {
-                        window_start,
-                        eligible,
-                        prepared_cost: cost,
-                        committed_cost: None,
-                        assignments: 0,
-                    });
-                    return (Vec::new(), report);
-                }
-                LinkState::Recovering => {
-                    // RECONCILE: traffic resumed after an island.
-                    let out = self.reconcile(parent, now);
-                    self.health.tick(now);
-                    self.compact();
-                    return (out, report);
-                }
-                LinkState::Up | LinkState::Suspect => {}
-            }
-            // Unacked-frontier retransmit: the payload is the idempotent
-            // export snapshot, never a replayed delta batch — a re-sent
-            // batch would take a fresh stream sequence number and could
-            // regress newer state at the receiver.
-            if self
-                .retransmit
-                .should_retransmit(now, &self.config.link_health)
-            {
-                self.health.note_retransmit();
-                return (self.on_resync_request(parent, now), report);
-            }
-            // Materialize the net staged changes: one offer build per
-            // aggregate that actually changed this round.
-            let deltas: Vec<FlexOfferUpdate> = std::mem::take(&mut self.outbox)
-                .into_iter()
-                .map(|(export_id, entry)| match entry {
-                    Some(agg_id) => {
-                        let agg = self
-                            .engine
-                            .pipeline()
-                            .aggregate(agg_id)
-                            .expect("staged upsert outlives the round or is overwritten");
-                        FlexOfferUpdate::Insert(
-                            agg.to_flex_offer_as(export_id, self.id.value())
-                                .expect("aggregates are valid flex-offers"),
-                        )
-                    }
-                    None => FlexOfferUpdate::Delete(FlexOfferId(export_id)),
-                })
-                .collect();
-            report.forwarded = deltas.len();
-            if deltas.is_empty() {
-                // Nothing staged: heartbeat instead, so the parent (a)
-                // hears this node is alive even across idle rounds and
-                // (b) registers a stream entry for zero-offer BRPs. The
-                // `seen` count acks the parent's traffic in return.
-                let heartbeat = Envelope::new(
-                    self.id,
-                    parent,
-                    now,
-                    Message::Heartbeat {
-                        seen: self.parent_heard,
-                    },
-                );
-                return (vec![heartbeat], report);
-            }
-            self.retransmit.on_flush(now);
-            let env = Envelope::new(self.id, parent, now, Message::MacroOfferDeltas(deltas));
-            // Log the flush as a marker: replay treats it as "these staged
-            // deltas left the node".
-            self.journal.mark(&env, now);
-            self.compact();
-            return (vec![env], report);
-        }
-
-        let (eligible, cost) = self
-            .engine
-            .prepare(window_start, baseline, prices, penalties);
-        report.eligible_macro = eligible;
-        report.cost = cost;
-        (Vec::new(), report)
-    }
-
-    /// React to a typed forecast change event on the live plan (see
-    /// [`PlanEngine::on_forecast_event`]).
-    pub fn on_forecast_event(&mut self, event: &ForecastEvent) -> Option<ReplanReport> {
-        let report = self.engine.on_forecast_event(event);
-        if self.islanded_round {
-            // A mid-window forecast repair moves the local-only optimum:
-            // the islanded invariant (`committed_cost <= prepared_cost`)
-            // must be judged against the post-repair bound, not the
-            // pre-event one.
-            if let (Some(rep), Some(round)) = (report.as_ref(), self.islanded_log.last_mut()) {
-                round.prepared_cost = Some(rep.cost_after);
-            }
-        }
-        report
-    }
-
-    /// Commit the live plan: disaggregate the current (possibly
-    /// repaired) solution into micro assignments and drop the live
-    /// state. Returns the assignment envelopes plus the final schedule
-    /// cost, or `None` when no plan is live.
-    pub fn commit_plan(&mut self, now: TimeSlot) -> Option<(Vec<Envelope>, f64)> {
-        self.flush_staged();
-        let (problem, solution, cost) = self.engine.commit()?;
-        let schedules = solution.to_schedules(&problem);
-        let islanded = std::mem::take(&mut self.islanded_round);
-        let state = if islanded {
-            OfferState::Provisional
-        } else {
-            OfferState::Assigned
-        };
-        let envelopes = self.disaggregate_and_assign(&schedules, now, state);
-        if !islanded {
-            return Some((envelopes, cost));
-        }
-        if let Some(round) = self.islanded_log.last_mut() {
-            round.committed_cost = Some(cost);
-            round.assignments = envelopes.len();
-        }
-        // The macro-level schedules in export-id space: this ledger is
-        // what the TSO audits at reconciliation.
-        let macros: Vec<ScheduledFlexOffer> = schedules
-            .into_iter()
-            .map(|s| ScheduledFlexOffer {
-                offer_id: FlexOfferId(self.id.value() * 1_000_000_000 + s.offer_id.value()),
-                ..s
-            })
-            .collect();
-        self.provisional
-            .extend(macros.iter().map(|m| (m.offer_id, m.clone())));
-        // Commit marker: replaying a non-empty self-addressed report
-        // rebuilds the provisional ledger a crashed island had
-        // accumulated.
-        if !macros.is_empty() {
-            let message = Message::ProvisionalReport {
-                window_start: self.islanded_since.unwrap_or(now),
-                assignments: macros,
-            };
-            self.journal
-                .mark(&Envelope::new(self.id, self.id, now, message), now);
-            self.compact();
-        }
-        Some((envelopes, cost))
-    }
-
-    /// Window start of the live plan, if one is pending commitment.
-    pub fn live_window(&self) -> Option<TimeSlot> {
-        self.engine.live_window()
-    }
-
-    /// Turn macro schedules (local aggregate-id space) into micro
-    /// assignments for prosumers, recording each assigned offer in the
-    /// given lifecycle state (`Assigned` for connected rounds,
-    /// `Provisional` for islanded ones).
-    fn disaggregate_and_assign(
-        &mut self,
-        macro_schedules: &[ScheduledFlexOffer],
-        now: TimeSlot,
-        state: OfferState,
-    ) -> Vec<Envelope> {
-        let mut out = Vec::new();
-        // Collect every assigned offer's delete and run them through the
-        // pipeline as one batch after the loop: each touched group is
-        // flushed once per call, not once per micro assignment.
-        let mut deletes = Vec::new();
-        for macro_schedule in macro_schedules {
-            let agg_id = AggregateId(macro_schedule.offer_id.value());
-            let Ok(micro) = self.engine.pipeline().disaggregate(agg_id, macro_schedule) else {
-                continue;
-            };
-            for schedule in micro {
-                let Some((offer, source)) = self.pool.remove(&schedule.offer_id) else {
-                    continue;
-                };
-                deletes.push(FlexOfferUpdate::Delete(schedule.offer_id));
-                let discount = self.config.pricing.discount_per_kwh(&offer, now);
+        let reply = match self.down.pool.entry(id) {
+            // Replayed submission of an offer already pooled (an
+            // unsequenced duplicate the network dedup cannot catch):
+            // re-acknowledge without staging anything — the pool state
+            // must not churn.
+            Entry::Occupied(e) if e.get().0 == offer => Message::OfferAccepted {
+                offer: id,
+                value: value.unwrap_or(0.0),
+            },
+            entry => {
                 self.store.record_offer(OfferFact {
-                    offer: offer.id(),
+                    offer: id,
                     actor: offer.owner(),
                     slot: now,
-                    state,
-                });
-                self.store.record_schedule(ScheduleFact {
-                    offer: offer.id(),
-                    start: schedule.start,
-                    total_kwh: schedule.total_energy().kwh(),
-                    discount,
-                });
-                out.push(Envelope::new(
-                    self.id,
-                    source,
-                    now,
-                    Message::Assignment {
-                        schedule,
-                        discount_per_kwh: discount,
+                    state: match value {
+                        Some(_) => OfferState::Accepted,
+                        None => OfferState::Rejected,
                     },
-                ));
+                });
+                match value {
+                    Some(value) => {
+                        entry.insert_entry((offer.clone(), from));
+                        self.engine
+                            .stage_offer_updates([FlexOfferUpdate::Insert(offer)]);
+                        Message::OfferAccepted { offer: id, value }
+                    }
+                    None => Message::OfferRejected { offer: id },
+                }
             }
-        }
-        if !deletes.is_empty() {
-            // Deleting the assigned members collapses their aggregates;
-            // in TSO mode the resulting `Removed` deltas are staged so the
-            // parent's pool forgets the exports too. Flushed on the spot:
-            // this path has just read derived state.
-            self.engine.stage_offer_updates(deletes);
-            self.flush_staged();
-        }
-        out
-    }
-
-    /// Disaggregate one export-space macro schedule — a TSO assignment —
-    /// into micro assignments. Also the replay path for islanded commit
-    /// markers: the deterministic pipeline rebuilds the same aggregates,
-    /// so re-applying the logged macro ledger reproduces the crashed
-    /// island's pool effect exactly.
-    fn apply_macro_assignment(
-        &mut self,
-        schedule: ScheduledFlexOffer,
-        now: TimeSlot,
-        state: OfferState,
-    ) -> Vec<Envelope> {
-        self.flush_staged();
-        let Some(agg_id) = self.exports.get(&schedule.offer_id.value()).copied() else {
-            return Vec::new();
         };
-        // Rewrite the schedule to reference the local aggregate id.
-        let local = ScheduledFlexOffer {
-            offer_id: FlexOfferId(agg_id.value()),
-            ..schedule
-        };
-        self.disaggregate_and_assign(&[local], now, state)
-    }
-}
-
-impl Node for BrpNode {
-    fn node_id(&self) -> NodeId {
-        self.id
-    }
-
-    fn handle(&mut self, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
-        BrpNode::handle(self, envelope, now)
-    }
-}
-
-impl NodeRuntime for BrpNode {
-    fn prepare_plan(
-        &mut self,
-        now: TimeSlot,
-        window_start: TimeSlot,
-        baseline: Vec<f64>,
-        prices: MarketPrices,
-        penalties: Vec<f64>,
-    ) -> (Vec<Envelope>, PlanReport) {
-        BrpNode::prepare_plan(self, now, window_start, baseline, prices, penalties)
-    }
-
-    fn on_forecast_event(&mut self, event: &ForecastEvent) -> Option<ReplanReport> {
-        BrpNode::on_forecast_event(self, event)
-    }
-
-    fn commit_plan(&mut self, now: TimeSlot) -> Vec<Envelope> {
-        BrpNode::commit_plan(self, now)
-            .map(|(envelopes, _)| envelopes)
-            .unwrap_or_default()
-    }
-
-    fn live_window(&self) -> Option<TimeSlot> {
-        BrpNode::live_window(self)
+        Envelope::new(self.id, from, now, reply)
     }
 }
 
@@ -1107,7 +375,11 @@ mod ingest_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::NodeWal;
+    use crate::wire::LinkState;
     use mirabel_core::{EnergyRange, Price, Profile};
+    use mirabel_forecast::ForecastEvent;
+    use mirabel_schedule::MarketPrices;
 
     fn offer(id: u64, owner: u64, es: i64, deadline: i64, tf: u32) -> FlexOffer {
         FlexOffer::builder(id, owner)
@@ -1502,7 +774,7 @@ mod tests {
         }
         // The emptied aggregate's removal is staged so the TSO's pool
         // forgets the export on the next flush.
-        assert!(brp.outbox.values().any(|d| d.is_none()));
+        assert!(brp.outbox().unwrap().values().any(|d| d.is_none()));
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! datastore, and an identical parent-side pooled view with ids erased.
 
 use super::*;
+use crate::wal::NodeWal;
 use mirabel_core::{EnergyRange, Price, Profile};
+use mirabel_schedule::MarketPrices;
 use proptest::prelude::*;
 
 const PARENT: NodeId = NodeId(99);
@@ -371,8 +373,8 @@ fn crash_with_a_staged_buffer_recovers_to_the_twins_state() {
         panic!("expected ResyncSnapshot, got {:?}", out[0].message);
     };
     assert_eq!(offers.len(), 3, "all three buckets exported");
-    assert_eq!(recovered.outbox, twin.outbox);
-    assert_eq!(recovered.exports, twin.exports);
+    assert_eq!(recovered.outbox(), twin.outbox());
+    assert_eq!(recovered.exported_offer_ids(), twin.exported_offer_ids());
     assert_eq!(recovered.pool_digest(), twin.pool_digest());
 
     // And the next wave forwards the same delta from both.

@@ -43,7 +43,7 @@
 use crate::comm::{splitmix, ChaosPlan, FailureModel, Network, NetworkStats};
 use crate::message::{Envelope, Message};
 use crate::simulation::{RegionSim, SimulationConfig, SimulationReport};
-use crate::wire::{LinkHealthStats, SequencedRx, StreamStats};
+use crate::wire::{LinkHealthStats, SequencedRx, StreamRx, StreamStats};
 use mirabel_aggregate::FlexOfferUpdate;
 use mirabel_core::exec::Task;
 use mirabel_core::{FlexOffer, FlexOfferId, NodeId, RegionId, TimeSlot, SLOTS_PER_DAY};
@@ -59,11 +59,13 @@ const EXCHANGE_ROUNDS: usize = 4;
 /// exportable surplus as deltas, maintains a sequenced, resyncable view
 /// of every peer's exports.
 ///
-/// The gateway speaks the exact PR 4 delta-wire contract —
+/// The gateway speaks the exact PR 4 delta-wire contract on the same
+/// stream receiver the TSO runs for its BRPs —
 /// [`Message::ExchangeOfferDeltas`] batches guarded per peer by a
-/// [`SequencedRx`], gaps answered with [`Message::ResyncRequest`],
-/// snapshots replacing the imported view — so the exchange inherits the
-/// intra-region wire's self-healing story unchanged.
+/// [`SequencedRx`], gaps answered with
+/// [`Message::ResyncRequest`], snapshots replacing the imported view —
+/// so the exchange inherits the intra-region wire's self-healing story
+/// unchanged.
 ///
 /// [`Message::ExchangeOfferDeltas`]: crate::message::Message::ExchangeOfferDeltas
 /// [`Message::ResyncRequest`]: crate::message::Message::ResyncRequest
@@ -73,8 +75,8 @@ pub struct ExchangeGateway {
     endpoint: NodeId,
     /// What this gateway last published, by export id — the diff base.
     exports: BTreeMap<FlexOfferId, FlexOffer>,
-    /// Per-peer sequenced-stream guards over the bus.
-    rx: BTreeMap<NodeId, SequencedRx>,
+    /// Per-peer stream receivers on the bus.
+    streams: StreamRx,
     /// Per-peer imported view: peer endpoint → its published offers.
     /// Offers stay in the *exporter's* id space; keeping one map per
     /// peer is what makes id collisions across regions impossible.
@@ -92,7 +94,7 @@ impl ExchangeGateway {
             region,
             endpoint,
             exports: BTreeMap::new(),
-            rx: BTreeMap::new(),
+            streams: StreamRx::default(),
             imports: BTreeMap::new(),
             deltas_published: 0,
             snapshots_served: 0,
@@ -155,31 +157,25 @@ impl ExchangeGateway {
     }
 
     /// Handle one bus envelope; returns protocol replies (resync
-    /// requests, served snapshots) to route back. Mirrors
-    /// [`TsoNode::handle`](crate::tso::TsoNode::handle): deltas run
-    /// through the per-peer guard, a gap answers with a resync request,
-    /// and a snapshot replaces that peer's imported view before the
-    /// buffered tail re-applies.
+    /// requests, served snapshots) to route back. Deltas and snapshots
+    /// go through the per-peer stream receiver: a gap answers with a
+    /// resync request, and a snapshot replaces that peer's imported view
+    /// before the buffered tail re-applies.
     pub fn handle(&mut self, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
-        let (from, seq) = (envelope.from, envelope.seq);
+        let from = envelope.from;
         match envelope.message {
-            Message::ExchangeOfferDeltas(_) => {
-                let (deliverable, request_resync) =
-                    self.rx.entry(from).or_default().receive(envelope);
-                for env in deliverable {
+            Message::ExchangeOfferDeltas(_) | Message::ResyncSnapshot { .. } => {
+                let (snapshot, deliver, reply) = self.streams.receive(self.endpoint, envelope, now);
+                if let Some(offers) = snapshot {
+                    self.imports
+                        .insert(from, offers.into_iter().map(|o| (o.id(), o)).collect());
+                }
+                for env in deliver {
                     if let Message::ExchangeOfferDeltas(updates) = env.message {
                         self.apply_deltas(env.from, updates);
                     }
                 }
-                if request_resync {
-                    return vec![Envelope::new(
-                        self.endpoint,
-                        from,
-                        now,
-                        Message::ResyncRequest,
-                    )];
-                }
-                Vec::new()
+                reply.into_iter().collect()
             }
             Message::ResyncRequest => {
                 self.snapshots_served += 1;
@@ -191,19 +187,6 @@ impl ExchangeGateway {
                         offers: self.exports.values().cloned().collect(),
                     },
                 )]
-            }
-            Message::ResyncSnapshot { offers } => {
-                // A snapshot is authoritative: replace the peer's view
-                // wholesale, then apply the buffered tail on top.
-                self.imports
-                    .insert(from, offers.into_iter().map(|o| (o.id(), o)).collect());
-                let released = self.rx.entry(from).or_default().resynced(seq);
-                for env in released {
-                    if let Message::ExchangeOfferDeltas(updates) = env.message {
-                        self.apply_deltas(env.from, updates);
-                    }
-                }
-                Vec::new()
             }
             _ => Vec::new(),
         }
@@ -235,11 +218,7 @@ impl ExchangeGateway {
 
     /// Sum of the per-peer sequenced-stream counters.
     pub fn stream_rollup(&self) -> StreamStats {
-        let mut total = StreamStats::default();
-        for rx in self.rx.values() {
-            total.absorb(&rx.stats());
-        }
-        total
+        self.streams.rx.values().map(SequencedRx::stats).sum()
     }
 
     /// Whether this gateway's imported view of `peer` equals `exports`
@@ -545,29 +524,18 @@ impl Federation {
     /// exchange row.
     pub fn stats(&self) -> FederationStats {
         FederationStats {
-            regions: self
-                .sims
-                .iter()
-                .map(|sim| RegionStats {
-                    region: sim.region(),
-                    network: sim.network().stats(),
-                    dead_letters: sim.network().dead_letters().len(),
-                    streams: sim.stream_rollup(),
-                    dedup_duplicates: sim.dedup_duplicates(),
-                    link_health: sim.link_health_rollup(),
-                    unacked_flushes: sim.unacked_flushes(),
-                })
-                .collect(),
+            regions: self.sims.iter().map(RegionSim::stats).collect(),
             exchange_bus: self.bus.stats(),
-            exchange_streams: self
-                .gateways
-                .iter()
-                .map(ExchangeGateway::stream_rollup)
-                .fold(StreamStats::default(), |mut acc, s| {
-                    acc.absorb(&s);
-                    acc
-                }),
+            exchange_streams: self.exchange_streams(),
         }
+    }
+
+    /// Every gateway's stream counters, summed.
+    fn exchange_streams(&self) -> StreamStats {
+        self.gateways
+            .iter()
+            .map(ExchangeGateway::stream_rollup)
+            .sum()
     }
 
     /// Close every region and assemble the federation report.
@@ -583,14 +551,7 @@ impl Federation {
                 .map(ExchangeGateway::imported_count)
                 .sum(),
             bus: self.bus.stats(),
-            streams: self
-                .gateways
-                .iter()
-                .map(ExchangeGateway::stream_rollup)
-                .fold(StreamStats::default(), |mut acc, s| {
-                    acc.absorb(&s);
-                    acc
-                }),
+            streams: self.exchange_streams(),
             converged,
         };
         FederationReport {

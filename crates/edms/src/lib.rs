@@ -4,21 +4,26 @@
 //!
 //! The EDMS is a hierarchy of **homogeneous** nodes — "the process is
 //! essentially repeated at a higher level" — and this crate makes that
-//! literal: one prepare → replan → commit life-cycle, defined once in
-//! [`runtime`], runs at every planning level:
+//! literal: every planning level is one node type, [`PlannerNode`], whose
+//! prepare → replan → commit life-cycle is defined once in [`runtime`];
+//! levels differ only in the child port they speak downwards and in
+//! whether they have a parent:
 //!
 //! * **level 1** — [`prosumer`]s issue flex-offers, execute assignments,
 //!   and fall back to the open contract on loss or missed deadlines;
-//! * **level 2** — [`brp`]s (balance-responsible parties) accept,
-//!   aggregate, forecast, schedule, disaggregate and price those offers,
-//!   keeping their plan **live** on a delta evaluator between scheduling
-//!   and commitment;
-//! * **level 3** — the [`tso`] repeats the identical cycle over the
-//!   BRPs' *macro-offer delta streams*: a trickle change at level 1
-//!   arrives at level 3 as a trickle
-//!   ([`Message::MacroOfferDeltas`](message::Message)),
-//!   is spliced into the live level-3 plan in O(changed), and never
-//!   forces a problem reconstruction;
+//! * **level 2** — a [`brp`] (balance-responsible party) is a planner node
+//!   over prosumer offers ([`Offers`]): it accepts, aggregates, forecasts,
+//!   schedules, disaggregates and prices them, keeping its plan **live**
+//!   on a delta evaluator between scheduling and commitment — or, linked
+//!   to a TSO, forwards its aggregates up as a delta stream;
+//! * **level 3** — the [`tso`] is a planner node over its children's
+//!   *macro-offer delta streams* ([`Deltas`]): a trickle change at level
+//!   1 arrives at level 3 as a trickle
+//!   ([`Message::MacroOfferDeltas`](message::Message)), is spliced into
+//!   the live level-3 plan in O(changed), and never forces a problem
+//!   reconstruction. The same node with a parent
+//!   ([`TsoNode::with_parent`]) is an intermediate aggregator, so a
+//!   deeper tree is a topology, not a new node type;
 //! * **federation** — the same repetition, once more, *above* the
 //!   national hierarchies: a [`federation::Federation`] shards the
 //!   population into `N` regions — each a complete hierarchy with its
@@ -52,15 +57,15 @@
 //!    [`wire::RetransmitTracker`] drives bounded exponential-backoff
 //!    retransmits of unacked outbox flushes (always as idempotent
 //!    resync snapshots, never replayed deltas);
-//! 2. **island** — a BRP whose TSO link is `Down` keeps balancing: its
+//! 2. **island** — a node whose parent link is `Down` keeps balancing: its
 //!    local [`PlanEngine`] runs over the node's own pool and the commit
 //!    stamps every assignment [`OfferState::Provisional`] in the store
 //!    *and* the WAL, so even a degraded window is durable and bounded
 //!    by the local-only optimum ([`IslandedRound`]);
-//! 3. **recover** — a crashed node (BRP *or* TSO,
-//!    [`TsoNode::recover`](tso::TsoNode::recover)) rebuilds from
-//!    snapshot + tail replay, re-registers, and re-anchors every peer
-//!    stream through unsolicited resync snapshots;
+//! 3. **recover** — a crashed planner node
+//!    ([`PlannerNode::recover_from`]) rebuilds from snapshot + tail
+//!    replay, re-registers, and re-anchors every peer stream — a resync
+//!    snapshot up, a resync request down;
 //! 4. **reconcile** — when the link heals (`Recovering`), the rejoining
 //!    BRP ships its provisional ledger
 //!    ([`Message::ProvisionalReport`](message::Message)) *before* the
@@ -72,9 +77,9 @@
 //!
 //! Components per the paper's LEDMS description:
 //!
-//! * [`runtime`] — the unified node runtime: the [`Node`] /
-//!   [`NodeRuntime`] traits the simulation's generic event pump drives,
-//!   and the [`PlanEngine`] each planning node embeds (aggregation
+//! * [`runtime`] — the unified node runtime: the one [`PlannerNode`],
+//!   the [`Node`] / [`NodeRuntime`] traits the simulation's generic event
+//!   pump drives, and the [`PlanEngine`] each planner embeds (aggregation
 //!   pipeline plus a live
 //!   [`DeltaEvaluator`](mirabel_schedule::DeltaEvaluator) plus
 //!   pub/sub-driven incremental replanning). Every parallel path of an
@@ -109,18 +114,16 @@
 //!   star-schema store (dimension + fact tables, \[6\]) materializing
 //!   the node's event history into queryable facts;
 //! * [`wal`] — the **event-sourced persistence layer**, and the one
-//!   place the journal contract both planner levels follow is stated:
+//!   place the journal contract every planner node follows is stated:
 //!   [`EventRecord`]s appended to a pluggable [`WalStore`] before the
 //!   node's state mutates, replay-unsafe markers for what planning
-//!   emitted, snapshot-then-truncate compaction. A crashed BRP or TSO
-//!   rebuilds from snapshot + tail replay
-//!   ([`BrpNode::recover`](brp::BrpNode::recover),
-//!   [`TsoNode::recover`](tso::TsoNode::recover)), re-registers (the
+//!   emitted, snapshot-then-truncate compaction. A crashed planner node
+//!   rebuilds from snapshot + tail replay, re-registers (the
 //!   dead-letter queue replays what it missed), and re-anchors its
 //!   sequenced streams through the resync-snapshot path;
-//! * [`prosumer`] / [`brp`] / [`tso`] — the three node roles, wiring the
-//!   aggregation, forecasting, scheduling and negotiation crates
-//!   together on top of the shared runtime;
+//! * [`prosumer`] — the leaf role; [`brp`] / [`tso`] — the two child
+//!   ports of the planner node, wiring the aggregation, forecasting,
+//!   scheduling and negotiation crates together on the shared runtime;
 //! * [`simulation`] — an end-to-end balancing simulation of a full
 //!   three-level hierarchy: a generic event pump over the planner list,
 //!   pub/sub-driven intra-day forecast refinements replanned
@@ -165,7 +168,7 @@ pub mod tso;
 pub mod wal;
 pub mod wire;
 
-pub use brp::{BrpConfig, BrpNode, IslandedRound};
+pub use brp::{BrpConfig, BrpNode, Offers};
 pub use chaos::{
     run_campaign, run_federation_campaign, CampaignConfig, CampaignReport,
     FederationCampaignConfig, FederationCampaignReport, InvariantViolation,
@@ -181,11 +184,11 @@ pub use federation::{
 pub use message::{Envelope, Message};
 pub use prosumer::ProsumerNode;
 pub use runtime::{
-    Node, NodeRuntime, OfferDeltaReport, PlanEngine, PlanReport, ReplanReport, RuntimeConfig,
-    SchedulerKind,
+    IslandedRound, Node, NodeRuntime, OfferDeltaReport, PlanEngine, PlanReport, PlannerNode,
+    ReplanReport, RuntimeConfig, SchedulerKind,
 };
 pub use simulation::{simulate, RegionSim, SimulationConfig, SimulationReport};
-pub use tso::TsoNode;
+pub use tso::{Deltas, TsoNode};
 pub use wal::{EventRecord, FileWalStore, LoadedLog, MemWalStore, NodeWal, WalConfig, WalStore};
 pub use wire::{
     DedupRx, LinkHealth, LinkHealthConfig, LinkHealthStats, LinkState, RetransmitTracker,

@@ -1,12 +1,16 @@
-//! The unified node runtime: one prepare → replan → commit life-cycle
-//! for every planning level of the hierarchy.
+//! The unified node runtime: one planner node and one
+//! prepare → replan → commit life-cycle for every planning level of the
+//! hierarchy.
 //!
 //! The paper's EDMS repeats the same aggregate → schedule → disaggregate
 //! cycle at every level ("the process is essentially repeated at a
-//! higher level", §2). PR 2 grew the *incremental, event-driven* version
-//! of that cycle inside the BRP; this module extracts it so the TSO (and
-//! any future level) runs the identical machinery:
+//! higher level", §2), and this module is that repetition:
 //!
+//! * [`PlannerNode`] is the one planner node type: a [`PlanEngine`], a
+//!   journal, a child port (what the level below speaks) and an
+//!   optional link to a parent. Its docs state the life-cycle, the
+//!   flush-before-read rule and the durability rule, once for every
+//!   level;
 //! * [`PlanEngine`] owns a node's aggregation pipeline plus the **live
 //!   plan** — a [`DeltaEvaluator`] that survives between scheduling and
 //!   commitment. It implements the three phases:
@@ -17,40 +21,21 @@
 //!      exactly the slots a typed pub/sub forecast event moved
 //!      (lineage-guarded), then run a scoped parallel multi-start
 //!      repair — O(changed), never a problem reconstruction; its
-//!      sibling [`PlanEngine::apply_offer_updates`] runs pool deltas
-//!      through the aggregation pipeline *and folds the resulting
+//!      sibling [`PlanEngine::flush_offer_updates`] runs staged pool
+//!      deltas through the aggregation pipeline *and folds the resulting
 //!      aggregate changes into the live plan*: new/updated macro offers
 //!      are spliced into the evaluator at O(offer duration) each
 //!      ([`DeltaEvaluator::insert_offer`] / `remove_offer`), followed by
 //!      a repair scoped to the touched slots — a trickle offer change
 //!      replans in time proportional to the *trickle*, not the pool;
 //!   3. [`PlanEngine::commit`] — hand the (possibly repaired) problem +
-//!      solution back for node-specific disaggregation.
+//!      solution back for disaggregation.
 //! * [`Node`] is the minimal message-handling surface the simulation's
 //!   generic event pump drains — every hierarchy level implements it;
 //! * [`NodeRuntime`] extends [`Node`] with the planning life-cycle —
-//!   levels 2 (BRP) and 3 (TSO) implement it, so the simulation drives
-//!   the whole hierarchy as one list of planners instead of hand-ordered
+//!   [`PlannerNode`] implements it, so the simulation drives the whole
+//!   hierarchy as one list of planners instead of hand-ordered
 //!   per-level calls.
-//!
-//! ## Accumulate, then flush before read
-//!
-//! The paper's aggregation component accumulates flex-offer updates and
-//! processes them in bulk when aggregates are needed (§4). The engine
-//! exposes that split as [`PlanEngine::stage_offer_updates`] (a `Vec`
-//! push into the group-builder's buffer) and
-//! [`PlanEngine::flush_offer_updates`] (one pipeline pass over the whole
-//! buffer + the live-plan fold); [`PlanEngine::apply_offer_updates`] is
-//! the two back to back. Staged updates are invisible to everything
-//! derived, so the owning node keeps **one rule: flush before anything
-//! reads derived state**. The readers are [`PlanEngine::pipeline`]
-//! (aggregates, slab lookups, disaggregation),
-//! [`PlanEngine::eligible_macros`] / [`PlanEngine::eligible_count`] /
-//! [`PlanEngine::prepare`], and the live plan itself — a *standing*
-//! reader: while [`PlanEngine::live_window`] is `Some`, a node flushes at
-//! the end of the `handle` that staged something, so late changes still
-//! splice into the plan as a trickle. Whether to flush now or later is
-//! thus derived from state the node observes, never configured.
 //!
 //! One `NodeRuntime` level list is one **region**. The multi-region
 //! [`Federation`](crate::federation::Federation) instantiates N of
@@ -60,19 +45,22 @@
 //! exports together at the top, so everything in this module stays
 //! region-oblivious.
 
-use crate::message::Envelope;
+use crate::datastore::{DataStore, OfferState};
+use crate::message::{Envelope, Message};
+use crate::wal::{Journal, NodeWal, WalConfig, WalStore};
+use crate::wire::{LinkHealth, LinkHealthConfig, LinkHealthStats, LinkState, RetransmitTracker};
 use mirabel_aggregate::{
     AggregateUpdate, AggregatedFlexOffer, AggregationPipeline, FlexOfferUpdate,
 };
 use mirabel_core::exec::Pool;
-use mirabel_core::{FlexOffer, FlexOfferId, NodeId, TimeSlot};
+use mirabel_core::{AggregateId, FlexOffer, FlexOfferId, NodeId, ScheduledFlexOffer, TimeSlot};
 use mirabel_forecast::ForecastEvent;
 use mirabel_schedule::{
     multi_start, offer_reach, repair_parallel, repair_scope, Budget, DeltaEvaluator,
     EvolutionaryScheduler, GreedyScheduler, HybridScheduler, MarketPrices, Placement, RepairConfig,
     SchedulingProblem, Solution,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which metaheuristic a planning node runs (paper §6 provides two; the
 /// hybrid is the future-work extension).
@@ -152,7 +140,7 @@ pub struct ReplanReport {
 }
 
 /// Outcome of folding a batch of offer-pool deltas into a live plan
-/// ([`PlanEngine::apply_offer_updates`] while a plan is live).
+/// ([`PlanEngine::flush_offer_updates`] while a plan is live).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OfferDeltaReport {
     /// Macro offers newly spliced into the live problem.
@@ -231,16 +219,12 @@ impl PlanEngine {
     }
 
     /// The aggregation pipeline (read-only; mutate through
-    /// [`apply_offer_updates`](Self::apply_offer_updates) so live plans
+    /// [`stage_offer_updates`](Self::stage_offer_updates) and
+    /// [`flush_offer_updates`](Self::flush_offer_updates) so live plans
     /// stay in sync). Reflects the last flush: staged updates are not in
     /// it yet.
     pub fn pipeline(&self) -> &AggregationPipeline {
         &self.pipeline
-    }
-
-    /// The shared worker pool this engine dispatches onto.
-    pub fn pool(&self) -> &Pool {
-        &self.cfg.pool
     }
 
     /// Window start of the live plan, if one is pending commitment.
@@ -254,21 +238,6 @@ impl PlanEngine {
         self.live = None;
     }
 
-    /// The live plan's problem, if one is pending commitment.
-    pub fn live_problem(&self) -> Option<&SchedulingProblem> {
-        self.live.as_ref().map(|l| l.eval.problem())
-    }
-
-    /// The live plan's current solution.
-    pub fn live_solution(&self) -> Option<&Solution> {
-        self.live.as_ref().map(|l| l.eval.solution())
-    }
-
-    /// The live plan's current total cost.
-    pub fn live_cost(&self) -> Option<f64> {
-        self.live.as_ref().map(|l| l.eval.total())
-    }
-
     /// Aggregates that fit entirely inside `[start, start+horizon)`, in
     /// ascending id order (schedulers are order-sensitive).
     fn eligible_aggregates(
@@ -280,18 +249,6 @@ impl PlanEngine {
         self.pipeline
             .aggregates()
             .filter(move |a| a.earliest_start >= start && a.latest_start + a.duration() <= end)
-    }
-
-    /// Macro offers that fit entirely inside `[start, start+horizon)`.
-    /// The window test runs on the aggregate, so only the eligible ones
-    /// are materialized as `FlexOffer`s (profile + member-id clone each).
-    pub fn eligible_macros(&self, start: TimeSlot, horizon: usize) -> Vec<FlexOffer> {
-        self.eligible_aggregates(start, horizon)
-            .map(|a| {
-                a.to_flex_offer()
-                    .expect("aggregates are valid flex-offers by construction")
-            })
-            .collect()
     }
 
     /// Number of window-eligible macro offers, counted straight off the
@@ -317,8 +274,15 @@ impl PlanEngine {
         // ends up eligible — later windows must not see a seed offset
         // that depends on how many empty windows preceded them.
         self.seed = window_seed(self.base_seed, window_start);
-        let horizon = baseline.len();
-        let macros = self.eligible_macros(window_start, horizon);
+        // The window test runs on the aggregate, so only the eligible
+        // ones are materialized as `FlexOffer`s.
+        let macros: Vec<FlexOffer> = self
+            .eligible_aggregates(window_start, baseline.len())
+            .map(|a| {
+                a.to_flex_offer()
+                    .expect("aggregates are valid flex-offers by construction")
+            })
+            .collect();
         let eligible = macros.len();
         if macros.is_empty() {
             return (0, None);
@@ -415,41 +379,27 @@ impl PlanEngine {
         })
     }
 
-    /// Phase 2b: run a batch of offer-pool deltas through the
-    /// aggregation pipeline, and — when a plan is live — fold the
-    /// emitted aggregate changes straight into the live evaluator:
-    /// removed aggregates leave the problem (O(duration) withdrawal),
-    /// new or updated window-eligible aggregates are spliced in at their
+    /// Accumulate offer-pool deltas in the pipeline's group-builder
+    /// without processing them. Nothing derived moves — aggregates, slab
+    /// and live plan all keep describing the last flush — so the owner
+    /// must [`flush_offer_updates`](Self::flush_offer_updates) before it
+    /// reads any of them ([`PlannerNode`]'s flush-before-read rule).
+    pub fn stage_offer_updates(&mut self, updates: impl IntoIterator<Item = FlexOfferUpdate>) {
+        self.pipeline.accumulate(updates);
+    }
+
+    /// Phase 2b: run everything staged through the aggregation pipeline
+    /// in one pass, and — when a plan is live — fold the emitted
+    /// aggregate changes straight into the live evaluator: removed
+    /// aggregates leave the problem (O(duration) withdrawal), new or
+    /// updated window-eligible aggregates are spliced in at their
     /// baseline placement, and a parallel repair scoped to the touched
     /// slots re-optimizes. Cost is proportional to the delta, never to
     /// the pool.
     ///
     /// Returns the pipeline's aggregate update stream (for forwarding up
-    /// the hierarchy) plus the live-plan fold report, when one applied.
-    ///
-    /// This is [`stage_offer_updates`](Self::stage_offer_updates) +
-    /// [`flush_offer_updates`](Self::flush_offer_updates) back to back.
-    pub fn apply_offer_updates(
-        &mut self,
-        updates: Vec<FlexOfferUpdate>,
-    ) -> (Vec<AggregateUpdate>, Option<OfferDeltaReport>) {
-        self.stage_offer_updates(updates);
-        self.flush_offer_updates()
-    }
-
-    /// Accumulate offer-pool deltas in the pipeline's group-builder
-    /// without processing them. Nothing derived moves — aggregates, slab
-    /// and live plan all keep describing the last flush — so the owner
-    /// must [`flush_offer_updates`](Self::flush_offer_updates) before it
-    /// reads any of them (the module docs' flush-before-read rule).
-    pub fn stage_offer_updates(&mut self, updates: impl IntoIterator<Item = FlexOfferUpdate>) {
-        self.pipeline.accumulate(updates);
-    }
-
-    /// Run everything staged through the aggregation pipeline in one
-    /// pass and fold the emitted aggregate changes into the live plan,
-    /// exactly as [`apply_offer_updates`](Self::apply_offer_updates)
-    /// describes. A no-op (empty stream, `None`) when nothing is staged.
+    /// the hierarchy) plus the live-plan fold report, when one applied;
+    /// a no-op (empty stream, `None`) when nothing is staged.
     pub fn flush_offer_updates(&mut self) -> (Vec<AggregateUpdate>, Option<OfferDeltaReport>) {
         let agg_updates = self.pipeline.flush();
         let report = self.fold_into_live(&agg_updates);
@@ -577,8 +527,8 @@ pub trait Node {
     fn handle(&mut self, envelope: Envelope, now: TimeSlot) -> Vec<Envelope>;
 }
 
-/// A planning node (hierarchy level 2 or 3): the full
-/// prepare → replan → commit life-cycle on top of [`Node`].
+/// A planning node: the full prepare → replan → commit life-cycle on
+/// top of [`Node`].
 pub trait NodeRuntime: Node {
     /// Plan the window against a baseline forecast, keeping the result
     /// live; returns upward-bound envelopes (e.g. macro-offer deltas)
@@ -598,7 +548,796 @@ pub trait NodeRuntime: Node {
     /// Commit the live plan: disaggregate into assignments for the
     /// level below. Empty when no plan is live.
     fn commit_plan(&mut self, now: TimeSlot) -> Vec<Envelope>;
+}
+
+mod port {
+    use super::*;
+    use mirabel_core::{codec::Wire, Price};
+
+    /// What a planner node speaks with the level below it. Unnameable
+    /// outside the crate: [`Offers`](crate::brp::Offers) and
+    /// [`Deltas`](crate::tso::Deltas) are the only two.
+    pub trait ChildPort: Sized {
+        /// The port's state at a WAL compaction point: everything the
+        /// node cannot re-derive from its pool.
+        type Snapshot: Wire;
+
+        /// Whether an inbound envelope is new. A duplicate is dropped
+        /// before the journal sees it.
+        fn admit(&mut self, _envelope: &Envelope) -> bool {
+            true
+        }
+
+        /// Handle one envelope from any sender but the parent.
+        fn on_child(
+            node: &mut PlannerNode<Self>,
+            envelope: Envelope,
+            now: TimeSlot,
+        ) -> Vec<Envelope>;
+
+        /// Drop the pooled offers whose assignment deadline has passed and
+        /// stage their deletes; returns how many.
+        fn expire(node: &mut PlannerNode<Self>, now: TimeSlot) -> usize;
+
+        /// Take an assigned member out of the pool and record it in
+        /// `state`: where its assignment goes and at what discount, or
+        /// `None` when it is not pooled (any more).
+        fn release(
+            node: &mut PlannerNode<Self>,
+            member: &ScheduledFlexOffer,
+            now: TimeSlot,
+            state: OfferState,
+        ) -> Option<(NodeId, Price)>;
+
+        /// The port's snapshot.
+        fn snapshot(node: &PlannerNode<Self>) -> Self::Snapshot;
+
+        /// Restore a decoded snapshot into a fresh node.
+        fn restore(node: &mut PlannerNode<Self>, snapshot: Self::Snapshot);
+
+        /// The child streams a planning round heartbeats and a restart
+        /// re-anchors, ascending, each with the count of its flushes
+        /// applied here (the ack its heartbeat carries).
+        fn children(_node: &PlannerNode<Self>) -> Vec<(NodeId, u64)> {
+            Vec::new()
+        }
+    }
+}
+
+pub(crate) use port::ChildPort;
+
+/// Export ids of one node: `node * EXPORT_SPAN + aggregate`, so the macro
+/// offers of different children never collide in their parent's pool.
+const EXPORT_SPAN: u64 = 1_000_000_000;
+
+fn export_id(node: NodeId, aggregate: AggregateId) -> u64 {
+    node.value() * EXPORT_SPAN + aggregate.value()
+}
+
+/// The aggregate behind one of `node`'s export ids.
+fn exported_aggregate(node: NodeId, export_id: u64) -> Option<AggregateId> {
+    let local = export_id.checked_sub(node.value() * EXPORT_SPAN)?;
+    (local < EXPORT_SPAN).then_some(AggregateId(local))
+}
+
+/// One islanded planning round: what a node's local engine prepared and
+/// committed for a window while its parent link was `Down`. The chaos
+/// invariant checker asserts `committed_cost <= prepared_cost` — the
+/// islanded window's imbalance is bounded by the local-only optimum the
+/// engine found at prepare time (refreshed after each mid-window
+/// forecast repair, which legitimately moves the bound).
+#[derive(Debug, Clone, PartialEq)]
+pub struct IslandedRound {
+    /// First slot of the islanded planning window.
+    pub window_start: TimeSlot,
+    /// Macro offers eligible for the local pass.
+    pub eligible: usize,
+    /// Cost of the local plan at prepare time (the local-only optimum),
+    /// refreshed after each mid-window forecast repair.
+    pub prepared_cost: Option<f64>,
+    /// Cost at commit time, after incremental refinements.
+    pub committed_cost: Option<f64>,
+    /// Provisional assignments the commit produced.
+    pub assignments: usize,
+}
+
+/// A planner node's link to its parent: the export delta stream up, the
+/// failure detector and ack tracker on it, and the island the node falls
+/// back to while the parent is unreachable. The exports themselves are
+/// the node's live aggregates, named in its export-id space.
+#[derive(Debug)]
+pub(crate) struct ParentLink {
+    parent: NodeId,
+    health: LinkHealth,
+    retransmit: RetransmitTracker,
+    /// Envelopes accepted from the parent so far — the cumulative count
+    /// this node's heartbeats piggyback as an ack.
+    heard: u64,
+    /// Export ids whose aggregate changed since the last forward. The
+    /// forward sends the net effect — the aggregate as it is then, or a
+    /// delete if it is gone — so staging and the wire scale with the
+    /// aggregates that changed, not with churn.
+    outbox: BTreeSet<u64>,
+    /// First slot of the current island (`None` while connected).
+    islanded_since: Option<TimeSlot>,
+    /// Provisional macro assignments (export-id space) committed while
+    /// islanded, pending the reconciliation hand-off.
+    provisional: BTreeMap<FlexOfferId, ScheduledFlexOffer>,
+    /// Islanded planning rounds since the last drain.
+    islanded_log: Vec<IslandedRound>,
+}
+
+impl ParentLink {
+    fn new(parent: NodeId, config: LinkHealthConfig) -> ParentLink {
+        ParentLink {
+            parent,
+            health: LinkHealth::new(config),
+            retransmit: RetransmitTracker::default(),
+            heard: 0,
+            outbox: BTreeSet::new(),
+            islanded_since: None,
+            provisional: BTreeMap::new(),
+            islanded_log: Vec::new(),
+        }
+    }
+
+    /// Stage the pipeline's aggregate changes for the next upward flush.
+    fn stage(&mut self, node: NodeId, updates: &[AggregateUpdate]) {
+        self.outbox.extend(updates.iter().map(|u| match u {
+            AggregateUpdate::Upsert(agg) => export_id(node, agg.id),
+            AggregateUpdate::Removed(id) => export_id(node, *id),
+        }));
+    }
+}
+
+/// One planner level of the EDMS tree. The level below is the child port
+/// `P` — flex-offers from prosumers ([`Offers`](crate::brp::Offers), a
+/// [`BrpNode`](crate::brp::BrpNode)) or macro-offer delta streams from
+/// planner nodes ([`Deltas`](crate::tso::Deltas), a
+/// [`TsoNode`](crate::tso::TsoNode)) — and the level above, when there is
+/// one, is a parent link. A BRP is offers-down with a link to its TSO, a
+/// TSO is deltas-down with none, and deltas-down *with* a link
+/// ([`TsoNode::with_parent`](crate::tso::TsoNode::with_parent)) is an
+/// intermediate aggregator: depth is data, not a node type.
+///
+/// ## Life-cycle
+///
+/// 1. [`handle`](Self::handle) admits an envelope (the port drops what it
+///    recognises as a duplicate), journals it, and routes it: parent
+///    traffic — assignments, resync requests, heartbeats — to the link,
+///    everything else to the port.
+/// 2. [`prepare_plan`](Self::prepare_plan) expires the pool and flushes,
+///    then plans — when the node has no parent, or is *islanded* from a
+///    parent its link presumes `Down` — or lets the link act: forward the
+///    staged export deltas (a heartbeat when there are none), retransmit
+///    an unacked flush as a snapshot, or reconcile after an island. A
+///    plan stays live on a delta evaluator.
+/// 3. [`on_forecast_event`](Self::on_forecast_event) rebases and repairs
+///    the live plan on exactly the slots a forecast event moved.
+/// 4. [`commit_plan`](Self::commit_plan) disaggregates the live plan one
+///    level down. Without a parent the assignments are final; under one
+///    they are provisional, and their macro ledger is what the link hands
+///    the parent when the island heals (provisional report first, then a
+///    re-anchoring export snapshot).
+///
+/// ## Flush before read
+///
+/// Pool changes are staged in the engine and run through the pipeline in
+/// bulk (the paper's §4), so everything derived — aggregates, exports,
+/// the outbox, a live plan — describes the last flush. One rule follows:
+/// **flush before anything reads derived state**. The reads are the top
+/// of `prepare_plan`, an export snapshot, a parent's assignment,
+/// `commit_plan`, and a live plan, which is a standing reader: while one
+/// is live, `handle` flushes what it staged, so a late change folds in
+/// as a trickle. The deltas port flushes each batch as it arrives.
+///
+/// ## Durability
+///
+/// The journal follows the contract of [`crate::wal`]: an admitted
+/// envelope is appended before it is applied, and what the node emits as
+/// the durable effect of planning — an upward flush, a final assignment,
+/// an islanded ledger and its hand-off — is appended as a marker.
+/// [`recover_from`](Self::recover_from) restores the port's snapshot,
+/// re-handles the ingests, re-applies the markers, and re-anchors the
+/// streams up and down.
+#[derive(Debug)]
+pub struct PlannerNode<P: ChildPort> {
+    /// This node's id.
+    pub id: NodeId,
+    /// The Data Management component: the offer and schedule facts of
+    /// the offers pooled here (a deltas level records none).
+    pub store: DataStore,
+    pub(crate) engine: PlanEngine,
+    journal: Journal,
+    pub(crate) down: P,
+    pub(crate) up: Option<ParentLink>,
+}
+
+impl<P: ChildPort> PlannerNode<P> {
+    /// A node on `engine` speaking `down` to the level below and, when
+    /// `parent` is given, linked to that node with a failure detector on
+    /// the given horizons.
+    pub(crate) fn assemble(
+        id: NodeId,
+        engine: PlanEngine,
+        down: P,
+        parent: Option<(NodeId, LinkHealthConfig)>,
+    ) -> PlannerNode<P> {
+        PlannerNode {
+            id,
+            store: DataStore::new(),
+            engine,
+            journal: Journal::default(),
+            down,
+            up: parent.map(|(parent, link)| ParentLink::new(parent, link)),
+        }
+    }
+
+    /// Attach a write-ahead log. From here on every admitted envelope and
+    /// every marker is appended, and a compacting snapshot is installed
+    /// every [`WalConfig::snapshot_every`] events.
+    pub fn attach_wal(&mut self, wal: NodeWal) {
+        self.journal.attach(wal);
+    }
+
+    /// The attached WAL, if any (diagnostics: tail length, io errors).
+    pub fn wal(&self) -> Option<&NodeWal> {
+        self.journal.wal()
+    }
+
+    /// Detach and return the WAL — the "disk" a simulated crash leaves
+    /// behind for [`recover_from`](Self::recover_from).
+    pub fn take_wal(&mut self) -> Option<NodeWal> {
+        self.journal.detach()
+    }
+
+    /// Rebuild this freshly built node from the store a crashed twin
+    /// left behind: restore the snapshot, replay the tail with the
+    /// original clock (the replies it regenerates were sent before the
+    /// crash and are dropped), resume the log, and re-anchor — the
+    /// provisional ledger and an export snapshot up, a resync request to
+    /// every child stream down. Returns the node and those envelopes.
+    pub fn recover_from(
+        mut self,
+        store: Box<dyn WalStore>,
+        wal_config: WalConfig,
+        now: TimeSlot,
+    ) -> std::io::Result<(Self, Vec<Envelope>)> {
+        let (journal, snapshot, tail) = Journal::reopen::<P::Snapshot>(store, wal_config)?;
+        if let Some(snapshot) = snapshot {
+            P::restore(&mut self, snapshot);
+        }
+        // A run of assignment markers is one commit: the live node flushed
+        // before it and flushed its deletes as one batch, and so does the
+        // replay.
+        let mut committing = false;
+        for rec in tail {
+            let (envelope, at) = (rec.envelope, rec.recorded_at);
+            let ingest = rec.replay_safe && envelope.to == self.id;
+            if !ingest && envelope.from != self.id {
+                continue;
+            }
+            let commit = !ingest && matches!(envelope.message, Message::Assignment { .. });
+            if commit != committing {
+                self.flush_staged();
+                committing = commit;
+            }
+            if ingest {
+                let _ = self.handle(envelope, at);
+            } else {
+                self.replay_marker(envelope.message, at);
+            }
+        }
+        if committing {
+            self.flush_staged();
+        }
+        self.journal = journal;
+        let mut out = self.reconcile(now);
+        for (child, _) in P::children(&self) {
+            out.push(Envelope::new(self.id, child, now, Message::ResyncRequest));
+        }
+        Ok((self, out))
+    }
+
+    /// Re-apply one marker as the state transition it recorded.
+    fn replay_marker(&mut self, marker: Message, at: TimeSlot) {
+        match marker {
+            // A final assignment: the member left the pool here.
+            Message::Assignment { schedule, .. } => {
+                let released = P::release(self, &schedule, at, OfferState::Assigned);
+                let delete = released.map(|_| FlexOfferUpdate::Delete(schedule.offer_id));
+                self.engine.stage_offer_updates(delete);
+            }
+            // An upward flush: the deltas staged so far left the node. The
+            // ingests replayed before it are what it carried, so they go
+            // through the pipeline (and into the outbox) first.
+            Message::MacroOfferDeltas(_) => {
+                self.flush_staged();
+                if let Some(link) = self.up.as_mut() {
+                    link.outbox.clear();
+                }
+            }
+            // A non-empty report is an islanded commit's ledger — re-apply
+            // it to reproduce the commit's pool effect; an empty one is the
+            // hand-off that cleared the ledger.
+            Message::ProvisionalReport { assignments, .. } => {
+                if let Some(link) = self.up.as_mut() {
+                    if assignments.is_empty() {
+                        link.provisional.clear();
+                    }
+                    link.provisional
+                        .extend(assignments.iter().map(|s| (s.offer_id, s.clone())));
+                }
+                for s in assignments {
+                    self.apply_macro_assignment(s, at, OfferState::Provisional);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Install a compacting snapshot once the journal's tail has reached
+    /// its bound.
+    fn compact(&mut self) {
+        if self.journal.wants_snapshot() {
+            self.journal.compact(P::snapshot(self));
+        }
+    }
+
+    /// Run everything staged through the pipeline in one pass (plus the
+    /// live-plan fold) and, under a parent, stage the aggregate changes as
+    /// export deltas. A no-op when nothing is staged.
+    pub(crate) fn flush_staged(&mut self) -> Option<OfferDeltaReport> {
+        let (updates, fold) = self.engine.flush_offer_updates();
+        if let Some(link) = self.up.as_mut() {
+            link.stage(self.id, &updates);
+        }
+        fold
+    }
+
+    /// Handle one message; returns reply envelopes.
+    pub fn handle(&mut self, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
+        if !self.down.admit(&envelope) {
+            return Vec::new();
+        }
+        self.journal.ingest(&envelope, now);
+        let out = match self.up.as_mut() {
+            // Any envelope from the parent is proof of life for the
+            // detector, and one more to ack in this node's heartbeats.
+            Some(link) if link.parent == envelope.from => {
+                link.health.heard(now);
+                link.heard += 1;
+                match envelope.message {
+                    Message::Heartbeat { seen } => {
+                        link.health.heard_heartbeat(now);
+                        link.retransmit.on_ack(seen);
+                        Vec::new()
+                    }
+                    // An assignment for an exported macro offer: the
+                    // parent prices nothing, the port below does.
+                    Message::Assignment { schedule, .. } => {
+                        self.apply_macro_assignment(schedule, now, OfferState::Assigned)
+                    }
+                    Message::ResyncRequest => self.export_snapshot(now),
+                    _ => Vec::new(),
+                }
+            }
+            _ => P::on_child(self, envelope, now),
+        };
+        if self.engine.live_window().is_some() {
+            self.flush_staged();
+        }
+        self.compact();
+        out
+    }
+
+    /// Phase 1: expire, flush, then plan or let the parent link act (see
+    /// the type docs). Returns the envelopes for both neighbours plus the
+    /// report; assignments come from [`commit_plan`](Self::commit_plan).
+    pub fn prepare_plan(
+        &mut self,
+        now: TimeSlot,
+        window_start: TimeSlot,
+        baseline: Vec<f64>,
+        prices: MarketPrices,
+        penalties: Vec<f64>,
+    ) -> (Vec<Envelope>, PlanReport) {
+        // A new round: expiry deletes must not fold into the previous
+        // window's stale plan.
+        self.engine.abandon();
+        let mut report = PlanReport {
+            expired: P::expire(self, now),
+            ..PlanReport::default()
+        };
+        // The round's one bulk pass.
+        self.flush_staged();
+        // The detector advances — except out of `Recovering`, which must
+        // survive until the reconciliation below has run.
+        let state = self.up.as_mut().map(|link| match link.health.state() {
+            LinkState::Recovering => LinkState::Recovering,
+            _ => link.health.tick(now),
+        });
+        let mut out = match state {
+            None | Some(LinkState::Down) => {
+                let (eligible, cost) =
+                    self.engine
+                        .prepare(window_start, baseline, prices, penalties);
+                report.eligible_macro = eligible;
+                report.cost = cost;
+                if let Some(link) = self.up.as_mut() {
+                    // ISLAND: the parent is presumed unreachable. The
+                    // staged export deltas wait (the heal-time snapshot
+                    // supersedes them), and the plan covers every offer
+                    // the parent has not assigned.
+                    link.islanded_since.get_or_insert(window_start);
+                    link.islanded_log.push(IslandedRound {
+                        window_start,
+                        eligible,
+                        prepared_cost: cost,
+                        committed_cost: None,
+                        assignments: 0,
+                    });
+                }
+                Vec::new()
+            }
+            // The parent plans: report what it will see of this window.
+            Some(state) => {
+                report.eligible_macro = self.engine.eligible_count(window_start, baseline.len());
+                if state == LinkState::Recovering {
+                    let out = self.reconcile(now);
+                    // The handshake ran: this tick confirms the heal.
+                    if let Some(link) = self.up.as_mut() {
+                        link.health.tick(now);
+                    }
+                    self.compact();
+                    out
+                } else {
+                    self.forward(now, &mut report)
+                }
+            }
+        };
+        for (child, seen) in P::children(self) {
+            out.push(Envelope::new(
+                self.id,
+                child,
+                now,
+                Message::Heartbeat { seen },
+            ));
+        }
+        (out, report)
+    }
+
+    /// Send the staged export deltas up as one batch — or, when the last
+    /// flush is overdue for an ack, an export snapshot instead (a re-sent
+    /// batch would take a fresh sequence number and could regress newer
+    /// state at the parent), or a heartbeat when nothing changed, so the
+    /// parent hears this node and its acks come back.
+    fn forward(&mut self, now: TimeSlot, report: &mut PlanReport) -> Vec<Envelope> {
+        let Some(link) = self.up.as_mut() else {
+            return Vec::new();
+        };
+        if link
+            .retransmit
+            .should_retransmit(now, &link.health.config())
+        {
+            link.health.note_retransmit();
+            return self.export_snapshot(now);
+        }
+        let pipeline = self.engine.pipeline();
+        let deltas: Vec<FlexOfferUpdate> = std::mem::take(&mut link.outbox)
+            .into_iter()
+            .map(|export_id| {
+                let live =
+                    exported_aggregate(self.id, export_id).and_then(|a| pipeline.aggregate(a));
+                match live {
+                    Some(agg) => FlexOfferUpdate::Insert(
+                        agg.to_flex_offer_as(export_id, self.id.value())
+                            .expect("aggregates are valid flex-offers"),
+                    ),
+                    None => FlexOfferUpdate::Delete(FlexOfferId(export_id)),
+                }
+            })
+            .collect();
+        report.forwarded = deltas.len();
+        if deltas.is_empty() {
+            let seen = link.heard;
+            return vec![Envelope::new(
+                self.id,
+                link.parent,
+                now,
+                Message::Heartbeat { seen },
+            )];
+        }
+        link.retransmit.on_flush(now);
+        let env = Envelope::new(self.id, link.parent, now, Message::MacroOfferDeltas(deltas));
+        self.journal.mark(&env, now);
+        self.compact();
+        vec![env]
+    }
+
+    /// The export snapshot a resync request, a retransmit or a
+    /// reconciliation sends the parent: every live aggregate, which
+    /// supersedes the staged deltas (re-sending them would only replay
+    /// state the snapshot carries), so the outbox is cleared.
+    fn export_snapshot(&mut self, now: TimeSlot) -> Vec<Envelope> {
+        self.flush_staged();
+        let Some(link) = self.up.as_mut() else {
+            return Vec::new();
+        };
+        link.outbox.clear();
+        let offers = self
+            .engine
+            .pipeline()
+            .aggregates()
+            .filter_map(|agg| {
+                agg.to_flex_offer_as(export_id(self.id, agg.id), self.id.value())
+                    .ok()
+            })
+            .collect();
+        vec![Envelope::new(
+            self.id,
+            link.parent,
+            now,
+            Message::ResyncSnapshot { offers },
+        )]
+    }
+
+    /// The reconciliation hand-off, at heal and at restart alike: the
+    /// provisional ledger FIRST — the parent audits it against its
+    /// pre-snapshot pool — then the export snapshot that re-anchors the
+    /// parent's view. Empty without a parent.
+    fn reconcile(&mut self, now: TimeSlot) -> Vec<Envelope> {
+        let Some(link) = self.up.as_mut() else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        if !link.provisional.is_empty() {
+            let report = |window_start, assignments| {
+                let message = Message::ProvisionalReport {
+                    window_start,
+                    assignments,
+                };
+                Envelope::new(self.id, link.parent, now, message)
+            };
+            // Logged as an *empty* report: replaying it clears the ledger
+            // the commit markers before it rebuilt.
+            self.journal.mark(&report(now, Vec::new()), now);
+            let ledger = std::mem::take(&mut link.provisional)
+                .into_values()
+                .collect();
+            out.push(report(link.islanded_since.unwrap_or(now), ledger));
+        }
+        link.islanded_since = None;
+        out.extend(self.export_snapshot(now));
+        out
+    }
+
+    /// Phase 2: incremental replan after a forecast change event (see
+    /// [`PlanEngine::on_forecast_event`]).
+    pub fn on_forecast_event(&mut self, event: &ForecastEvent) -> Option<ReplanReport> {
+        let report = self.engine.on_forecast_event(event)?;
+        // Under a parent a live plan is an islanded one, and a repair
+        // moves its local-only bound.
+        if let Some(round) = self.up.as_mut().and_then(|l| l.islanded_log.last_mut()) {
+            round.prepared_cost = Some(report.cost_after);
+        }
+        Some(report)
+    }
+
+    /// Phase 3: disaggregate the live plan one level down and drop it.
+    /// Returns the assignment envelopes plus the plan's final cost, or
+    /// `None` when no plan is live.
+    pub fn commit_plan(&mut self, now: TimeSlot) -> Option<(Vec<Envelope>, f64)> {
+        self.flush_staged();
+        let (problem, solution, cost) = self.engine.commit()?;
+        let schedules = solution.to_schedules(&problem);
+        let state = match self.up {
+            None => OfferState::Assigned,
+            Some(_) => OfferState::Provisional,
+        };
+        let out = self.disaggregate(&schedules, now, state);
+        let id = self.id;
+        match self.up.as_mut() {
+            // Final: each assignment is a marker, whose replay re-applies
+            // the pool deletion instead of re-planning.
+            None => out.iter().for_each(|env| self.journal.mark(env, now)),
+            // Islanded: the macro schedules (export-id space) join the
+            // provisional ledger, logged as a self-addressed report whose
+            // replay rebuilds it.
+            Some(link) => {
+                if let Some(round) = link.islanded_log.last_mut() {
+                    round.committed_cost = Some(cost);
+                    round.assignments = out.len();
+                }
+                let macros: Vec<ScheduledFlexOffer> = schedules
+                    .into_iter()
+                    .map(|s| ScheduledFlexOffer {
+                        offer_id: FlexOfferId(export_id(id, AggregateId(s.offer_id.value()))),
+                        ..s
+                    })
+                    .collect();
+                link.provisional
+                    .extend(macros.iter().map(|m| (m.offer_id, m.clone())));
+                if !macros.is_empty() {
+                    let message = Message::ProvisionalReport {
+                        window_start: link.islanded_since.unwrap_or(now),
+                        assignments: macros,
+                    };
+                    self.journal.mark(&Envelope::new(id, id, now, message), now);
+                }
+            }
+        }
+        self.compact();
+        Some((out, cost))
+    }
+
+    /// Disaggregate one export-space macro schedule — a parent's
+    /// assignment, or a replayed ledger entry.
+    fn apply_macro_assignment(
+        &mut self,
+        schedule: ScheduledFlexOffer,
+        now: TimeSlot,
+        state: OfferState,
+    ) -> Vec<Envelope> {
+        self.flush_staged();
+        let agg = exported_aggregate(self.id, schedule.offer_id.value());
+        let Some(agg) = agg.filter(|_| self.up.is_some()) else {
+            return Vec::new();
+        };
+        let local = ScheduledFlexOffer {
+            offer_id: FlexOfferId(agg.value()),
+            ..schedule
+        };
+        self.disaggregate(&[local], now, state)
+    }
+
+    /// Turn macro schedules (local aggregate-id space) into assignments
+    /// for the level below, recording each released member in `state` —
+    /// the one place assignment envelopes are built. The members' deletes
+    /// go through the pipeline as one batch.
+    fn disaggregate(
+        &mut self,
+        macros: &[ScheduledFlexOffer],
+        now: TimeSlot,
+        state: OfferState,
+    ) -> Vec<Envelope> {
+        let mut out = Vec::new();
+        let mut deletes = Vec::new();
+        for macro_schedule in macros {
+            let agg_id = AggregateId(macro_schedule.offer_id.value());
+            let Ok(members) = self.engine.pipeline().disaggregate(agg_id, macro_schedule) else {
+                continue;
+            };
+            for schedule in members {
+                let Some((to, discount_per_kwh)) = P::release(self, &schedule, now, state) else {
+                    continue;
+                };
+                deletes.push(FlexOfferUpdate::Delete(schedule.offer_id));
+                let message = Message::Assignment {
+                    schedule,
+                    discount_per_kwh,
+                };
+                out.push(Envelope::new(self.id, to, now, message));
+            }
+        }
+        if !deletes.is_empty() {
+            self.engine.stage_offer_updates(deletes);
+            self.flush_staged();
+        }
+        out
+    }
 
     /// Window start of the live plan, if one is pending commitment.
-    fn live_window(&self) -> Option<TimeSlot>;
+    pub fn live_window(&self) -> Option<TimeSlot> {
+        self.engine.live_window()
+    }
+
+    /// The live plan's problem, when one is pending commitment.
+    pub fn live_problem(&self) -> Option<&SchedulingProblem> {
+        self.engine.live.as_ref().map(|l| l.eval.problem())
+    }
+
+    /// The live plan's current solution.
+    pub fn live_solution(&self) -> Option<&Solution> {
+        self.engine.live.as_ref().map(|l| l.eval.solution())
+    }
+
+    /// The live plan's current total cost.
+    pub fn live_cost(&self) -> Option<f64> {
+        self.engine.live.as_ref().map(|l| l.eval.total())
+    }
+
+    /// Export ids of the macro offers this node's parent should pool —
+    /// the "no phantom offers" probe. Reflects the last flush; empty
+    /// without a parent.
+    pub fn exported_offer_ids(&self) -> Vec<FlexOfferId> {
+        if self.up.is_none() {
+            return Vec::new();
+        }
+        self.engine
+            .pipeline()
+            .aggregates()
+            .map(|agg| FlexOfferId(export_id(self.id, agg.id)))
+            .collect()
+    }
+
+    /// State of the parent-link failure detector (`Up` without a parent).
+    pub fn link_state(&self) -> LinkState {
+        self.up.as_ref().map_or(LinkState::Up, |l| l.health.state())
+    }
+
+    /// Counters of the parent-link failure detector.
+    pub fn link_health_stats(&self) -> LinkHealthStats {
+        self.up
+            .as_ref()
+            .map_or_else(LinkHealthStats::default, |l| l.health.stats())
+    }
+
+    /// Upward flushes the parent has not acknowledged yet.
+    pub fn unacked_flushes(&self) -> u64 {
+        self.up.as_ref().map_or(0, |l| l.retransmit.unacked())
+    }
+
+    /// Provisional macro assignments awaiting reconciliation.
+    pub fn provisional_count(&self) -> usize {
+        self.up.as_ref().map_or(0, |l| l.provisional.len())
+    }
+
+    /// Drain the log of islanded planning rounds accumulated since the
+    /// last call.
+    pub fn take_islanded_rounds(&mut self) -> Vec<IslandedRound> {
+        self.up
+            .as_mut()
+            .map(|l| std::mem::take(&mut l.islanded_log))
+            .unwrap_or_default()
+    }
+}
+
+impl<P: ChildPort> Node for PlannerNode<P> {
+    fn node_id(&self) -> NodeId {
+        self.id
+    }
+
+    fn handle(&mut self, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
+        PlannerNode::handle(self, envelope, now)
+    }
+}
+
+impl<P: ChildPort> NodeRuntime for PlannerNode<P> {
+    fn prepare_plan(
+        &mut self,
+        now: TimeSlot,
+        window_start: TimeSlot,
+        baseline: Vec<f64>,
+        prices: MarketPrices,
+        penalties: Vec<f64>,
+    ) -> (Vec<Envelope>, PlanReport) {
+        PlannerNode::prepare_plan(self, now, window_start, baseline, prices, penalties)
+    }
+
+    fn on_forecast_event(&mut self, event: &ForecastEvent) -> Option<ReplanReport> {
+        PlannerNode::on_forecast_event(self, event)
+    }
+
+    fn commit_plan(&mut self, now: TimeSlot) -> Vec<Envelope> {
+        PlannerNode::commit_plan(self, now)
+            .map(|(envelopes, _)| envelopes)
+            .unwrap_or_default()
+    }
+}
+
+#[cfg(test)]
+impl<P: ChildPort> PlannerNode<P> {
+    /// The staged export deltas, under a parent: export id →
+    /// `Some(aggregate)` for an upsert, `None` for a delete.
+    pub(crate) fn outbox(&self) -> Option<BTreeMap<u64, Option<AggregateId>>> {
+        let staged = |id: &u64| {
+            let live = exported_aggregate(self.id, *id)
+                .filter(|agg| self.engine.pipeline().aggregate(*agg).is_some());
+            (*id, live)
+        };
+        self.up
+            .as_ref()
+            .map(|l| l.outbox.iter().map(staged).collect())
+    }
 }

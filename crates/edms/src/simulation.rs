@@ -80,15 +80,16 @@
 //! prosumer-list order. Terms that are zero are skipped; they change no
 //! sum. The tests hold `finish()` to that reference on random configs.
 
-use crate::brp::{BrpConfig, BrpNode, IslandedRound, SchedulerKind};
+use crate::brp::{BrpConfig, BrpNode, SchedulerKind};
 use crate::comm::{ChaosPlan, FailureModel, Network, NetworkStats};
 use crate::datastore::OfferState;
+use crate::federation::RegionStats;
 use crate::message::Envelope;
 use crate::prosumer::ProsumerNode;
-use crate::runtime::{Node, NodeRuntime, RuntimeConfig};
+use crate::runtime::{ChildPort, IslandedRound, Node, NodeRuntime, PlannerNode, RuntimeConfig};
 use crate::tso::TsoNode;
 use crate::wal::{NodeWal, WalConfig};
-use crate::wire::{LinkHealthConfig, LinkHealthStats, StreamStats};
+use crate::wire::{LinkHealthConfig, LinkHealthStats};
 use mirabel_aggregate::AggregationParams;
 use mirabel_core::exec::{Pool, Task};
 use mirabel_core::{
@@ -498,7 +499,7 @@ impl RegionSim {
 
         // --- Topology -------------------------------------------------
         let tso_id = NodeId(9_999);
-        let mut tso = TsoNode::with_config(tso_id, AggregationParams::p0(), make_tso_runtime(&cfg));
+        let mut tso = new_tso(&cfg, tso_id);
         if cfg.use_tso {
             network.register(tso_id);
             // The TSO gets the same durability treatment as the BRPs:
@@ -513,8 +514,7 @@ impl RegionSim {
             .map(|b| {
                 let id = NodeId(1 + b as u64);
                 network.register(id);
-                let mut brp =
-                    BrpNode::new(id, cfg.use_tso.then_some(tso_id), make_brp_config(&cfg));
+                let mut brp = new_brp(&cfg, id, tso_id);
                 if let Some(wal_config) = cfg.wal {
                     brp.attach_wal(NodeWal::in_memory(wal_config));
                 }
@@ -605,36 +605,23 @@ impl RegionSim {
         &self.plan_signatures
     }
 
-    /// Sum of the TSO's per-BRP sequenced-stream counters — the
-    /// intra-region delta-wire health row of the federation rollup.
-    pub fn stream_rollup(&self) -> StreamStats {
-        let mut total = StreamStats::default();
+    /// Point-in-time health of the region: its network, the TSO's
+    /// per-BRP stream counters, and the BRPs' dedup and TSO-link counters
+    /// — one row of the federation rollup.
+    pub fn stats(&self) -> RegionStats {
+        let mut link_health = LinkHealthStats::default();
         for b in &self.brps {
-            total.absorb(&self.tso.stream_stats(b.id));
+            link_health.absorb(&b.link_health_stats());
         }
-        total
-    }
-
-    /// Network-injected duplicates dropped by the region's BRP dedup
-    /// filters.
-    pub fn dedup_duplicates(&self) -> u64 {
-        self.brps.iter().map(BrpNode::dedup_duplicates).sum()
-    }
-
-    /// Sum of the BRPs' TSO-link failure-detector counters — the
-    /// degraded-mode health row of the federation's per-region rollup.
-    pub fn link_health_rollup(&self) -> LinkHealthStats {
-        let mut total = LinkHealthStats::default();
-        for b in &self.brps {
-            total.absorb(&b.link_health_stats());
+        RegionStats {
+            region: self.region,
+            network: self.network.stats(),
+            dead_letters: self.network.dead_letters().len(),
+            streams: self.brps.iter().map(|b| self.tso.stream_stats(b.id)).sum(),
+            dedup_duplicates: self.brps.iter().map(BrpNode::dedup_duplicates).sum(),
+            link_health,
+            unacked_flushes: self.brps.iter().map(BrpNode::unacked_flushes).sum(),
         }
-        total
-    }
-
-    /// Upward flushes the region's BRPs have sent but the TSO has not
-    /// yet acknowledged via heartbeat.
-    pub fn unacked_flushes(&self) -> u64 {
-        self.brps.iter().map(BrpNode::unacked_flushes).sum()
     }
 
     /// The macro offers this region's TSO can export across the
@@ -767,41 +754,15 @@ impl RegionSim {
         //     the node restarts cold and re-learns its pool only through
         //     resyncs and fresh traffic.
         for node in cfg.chaos.crashes_between(t0, t0 + s) {
-            let mut brp = brps.iter_mut().find(|b| b.id == node);
-            let wal = match &mut brp {
-                Some(brp) => brp.take_wal(),
-                None if cfg.use_tso && node == tso_id => tso.take_wal(),
-                None => continue,
+            let recovery_out = if let Some(brp) = brps.iter_mut().find(|b| b.id == node) {
+                restart(brp, new_brp(cfg, node, tso_id), cfg, t0)
+            } else if cfg.use_tso && node == tso_id {
+                restart(tso, new_tso(cfg, node), cfg, t0)
+            } else {
+                continue;
             };
             *crashes += 1;
             network.deregister(node);
-            let store = wal.map(NodeWal::into_store).zip(cfg.wal);
-            let recovery_out = match brp {
-                Some(brp) => {
-                    let (parent, config) = (cfg.use_tso.then_some(tso_id), make_brp_config(cfg));
-                    let (rebuilt, out) = match store {
-                        Some((store, wal)) => {
-                            BrpNode::recover(node, parent, config, store, wal, t0)
-                                .expect("in-memory WAL stores cannot fail")
-                        }
-                        None => (BrpNode::new(node, parent, config), Vec::new()),
-                    };
-                    *brp = rebuilt;
-                    out
-                }
-                None => {
-                    let (aggregation, runtime) = (AggregationParams::p0(), make_tso_runtime(cfg));
-                    let (rebuilt, out) = match store {
-                        Some((store, wal)) => {
-                            TsoNode::recover(node, aggregation, runtime, store, wal, t0)
-                                .expect("in-memory WAL stores cannot fail")
-                        }
-                        None => (TsoNode::with_config(node, aggregation, runtime), Vec::new()),
-                    };
-                    *tso = rebuilt;
-                    out
-                }
-            };
             network.register(node);
             network.send_all(recovery_out);
         }
@@ -809,15 +770,7 @@ impl RegionSim {
         // The planner hierarchy, bottom-up. Rebuilt per cycle so the
         // borrow is scoped (and so crash-restarts can replace a BRP
         // wholesale above); the *waves* below are the only traversal.
-        // `+ Send` because each level's nodes are driven concurrently on
-        // the shared pool.
-        let mut levels: Vec<Vec<&mut (dyn NodeRuntime + Send)>> = vec![brps
-            .iter_mut()
-            .map(|b| b as &mut (dyn NodeRuntime + Send))
-            .collect()];
-        if cfg.use_tso {
-            levels.push(vec![&mut *tso as &mut (dyn NodeRuntime + Send)]);
-        }
+        let mut levels = planners(brps, cfg.use_tso.then_some(&mut *tso));
 
         // 2. Planning wave, bottom-up: the day-ahead baseline forecast is
         //    published once; each level pumps its inbox (submissions at
@@ -830,13 +783,8 @@ impl RegionSim {
         hub.publish(&forecast0);
         for (l, level) in levels.iter_mut().enumerate() {
             let now = t0 + 4u32 * (l as u32 + 1);
-            network.advance(now);
-            // Serial pre-phase: drain inboxes and poll subscriptions in
-            // node order (the only `&mut network` / hub steps).
-            let inboxes: Vec<Vec<Envelope>> = level
-                .iter()
-                .map(|node| network.drain(node.node_id(), now))
-                .collect();
+            // Each node prepares from its own pub/sub event, polled in
+            // node order (the only hub step).
             let events: Vec<_> = level
                 .iter()
                 .map(|node| {
@@ -844,30 +792,11 @@ impl RegionSim {
                     hub.poll(sub).expect("initial publish always notifies")
                 })
                 .collect();
-            // Parallel drive: every node of the level handles its inbox
-            // and prepares its plan concurrently on the shared pool.
-            let mut tasks: Vec<Task<Vec<Envelope>>> = Vec::new();
-            for ((node, inbox), event) in level.iter_mut().zip(inboxes).zip(events) {
-                let node: &mut (dyn NodeRuntime + Send) = &mut **node;
-                let prices = prices.clone();
-                let penalties = penalties.clone();
-                tasks.push(Box::new(move || {
-                    let mut out = Vec::new();
-                    for envelope in inbox {
-                        out.extend(node.handle(envelope, now));
-                    }
-                    let (envelopes, _report) =
-                        node.prepare_plan(now, window, event.forecast, prices, penalties);
-                    out.extend(envelopes);
-                    out
-                }));
-            }
-            // Serial post-phase: join in node order, route each node's
-            // replies-then-deltas — the exact serial-pump send order, so
-            // link sequences and failure rolls are width-independent.
-            for envelopes in cfg.pool.run_each(tasks) {
-                network.send_all(envelopes);
-            }
+            drive_level(&cfg.pool, network, level, now, events, |node, event| {
+                let (prices, penalties) = (prices.clone(), penalties.clone());
+                node.prepare_plan(now, window, event.forecast, prices, penalties)
+                    .0
+            });
         }
 
         // 2b. Prosumers see accept/reject decisions.
@@ -937,13 +866,7 @@ impl RegionSim {
                 }
             }
         }
-        let mut levels: Vec<Vec<&mut (dyn NodeRuntime + Send)>> = vec![brps
-            .iter_mut()
-            .map(|b| b as &mut (dyn NodeRuntime + Send))
-            .collect()];
-        if cfg.use_tso {
-            levels.push(vec![&mut *tso as &mut (dyn NodeRuntime + Send)]);
-        }
+        let mut levels = planners(brps, cfg.use_tso.then_some(&mut *tso));
 
         // 4. Commit wave, top-down: the TSO disaggregates its (possibly
         //    repaired) plan into per-BRP assignments; each BRP pumps
@@ -954,26 +877,10 @@ impl RegionSim {
             // Stagger commit times top-down so a level's assignments are
             // deliverable before the level below pumps.
             let now = t0 + 12u32 + 4u32 * (top - l) as u32;
-            network.advance(now);
-            let inboxes: Vec<Vec<Envelope>> = level
-                .iter()
-                .map(|node| network.drain(node.node_id(), now))
-                .collect();
-            let mut tasks: Vec<Task<Vec<Envelope>>> = Vec::new();
-            for (node, inbox) in level.iter_mut().zip(inboxes) {
-                let node: &mut (dyn NodeRuntime + Send) = &mut **node;
-                tasks.push(Box::new(move || {
-                    let mut out = Vec::new();
-                    for envelope in inbox {
-                        out.extend(node.handle(envelope, now));
-                    }
-                    out.extend(node.commit_plan(now));
-                    out
-                }));
-            }
-            for envelopes in cfg.pool.run_each(tasks) {
-                network.send_all(envelopes);
-            }
+            let inputs = vec![(); level.len()];
+            drive_level(&cfg.pool, network, level, now, inputs, |node, ()| {
+                node.commit_plan(now)
+            });
         }
 
         // 5. Prosumers receive assignments; deadline passes at window
@@ -1124,10 +1031,82 @@ fn realized_load(prosumers: &[ProsumerNode]) -> SlotLedger {
     total
 }
 
-/// One config builder for initial construction AND crash-restarts: a
+/// One level of a planning or commit wave (see the module docs): drain
+/// every node's inbox (serial, node order), drive the nodes concurrently
+/// — each handles its inbox, then takes its `step` with its own input —
+/// and route each node's replies-then-step-envelopes in node order, the
+/// exact serial-pump send order, so link sequences and failure rolls
+/// are width-independent.
+fn drive_level<T: Send>(
+    pool: &Pool,
+    network: &mut Network,
+    level: &mut [&mut (dyn NodeRuntime + Send)],
+    now: TimeSlot,
+    inputs: Vec<T>,
+    step: impl Fn(&mut dyn NodeRuntime, T) -> Vec<Envelope> + Sync,
+) {
+    network.advance(now);
+    let inboxes: Vec<Vec<Envelope>> = level
+        .iter()
+        .map(|node| network.drain(node.node_id(), now))
+        .collect();
+    let step = &step;
+    let mut tasks: Vec<Task<Vec<Envelope>>> = Vec::new();
+    for ((node, inbox), input) in level.iter_mut().zip(inboxes).zip(inputs) {
+        let node: &mut (dyn NodeRuntime + Send) = &mut **node;
+        tasks.push(Box::new(move || {
+            let mut out = Vec::new();
+            for envelope in inbox {
+                out.extend(node.handle(envelope, now));
+            }
+            out.extend(step(node, input));
+            out
+        }));
+    }
+    for envelopes in pool.run_each(tasks) {
+        network.send_all(envelopes);
+    }
+}
+
+/// The planner hierarchy, bottom-up: the BRPs, then (3-level) the TSO.
+/// `+ Send` because each level's nodes are driven concurrently on the
+/// shared pool.
+fn planners<'a>(
+    brps: &'a mut [BrpNode],
+    tso: Option<&'a mut TsoNode>,
+) -> Vec<Vec<&'a mut (dyn NodeRuntime + Send)>> {
+    let mut levels = vec![brps
+        .iter_mut()
+        .map(|b| b as &mut (dyn NodeRuntime + Send))
+        .collect()];
+    levels.extend(tso.map(|t| vec![t as &mut (dyn NodeRuntime + Send)]));
+    levels
+}
+
+/// Crash `node` — only its WAL store survives — and rebuild it as `fresh`
+/// from that store; with no WAL the crash is total amnesia. Returns the
+/// recovery envelopes to route.
+fn restart<P: ChildPort>(
+    node: &mut PlannerNode<P>,
+    fresh: PlannerNode<P>,
+    cfg: &SimulationConfig,
+    now: TimeSlot,
+) -> Vec<Envelope> {
+    let store = node.take_wal().map(NodeWal::into_store).zip(cfg.wal);
+    let (rebuilt, out) = match store {
+        Some((store, wal)) => fresh
+            .recover_from(store, wal, now)
+            .expect("in-memory WAL stores cannot fail"),
+        None => (fresh, Vec::new()),
+    };
+    *node = rebuilt;
+    out
+}
+
+/// One BRP builder for initial construction AND crash-restarts: a
 /// recovered BRP must be configured exactly like the node it replaces.
-fn make_brp_config(cfg: &SimulationConfig) -> BrpConfig {
-    BrpConfig {
+fn new_brp(cfg: &SimulationConfig, id: NodeId, tso: NodeId) -> BrpNode {
+    let config = BrpConfig {
         scheduler: cfg.scheduler,
         budget_evaluations: cfg.budget_evaluations,
         forward_to_tso: cfg.use_tso,
@@ -1135,18 +1114,19 @@ fn make_brp_config(cfg: &SimulationConfig) -> BrpConfig {
         pool: cfg.pool.clone(),
         link_health: cfg.link_health,
         ..BrpConfig::default()
-    }
+    };
+    BrpNode::new(id, cfg.use_tso.then_some(tso), config)
 }
 
-/// One runtime builder for TSO construction AND crash-restarts: a
-/// recovered TSO must be configured exactly like the node it replaces.
-fn make_tso_runtime(cfg: &SimulationConfig) -> RuntimeConfig {
-    RuntimeConfig {
+/// The TSO's builder, likewise.
+fn new_tso(cfg: &SimulationConfig, id: NodeId) -> TsoNode {
+    let runtime = RuntimeConfig {
         budget_evaluations: cfg.budget_evaluations,
         repair_chains: cfg.repair_chains.max(1),
         pool: cfg.pool.clone(),
         ..RuntimeConfig::default()
-    }
+    };
+    TsoNode::with_config(id, AggregationParams::p0(), runtime)
 }
 
 /// Run the simulation: one [`RegionSim`] (the implicit

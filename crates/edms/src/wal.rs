@@ -5,9 +5,9 @@
 //! forecasts, etc." so that every actor level can recover and audit its
 //! state. This module is that persistence substrate for the
 //! reproduction, and — the hierarchy being homogeneous — the *one* place
-//! its rules are decided: the BRP and the TSO both keep their durable
-//! half in a crate-private `Journal` and differ only in what they
-//! snapshot and how they replay a marker.
+//! its rules are decided: every planner node keeps its durable half in a
+//! crate-private `Journal`, and its two child ports differ only in what
+//! they snapshot.
 //!
 //! ## The journal contract
 //!
@@ -17,9 +17,10 @@
 //!   (`Journal::ingest`), stamped with the handling clock so a replayed
 //!   deadline decision matches the original.
 //! * **Markers are replay-unsafe and carry their cause.** What a node
-//!   *emits* as the durable effect of planning — a BRP's outbox flush,
-//!   its islanded commit ledger and the hand-off that clears it, a TSO's
-//!   committed assignments — is appended with `replay_safe = false` and
+//!   *emits* as the durable effect of planning — an upward outbox flush,
+//!   an islanded commit ledger and the hand-off that clears it, the
+//!   assignments a parentless node commits — is appended with
+//!   `replay_safe = false` and
 //!   the event id of the last ingested envelope as `causation_id`
 //!   (`Journal::mark`). Recovery never re-handles a marker; the owning
 //!   node re-applies it as the state transition it recorded.
@@ -38,8 +39,8 @@
 //!
 //! A crashed node rebuilds by reopening its store, restoring the
 //! snapshot, replaying the tail and re-anchoring its sequenced streams
-//! through the resync-snapshot path (`BrpNode::recover`,
-//! `TsoNode::recover`).
+//! through the resync-snapshot path
+//! ([`PlannerNode::recover_from`](crate::runtime::PlannerNode::recover_from)).
 //!
 //! Two stores are provided: [`MemWalStore`] (deterministic simulations
 //! and chaos campaigns) and [`FileWalStore`] (length- and

@@ -13,7 +13,10 @@
 //!   buffered until the gap closes, and a detected gap asks the caller
 //!   to request a resync from the sender (the sender answers with a
 //!   bounded state snapshot, turning a lost delta into one extra
-//!   round-trip instead of silent divergence).
+//!   round-trip instead of silent divergence). A receiver of several
+//!   senders' streams — the TSO's child port, a federation gateway —
+//!   keeps one per sender in a crate-private `StreamRx`, which turns a
+//!   gap into the resync request and a snapshot into the re-anchor.
 //! * [`DedupRx`] — an at-most-once filter for streams whose messages are
 //!   self-contained (submissions, assignments): duplicates injected by
 //!   the network are dropped, gaps are let through — a lost submission
@@ -28,7 +31,7 @@
 //!
 //! * **detect** — [`LinkHealth`] is a deterministic, slot-clocked
 //!   failure detector for one link: heartbeats
-//!   ([`Message::Heartbeat`](crate::message::Message::Heartbeat))
+//!   ([`Message::Heartbeat`])
 //!   piggyback on the existing sequenced streams, and silence drives
 //!   the `Up → Suspect → Down` edge of the state machine while renewed
 //!   traffic drives `Down → Recovering → Up`. [`RetransmitTracker`]
@@ -37,21 +40,22 @@
 //!   retransmitted — as an idempotent resync *snapshot*, never a
 //!   replayed delta batch — under exponential backoff with a bounded
 //!   attempt budget.
-//! * **island** — a BRP whose TSO link is `Down` plans its own pool
-//!   locally (see [`crate::brp`]), stamping assignments provisional.
+//! * **island** — a planner node whose parent link is `Down` plans its
+//!   own pool locally (see [`PlannerNode`](crate::runtime::PlannerNode)),
+//!   stamping assignments provisional.
 //! * **recover** — both node roles rebuild from their WAL
 //!   ([`crate::wal`]); [`SequencedRx::export_state`] /
 //!   [`SequencedRx::from_state`] let a crashed TSO freeze and restore
 //!   its per-BRP stream guards bit-for-bit.
 //! * **reconcile** — on heal the rejoining BRP ships its provisional
 //!   assignments
-//!   ([`Message::ProvisionalReport`](crate::message::Message::ProvisionalReport))
+//!   ([`Message::ProvisionalReport`])
 //!   and an unsolicited snapshot; the TSO adopts or supersedes through
 //!   the normal delta-splice.
 
-use crate::message::Envelope;
+use crate::message::{Envelope, Message};
 use mirabel_core::codec::{CodecError, Wire};
-use mirabel_core::TimeSlot;
+use mirabel_core::{FlexOffer, NodeId, TimeSlot};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Counters kept by a [`SequencedRx`].
@@ -84,6 +88,16 @@ impl StreamStats {
         self.resyncs_requested += other.resyncs_requested;
         self.resyncs_applied += other.resyncs_applied;
         self.overflow_dropped += other.overflow_dropped;
+    }
+}
+
+/// The one rollup: a set of streams' counters summed into one row.
+impl std::iter::Sum for StreamStats {
+    fn sum<I: Iterator<Item = StreamStats>>(streams: I) -> StreamStats {
+        streams.fold(StreamStats::default(), |mut total, s| {
+            total.absorb(&s);
+            total
+        })
     }
 }
 
@@ -323,6 +337,38 @@ impl Wire for SequencedRxState {
     }
 }
 
+/// The receive side of several senders' sequenced streams, one
+/// [`SequencedRx`] per sender.
+#[derive(Debug, Default)]
+pub(crate) struct StreamRx {
+    pub(crate) rx: BTreeMap<NodeId, SequencedRx>,
+}
+
+impl StreamRx {
+    /// Take one envelope of its sender's stream, received by `me` at
+    /// `now`: a snapshot re-anchors the stream and releases what was
+    /// buffered beyond it; anything else is sequenced, and a gap asks the
+    /// sender for a resync. Returns, in the order the receiver applies
+    /// them, a [`Message::ResyncSnapshot`]'s offers (which supersede its
+    /// view of the sender), the envelopes now deliverable in stream
+    /// order, and the [`Message::ResyncRequest`] to send back, if any.
+    pub(crate) fn receive(
+        &mut self,
+        me: NodeId,
+        envelope: Envelope,
+        now: TimeSlot,
+    ) -> (Option<Vec<FlexOffer>>, Vec<Envelope>, Option<Envelope>) {
+        let (from, seq) = (envelope.from, envelope.seq);
+        let rx = self.rx.entry(from).or_default();
+        if let Message::ResyncSnapshot { offers } = envelope.message {
+            return (Some(offers), rx.resynced(seq), None);
+        }
+        let (deliver, gap) = rx.receive(envelope);
+        let reply = gap.then(|| Envelope::new(me, from, now, Message::ResyncRequest));
+        (None, deliver, reply)
+    }
+}
+
 /// Health of one monitored link, as seen by the failure detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkState {
@@ -518,8 +564,6 @@ impl LinkHealth {
 /// retransmit payload is the sender's idempotent state *snapshot*
 /// (`ResyncSnapshot`), never a replayed delta batch: a re-sent batch
 /// would take a fresh sequence number and could regress newer state.
-///
-/// [`Message::Heartbeat`]: crate::message::Message::Heartbeat
 #[derive(Debug, Clone, Default)]
 pub struct RetransmitTracker {
     /// Flushes sent on this link so far.
@@ -579,11 +623,6 @@ impl RetransmitTracker {
     /// Flushes sent on this link so far.
     pub fn flushes_sent(&self) -> u64 {
         self.flushes_sent
-    }
-
-    /// Highest cumulative applied count the peer has acked.
-    pub fn acked(&self) -> u64 {
-        self.acked
     }
 
     /// Flushes the peer has not acknowledged yet.

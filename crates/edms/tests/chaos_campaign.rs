@@ -371,6 +371,15 @@ fn tso_steps(raw: &[(u8, u64, u64, u64, u8)]) -> Vec<TsoStep> {
         .collect()
 }
 
+/// One step of the BRP twin's input: a prosumer submission of an offer
+/// starting at `es` with `tf` slots of time flexibility, or a full
+/// planning round, which assigns every pooled offer.
+#[derive(Debug, Clone)]
+enum BrpStep {
+    Submit(i64, u32),
+    PlanRound,
+}
+
 fn tso_prepare(tso: &mut TsoNode, now: TimeSlot) -> Vec<Envelope> {
     let prices = MarketPrices::flat(96, 0.08, 0.03, 1000.0);
     tso.prepare_plan(now, TimeSlot(96), vec![-3.0; 96], prices, vec![0.2; 96])
@@ -531,13 +540,14 @@ proptest! {
     }
 
     /// The node-level twin check behind the campaign assertion: feed a
-    /// random offer stream into a WAL-backed BRP and its WAL-less twin,
-    /// crash the former at a random point mid-stream, and the recovered
-    /// pool must match the twin's entry for entry (`pool_digest` hashes
-    /// the canonical encoding of every pooled offer).
+    /// random stream of offers and 2-level planning rounds into a
+    /// WAL-backed BRP and its WAL-less twin, crash the former at a random
+    /// point mid-stream, and the recovered pool must match the twin's
+    /// entry for entry (`pool_digest` hashes the canonical encoding of
+    /// every pooled offer) — assigned offers must not come back.
     #[test]
     fn random_crash_point_replays_to_identical_pool(
-        offers in proptest::collection::vec((1i64..80, 0u32..8), 1..24),
+        raw in proptest::collection::vec((1i64..80, 0u32..8, 0u8..5), 1..24),
         crash_at in 0usize..24,
         snapshot_every in 1usize..16,
     ) {
@@ -548,21 +558,35 @@ proptest! {
         brp.attach_wal(NodeWal::in_memory(wal_config));
         let twin = BrpNode::new(brp_id, None, config.clone());
         let now = TimeSlot(0);
+        let steps: Vec<BrpStep> = raw
+            .iter()
+            .map(|&(es, tf, kind)| match kind {
+                0 => BrpStep::PlanRound,
+                _ => BrpStep::Submit(es, tf),
+            })
+            .collect();
 
         let (brp, twin) = crash_mid_stream(
             (brp, twin),
-            &offers,
+            &steps,
             crash_at,
-            |node, i, &(es, tf)| {
-                let offer = FlexOffer::builder(i as u64, 500 + i as u64)
-                    .earliest_start(TimeSlot(es))
-                    .latest_start(TimeSlot(es + tf as i64))
-                    .assignment_before(TimeSlot(es))
-                    .profile(Profile::uniform(2, EnergyRange::new(1.0, 2.0).unwrap()))
-                    .build()
-                    .unwrap();
-                let from = NodeId(500 + i as u64);
-                node.handle(Envelope::new(from, brp_id, now, Message::SubmitOffer(offer)), now);
+            |node, i, step| match *step {
+                BrpStep::Submit(es, tf) => {
+                    let offer = FlexOffer::builder(i as u64, 500 + i as u64)
+                        .earliest_start(TimeSlot(es))
+                        .latest_start(TimeSlot(es + tf as i64))
+                        .assignment_before(TimeSlot(es))
+                        .profile(Profile::uniform(2, EnergyRange::new(1.0, 2.0).unwrap()))
+                        .build()
+                        .unwrap();
+                    let from = NodeId(500 + i as u64);
+                    node.handle(Envelope::new(from, brp_id, now, Message::SubmitOffer(offer)), now);
+                }
+                BrpStep::PlanRound => {
+                    let prices = MarketPrices::flat(96, 0.08, 0.03, 100.0);
+                    node.prepare_plan(now, TimeSlot(0), vec![-1.0; 96], prices, vec![0.2; 96]);
+                    node.commit_plan(now);
+                }
             },
             |mut node| {
                 let store = node.take_wal().expect("WAL attached").into_store();
