@@ -580,12 +580,14 @@ impl NToOneAggregator {
             let m = slab.get(mid).expect("member is in the slab");
             let offset = (m.earliest_start() - agg.earliest_start) as usize;
             let start = m.earliest_start() + delta;
-            let slot_energies = m
-                .profile()
-                .slot_ranges()
-                .enumerate()
-                .map(|(k, r)| r.lerp(fractions[offset + k]))
-                .collect();
+            // Exact capacity: a receiver may keep this buffer as it is.
+            let mut slot_energies = Vec::with_capacity(m.duration() as usize);
+            slot_energies.extend(
+                m.profile()
+                    .slot_ranges()
+                    .enumerate()
+                    .map(|(k, r)| r.lerp(fractions[offset + k])),
+            );
             let s = ScheduledFlexOffer {
                 offer_id: m.id(),
                 start,

@@ -35,7 +35,7 @@ use mirabel_core::codec::Wire;
 use mirabel_core::{NodeId, RegionId, TimeSlot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::BuildHasherDefault;
 
 /// Multiply-fold hasher for the network's internal integer-keyed maps
@@ -462,10 +462,10 @@ struct LinkState {
 /// The in-process message network.
 #[derive(Debug)]
 pub struct Network {
-    /// Per-node inboxes, keyed in sorted `NodeId` order so any walk over
-    /// the map (now or future) is deterministic across runs — `HashMap`
-    /// iteration order would vary per process.
-    inboxes: BTreeMap<NodeId, Vec<InFlight>>,
+    /// Per-node inboxes. Like `links`, the map is only ever probed by key,
+    /// never walked, so its process-random order cannot leak into results;
+    /// a probe here is on every route and drain.
+    inboxes: HashMap<NodeId, Vec<InFlight>, IdHashBuilder>,
     /// Per-`(from, to)` link interning, keyed by the packed pair. The
     /// hot paths resolve a link to its dense index exactly once per
     /// [`Network::route`]; everything downstream (enqueue, drain,
@@ -491,14 +491,6 @@ pub struct Network {
     rng: StdRng,
     stats: NetworkStats,
     next_arrival: u64,
-    /// Reusable [`Network::drain`] partition buffers (due / not-yet-due).
-    /// Drain runs once per node per wave — at 10k+ prosumers that is
-    /// tens of thousands of calls per cycle, and allocating two fresh
-    /// partition vectors each time dominated the pump's flat cost. The
-    /// buffers swap with the drained inbox, so after warm-up the whole
-    /// partition-and-sort is allocation-free.
-    drain_due: Vec<InFlight>,
-    drain_keep: Vec<InFlight>,
     /// The federation region this network belongs to; stamped onto every
     /// routed envelope. [`RegionId::DEFAULT`] for single-hierarchy runs.
     region: RegionId,
@@ -519,7 +511,7 @@ impl Network {
     /// Network with the given baseline failure model and RNG seed.
     pub fn new(failure: FailureModel, seed: u64) -> Network {
         Network {
-            inboxes: BTreeMap::new(),
+            inboxes: HashMap::default(),
             links: HashMap::default(),
             link_states: Vec::new(),
             baseline: failure,
@@ -531,8 +523,6 @@ impl Network {
             rng: StdRng::seed_from_u64(seed),
             stats: NetworkStats::default(),
             next_arrival: 0,
-            drain_due: Vec::new(),
-            drain_keep: Vec::new(),
             region: RegionId::DEFAULT,
             metering: false,
             meter_buf: Vec::new(),
@@ -818,6 +808,12 @@ impl Network {
     /// the sort guarantees their relative order never depends on inbox
     /// insertion history. (Jitter still reorders *across* drains: a
     /// later send can mature in an earlier slot.)
+    ///
+    /// An inbox drained empty holds no buffer, and the network keeps no
+    /// scratch buffers: a node's inbox memory lives only while messages
+    /// wait in it, and the next message routed to it allocates afresh.
+    /// With one inbox per prosumer, buffers kept by idle inboxes would
+    /// outweigh the rest of the network's heap.
     pub fn drain(&mut self, node: NodeId, now: TimeSlot) -> Vec<Envelope> {
         let Some(q) = self.inboxes.get_mut(&node) else {
             return Vec::new();
@@ -825,36 +821,32 @@ impl Network {
         if q.is_empty() {
             return Vec::new();
         }
-        // Partition into the reusable scratch buffers, preserving the
-        // relative order of both halves. The not-yet-due residual order
-        // is load-bearing: `deregister` dead-letters the inbox in that
-        // order and replays stamp fresh `arrival` numbers, which are the
-        // delivery tie-breaker for same-`(sent_at, from)` messages.
-        let due = &mut self.drain_due;
-        let keep = &mut self.drain_keep;
-        due.clear();
-        keep.clear();
-        for m in q.drain(..) {
-            if m.available <= now {
-                due.push(m);
-            } else {
-                keep.push(m);
+        let mut due = std::mem::take(q);
+        if due.iter().any(|m| m.available > now) {
+            // Some messages are not due yet (a delay or jitter model):
+            // they stay queued in the inbox's buffer, in their relative
+            // order. That order is load-bearing: `deregister` dead-letters
+            // the inbox in it and replays stamp fresh `arrival` numbers,
+            // which are the delivery tie-breaker for same-`(sent_at,
+            // from)` messages.
+            let ready: Vec<InFlight> = due.extract_if(.., |m| m.available <= now).collect();
+            *q = std::mem::replace(&mut due, ready);
+            if due.is_empty() {
+                return Vec::new();
             }
-        }
-        // The kept residual becomes the inbox again; the inbox's drained
-        // buffer becomes next call's scratch. No allocation once warm.
-        std::mem::swap(q, keep);
-        if due.is_empty() {
-            return Vec::new();
         }
         // `arrival` is globally unique, so the key is total and an
         // unstable sort is deterministic.
         due.sort_unstable_by_key(|m| (m.envelope.sent_at, m.envelope.from, m.arrival));
         self.stats.delivered += due.len() as u64;
-        for m in due.iter() {
+        for m in &due {
             self.link_states[m.link as usize].stats.delivered += 1;
         }
-        due.drain(..).map(|m| m.envelope).collect()
+        // Collected into a fresh, exact-size vector, so the drained buffer
+        // is released here rather than by whoever handles the envelopes.
+        let mut envelopes = Vec::with_capacity(due.len());
+        envelopes.extend(due.into_iter().map(|m| m.envelope));
+        envelopes
     }
 
     /// Number of undelivered messages queued for `node`.
