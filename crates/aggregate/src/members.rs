@@ -116,12 +116,6 @@ impl MemberIds {
         }
         self.len -= 1;
     }
-
-    /// Number of internal chunks (sharing granularity; exposed for
-    /// tests and benches).
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
 }
 
 impl FromIterator<FlexOfferId> for MemberIds {
@@ -186,7 +180,7 @@ mod tests {
         m.remove(FlexOfferId(7));
         m.remove(FlexOfferId(9));
         assert!(m.is_empty());
-        assert_eq!(m.chunk_count(), 0);
+        assert_eq!(m.chunks.len(), 0);
     }
 
     #[test]
@@ -198,7 +192,7 @@ mod tests {
         }
         assert_eq!(built, inserted);
         assert_eq!(built.len(), 2_000);
-        assert!(built.chunk_count() >= 2_000 / CHUNK);
+        assert!(built.chunks.len() >= 2_000 / CHUNK);
     }
 
     #[test]
@@ -210,7 +204,7 @@ mod tests {
         }
         assert_eq!(m.len(), 5_000);
         assert_eq!(m.to_vec(), ids(0..5_000));
-        assert!(m.chunk_count() >= 5_000 / CHUNK);
+        assert!(m.chunks.len() >= 5_000 / CHUNK);
     }
 
     #[test]
@@ -227,7 +221,7 @@ mod tests {
             .iter()
             .filter(|c| snapshot.chunks.iter().any(|s| Arc::ptr_eq(c, s)))
             .count();
-        assert!(shared >= m.chunk_count() - 2, "shared {shared}");
+        assert!(shared >= m.chunks.len() - 2, "shared {shared}");
     }
 
     #[test]

@@ -78,11 +78,6 @@ impl DeltaStats {
         self.refolds += other.refolds;
         self.emitted += other.emitted;
     }
-
-    /// Total member operations delta-folded.
-    pub fn delta_ops(&self) -> u64 {
-        self.folded_in + self.folded_out
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +102,6 @@ mod tests {
         assert_eq!(a.folded_out, 3);
         assert_eq!(a.refolds, 1);
         assert_eq!(a.emitted, 3);
-        assert_eq!(a.delta_ops(), 8);
     }
 
     #[test]

@@ -598,26 +598,6 @@ impl NToOneAggregator {
         }
         Ok(out)
     }
-
-    /// Disaggregate with the aggregate start shift only, all members at
-    /// minimum energy — used by the open-contract fallback paths.
-    pub fn disaggregate_at_min(
-        &self,
-        id: AggregateId,
-        start: TimeSlot,
-        slab: &OfferSlab,
-    ) -> Result<Vec<ScheduledFlexOffer>, DisaggregationError> {
-        let entry = self
-            .store
-            .get(&id)
-            .ok_or(DisaggregationError::UnknownAggregate(id))?;
-        let agg = &entry.aggregate;
-        let as_offer = agg
-            .to_flex_offer()
-            .map_err(DisaggregationError::InvalidSchedule)?;
-        let schedule = ScheduledFlexOffer::at_min(&as_offer, start);
-        self.disaggregate(id, &schedule, slab)
-    }
 }
 
 #[cfg(test)]
@@ -841,7 +821,9 @@ mod tests {
             member(1, 10, 6, 3, 0.5, 1.5),
             member(2, 11, 8, 2, 1.0, 4.0),
         ]);
-        let micro = agg.disaggregate_at_min(id, TimeSlot(14), &slab).unwrap();
+        let macro_offer = agg.aggregate(id).unwrap().to_flex_offer().unwrap();
+        let at_min = ScheduledFlexOffer::at_min(&macro_offer, TimeSlot(14));
+        let micro = agg.disaggregate(id, &at_min, &slab).unwrap();
         for (s, mid) in micro.iter().zip(agg.member_ids(id).unwrap().iter()) {
             let m = slab.get(mid).unwrap();
             s.validate_against(m, 1e-9).unwrap();

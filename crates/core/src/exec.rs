@@ -48,9 +48,9 @@
 //! the caller controls. Callers therefore keep the invariant the whole
 //! workspace is built on: *parallelism never changes output*. The
 //! aggregate flush merges shard results in sorted sub-group order,
-//! best-of-K scheduling chains tie-break on chain index, EGRV fitting
-//! installs coefficients by period index, and the simulation's level
-//! pump sends each node's envelopes in node-list order — all of which
+//! best-of-K scheduling chains tie-break on chain index, and the
+//! simulation's level pump sends each node's envelopes in node-list
+//! order — all of which
 //! reduce to "results arrive indexed by task, not by completion time".
 //! Which lane runs a task is scheduling-dependent, but since each task
 //! is a pure function of its index, the *result vector* is
@@ -303,11 +303,6 @@ pub struct Handle<R> {
 }
 
 impl<R> Handle<R> {
-    /// Whether the task has finished (its `join` would not block).
-    pub fn is_finished(&self) -> bool {
-        self.state.result.lock().unwrap().is_some()
-    }
-
     /// Wait for the task, executing other queued pool work while it is
     /// not done, and return its result. If the task panicked, the
     /// payload is re-raised here.

@@ -74,8 +74,7 @@ define_id!(
 );
 
 impl RegionId {
-    /// The implicit region of every pre-federation deployment; legacy
-    /// wire frames and WAL records decode into this region.
+    /// The implicit region of a single-hierarchy deployment.
     pub const DEFAULT: RegionId = RegionId(0);
 }
 

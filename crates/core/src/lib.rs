@@ -13,9 +13,9 @@
 //!   [`generator`] used by the experiments in place of the paper's
 //!   800 000-offer artificial data set,
 //! * [`exec`] — the shared deterministic worker [`Pool`] every parallel
-//!   path in the workspace (aggregate flushes, scheduling chains, EGRV
-//!   fitting) dispatches onto instead of spawning scoped threads per
-//!   call,
+//!   path in the workspace (aggregate flushes, scheduling chains,
+//!   parallel regions) dispatches onto instead of spawning scoped threads
+//!   per call,
 //! * [`codec`] — the compact binary [`Wire`] format (varint/zigzag
 //!   integers, bit-exact floats) that the message layer and the
 //!   per-node write-ahead logs serialize through; it replaces the

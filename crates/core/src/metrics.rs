@@ -21,12 +21,6 @@ pub fn total_flexibility(offer: &FlexOffer, time_weight: f64, energy_weight: f64
     time_flexibility(offer) as f64 * time_weight + energy_flexibility(offer).kwh() * energy_weight
 }
 
-/// Sum of time flexibilities over a population of offers (used by the
-/// Figure 5(c) loss computation).
-pub fn population_time_flexibility<'a>(offers: impl Iterator<Item = &'a FlexOffer>) -> u64 {
-    offers.map(|o| o.time_flexibility() as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,11 +55,5 @@ mod tests {
     fn combined() {
         let f = total_flexibility(&offer(10, 0.5), 1.0, 2.0);
         assert!((f - (10.0 + 4.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn population_sum() {
-        let offers = [offer(3, 0.0), offer(5, 0.0)];
-        assert_eq!(population_time_flexibility(offers.iter()), 8);
     }
 }

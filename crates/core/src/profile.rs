@@ -109,18 +109,6 @@ impl Profile {
             .flat_map(|s| std::iter::repeat_n(s.energy, s.duration as usize))
     }
 
-    /// Energy bounds of the slot at `offset` from the profile start.
-    pub fn slot_range(&self, offset: SlotSpan) -> Option<EnergyRange> {
-        let mut at = 0;
-        for s in &self.slices {
-            if offset < at + s.duration {
-                return Some(s.energy);
-            }
-            at += s.duration;
-        }
-        None
-    }
-
     /// Minimum total energy if every slot runs at its lower bound.
     pub fn min_total_energy(&self) -> Energy {
         self.slices.iter().map(|s| s.min_energy()).sum()
@@ -228,20 +216,6 @@ mod tests {
         assert_eq!(flat[0], r(1.0, 2.0));
         assert_eq!(flat[1], r(1.0, 2.0));
         assert_eq!(flat[2], r(0.0, 4.0));
-    }
-
-    #[test]
-    fn slot_range_lookup() {
-        let p = Profile::new(vec![
-            Slice::new(2, r(1.0, 2.0)).unwrap(),
-            Slice::new(3, r(0.0, 4.0)).unwrap(),
-        ])
-        .unwrap();
-        assert_eq!(p.slot_range(0), Some(r(1.0, 2.0)));
-        assert_eq!(p.slot_range(1), Some(r(1.0, 2.0)));
-        assert_eq!(p.slot_range(2), Some(r(0.0, 4.0)));
-        assert_eq!(p.slot_range(4), Some(r(0.0, 4.0)));
-        assert_eq!(p.slot_range(5), None);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use crate::comm::{ChaosPhase, ChaosPlan, FailureModel};
 use crate::federation::{Federation, FederationConfig, FederationReport};
 use crate::simulation::{simulate, SimulationConfig, SimulationReport};
 use mirabel_core::{NodeId, RegionId, TimeSlot, SLOTS_PER_DAY};
+use std::ops::Range;
 
 /// The slot range covered by simulation cycles `[start_cycle, end_cycle)`.
 pub fn cycle_span(start_cycle: usize, end_cycle: usize) -> (TimeSlot, TimeSlot) {
@@ -204,9 +205,10 @@ impl CampaignReport {
 /// invariant checks.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let quiet = cfg.quiet_cycles.max(2);
+    let cycles = cfg.sim.cycles;
     let mut violations = Vec::new();
 
-    let quiet_start = cycle_span(cfg.sim.cycles.saturating_sub(quiet), cfg.sim.cycles).0;
+    let quiet_start = cycle_span(cycles.saturating_sub(quiet), cycles).0;
     if cfg.sim.chaos.phases.iter().any(|p| p.end > quiet_start) {
         violations.push(InvariantViolation::ChaosOverlapsQuietTail);
     }
@@ -218,24 +220,45 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         ..cfg.sim.clone()
     });
 
-    let terminal = chaos.assigned + chaos.fallbacks;
-    if terminal != chaos.offers_submitted {
+    // Convergence: the quiet tail minus the settle cycle must hash
+    // bit-identically to the baseline run.
+    let compared_cycles = (quiet - 1).min(cycles);
+    violations.extend(check(&chaos, &baseline, cycles - compared_cycles..cycles));
+
+    CampaignReport {
+        chaos,
+        baseline,
+        compared_cycles,
+        violations,
+    }
+}
+
+/// The invariants every campaign run is held to — offer conservation, no
+/// phantoms, energy bounds, the islanded imbalance bound — plus
+/// convergence: `run`'s plan signature must equal `twin`'s on every
+/// cycle in `cycles`.
+fn check(
+    run: &SimulationReport,
+    twin: &SimulationReport,
+    cycles: Range<usize>,
+) -> Vec<InvariantViolation> {
+    let mut violations = Vec::new();
+    let terminal = run.assigned + run.fallbacks;
+    if terminal != run.offers_submitted {
         violations.push(InvariantViolation::OfferNotConserved {
-            submitted: chaos.offers_submitted,
+            submitted: run.offers_submitted,
             terminal,
         });
     }
-    if chaos.phantom_offers > 0 {
-        violations.push(InvariantViolation::PhantomOffers(chaos.phantom_offers));
+    if run.phantom_offers > 0 {
+        violations.push(InvariantViolation::PhantomOffers(run.phantom_offers));
     }
-    if chaos.energy_violations > 0 {
-        violations.push(InvariantViolation::EnergyViolations(
-            chaos.energy_violations,
-        ));
+    if run.energy_violations > 0 {
+        violations.push(InvariantViolation::EnergyViolations(run.energy_violations));
     }
     // Islanded windows: the committed cost is bounded by the local-only
     // optimum found at prepare time (incremental repair only improves).
-    for round in &chaos.islanded {
+    for round in &run.islanded {
         if let (Some(prepared), Some(committed)) = (round.prepared_cost, round.committed_cost) {
             if committed > prepared + 1e-6 {
                 violations.push(InvariantViolation::IslandedImbalanceExceeded {
@@ -246,15 +269,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             }
         }
     }
-
-    // Convergence: the quiet tail minus the settle cycle must hash
-    // bit-identically to the baseline run.
-    let compared_cycles = (quiet - 1).min(cfg.sim.cycles);
-    for cycle in (cfg.sim.cycles - compared_cycles)..cfg.sim.cycles {
-        let (c, b) = (
-            chaos.plan_signatures[cycle],
-            baseline.plan_signatures[cycle],
-        );
+    for cycle in cycles {
+        let (c, b) = (run.plan_signatures[cycle], twin.plan_signatures[cycle]);
         if c != b {
             violations.push(InvariantViolation::Diverged {
                 cycle,
@@ -263,13 +279,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             });
         }
     }
-
-    CampaignReport {
-        chaos,
-        baseline,
-        compared_cycles,
-        violations,
-    }
+    violations
 }
 
 /// A federation campaign: storm exactly one region of a federation and
@@ -367,92 +377,34 @@ pub fn run_federation_campaign(cfg: &FederationCampaignConfig) -> FederationCamp
     let compared_cycles = (quiet - 1).min(cycles);
     for (i, report) in federation.regions.iter().enumerate() {
         let region = RegionId(i as u64);
-        let twin = simulate(Federation::region_config(&fed_cfg, region));
-
-        // Invariants hold everywhere, stormed or not.
-        let terminal = report.assigned + report.fallbacks;
-        if terminal != report.offers_submitted {
-            violations.push((
-                region,
-                InvariantViolation::OfferNotConserved {
-                    submitted: report.offers_submitted,
-                    terminal,
-                },
-            ));
-        }
-        if report.phantom_offers > 0 {
-            violations.push((
-                region,
-                InvariantViolation::PhantomOffers(report.phantom_offers),
-            ));
-        }
-        if report.energy_violations > 0 {
-            violations.push((
-                region,
-                InvariantViolation::EnergyViolations(report.energy_violations),
-            ));
-        }
-
-        if region == cfg.storm_region {
+        let region_cfg = Federation::region_config(&fed_cfg, region);
+        let found = if region == cfg.storm_region {
             // The stormed region converges like a normal campaign: its
             // quiet tail must match a reliable twin bit-for-bit.
             let reliable = simulate(SimulationConfig {
                 chaos: ChaosPlan::reliable(),
                 failure: FailureModel::reliable(),
-                ..Federation::region_config(&fed_cfg, region)
+                ..region_cfg
             });
-            for cycle in (cycles - compared_cycles)..cycles {
-                let (c, b) = (
-                    report.plan_signatures[cycle],
-                    reliable.plan_signatures[cycle],
-                );
-                if c != b {
-                    violations.push((
-                        region,
-                        InvariantViolation::Diverged {
-                            cycle,
-                            chaos: c,
-                            baseline: b,
-                        },
-                    ));
-                }
-            }
+            check(report, &reliable, cycles - compared_cycles..cycles)
         } else {
             // Fault isolation: the untouched region's FULL report —
             // every counter, every cycle's signature — must equal the
             // solo twin's.
-            for (cycle, (&c, &b)) in report
-                .plan_signatures
-                .iter()
-                .zip(&twin.plan_signatures)
-                .enumerate()
-            {
-                if c != b {
-                    violations.push((
-                        region,
-                        InvariantViolation::Diverged {
-                            cycle,
-                            chaos: c,
-                            baseline: b,
-                        },
-                    ));
-                }
-            }
-            if *report != twin {
+            let twin = simulate(region_cfg);
+            let mut found = check(report, &twin, 0..cycles);
+            if *report != twin && report.plan_signatures == twin.plan_signatures {
                 // Signatures matched but some other field differs —
                 // still an isolation breach; flag it on cycle 0.
-                if report.plan_signatures == twin.plan_signatures {
-                    violations.push((
-                        region,
-                        InvariantViolation::Diverged {
-                            cycle: 0,
-                            chaos: 0,
-                            baseline: 0,
-                        },
-                    ));
-                }
+                found.push(InvariantViolation::Diverged {
+                    cycle: 0,
+                    chaos: 0,
+                    baseline: 0,
+                });
             }
-        }
+            found
+        };
+        violations.extend(found.into_iter().map(|v| (region, v)));
     }
 
     FederationCampaignReport {
@@ -625,6 +577,23 @@ mod tests {
     }
 
     #[test]
+    fn check_flags_an_islanded_commit_above_its_prepared_cost() {
+        let mut run = simulate(small_sim(1));
+        let twin = run.clone();
+        run.islanded.push(crate::runtime::IslandedRound {
+            window_start: TimeSlot(0),
+            eligible: 1,
+            prepared_cost: Some(10.0),
+            committed_cost: Some(10.0 + 1e-3),
+            assignments: 1,
+        });
+        assert!(matches!(
+            check(&run, &twin, 0..1).as_slice(),
+            [InvariantViolation::IslandedImbalanceExceeded { .. }]
+        ));
+    }
+
+    #[test]
     fn federation_campaign_isolates_a_regional_storm() {
         let report = run_federation_campaign(&FederationCampaignConfig {
             federation: FederationConfig {
@@ -648,6 +617,36 @@ mod tests {
         assert!(report.federation.regions[1].network.dropped > 0);
         assert_eq!(report.federation.regions[0].network.dropped, 0);
         assert_eq!(report.federation.regions[2].network.dropped, 0);
+
+        // A federated island: region 1's BRP 1 loses its TSO for two
+        // cycles, then the TSO crash-restarts. The stormed region is held
+        // to the islanded bound; the others never island.
+        let tso = NodeId(9_999);
+        let report = run_federation_campaign(&FederationCampaignConfig {
+            federation: FederationConfig {
+                regions: 3,
+                sim: SimulationConfig {
+                    chaos: ChaosPlan::reliable()
+                        .phase(partition_between(1, 3, NodeId(1), tso))
+                        .phase(crash_of(4, tso)),
+                    wal: Some(crate::wal::WalConfig::default()),
+                    link_health: tight_link_health(),
+                    ..small_sim(8)
+                },
+                ..FederationConfig::default()
+            },
+            storm_region: RegionId(1),
+            quiet_cycles: 3,
+        });
+        assert!(
+            report.converged(),
+            "islanded region 1 must reconcile and stay isolated:\n{}",
+            report.summary()
+        );
+        let regions = &report.federation.regions;
+        assert!(!regions[1].islanded.is_empty(), "BRP 1 must island");
+        assert!(regions[0].islanded.is_empty());
+        assert!(regions[2].islanded.is_empty());
     }
 
     #[test]

@@ -158,12 +158,6 @@ impl FailureModel {
         self.duplicate_probability = p;
         self
     }
-
-    /// Whether this model never consults the RNG (the reliable fast
-    /// path).
-    fn is_deterministic(&self) -> bool {
-        self.drop_probability <= 0.0 && self.jitter_slots == 0 && self.duplicate_probability <= 0.0
-    }
 }
 
 /// One timed phase of a [`ChaosPlan`]: while `start <= now < end`, the
@@ -259,11 +253,6 @@ impl ChaosPlan {
     /// The phase active at `now`, if any.
     fn active(&self, now: TimeSlot) -> Option<&ChaosPhase> {
         self.phases.iter().find(|p| p.start <= now && now < p.end)
-    }
-
-    /// Whether the plan injects any failures at all.
-    pub fn is_reliable(&self) -> bool {
-        self.phases.is_empty()
     }
 
     /// Nodes scheduled to crash in `[from, to)`: every node listed by a
@@ -623,11 +612,6 @@ impl Network {
         self.dead_letters.per_link_cap = cap.max(1);
     }
 
-    /// Whether `node` currently has an inbox.
-    pub fn is_registered(&self, node: NodeId) -> bool {
-        self.inboxes.contains_key(&node)
-    }
-
     /// Manually cut the `a ↔ b` link (both directions) until
     /// [`Network::heal`].
     pub fn cut(&mut self, a: NodeId, b: NodeId) {
@@ -873,12 +857,6 @@ impl Network {
     pub fn dead_letters(&self) -> &DeadLetterQueue {
         &self.dead_letters
     }
-
-    /// Whether the active failure model and cut set make delivery
-    /// deterministic right now (no RNG consulted on route).
-    pub fn is_reliable_now(&self) -> bool {
-        self.failure.is_deterministic() && self.manual_cuts.is_empty() && self.phase_cuts.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -1003,7 +981,7 @@ mod tests {
         n.register(NodeId(1));
         n.route(env(1, 0));
         n.deregister(NodeId(1));
-        assert!(!n.is_registered(NodeId(1)));
+        assert!(!n.inboxes.contains_key(&NodeId(1)));
         assert_eq!(n.dead_letters().len(), 1);
         // Messages routed while it is gone also dead-letter.
         n.route(env(1, 1));
@@ -1181,7 +1159,8 @@ mod tests {
         n.advance(TimeSlot(30));
         assert_eq!(n.stats().replayed, 1);
         assert_eq!(n.drain(NodeId(1), TimeSlot(30)).len(), 1);
-        assert!(n.is_reliable_now());
+        assert_eq!(n.failure, FailureModel::reliable());
+        assert!(n.phase_cuts.is_empty());
     }
 
     #[test]
@@ -1302,7 +1281,7 @@ mod tests {
                 ChaosPhase::new(TimeSlot(11), TimeSlot(13), FailureModel::reliable())
                     .with_crashes(vec![NodeId(7), NodeId(9)]),
             );
-        assert!(!plan.is_reliable());
+        assert!(!plan.phases.is_empty());
         assert!(plan.crashes_between(TimeSlot(0), TimeSlot(10)).is_empty());
         assert_eq!(
             plan.crashes_between(TimeSlot(10), TimeSlot(11)),

@@ -141,8 +141,8 @@
 //!   period the plan signatures must be bit-identical to a
 //!   never-disturbed twin run.
 //!   Federation campaigns
-//!   ([`run_federation_campaign`]) add
-//!   the **fault-isolation** proof: storm one region
+//!   ([`run_federation_campaign`]) hold every region to the same checker
+//!   and add the **fault-isolation** proof: storm one region
 //!   ([`ChaosPlan::in_region`](comm::ChaosPlan::in_region)) and every
 //!   untouched region's full report stays bit-identical to its solo
 //!   twin;

@@ -122,9 +122,9 @@ pub struct Envelope {
     /// pattern: the tenant id rides the event envelope). Stamped by the
     /// region's [`Network`](crate::comm::Network) at route time;
     /// [`RegionId::DEFAULT`] on direct hand-offs and on every envelope
-    /// of a pre-federation (single-hierarchy) deployment. Pure metadata:
-    /// it never influences routing or planning, only isolation
-    /// book-keeping, WAL namespacing and chaos targeting.
+    /// of a single-hierarchy deployment. Pure metadata: it never
+    /// influences routing or planning, only isolation book-keeping, WAL
+    /// namespacing and chaos targeting.
     pub region: RegionId,
 }
 
@@ -243,10 +243,6 @@ impl Wire for Envelope {
         self.sent_at.encode(out);
         self.seq.encode(out);
         self.message.encode(out);
-        // The region rides LAST so pre-federation frames (which end
-        // exactly after `message`) stay decodable: a legacy frame hits
-        // EOF where the region varint would start, and the compat path
-        // falls back to `RegionId::DEFAULT`.
         self.region.encode(out);
     }
 
@@ -289,20 +285,6 @@ impl Envelope {
         self.region = region;
         self
     }
-
-    /// Decode the pre-federation envelope layout (no trailing region
-    /// field); the envelope lands in [`RegionId::DEFAULT`]. Used by the
-    /// WAL's backward-compatible frame decoder.
-    pub(crate) fn decode_legacy(buf: &mut &[u8]) -> Result<Envelope, CodecError> {
-        Ok(Envelope {
-            from: NodeId::decode(buf)?,
-            to: NodeId::decode(buf)?,
-            sent_at: TimeSlot::decode(buf)?,
-            seq: Option::<u64>::decode(buf)?,
-            message: Message::decode(buf)?,
-            region: RegionId::DEFAULT,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -336,23 +318,5 @@ mod tests {
             assignments: Vec::new(),
         };
         assert_eq!(Message::from_bytes(&report.to_bytes()).unwrap(), report);
-    }
-
-    #[test]
-    fn legacy_envelope_frames_decode_into_default_region() {
-        // A pre-federation frame is the current encoding minus the
-        // trailing region varint.
-        let env = Envelope::new(NodeId(4), NodeId(5), TimeSlot(9), Message::ResyncRequest)
-            .with_seq(11)
-            .in_region(RegionId(2));
-        let bytes = env.to_bytes();
-        let legacy = &bytes[..bytes.len() - 1]; // region 2 encodes as one varint byte
-        let mut cursor = legacy;
-        let back = Envelope::decode_legacy(&mut cursor).unwrap();
-        assert!(cursor.is_empty());
-        assert_eq!(back.region, RegionId::DEFAULT);
-        assert_eq!(back.seq, Some(11));
-        // And the modern decoder refuses the truncated frame outright.
-        assert!(Envelope::from_bytes(legacy).is_err());
     }
 }

@@ -91,8 +91,7 @@ pub struct EventRecord {
     /// Federation region the event belongs to (tenant-registry pattern:
     /// the tenant id rides the durable record, denormalized from
     /// [`Envelope::region`] so region-scoped audits and per-region WAL
-    /// namespaces don't have to peel the envelope). Legacy
-    /// (pre-federation) frames decode into [`RegionId::DEFAULT`].
+    /// namespaces don't have to peel the envelope).
     pub region: RegionId,
 }
 
@@ -103,8 +102,6 @@ impl Wire for EventRecord {
         self.replay_safe.encode(out);
         self.recorded_at.encode(out);
         self.envelope.encode(out);
-        // LAST, like `Envelope::region`: legacy frames end exactly after
-        // the envelope, so the compat decoder can detect them by EOF.
         self.region.encode(out);
     }
 
@@ -117,40 +114,6 @@ impl Wire for EventRecord {
             envelope: Envelope::decode(buf)?,
             region: RegionId::decode(buf)?,
         })
-    }
-}
-
-impl EventRecord {
-    /// Decode one WAL frame, accepting both the current layout and the
-    /// pre-federation layout (no region fields anywhere).
-    ///
-    /// The compat logic leans on two codec guarantees: `from_bytes`
-    /// demands *full* buffer consumption, and both region fields ride at
-    /// the very end of their structs. A legacy frame therefore fails the
-    /// modern decode deterministically (EOF exactly where the envelope's
-    /// region varint would start) and is retried with the legacy layout,
-    /// landing in [`RegionId::DEFAULT`]. A modern frame can never be
-    /// misread as legacy because the modern decode is tried first.
-    pub fn from_frame(frame: &[u8]) -> Result<EventRecord, CodecError> {
-        match EventRecord::from_bytes(frame) {
-            Ok(rec) => Ok(rec),
-            Err(_) => {
-                let mut buf = frame;
-                let rec = EventRecord {
-                    event_id: u64::decode(&mut buf)?,
-                    causation_id: Option::<u64>::decode(&mut buf)?,
-                    replay_safe: bool::decode(&mut buf)?,
-                    recorded_at: TimeSlot::decode(&mut buf)?,
-                    envelope: Envelope::decode_legacy(&mut buf)?,
-                    region: RegionId::DEFAULT,
-                };
-                if buf.is_empty() {
-                    Ok(rec)
-                } else {
-                    Err(CodecError::TrailingBytes(buf.len()))
-                }
-            }
-        }
     }
 }
 
@@ -410,7 +373,7 @@ impl NodeWal {
         };
         let mut records = Vec::with_capacity(frames.len());
         for frame in &frames {
-            match EventRecord::from_frame(frame) {
+            match EventRecord::from_bytes(frame) {
                 Ok(rec) => {
                     next_event_id = next_event_id.max(rec.event_id + 1);
                     records.push(rec);
@@ -598,59 +561,6 @@ mod tests {
         };
         let back = EventRecord::from_bytes(&rec.to_bytes()).unwrap();
         assert_eq!(back, rec);
-        assert_eq!(EventRecord::from_frame(&rec.to_bytes()).unwrap(), rec);
-    }
-
-    #[test]
-    fn legacy_frames_decode_into_default_region() {
-        // Hand-build a pre-federation frame: every field of the modern
-        // layout except the two trailing region varints.
-        let modern = EventRecord {
-            event_id: 5,
-            causation_id: None,
-            replay_safe: true,
-            recorded_at: TimeSlot(2),
-            envelope: env(5),
-            region: RegionId::DEFAULT,
-        };
-        let bytes = modern.to_bytes();
-        // Region 0 encodes as a single zero byte in each position;
-        // stripping the record's and the envelope's gives the old frame.
-        let legacy = &bytes[..bytes.len() - 2];
-        assert!(
-            EventRecord::from_bytes(legacy).is_err(),
-            "modern decoder must reject the old layout"
-        );
-        let rec = EventRecord::from_frame(legacy).unwrap();
-        assert_eq!(rec.region, RegionId::DEFAULT);
-        assert_eq!(rec.envelope.region, RegionId::DEFAULT);
-        assert_eq!(rec.event_id, 5);
-        assert_eq!(rec.envelope, env(5));
-    }
-
-    #[test]
-    fn recovery_replays_legacy_frames() {
-        // A store written before the region field existed: frames are
-        // modern encodings minus the two trailing region bytes.
-        let mut store = MemWalStore::new();
-        for n in 0..3u64 {
-            let rec = EventRecord {
-                event_id: n,
-                causation_id: None,
-                replay_safe: true,
-                recorded_at: TimeSlot(n as i64),
-                envelope: env(n),
-                region: RegionId::DEFAULT,
-            };
-            let bytes = rec.to_bytes();
-            store.append(&bytes[..bytes.len() - 2]).unwrap();
-        }
-        let (wal, snapshot, records) =
-            NodeWal::recover(Box::new(store), WalConfig::default()).unwrap();
-        assert!(snapshot.is_none());
-        assert_eq!(records.len(), 3, "old frames replay under the new codec");
-        assert!(records.iter().all(|r| r.region == RegionId::DEFAULT));
-        assert_eq!(wal.next_event_id(), 3);
     }
 
     #[test]

@@ -206,51 +206,6 @@ proptest! {
         prop_assert_eq!(back, env);
     }
 
-    /// Pre-federation envelope frames carry no trailing region field;
-    /// decoding them must land in [`RegionId::DEFAULT`] with every other
-    /// field intact. The legacy frame is constructed by stripping the
-    /// region suffix — exactly the bytes an old build would have written.
-    #[test]
-    fn prop_legacy_envelope_decodes_into_default_region(
-        from in any::<u64>(),
-        to in any::<u64>(),
-        sent_at in -1_000i64..1_000,
-        seq in any::<u64>(),
-        value in 0.0f64..1.0,
-    ) {
-        let env = Envelope::new(
-            NodeId(from),
-            NodeId(to),
-            TimeSlot(sent_at),
-            Message::OfferAccepted { offer: FlexOfferId(7), value },
-        )
-        .with_seq(seq);
-        let mut frame = env.to_bytes();
-        let region_suffix = RegionId::DEFAULT.to_bytes().len();
-        frame.truncate(frame.len() - region_suffix);
-
-        // A legacy frame inside an EventRecord decodes via the record's
-        // compat path; bare modern decode must reject it (truncated).
-        prop_assert!(Envelope::from_bytes(&frame).is_err());
-        let record = EventRecord {
-            event_id: 1,
-            causation_id: None,
-            replay_safe: true,
-            recorded_at: TimeSlot(sent_at),
-            envelope: env.clone(),
-            region: RegionId::DEFAULT,
-        };
-        let mut record_frame = record.to_bytes();
-        // Strip the record's own region suffix AND the envelope's.
-        record_frame.truncate(record_frame.len() - 2 * region_suffix);
-        let back = EventRecord::from_frame(&record_frame).unwrap();
-        prop_assert_eq!(back.region, RegionId::DEFAULT);
-        prop_assert_eq!(back.envelope.region, RegionId::DEFAULT);
-        prop_assert_eq!(back.envelope.seq, Some(seq));
-        prop_assert_eq!(back.envelope.from, NodeId(from));
-        prop_assert_eq!(back.envelope.message, env.message);
-    }
-
     /// The failure detector's liveness beacon: the cumulative ack
     /// cursor it piggybacks must survive the frame.
     #[test]
@@ -282,39 +237,6 @@ proptest! {
                 .collect(),
         };
         prop_assert_eq!(roundtrip(&msg), msg);
-    }
-
-    /// The new health-protocol frames must ride legacy (pre-federation)
-    /// framing too: a region-stripped EventRecord carrying a Heartbeat
-    /// decodes through the compat path with the payload intact.
-    #[test]
-    fn prop_heartbeat_in_legacy_frame_decodes(
-        seen in any::<u64>(),
-        seq in any::<u64>(),
-        sent_at in -1_000i64..1_000,
-    ) {
-        let env = Envelope::new(
-            NodeId(9_999),
-            NodeId(1),
-            TimeSlot(sent_at),
-            Message::Heartbeat { seen },
-        )
-        .with_seq(seq);
-        let record = EventRecord {
-            event_id: 1,
-            causation_id: None,
-            replay_safe: true,
-            recorded_at: TimeSlot(sent_at),
-            envelope: env.clone(),
-            region: RegionId::DEFAULT,
-        };
-        let mut frame = record.to_bytes();
-        let region_suffix = RegionId::DEFAULT.to_bytes().len();
-        frame.truncate(frame.len() - 2 * region_suffix);
-        let back = EventRecord::from_frame(&frame).unwrap();
-        prop_assert_eq!(back.envelope.message, Message::Heartbeat { seen });
-        prop_assert_eq!(back.envelope.seq, Some(seq));
-        prop_assert_eq!(back.region, RegionId::DEFAULT);
     }
 
     /// A [`SequencedRx`] freeze-frame — cursor, parked envelopes, buffer
@@ -407,8 +329,5 @@ proptest! {
         };
         let back = EventRecord::from_bytes(&record.to_bytes()).unwrap();
         prop_assert_eq!(back, record);
-        // from_frame accepts modern frames unchanged.
-        let via_compat = EventRecord::from_frame(&record.to_bytes()).unwrap();
-        prop_assert_eq!(via_compat, record);
     }
 }

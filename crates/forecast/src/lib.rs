@@ -2,64 +2,42 @@
 //!
 //! The MIRABEL forecasting component (paper §5).
 //!
-//! Two energy-domain forecast models:
-//!
-//! * [`HwtModel`] — Taylor's exponential smoothing with double/triple
-//!   seasonality and AR(1) error correction (the paper's robust fallback
-//!   and the model used in the Figure 4 experiments);
-//! * [`EgrvModel`] — the Engle/Granger/Ramanathan/Vahid-Araghi
-//!   multi-equation regression model: one least-squares equation per
-//!   intra-day period with lagged-load, calendar and weather regressors.
+//! One energy-domain forecast model, [`HwtModel`]: Taylor's exponential
+//! smoothing with double/triple seasonality and AR(1) error correction
+//! (the paper's robust model and the one used in the Figure 4
+//! experiments), behind the [`ForecastModel`] interface.
 //!
 //! Model parameters are estimated by black-box optimizers over an
 //! [`estimator::Objective`]: [`NelderMead`], [`RandomRestartNelderMead`],
 //! [`SimulatedAnnealing`] and [`RandomSearch`] — the three global methods
 //! compared in Figure 4(a) plus the local simplex they build on.
 //!
-//! Around the models, the crate implements the paper's optimizations:
+//! Around the model, the crate implements the paper's optimizations:
 //!
 //! * [`maintenance`] — continuous model update plus time-/threshold-based
 //!   re-estimation triggers,
 //! * [`context`] — the case-based parameter repository ("context-aware
 //!   model adaptation"),
-//! * [`hierarchy`] — the advisor that places models in a node hierarchy
-//!   under accuracy/runtime constraints,
 //! * [`pubsub`] — publish-subscribe forecast queries with significance
 //!   thresholds, delivering typed slot-range change events that drive
-//!   incremental rescheduling downstream,
-//! * [`flexoffer_forecast`] — flex-offer (multivariate) forecasting by
-//!   decomposition into univariate series,
-//! * [`parallel`] — parallelized multi-equation model estimation on
-//!   the shared deterministic worker pool
-//!   ([`mirabel_core::exec::Pool`]): partition-parallel EGRV fitting
-//!   and intra-model parallel parameter estimation, both borrowing the
-//!   history into the workers (no per-fit copies) and bit-identical to
-//!   the serial path for any pool width.
+//!   incremental rescheduling downstream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod context;
-pub mod egrv;
 pub mod estimator;
-pub mod flexoffer_forecast;
-pub mod hierarchy;
 pub mod hwt;
-pub mod linalg;
 pub mod maintenance;
 pub mod model;
-pub mod parallel;
 pub mod pubsub;
 
 pub use context::{describe, ContextDescriptor, ContextRepository};
-pub use egrv::{EgrvConfig, EgrvModel, Exogenous};
 pub use estimator::{
     Budget, EstimationResult, Estimator, NelderMead, Objective, RandomRestartNelderMead,
     RandomSearch, SimulatedAnnealing,
 };
-pub use hierarchy::{advise, Configuration, HierarchyNode, NodePlan};
 pub use hwt::{HwtConfig, HwtModel, Seasonality};
 pub use maintenance::{EvaluationStrategy, MaintenanceAction, ModelMaintainer};
-pub use model::create_best_model;
 pub use model::ForecastModel;
 pub use pubsub::{ForecastEvent, ForecastHub, SlotRange, Subscription};

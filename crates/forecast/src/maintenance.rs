@@ -195,7 +195,8 @@ impl<M: ForecastModel + Clone> ModelMaintainer<M> {
         let bounds = self.model.param_bounds();
         let warmup = (self.history.len() / 2).max(1);
         if bounds.is_empty() {
-            // Closed-form model (EGRV): re-fit is the re-estimation.
+            // Closed-form model (no tunable parameters): re-fit is the
+            // re-estimation.
             self.model.fit(&self.history);
             let mut probe = self.model.clone();
             let err = probe.evaluate(&self.history, warmup);

@@ -1,8 +1,6 @@
-//! The common forecast-model interface and transparent model selection.
+//! The common forecast-model interface.
 
-use crate::egrv::EgrvModel;
-use crate::hwt::HwtModel;
-use mirabel_timeseries::{smape, Calendar, TimeSeries};
+use mirabel_timeseries::{smape, TimeSeries};
 
 /// A trainable, incrementally-maintainable forecast model.
 ///
@@ -12,7 +10,7 @@ use mirabel_timeseries::{smape, Calendar, TimeSeries};
 /// ([`ForecastModel::update`] for each new measurement, re-fitting on
 /// demand).
 pub trait ForecastModel: Send {
-    /// Human-readable model name ("HWT", "EGRV", ...).
+    /// Human-readable model name ("HWT", ...).
     fn name(&self) -> &'static str;
 
     /// Current tunable parameter vector.
@@ -52,59 +50,5 @@ pub trait ForecastModel: Send {
             self.update(y);
         }
         smape(test.values(), &preds)
-    }
-}
-
-/// Transparent model creation (paper §5): fit the EGRV model, and "if the
-/// EGRV model does not provide accurate results, we fall back to the
-/// alternative (more robust) HWT-Model".
-///
-/// Both models are trained on the prefix of `history` before `holdout`
-/// trailing slots and compared by one-step rolling SMAPE on the holdout.
-/// EGRV wins ties (it is the primary model); the returned model is re-fit
-/// on the *full* history.
-pub fn create_best_model(
-    history: &TimeSeries,
-    calendar: &Calendar,
-    holdout: usize,
-) -> Box<dyn ForecastModel> {
-    let warmup = history.len().saturating_sub(holdout);
-    let mut egrv = EgrvModel::with_calendar(calendar.clone());
-    let egrv_err = egrv.evaluate(history, warmup);
-    let mut hwt = HwtModel::daily_weekly();
-    let hwt_err = hwt.evaluate(history, warmup);
-    if egrv_err.is_finite() && egrv_err <= hwt_err {
-        egrv.fit(history);
-        Box::new(egrv)
-    } else {
-        hwt.fit(history);
-        Box::new(hwt)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mirabel_core::{TimeSlot, SLOTS_PER_DAY};
-    use mirabel_timeseries::DemandGenerator;
-
-    #[test]
-    fn selector_returns_fitted_model() {
-        let s = DemandGenerator::default().generate(TimeSlot(0), 21 * SLOTS_PER_DAY as usize, 13);
-        let m = create_best_model(&s, &Calendar::new(), 3 * SLOTS_PER_DAY as usize);
-        let f = m.forecast(SLOTS_PER_DAY as usize);
-        assert_eq!(f.len(), SLOTS_PER_DAY as usize);
-        assert!(f.iter().all(|v| v.is_finite()));
-        // Either model is acceptable; the name tells which one won.
-        assert!(m.name() == "EGRV" || m.name() == "HWT");
-    }
-
-    #[test]
-    fn selector_falls_back_to_hwt_on_short_history() {
-        // Less than a week: EGRV cannot form its weekly-lag rows and its
-        // mean-only fallback loses to HWT on a seasonal series.
-        let s = DemandGenerator::default().generate(TimeSlot(0), 3 * 96, 13);
-        let m = create_best_model(&s, &Calendar::new(), 96);
-        assert_eq!(m.name(), "HWT");
     }
 }

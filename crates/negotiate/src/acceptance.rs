@@ -33,13 +33,6 @@ pub enum AcceptanceDecision {
     Reject(RejectionReason),
 }
 
-impl AcceptanceDecision {
-    /// Whether the offer was accepted.
-    pub fn is_accepted(&self) -> bool {
-        matches!(self, AcceptanceDecision::Accept { .. })
-    }
-}
-
 /// Acceptance policy: minimum processing lead time and value floor.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AcceptancePolicy {
@@ -98,7 +91,7 @@ mod tests {
     fn accepts_flexible_timely_offer() {
         let policy = AcceptancePolicy::default();
         let d = policy.decide(&offer(24, 1.0, 90), TimeSlot(40));
-        assert!(d.is_accepted());
+        assert!(matches!(d, AcceptanceDecision::Accept { .. }));
         if let AcceptanceDecision::Accept { value } = d {
             assert!(value >= policy.min_value);
         }
@@ -115,7 +108,7 @@ mod tests {
         );
         // already expired
         let d2 = policy.decide(&offer(24, 1.0, 90), TimeSlot(95));
-        assert!(!d2.is_accepted());
+        assert!(matches!(d2, AcceptanceDecision::Reject(_)));
     }
 
     #[test]
@@ -133,6 +126,6 @@ mod tests {
         let policy = AcceptancePolicy::default();
         // exactly min_processing_slots of lead
         let d = policy.decide(&offer(24, 1.0, 90), TimeSlot(86));
-        assert!(d.is_accepted());
+        assert!(matches!(d, AcceptanceDecision::Accept { .. }));
     }
 }

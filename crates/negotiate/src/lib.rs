@@ -8,25 +8,19 @@
 //!   monetize (assignment, scheduling and energy flexibility), each
 //!   normalized to a `[0, 1]` *flexibility potential* by a sigmoid, and
 //!   combined as a weighted sum into the offer's total value;
-//! * [`pricing`] — the two price-setting schemes: pre-execution
-//!   ("monetize flexibility", usable as an acceptance criterion) and
-//!   post-execution profit sharing ("share realized profit", which cannot
-//!   be);
+//! * [`pricing`] — pre-execution pricing ("monetize flexibility"): the
+//!   offer's value is set before execution, so it can serve as an
+//!   acceptance criterion;
 //! * [`acceptance`] — "the BRP must be able to reject a flex-offer that
-//!   generate\[s\] loss or can not be processed in time";
-//! * [`contract`] — flex contracts and the open-contract fallback.
+//!   generate\[s\] loss or can not be processed in time".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod acceptance;
-pub mod calibration;
-pub mod contract;
 pub mod potential;
 pub mod pricing;
 
 pub use acceptance::{AcceptanceDecision, AcceptancePolicy, RejectionReason};
-pub use calibration::{apply_calibration, calibrate_weights, ValueObservation};
-pub use contract::{Contract, Settlement};
 pub use potential::{sigmoid, FlexibilityPotentials, PotentialConfig};
-pub use pricing::{PreExecutionPricing, ProfitSharing};
+pub use pricing::PreExecutionPricing;

@@ -1,12 +1,9 @@
-//! Price-setting schemes (paper §7).
+//! Price setting (paper §7).
 //!
-//! Two schemes with the trade-off the paper highlights:
-//!
-//! * [`PreExecutionPricing`] values the offer *before* execution from its
-//!   flexibility potentials — usable as an acceptance criterion;
-//! * [`ProfitSharing`] pays a share of the *realized* profit after
-//!   execution — better incentives, but "any price setting after
-//!   execution time can not be used as an acceptance criteria".
+//! [`PreExecutionPricing`] values the offer *before* execution from its
+//! flexibility potentials, so it is usable as an acceptance criterion;
+//! "any price setting after execution time can not be used as an
+//! acceptance criteria".
 
 use crate::potential::{FlexibilityPotentials, PotentialConfig};
 use mirabel_core::{FlexOffer, Price, TimeSlot};
@@ -43,51 +40,6 @@ impl PreExecutionPricing {
     pub fn discount_per_kwh(&self, offer: &FlexOffer, now: TimeSlot) -> Price {
         Price(self.value(offer, now) * self.max_discount_per_kwh)
     }
-
-    /// Total payment for the offer: discount × maximum dispatchable
-    /// energy.
-    pub fn offer_payment(&self, offer: &FlexOffer, now: TimeSlot) -> Price {
-        self.discount_per_kwh(offer, now) * offer.profile().max_total_energy().kwh()
-    }
-}
-
-/// Share-realized-profit pricing.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ProfitSharing {
-    /// Fraction of the realized profit passed to the prosumer, in `[0,1]`.
-    pub prosumer_share: f64,
-}
-
-impl Default for ProfitSharing {
-    fn default() -> ProfitSharing {
-        ProfitSharing {
-            prosumer_share: 0.3,
-        }
-    }
-}
-
-impl ProfitSharing {
-    /// Payment after execution: `share × max(0, realized_profit)`.
-    /// `realized_profit` is the BRP's cost reduction attributable to this
-    /// offer (cost of the schedule without the offer minus with it);
-    /// losses are not passed on.
-    pub fn payment(&self, realized_profit: Price) -> Price {
-        Price(self.prosumer_share * realized_profit.eur().max(0.0))
-    }
-
-    /// Attribute a total profit over the offers proportionally to their
-    /// scheduled energies — a simple, auditable split used by the EDMS
-    /// settlement step.
-    pub fn attribute(&self, total_profit: Price, scheduled_energies: &[f64]) -> Vec<Price> {
-        let total: f64 = scheduled_energies.iter().sum();
-        if total <= 0.0 {
-            return vec![Price::ZERO; scheduled_energies.len()];
-        }
-        scheduled_energies
-            .iter()
-            .map(|&e| self.payment(Price(total_profit.eur() * e / total)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -122,36 +74,5 @@ mod tests {
         let rigid = pricing.value(&offer(0, 0.0), TimeSlot(99));
         let flexible = pricing.value(&offer(24, 1.5), TimeSlot(40));
         assert!(rigid < 0.15 * flexible, "rigid {rigid} flexible {flexible}");
-    }
-
-    #[test]
-    fn payment_scales_with_energy() {
-        let pricing = PreExecutionPricing::default();
-        let o = offer(24, 1.5);
-        let pay = pricing.offer_payment(&o, TimeSlot(40));
-        let per_kwh = pricing.discount_per_kwh(&o, TimeSlot(40));
-        assert!(pay.approx_eq(per_kwh * o.profile().max_total_energy().kwh(), 1e-12));
-    }
-
-    #[test]
-    fn profit_share_never_negative() {
-        let ps = ProfitSharing {
-            prosumer_share: 0.5,
-        };
-        assert_eq!(ps.payment(Price(10.0)), Price(5.0));
-        assert_eq!(ps.payment(Price(-10.0)), Price::ZERO);
-    }
-
-    #[test]
-    fn attribution_proportional_to_energy() {
-        let ps = ProfitSharing {
-            prosumer_share: 0.5,
-        };
-        let shares = ps.attribute(Price(10.0), &[1.0, 3.0]);
-        assert!(shares[0].approx_eq(Price(1.25), 1e-12));
-        assert!(shares[1].approx_eq(Price(3.75), 1e-12));
-        // degenerate: no energy scheduled
-        let zero = ps.attribute(Price(10.0), &[0.0, 0.0]);
-        assert_eq!(zero, vec![Price::ZERO, Price::ZERO]);
     }
 }

@@ -1,9 +1,9 @@
 //! Calendar context for forecasting.
 //!
-//! The EGRV model (paper §5) conditions on "weather information, calendar
-//! events (e.g., holidays)". This module supplies the calendar part:
-//! day-of-week comes from the epoch convention in `mirabel-core` (day 0 is
-//! a Monday); holidays are an explicit, queryable set of day indices.
+//! Forecast contexts (paper §5) include "calendar events (e.g.,
+//! holidays)". This module supplies them: day-of-week comes from the
+//! epoch convention in `mirabel-core` (day 0 is a Monday); holidays are an
+//! explicit, queryable set of day indices.
 
 use mirabel_core::TimeSlot;
 use serde::{Deserialize, Serialize};
@@ -19,19 +19,6 @@ impl Calendar {
     /// Calendar without holidays.
     pub fn new() -> Calendar {
         Calendar::default()
-    }
-
-    /// Mark day index `day` (slots `day*96 .. (day+1)*96`) as a holiday.
-    pub fn add_holiday(&mut self, day: i64) -> &mut Self {
-        self.holidays.insert(day);
-        self
-    }
-
-    /// Calendar with the given holiday day indices.
-    pub fn with_holidays(days: impl IntoIterator<Item = i64>) -> Calendar {
-        Calendar {
-            holidays: days.into_iter().collect(),
-        }
     }
 
     /// A repeating synthetic holiday pattern: every `period`-th day starting
@@ -57,11 +44,6 @@ impl Calendar {
     pub fn is_working_day(&self, t: TimeSlot) -> bool {
         !self.is_weekend(t) && !self.is_holiday(t)
     }
-
-    /// Number of registered holidays.
-    pub fn holiday_count(&self) -> usize {
-        self.holidays.len()
-    }
 }
 
 #[cfg(test)]
@@ -81,8 +63,9 @@ mod tests {
 
     #[test]
     fn holidays() {
-        let mut c = Calendar::new();
-        c.add_holiday(2);
+        let c = Calendar {
+            holidays: [2].into(),
+        };
         assert!(c.is_holiday(TimeSlot(2 * SLOTS_PER_DAY as i64)));
         assert!(c.is_holiday(TimeSlot(2 * SLOTS_PER_DAY as i64 + 95)));
         assert!(!c.is_holiday(TimeSlot(3 * SLOTS_PER_DAY as i64)));
@@ -90,7 +73,9 @@ mod tests {
 
     #[test]
     fn working_day_combines_both() {
-        let c = Calendar::with_holidays([1]);
+        let c = Calendar {
+            holidays: [1].into(),
+        };
         assert!(c.is_working_day(TimeSlot(0))); // Monday, not holiday
         assert!(!c.is_working_day(TimeSlot(SLOTS_PER_DAY as i64))); // Tuesday holiday
         assert!(!c.is_working_day(TimeSlot(5 * SLOTS_PER_DAY as i64))); // Saturday
@@ -99,7 +84,7 @@ mod tests {
     #[test]
     fn periodic() {
         let c = Calendar::periodic_holidays(10, 30, 3);
-        assert_eq!(c.holiday_count(), 3);
+        assert_eq!(c.holidays.len(), 3);
         assert!(c.is_holiday(TimeSlot(10 * SLOTS_PER_DAY as i64)));
         assert!(c.is_holiday(TimeSlot(40 * SLOTS_PER_DAY as i64)));
         assert!(c.is_holiday(TimeSlot(70 * SLOTS_PER_DAY as i64)));

@@ -10,7 +10,8 @@
 //! * [`TimeSeries`] — a dense, slot-aligned series container,
 //! * [`stats`] — forecast accuracy metrics (SMAPE as used in Figure 4,
 //!   plus MAPE/MAE/RMSE/MASE),
-//! * [`calendar`] — day-of-week/holiday context used by the EGRV model,
+//! * [`calendar`] — day-of-week/holiday context for forecast contexts
+//!   and the demand generator,
 //! * [`generator`] — synthetic multi-seasonal demand and wind-supply
 //!   processes that reproduce the statistical properties the experiments
 //!   rely on (each generator's docs name the data set it stands in for),

@@ -124,19 +124,6 @@ impl TimeSeries {
         }
     }
 
-    /// Element-wise combination over the overlap of two series.
-    pub fn zip_with(&self, other: &TimeSeries, f: impl Fn(f64, f64) -> f64) -> TimeSeries {
-        let lo = self.start.max(other.start);
-        let hi = self.end().min(other.end()).max(lo);
-        let mut values = Vec::with_capacity((hi - lo) as usize);
-        let mut t = lo;
-        while t < hi {
-            values.push(f(self.at(t).unwrap(), other.at(t).unwrap()));
-            t += 1u32;
-        }
-        TimeSeries { start: lo, values }
-    }
-
     /// Arithmetic mean; 0 for an empty series.
     pub fn mean(&self) -> f64 {
         if self.values.is_empty() {
@@ -165,21 +152,6 @@ impl TimeSeries {
     /// Maximum value; `None` if empty.
     pub fn max(&self) -> Option<f64> {
         self.values.iter().copied().reduce(f64::max)
-    }
-
-    /// Aggregate to a coarser grid: each output value is the sum of `k`
-    /// consecutive inputs (trailing partial block dropped). Used by
-    /// hierarchical forecasting when a parent works at coarser resolution.
-    pub fn downsample_sum(&self, k: usize) -> TimeSeries {
-        assert!(k >= 1);
-        let n = self.values.len() / k;
-        let values = (0..n)
-            .map(|i| self.values[i * k..(i + 1) * k].iter().sum())
-            .collect();
-        TimeSeries {
-            start: self.start,
-            values,
-        }
     }
 }
 
@@ -243,15 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn zip_with_overlap_only() {
-        let a = ts(0, &[1.0, 2.0, 3.0]);
-        let b = ts(1, &[10.0, 20.0, 30.0]);
-        let c = a.zip_with(&b, |x, y| x + y);
-        assert_eq!(c.start(), TimeSlot(1));
-        assert_eq!(c.values(), &[12.0, 23.0]);
-    }
-
-    #[test]
     fn statistics() {
         let s = ts(0, &[1.0, 2.0, 3.0, 4.0]);
         assert!((s.mean() - 2.5).abs() < 1e-12);
@@ -260,13 +223,6 @@ mod tests {
         assert_eq!(s.max(), Some(4.0));
         assert_eq!(TimeSeries::empty(TimeSlot(0)).mean(), 0.0);
         assert_eq!(TimeSeries::empty(TimeSlot(0)).min(), None);
-    }
-
-    #[test]
-    fn downsample() {
-        let s = ts(0, &[1.0, 2.0, 3.0, 4.0, 5.0]);
-        let d = s.downsample_sum(2);
-        assert_eq!(d.values(), &[3.0, 7.0]);
     }
 
     #[test]

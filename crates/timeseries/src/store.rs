@@ -166,11 +166,6 @@ impl MeasurementStore {
         }
         TimeSeries::new(from, acc)
     }
-
-    /// Number of stored series.
-    pub fn series_count(&self) -> usize {
-        self.inner.read().len()
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +228,7 @@ mod tests {
         store
             .append(B, Metric::Consumption, TimeSlot(0), &[2.0])
             .unwrap();
-        assert_eq!(store.series_count(), 3);
+        assert_eq!(store.inner.read().len(), 3);
         assert_eq!(
             store.series(A, Metric::Production).unwrap().start(),
             TimeSlot(10)
