@@ -249,17 +249,6 @@ impl EnergyRange {
             ((e - self.min).kwh() / w).clamp(0.0, 1.0)
         }
     }
-
-    /// Intersection of two ranges, if non-empty.
-    pub fn intersect(&self, other: &EnergyRange) -> Option<EnergyRange> {
-        let min = self.min.max(other.min);
-        let max = self.max.min(other.max);
-        if min > max {
-            None
-        } else {
-            Some(EnergyRange { min, max })
-        }
-    }
 }
 
 impl fmt::Display for EnergyRange {
@@ -339,17 +328,6 @@ mod tests {
         let d = EnergyRange::fixed(1.0);
         assert_eq!(d.fraction_of(Energy::from_kwh(1.0)), 0.0);
         assert_eq!(d.lerp(0.7).kwh(), 1.0);
-    }
-
-    #[test]
-    fn range_intersection() {
-        let a = EnergyRange::new(1.0, 3.0).unwrap();
-        let b = EnergyRange::new(2.0, 5.0).unwrap();
-        let i = a.intersect(&b).unwrap();
-        assert_eq!(i.min().kwh(), 2.0);
-        assert_eq!(i.max().kwh(), 3.0);
-        let c = EnergyRange::new(4.0, 5.0).unwrap();
-        assert!(a.intersect(&c).is_none());
     }
 
     #[test]

@@ -59,18 +59,6 @@ impl TimeSlot {
         (self.day().rem_euclid(7)) as u32
     }
 
-    /// Hour of day in `0..24`.
-    #[inline]
-    pub fn hour_of_day(self) -> u32 {
-        self.slot_of_day() / SLOTS_PER_HOUR
-    }
-
-    /// First slot of the day this slot belongs to.
-    #[inline]
-    pub fn start_of_day(self) -> TimeSlot {
-        TimeSlot(self.day() * SLOTS_PER_DAY as i64)
-    }
-
     /// Saturating forward jump by `span` slots.
     #[inline]
     pub fn advance(self, span: SlotSpan) -> TimeSlot {
@@ -171,13 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn hour_of_day() {
-        assert_eq!(TimeSlot(0).hour_of_day(), 0);
-        assert_eq!(TimeSlot(4).hour_of_day(), 1);
-        assert_eq!(TimeSlot(95).hour_of_day(), 23);
-    }
-
-    #[test]
     fn arithmetic() {
         let t = TimeSlot(10);
         assert_eq!(t + 5, TimeSlot(15));
@@ -202,11 +183,5 @@ mod tests {
         assert_eq!(TimeSlot(0).to_string(), "d0+00:00");
         assert_eq!(TimeSlot(88).to_string(), "d0+22:00");
         assert_eq!(TimeSlot(97).to_string(), "d1+00:15");
-    }
-
-    #[test]
-    fn start_of_day() {
-        assert_eq!(TimeSlot(100).start_of_day(), TimeSlot(96));
-        assert_eq!(TimeSlot(-1).start_of_day(), TimeSlot(-96));
     }
 }

@@ -542,6 +542,18 @@ mod tests {
             "cold TSO restart must self-heal:\n{}",
             report.summary()
         );
+
+        // A 2-level region has no TSO: the same crash executes nothing.
+        let two_level = |chaos| {
+            simulate(SimulationConfig {
+                use_tso: false,
+                chaos,
+                ..small_sim(6)
+            })
+        };
+        let crashed = two_level(ChaosPlan::reliable().phase(crash_of(2, NodeId(9_999))));
+        assert_eq!(crashed.crashes, 0);
+        assert_eq!(crashed, two_level(ChaosPlan::reliable()));
     }
 
     #[test]

@@ -472,8 +472,6 @@ pub struct Network {
     failure: FailureModel,
     /// Time-phased chaos schedule applied by [`Network::advance`].
     chaos: ChaosPlan,
-    /// Links cut by explicit [`Network::cut`] calls (stored both ways).
-    manual_cuts: BTreeSet<(NodeId, NodeId)>,
     /// Links cut by the currently active chaos phase (stored both ways).
     phase_cuts: BTreeSet<(NodeId, NodeId)>,
     dead_letters: DeadLetterQueue,
@@ -506,7 +504,6 @@ impl Network {
             baseline: failure,
             failure,
             chaos: ChaosPlan::reliable(),
-            manual_cuts: BTreeSet::new(),
             phase_cuts: BTreeSet::new(),
             dead_letters: DeadLetterQueue::default(),
             rng: StdRng::seed_from_u64(seed),
@@ -612,24 +609,6 @@ impl Network {
         self.dead_letters.per_link_cap = cap.max(1);
     }
 
-    /// Manually cut the `a ↔ b` link (both directions) until
-    /// [`Network::heal`].
-    pub fn cut(&mut self, a: NodeId, b: NodeId) {
-        self.manual_cuts.insert((a, b));
-        self.manual_cuts.insert((b, a));
-    }
-
-    /// Heal a manual cut; retained envelopes replay on the next
-    /// [`Network::advance`].
-    pub fn heal(&mut self, a: NodeId, b: NodeId) {
-        self.manual_cuts.remove(&(a, b));
-        self.manual_cuts.remove(&(b, a));
-    }
-
-    fn is_cut(&self, from: NodeId, to: NodeId) -> bool {
-        self.manual_cuts.contains(&(from, to)) || self.phase_cuts.contains(&(from, to))
-    }
-
     /// Pack a directed link into the interning key.
     fn link_key(from: NodeId, to: NodeId) -> u128 {
         ((from.value() as u128) << 64) | to.value() as u128
@@ -668,7 +647,7 @@ impl Network {
             self.link_states[link as usize].stats.bytes_sent += bytes;
         }
 
-        if self.is_cut(envelope.from, envelope.to) {
+        if self.phase_cuts.contains(&(envelope.from, envelope.to)) {
             self.stats.dead_lettered += 1;
             self.link_states[link as usize].stats.dead_lettered += 1;
             self.dead_letter(DeadLetter {
@@ -763,15 +742,11 @@ impl Network {
 
     /// Replay every partitioned dead letter whose link is clear again.
     fn replay_healed(&mut self, now: TimeSlot) {
-        let healed = {
-            let manual = &self.manual_cuts;
-            let phase = &self.phase_cuts;
-            self.dead_letters.take_if(|l| {
-                l.reason == DeadLetterReason::Partitioned
-                    && !manual.contains(&(l.envelope.from, l.envelope.to))
-                    && !phase.contains(&(l.envelope.from, l.envelope.to))
-            })
-        };
+        let cuts = &self.phase_cuts;
+        let healed = self.dead_letters.take_if(|l| {
+            l.reason == DeadLetterReason::Partitioned
+                && !cuts.contains(&(l.envelope.from, l.envelope.to))
+        });
         for letter in healed {
             self.replay(letter.envelope, now, letter.link);
         }
@@ -1110,20 +1085,33 @@ mod tests {
         assert_eq!(n.drain(NodeId(1), TimeSlot(15)).len(), 1);
     }
 
+    /// A plan whose first phase, over `[0, 10)`, cuts `first`, and whose
+    /// second, over `[10, 20)`, cuts only `second` — so it heals every
+    /// link of `first` it leaves out.
+    fn cut_then_heal(first: Vec<(NodeId, NodeId)>, second: Vec<(NodeId, NodeId)>) -> ChaosPlan {
+        let phase = |start, end, cuts| {
+            ChaosPhase::new(TimeSlot(start), TimeSlot(end), FailureModel::reliable())
+                .with_partitions(cuts)
+        };
+        ChaosPlan::reliable()
+            .phase(phase(0, 10, first))
+            .phase(phase(10, 20, second))
+    }
+
     #[test]
     fn partition_dead_letters_then_heals_and_replays() {
         let mut n = Network::reliable();
         n.register(NodeId(1));
-        n.cut(NodeId(0), NodeId(1));
+        n.set_chaos(cut_then_heal(vec![(NodeId(0), NodeId(1))], vec![]));
+        n.advance(TimeSlot(0));
         n.route(env(1, 0));
         n.route(env(1, 1));
         assert_eq!(n.stats().dead_lettered, 2);
         assert!(n.drain(NodeId(1), TimeSlot(5)).is_empty());
         // Heal: the retained envelopes replay, deliverable from `now`.
-        n.heal(NodeId(0), NodeId(1));
-        n.advance(TimeSlot(6));
+        n.advance(TimeSlot(10));
         assert_eq!(n.stats().replayed, 2);
-        let got = n.drain(NodeId(1), TimeSlot(6));
+        let got = n.drain(NodeId(1), TimeSlot(10));
         assert_eq!(got.len(), 2);
         // Stream seq was stamped at original route time, in order.
         assert_eq!(got[0].seq, Some(0));
@@ -1152,13 +1140,19 @@ mod tests {
         // Partition phase: dead-lettered instead.
         n.advance(TimeSlot(20));
         n.route(env(1, 20));
-        assert_eq!(n.stats().dead_lettered, 1);
+        n.route(env(1, 21));
+        assert_eq!(n.stats().dead_lettered, 2);
         assert!(n.drain(NodeId(1), TimeSlot(25)).is_empty());
 
-        // After the plan: heal + replay.
+        // After the plan: heal + replay, deliverable from `now`, with the
+        // stream seqs stamped at original route time, in order.
         n.advance(TimeSlot(30));
-        assert_eq!(n.stats().replayed, 1);
-        assert_eq!(n.drain(NodeId(1), TimeSlot(30)).len(), 1);
+        assert_eq!(n.stats().replayed, 2);
+        let got = n.drain(NodeId(1), TimeSlot(30));
+        assert_eq!(
+            got.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            vec![Some(2), Some(3)]
+        );
         assert_eq!(n.failure, FailureModel::reliable());
         assert!(n.phase_cuts.is_empty());
     }
@@ -1168,7 +1162,9 @@ mod tests {
         let mut n = Network::reliable();
         n.set_dead_letter_cap(3);
         n.register(NodeId(1));
-        n.cut(NodeId(0), NodeId(1));
+        let (to1, to2) = ((NodeId(0), NodeId(1)), (NodeId(0), NodeId(2)));
+        n.set_chaos(cut_then_heal(vec![to1, to2], vec![to2]));
+        n.advance(TimeSlot(0));
         for at in 0..5 {
             n.route(env(1, at));
         }
@@ -1182,15 +1178,15 @@ mod tests {
         );
         // Another link is unaffected by the first link's pressure.
         n.register(NodeId(2));
-        n.cut(NodeId(0), NodeId(2));
         n.route(env(2, 0));
         assert_eq!(n.dead_letters().len(), 4);
         assert_eq!(n.stats().dropped_dead_letters, 2);
-        // Heal: only the freshest three replay — their stream sequence
-        // numbers show the oldest two are gone for good (the receiver's
-        // resync protocol reconstructs what they carried).
-        n.heal(NodeId(0), NodeId(1));
+        // Heal 0→1 (0→2 stays cut): only the freshest three replay —
+        // their stream sequence numbers show the oldest two are gone for
+        // good (the receiver's resync protocol reconstructs what they
+        // carried).
         n.advance(TimeSlot(10));
+        assert_eq!(n.dead_letters().len(), 1);
         let got = n.drain(NodeId(1), TimeSlot(10));
         assert_eq!(
             got.iter().map(|e| e.seq).collect::<Vec<_>>(),
@@ -1213,7 +1209,8 @@ mod tests {
         let mut n = Network::reliable();
         n.set_dead_letter_cap(3);
         n.register(NodeId(1));
-        n.cut(NodeId(0), NodeId(1));
+        n.set_chaos(cut_then_heal(vec![(NodeId(0), NodeId(1))], vec![]));
+        n.advance(TimeSlot(0));
         // Interleave a partitioned link (0→1, pushed past its cap), an
         // unregistered recipient (0→2) and one that never comes back (0→3).
         for at in 0..5 {
@@ -1258,7 +1255,6 @@ mod tests {
         assert_eq!(n.stats().dropped_dead_letters, 5);
 
         // Heal replays 0→1; 0→2 and 0→3 stay retained.
-        n.heal(NodeId(0), NodeId(1));
         n.advance(TimeSlot(10));
         assert_counts_match_recount(&n);
         assert_eq!(n.drain(NodeId(1), TimeSlot(10)).len(), 3);

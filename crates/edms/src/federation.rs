@@ -644,6 +644,17 @@ mod tests {
         );
         assert!(report.exchange.bus.bytes_sent > 0, "bus is always metered");
         assert_eq!(report.exchange.streams.resyncs_requested, 0);
+
+        // A 2-level region has no TSO, so it pools nothing to export.
+        let two_level = Federation::run(FederationConfig {
+            regions: 2,
+            sim: SimulationConfig {
+                use_tso: false,
+                ..region_shape(3)
+            },
+            ..FederationConfig::default()
+        });
+        assert_eq!(two_level.exchange.deltas_published, 0);
     }
 
     #[test]

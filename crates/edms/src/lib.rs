@@ -78,10 +78,9 @@
 //! Components per the paper's LEDMS description:
 //!
 //! * [`runtime`] — the unified node runtime: the one [`PlannerNode`],
-//!   the [`Node`] / [`NodeRuntime`] traits the simulation's generic event
-//!   pump drives, and the [`PlanEngine`] each planner embeds (aggregation
-//!   pipeline plus a live
-//!   [`DeltaEvaluator`](mirabel_schedule::DeltaEvaluator) plus
+//!   the [`Node`] trait the simulation's wave drains, and the
+//!   [`PlanEngine`] each planner embeds (aggregation pipeline plus a
+//!   live [`DeltaEvaluator`](mirabel_schedule::DeltaEvaluator) plus
 //!   pub/sub-driven incremental replanning). Every parallel path of an
 //!   engine — flush shards, best-of-K initial starts, repair chains —
 //!   dispatches onto the worker pool in its [`RuntimeConfig`]; by
@@ -125,7 +124,7 @@
 //!   ports of the planner node, wiring the aggregation, forecasting,
 //!   scheduling and negotiation crates together on the shared runtime;
 //! * [`simulation`] — an end-to-end balancing simulation of a full
-//!   three-level hierarchy: a generic event pump over the planner list,
+//!   three-level hierarchy: one wave that drives every level,
 //!   pub/sub-driven intra-day forecast refinements replanned
 //!   incrementally at **every** level, join/leave prosumer churn, and
 //!   the open-contract fallback on message loss or missed deadlines
@@ -184,8 +183,8 @@ pub use federation::{
 pub use message::{Envelope, Message};
 pub use prosumer::ProsumerNode;
 pub use runtime::{
-    IslandedRound, Node, NodeRuntime, OfferDeltaReport, PlanEngine, PlanReport, PlannerNode,
-    ReplanReport, RuntimeConfig, SchedulerKind,
+    IslandedRound, Node, OfferDeltaReport, PlanEngine, PlanReport, PlannerNode, ReplanReport,
+    RuntimeConfig, SchedulerKind,
 };
 pub use simulation::{simulate, RegionSim, SimulationConfig, SimulationReport};
 pub use tso::{Deltas, TsoNode};

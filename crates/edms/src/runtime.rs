@@ -31,13 +31,9 @@
 //!   3. [`PlanEngine::commit`] — hand the (possibly repaired) problem +
 //!      solution back for disaggregation.
 //! * [`Node`] is the minimal message-handling surface the simulation's
-//!   generic event pump drains — every hierarchy level implements it;
-//! * [`NodeRuntime`] extends [`Node`] with the planning life-cycle —
-//!   [`PlannerNode`] implements it, so the simulation drives the whole
-//!   hierarchy as one list of planners instead of hand-ordered
-//!   per-level calls.
+//!   wave drains — every hierarchy level implements it.
 //!
-//! One `NodeRuntime` level list is one **region**. The multi-region
+//! One tree of these nodes is one **region**. The multi-region
 //! [`Federation`](crate::federation::Federation) instantiates N of
 //! these hierarchies — each with its own network, WAL namespace and
 //! derived RNG stream — drives them in parallel (`Pool::run_each`; the
@@ -112,7 +108,7 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Outcome of one planning run ([`NodeRuntime::prepare_plan`]).
+/// Outcome of one planning run ([`PlannerNode::prepare_plan`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlanReport {
     /// Offers expired (assignment deadline passed) and dropped.
@@ -126,7 +122,7 @@ pub struct PlanReport {
 }
 
 /// Outcome of one incremental replan after a forecast event
-/// ([`NodeRuntime::on_forecast_event`]).
+/// ([`PlannerNode::on_forecast_event`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplanReport {
     /// Slots whose forecast moved (and were re-priced by the rebase).
@@ -518,36 +514,13 @@ fn insert_live_offer(live: &mut LivePlan, offer: FlexOffer, touched: &mut Vec<us
     live.index.insert(fid, j);
 }
 
-/// The minimal message surface of a hierarchy node: what the generic
-/// event pump needs to drain an inbox.
+/// The minimal message surface of a hierarchy node: what a wave needs to
+/// drain an inbox.
 pub trait Node {
     /// This node's network id.
     fn node_id(&self) -> NodeId;
     /// Handle one routed message; returns reply envelopes.
     fn handle(&mut self, envelope: Envelope, now: TimeSlot) -> Vec<Envelope>;
-}
-
-/// A planning node: the full prepare → replan → commit life-cycle on
-/// top of [`Node`].
-pub trait NodeRuntime: Node {
-    /// Plan the window against a baseline forecast, keeping the result
-    /// live; returns upward-bound envelopes (e.g. macro-offer deltas)
-    /// plus the report.
-    fn prepare_plan(
-        &mut self,
-        now: TimeSlot,
-        window_start: TimeSlot,
-        baseline: Vec<f64>,
-        prices: MarketPrices,
-        penalties: Vec<f64>,
-    ) -> (Vec<Envelope>, PlanReport);
-
-    /// Incrementally replan the live plan after a forecast change event.
-    fn on_forecast_event(&mut self, event: &ForecastEvent) -> Option<ReplanReport>;
-
-    /// Commit the live plan: disaggregate into assignments for the
-    /// level below. Empty when no plan is live.
-    fn commit_plan(&mut self, now: TimeSlot) -> Vec<Envelope>;
 }
 
 mod port {
@@ -556,8 +529,9 @@ mod port {
 
     /// What a planner node speaks with the level below it. Unnameable
     /// outside the crate: [`Offers`](crate::brp::Offers) and
-    /// [`Deltas`](crate::tso::Deltas) are the only two.
-    pub trait ChildPort: Sized {
+    /// [`Deltas`](crate::tso::Deltas) are the only two. `Send`, because
+    /// every level is driven on the shared worker pool.
+    pub trait ChildPort: Sized + Send {
         /// The port's state at a WAL compaction point: everything the
         /// node cannot re-derive from its pool.
         type Snapshot: Wire;
@@ -1300,29 +1274,6 @@ impl<P: ChildPort> Node for PlannerNode<P> {
 
     fn handle(&mut self, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
         PlannerNode::handle(self, envelope, now)
-    }
-}
-
-impl<P: ChildPort> NodeRuntime for PlannerNode<P> {
-    fn prepare_plan(
-        &mut self,
-        now: TimeSlot,
-        window_start: TimeSlot,
-        baseline: Vec<f64>,
-        prices: MarketPrices,
-        penalties: Vec<f64>,
-    ) -> (Vec<Envelope>, PlanReport) {
-        PlannerNode::prepare_plan(self, now, window_start, baseline, prices, penalties)
-    }
-
-    fn on_forecast_event(&mut self, event: &ForecastEvent) -> Option<ReplanReport> {
-        PlannerNode::on_forecast_event(self, event)
-    }
-
-    fn commit_plan(&mut self, now: TimeSlot) -> Vec<Envelope> {
-        PlannerNode::commit_plan(self, now)
-            .map(|(envelopes, _)| envelopes)
-            .unwrap_or_default()
     }
 }
 

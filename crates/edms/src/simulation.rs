@@ -7,39 +7,40 @@
 //! loss and missed deadlines, which only convert offers back into open
 //! contracts.
 //!
-//! ## The parallel level pump
+//! ## The wave
 //!
-//! The cycle loop no longer hand-orders per-level calls: every planning
-//! node (level-2 BRPs, the level-3 TSO) is a
-//! [`NodeRuntime`], and each phase is a *wave* over the planner list.
-//! Planning waves run bottom-up (a BRP's macro-offer deltas must reach
-//! the TSO before it prepares); commit waves run top-down (the TSO's
-//! assignments must reach the BRPs before they disaggregate).
+//! The paper repeats one process at every level, and the driver repeats
+//! one traversal: each step of a cycle is a *wave* over one level's
+//! nodes — the BRPs, the TSO, or the prosumers. A 3-level region has a
+//! TSO; a 2-level region simply has none, and its BRPs plan and commit
+//! on their own. Planning waves run bottom-up (a BRP's macro-offer
+//! deltas must reach the TSO before it prepares); commit waves run
+//! top-down (the TSO's assignments must reach the BRPs before they
+//! disaggregate).
 //!
-//! Within one wave the nodes of a level are **independent** — they
-//! never message each other, only levels above/below and the prosumers
-//! — so each wave splits into three phases:
+//! The nodes of one level never message each other, only the levels
+//! above and below, so a wave splits into three phases:
 //!
-//! 1. **Serial pre-phase**: drain every node's inbox and poll its
-//!    forecast subscription, in node-list order. These are the only
-//!    steps that need `&mut Network` (or the hub), and they consume no
-//!    randomness, so hoisting them out of the node loop is invisible.
-//! 2. **Parallel drive**: hand each node one task — handle its drained
-//!    envelopes, then run the wave's life-cycle call (`prepare_plan`,
-//!    `on_forecast_event`, or `commit_plan`) — to the shared
-//!    [`Pool`] via `run_each`. Every BRP plans concurrently; nested
-//!    pool use inside a node (repair chains, flush shards) queues
-//!    behind the level batch on the same lanes.
-//! 3. **Serial post-phase**: join in node-list order and route each
-//!    node's out-envelopes (replies first, then the life-cycle
-//!    envelopes) through `&mut Network`.
+//! 1. **Drain**, serially in node order: every node's due envelopes
+//!    leave the network. This is the only step that needs
+//!    `&mut Network`, and it consumes no randomness.
+//! 2. **Drive**, on the shared [`Pool`]: each run of `chunk` nodes is
+//!    one `run_each` task, in which every node handles its drained
+//!    envelopes and then takes the wave's step with its own input
+//!    (`prepare_plan`, `commit_plan`, a prosumer's `on_slot`). A planner
+//!    level runs one node per task, so every BRP plans concurrently, and
+//!    nested pool use inside a node (repair chains, flush shards) queues
+//!    behind the level batch on the same lanes. Prosumers run in fixed
+//!    chunks, so the task partition does not depend on the pool width.
+//! 3. **Route**, serially in node order: each node's replies, then its
+//!    step envelopes.
 //!
-//! Because joins are node-ordered and routing stays serial, the
-//! network's per-link sequence numbers, failure rolls, and delivery
-//! tie-breaks see **exactly the order the old serial pump produced**:
-//! pool width changes wall-clock time, never a message, a plan, or a
-//! signature. Prosumer waves parallelize the same way, in fixed-size
-//! chunks so the task partition is width-independent too.
+//! Because routing is node-ordered and serial, the network's per-link
+//! sequence numbers, failure rolls and delivery tie-breaks see exactly
+//! the order a serial pump produces: pool width changes wall-clock time,
+//! never a message, a plan, or a signature. The forecast refinement
+//! sends nothing, so it needs no wave: every planner of the region
+//! replans in one `run_each` batch.
 //!
 //! ## Forecasts are pub/sub all the way up
 //!
@@ -86,7 +87,7 @@ use crate::datastore::OfferState;
 use crate::federation::RegionStats;
 use crate::message::Envelope;
 use crate::prosumer::ProsumerNode;
-use crate::runtime::{ChildPort, IslandedRound, Node, NodeRuntime, PlannerNode, RuntimeConfig};
+use crate::runtime::{ChildPort, IslandedRound, Node, PlannerNode, RuntimeConfig};
 use crate::tso::TsoNode;
 use crate::wal::{NodeWal, WalConfig};
 use crate::wire::{LinkHealthConfig, LinkHealthStats};
@@ -102,6 +103,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::f64::consts::PI;
+use std::iter::repeat;
 
 /// Simulation parameters.
 #[derive(Debug, Clone)]
@@ -291,71 +293,82 @@ fn gen_offer(
         .expect("generated offers are valid")
 }
 
-/// Drain `node`'s inbox at `now`, handle every message, route replies —
-/// the serial single-node pump. The cycle waves use the split
-/// drain / parallel-drive / route phases instead (see the module docs);
-/// this remains for the closing churn sweep, where re-registration
-/// interleaves with pumping per prosumer.
-fn pump<N: Node + ?Sized>(network: &mut Network, node: &mut N, now: TimeSlot) {
-    for envelope in network.drain(node.node_id(), now) {
-        let replies = node.handle(envelope, now);
-        network.send_all(replies);
-    }
-}
-
-/// Prosumers handled per parallel task in the prosumer waves. Fixed (not
-/// derived from pool width) so the task partition — and therefore every
-/// result — is identical at any width; 64 keeps per-task dispatch cost
+/// Prosumers handled per task in a prosumer wave. Fixed (not derived
+/// from pool width) so the task partition — and therefore every result
+/// — is identical at any width; 64 keeps per-task dispatch cost
 /// negligible against hundreds of handled envelopes.
 const PROSUMER_CHUNK: usize = 64;
 
-/// One prosumer wave: drain every online prosumer's inbox (serial, in
-/// prosumer order), drive the chunks concurrently — handle the drained
-/// envelopes, then `on_slot(slot)` if given — and route any replies in
-/// prosumer order.
-fn pump_prosumers(
+/// The TSO's node id: above the BRPs (`1..=brps`) and below the
+/// prosumers (above 10_000), so no id collides with it at any scale.
+const TSO: NodeId = NodeId(9_999);
+
+/// One wave over `nodes` at `now` (see "The wave" in the module docs):
+/// drain every inbox serially in node order; drive runs of `chunk` nodes
+/// on the pool, each node handling its inbox and then taking `step` with
+/// its own input; route every node's replies, then its step envelopes,
+/// in node order.
+fn wave<N: Node + Send, T: Send>(
     pool: &Pool,
     network: &mut Network,
-    prosumers: &mut [ProsumerNode],
-    offline: &BTreeSet<usize>,
+    nodes: &mut [N],
+    chunk: usize,
     now: TimeSlot,
-    on_slot_at: Option<TimeSlot>,
+    inputs: impl IntoIterator<Item = T>,
+    step: impl Fn(&mut N, T) -> Vec<Envelope> + Sync,
 ) {
-    let inboxes: Vec<Vec<Envelope>> = prosumers
+    network.advance(now);
+    let inboxes: Vec<Vec<Envelope>> = nodes
         .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            if offline.contains(&i) {
-                Vec::new()
-            } else {
-                network.drain(p.node_id(), now)
-            }
-        })
+        .map(|node| network.drain(node.node_id(), now))
         .collect();
-    let mut inboxes = inboxes.into_iter();
+    let mut work = inboxes.into_iter().zip(inputs);
+    let step = &step;
     let mut tasks: Vec<Task<Vec<Envelope>>> = Vec::new();
-    for (ci, chunk) in prosumers.chunks_mut(PROSUMER_CHUNK).enumerate() {
-        let chunk_inboxes: Vec<Vec<Envelope>> = inboxes.by_ref().take(chunk.len()).collect();
-        let base = ci * PROSUMER_CHUNK;
+    for run in nodes.chunks_mut(chunk) {
+        let run_work: Vec<_> = work.by_ref().take(run.len()).collect();
         tasks.push(Box::new(move || {
             let mut out = Vec::new();
-            for (k, (p, inbox)) in chunk.iter_mut().zip(chunk_inboxes).enumerate() {
-                if offline.contains(&(base + k)) {
-                    continue;
-                }
+            for (node, (inbox, input)) in run.iter_mut().zip(run_work) {
                 for envelope in inbox {
-                    out.extend(Node::handle(p, envelope, now));
+                    out.extend(node.handle(envelope, now));
                 }
-                if let Some(slot) = on_slot_at {
-                    p.on_slot(slot);
-                }
+                out.extend(step(node, input));
             }
             out
         }));
     }
-    for replies in pool.run_each(tasks) {
-        network.send_all(replies);
+    for out in pool.run_each(tasks) {
+        network.send_all(out);
     }
+}
+
+/// A prosumer's step: its clock moves to `slot`, if it has one. A
+/// prosumer never replies.
+fn tick(prosumer: &mut ProsumerNode, slot: Option<TimeSlot>) -> Vec<Envelope> {
+    if let Some(slot) = slot {
+        prosumer.on_slot(slot);
+    }
+    Vec::new()
+}
+
+/// A planner's step in the commit wave: disaggregate its live plan at
+/// `now` (nothing without one).
+fn commit<P: ChildPort>(node: &mut PlannerNode<P>, now: TimeSlot) -> Vec<Envelope> {
+    node.commit_plan(now)
+        .map(|(out, _)| out)
+        .unwrap_or_default()
+}
+
+/// A planner's task in the refinement batch: its forecast event is
+/// polled now, and the task replans on it. Yields whether it replanned.
+fn replan<'a, P: ChildPort>(
+    node: &'a mut PlannerNode<P>,
+    hub: &ForecastHub,
+    subscriptions: &BTreeMap<NodeId, u64>,
+) -> Task<'a, bool> {
+    let event = hub.poll(subscriptions[&node.id]);
+    Box::new(move || event.is_some_and(|e| node.on_forecast_event(&e).is_some()))
 }
 
 /// Signature of the committed execution of one cycle's window, over the
@@ -450,8 +463,8 @@ pub struct RegionSim {
     rng: StdRng,
     churn_rng: StdRng,
     network: Network,
-    tso_id: NodeId,
-    tso: TsoNode,
+    /// The TSO of a 3-level region; a 2-level region has none.
+    tso: Option<TsoNode>,
     brps: Vec<BrpNode>,
     prosumers: Vec<ProsumerNode>,
     hub: ForecastHub,
@@ -498,23 +511,23 @@ impl RegionSim {
         network.set_chaos(cfg.chaos.clone());
 
         // --- Topology -------------------------------------------------
-        let tso_id = NodeId(9_999);
-        let mut tso = new_tso(&cfg, tso_id);
-        if cfg.use_tso {
-            network.register(tso_id);
+        let tso = cfg.use_tso.then(|| {
+            network.register(TSO);
             // The TSO gets the same durability treatment as the BRPs:
             // with a WAL attached, a scheduled TSO crash recovers from
             // snapshot + tail replay and re-anchors every BRP stream.
+            let mut tso = new_tso(&cfg);
             if let Some(wal_config) = cfg.wal {
                 tso.attach_wal(NodeWal::in_memory(wal_config));
             }
-        }
+            tso
+        });
 
         let brps: Vec<BrpNode> = (0..cfg.brps)
             .map(|b| {
                 let id = NodeId(1 + b as u64);
                 network.register(id);
-                let mut brp = new_brp(&cfg, id, tso_id);
+                let mut brp = new_brp(&cfg, id);
                 if let Some(wal_config) = cfg.wal {
                     brp.attach_wal(NodeWal::in_memory(wal_config));
                 }
@@ -522,18 +535,16 @@ impl RegionSim {
             })
             .collect();
 
-        // Forecast pub/sub: EVERY planner — the BRPs and, in 3-level
-        // mode, the TSO — subscribes to baseline updates for the
-        // planning horizon; refinements arrive as typed slot-range
-        // events.
+        // Forecast pub/sub: EVERY planner — the BRPs, then the TSO if
+        // there is one — subscribes to baseline updates for the planning
+        // horizon; refinements arrive as typed slot-range events.
         let hub = ForecastHub::new();
-        let mut subscriptions: BTreeMap<NodeId, u64> = brps
+        let subscriptions: BTreeMap<NodeId, u64> = brps
             .iter()
-            .map(|b| (b.id, hub.subscribe(s as usize, 0.0)))
+            .map(|b| b.id)
+            .chain(tso.as_ref().map(|t| t.id))
+            .map(|id| (id, hub.subscribe(s as usize, 0.0)))
             .collect();
-        if cfg.use_tso {
-            subscriptions.insert(tso_id, hub.subscribe(s as usize, 0.0));
-        }
 
         // Prosumer ids live above 10_000, indexed globally — disjoint
         // from the BRPs (1..=brps) and the TSO (9_999) at ANY scale. The
@@ -564,7 +575,6 @@ impl RegionSim {
             rng,
             churn_rng,
             network,
-            tso_id,
             tso,
             brps,
             prosumers,
@@ -617,7 +627,11 @@ impl RegionSim {
             region: self.region,
             network: self.network.stats(),
             dead_letters: self.network.dead_letters().len(),
-            streams: self.brps.iter().map(|b| self.tso.stream_stats(b.id)).sum(),
+            streams: self
+                .brps
+                .iter()
+                .flat_map(|b| self.tso.as_ref().map(|t| t.stream_stats(b.id)))
+                .sum(),
             dedup_duplicates: self.brps.iter().map(BrpNode::dedup_duplicates).sum(),
             link_health,
             unacked_flushes: self.brps.iter().map(BrpNode::unacked_flushes).sum(),
@@ -627,12 +641,9 @@ impl RegionSim {
     /// The macro offers this region's TSO can export across the
     /// federation: the pool snapshot taken between the last cycle's
     /// planning and commit waves, minus anything expired by `now`, in
-    /// export-id space, ascending id, capped at `cap`. Empty in 2-level
-    /// mode (no TSO, nothing pooled to export).
+    /// export-id space, ascending id, capped at `cap`. Empty in a 2-level
+    /// region (no TSO, nothing pooled to export).
     pub fn exportable_surplus(&self, now: TimeSlot, cap: usize) -> Vec<FlexOffer> {
-        if !self.cfg.use_tso {
-            return Vec::new();
-        }
         self.export_pool
             .iter()
             .filter(|o| !o.is_expired(now))
@@ -669,7 +680,6 @@ impl RegionSim {
             rng,
             churn_rng,
             network,
-            tso_id,
             tso,
             brps,
             prosumers,
@@ -688,7 +698,9 @@ impl RegionSim {
             export_pool,
             ..
         } = self;
-        let tso_id = *tso_id;
+        let pool = &cfg.pool;
+        // The TSO level: empty in a 2-level region.
+        let tso_level = tso.as_mut_slice();
         let scale = *scale;
         let t0 = TimeSlot((c as i64) * s as i64);
         let window = t0 + s; // next-day execution window
@@ -755,9 +767,9 @@ impl RegionSim {
         //     resyncs and fresh traffic.
         for node in cfg.chaos.crashes_between(t0, t0 + s) {
             let recovery_out = if let Some(brp) = brps.iter_mut().find(|b| b.id == node) {
-                restart(brp, new_brp(cfg, node, tso_id), cfg, t0)
-            } else if cfg.use_tso && node == tso_id {
-                restart(tso, new_tso(cfg, node), cfg, t0)
+                restart(brp, new_brp(cfg, node), cfg, t0)
+            } else if let Some(tso) = tso_level.iter_mut().find(|t| t.id == node) {
+                restart(tso, new_tso(cfg), cfg, t0)
             } else {
                 continue;
             };
@@ -767,42 +779,36 @@ impl RegionSim {
             network.send_all(recovery_out);
         }
 
-        // The planner hierarchy, bottom-up. Rebuilt per cycle so the
-        // borrow is scoped (and so crash-restarts can replace a BRP
-        // wholesale above); the *waves* below are the only traversal.
-        let mut levels = planners(brps, cfg.use_tso.then_some(&mut *tso));
-
         // 2. Planning wave, bottom-up: the day-ahead baseline forecast is
         //    published once; each level pumps its inbox (submissions at
-        //    level 2, macro-offer deltas at level 3) and prepares a live
-        //    plan from its own pub/sub event. A level's upward envelopes
-        //    are in flight before the next level pumps.
+        //    the BRPs, macro-offer deltas at the TSO) and prepares a live
+        //    plan from its own pub/sub event, polled in node order (the
+        //    only hub step). A level's upward envelopes are in flight
+        //    before the next level pumps.
         let forecast0 = window_baseline(scale, s as usize, rng);
         let prices = MarketPrices::flat(s as usize, 0.09, 0.02, scale * 0.4);
         let penalties = vec![0.2; s as usize];
         hub.publish(&forecast0);
-        for (l, level) in levels.iter_mut().enumerate() {
-            let now = t0 + 4u32 * (l as u32 + 1);
-            // Each node prepares from its own pub/sub event, polled in
-            // node order (the only hub step).
-            let events: Vec<_> = level
-                .iter()
-                .map(|node| {
-                    let sub = subscriptions[&node.node_id()];
-                    hub.poll(sub).expect("initial publish always notifies")
-                })
-                .collect();
-            drive_level(&cfg.pool, network, level, now, events, |node, event| {
-                let (prices, penalties) = (prices.clone(), penalties.clone());
-                node.prepare_plan(now, window, event.forecast, prices, penalties)
-                    .0
-            });
-        }
+        let event = |id| {
+            hub.poll(subscriptions[&id])
+                .expect("initial publish always notifies")
+        };
+        let now = t0 + 4u32;
+        let events: Vec<_> = brps.iter().map(|b| event(b.id)).collect();
+        wave(pool, network, brps, 1, now, events, |brp, e| {
+            let (p, q) = (prices.clone(), penalties.clone());
+            brp.prepare_plan(now, window, e.forecast, p, q).0
+        });
+        let now = t0 + 8u32;
+        let events: Vec<_> = tso_level.iter().map(|t| event(t.id)).collect();
+        wave(pool, network, tso_level, 1, now, events, |tso, e| {
+            let (p, q) = (prices.clone(), penalties.clone());
+            tso.prepare_plan(now, window, e.forecast, p, q).0
+        });
 
         // 2b. Prosumers see accept/reject decisions.
-        let t2 = t0 + 8u32;
-        network.advance(t2);
-        pump_prosumers(&cfg.pool, network, prosumers, offline, t2, None);
+        let (t2, idle) = (t0 + 8u32, repeat(None));
+        wave(pool, network, prosumers, PROSUMER_CHUNK, t2, idle, tick);
 
         // 3. Intra-day forecast refinement: a few slots move (RES ramps,
         //    weather fronts), the rest stay put. The refined forecast is
@@ -819,26 +825,14 @@ impl RegionSim {
             hub.publish(&refined);
             // Replans are node-local (no envelopes, no network), so the
             // whole hierarchy repairs concurrently in one batch: poll
-            // every subscription serially, then drive every node.
-            let events: Vec<_> = levels
-                .iter()
-                .flat_map(|level| level.iter())
-                .map(|node| hub.poll(subscriptions[&node.node_id()]))
-                .collect();
-            let mut tasks: Vec<Task<bool>> = Vec::new();
-            for (node, event) in levels
+            // every subscription serially (BRPs, then the TSO), then
+            // drive every node.
+            let tasks: Vec<_> = brps
                 .iter_mut()
-                .flat_map(|level| level.iter_mut())
-                .zip(events)
-            {
-                let node: &mut (dyn NodeRuntime + Send) = &mut **node;
-                tasks.push(Box::new(move || match event {
-                    Some(event) => node.on_forecast_event(&event).is_some(),
-                    None => false,
-                }));
-            }
-            *replans += cfg
-                .pool
+                .map(|brp| replan(brp, hub, subscriptions))
+                .chain(tso_level.iter_mut().map(|t| replan(t, hub, subscriptions)))
+                .collect();
+            *replans += pool
                 .run_each(tasks)
                 .into_iter()
                 .filter(|&replanned| replanned)
@@ -854,40 +848,30 @@ impl RegionSim {
         //     commit — is the only point in a cycle where the region's
         //     exportable surplus exists (commit consumes assigned
         //     offers; the deadline expires the rest by cycle end). The
-        //     snapshot is read-only and RNG-free: planning never sees
-        //     it. Rebuilding `levels` afterwards re-scopes the node
-        //     borrows; the wave traversals are unchanged.
-        drop(levels);
+        //     snapshot is read-only and RNG-free: planning never sees it.
         export_pool.clear();
-        if cfg.use_tso {
-            for id in tso.pooled_ids() {
-                if let Some(offer) = tso.pooled_offer(id) {
-                    export_pool.push(offer.clone());
-                }
-            }
+        for tso in tso_level.iter() {
+            let pooled = tso.pooled_ids().into_iter();
+            export_pool.extend(pooled.filter_map(|id| tso.pooled_offer(id)).cloned());
         }
-        let mut levels = planners(brps, cfg.use_tso.then_some(&mut *tso));
 
         // 4. Commit wave, top-down: the TSO disaggregates its (possibly
         //    repaired) plan into per-BRP assignments; each BRP pumps
-        //    those into micro assignments and commits its own local plan
-        //    (2-level mode) — one generic loop, highest level first.
-        let top = levels.len() - 1;
-        for (l, level) in levels.iter_mut().enumerate().rev() {
-            // Stagger commit times top-down so a level's assignments are
-            // deliverable before the level below pumps.
-            let now = t0 + 12u32 + 4u32 * (top - l) as u32;
-            let inputs = vec![(); level.len()];
-            drive_level(&cfg.pool, network, level, now, inputs, |node, ()| {
-                node.commit_plan(now)
-            });
-        }
+        //    those into micro assignments, or commits its own local plan
+        //    in a 2-level region. Commit times are staggered 4 slots a
+        //    level, top-down, so a level's assignments are deliverable
+        //    before the level below pumps.
+        let now = t0 + 12u32;
+        wave(pool, network, tso_level, 1, now, repeat(now), commit);
+        let now = now + 4 * tso_level.len() as u32;
+        wave(pool, network, brps, 1, now, repeat(now), commit);
 
         // 5. Prosumers receive assignments; deadline passes at window
         //    start — unassigned offers fall back to the open contract.
+        //    A churned-out prosumer's clock stands still.
         let t5 = t0 + 20u32;
-        network.advance(t5);
-        pump_prosumers(&cfg.pool, network, prosumers, offline, t5, Some(window));
+        let slots = (0..prosumers.len()).map(|i| (!offline.contains(&i)).then_some(window));
+        wave(pool, network, prosumers, PROSUMER_CHUNK, t5, slots, tick);
 
         plan_signatures.push(plan_signature(prosumers, window, s));
 
@@ -913,22 +897,30 @@ impl RegionSim {
     }
 
     /// Closing sweep (churn only): bring every churned-out prosumer back
-    /// so the run's accounting is closed — replayed dead letters drain,
-    /// and anything still pending falls back. Without churn nothing is
-    /// offline and this does nothing.
+    /// so the run's accounting is closed — anything still pending falls
+    /// back, then the replayed dead letters drain. Without churn nothing
+    /// is offline and this does nothing.
     fn closing_sweep(&mut self) {
         if self.cfg.churn_fraction <= 0.0 {
             return;
         }
         let end = self.end();
-        self.network.advance(end);
-        for (i, p) in self.prosumers.iter_mut().enumerate() {
-            if self.offline.remove(&i) {
-                self.network.register(p.id);
+        let RegionSim {
+            cfg,
+            network,
+            prosumers,
+            offline,
+            ..
+        } = self;
+        network.advance(end);
+        for (i, p) in prosumers.iter_mut().enumerate() {
+            if offline.remove(&i) {
+                network.register(p.id);
             }
             p.on_slot(end);
-            pump(&mut self.network, p, end);
         }
+        let (pool, idle) = (&cfg.pool, repeat(None));
+        wave(pool, network, prosumers, PROSUMER_CHUNK, end, idle, tick);
     }
 
     /// The report of a swept run: imbalance accounting from the two slot
@@ -936,10 +928,9 @@ impl RegionSim {
     /// the invariant probes.
     fn report(self) -> SimulationReport {
         let end = self.end();
-        let cfg = &self.cfg;
         let prosumers = &self.prosumers;
         let brps = &self.brps;
-        let tso = &self.tso;
+        let tso = self.tso.as_ref();
 
         // --- Accounting -------------------------------------------------
         let realized = realized_load(prosumers);
@@ -968,7 +959,7 @@ impl RegionSim {
         // TSO that no BRP exports and whose deadline has not already
         // passed (the latter are cleaned by the next expiry sweep by
         // construction).
-        let phantom_offers = if cfg.use_tso {
+        let phantom_offers = tso.map_or(0, |tso| {
             let exported: BTreeSet<u64> = brps
                 .iter()
                 .flat_map(|b| b.exported_offer_ids())
@@ -979,11 +970,10 @@ impl RegionSim {
                 .filter(|id| !exported.contains(&id.value()))
                 .filter(|id| tso.pooled_offer(**id).is_some_and(|o| !o.is_expired(end)))
                 .count()
-        } else {
-            0
-        };
+        });
         let energy_violations = prosumers.iter().map(|p| p.energy_violations(1e-6)).sum();
-        let (provisional_adopted, provisional_superseded) = tso.provisional_audit();
+        let (provisional_adopted, provisional_superseded) =
+            tso.map_or((0, 0), TsoNode::provisional_audit);
 
         SimulationReport {
             offers_submitted: self.offers_submitted,
@@ -1031,58 +1021,6 @@ fn realized_load(prosumers: &[ProsumerNode]) -> SlotLedger {
     total
 }
 
-/// One level of a planning or commit wave (see the module docs): drain
-/// every node's inbox (serial, node order), drive the nodes concurrently
-/// — each handles its inbox, then takes its `step` with its own input —
-/// and route each node's replies-then-step-envelopes in node order, the
-/// exact serial-pump send order, so link sequences and failure rolls
-/// are width-independent.
-fn drive_level<T: Send>(
-    pool: &Pool,
-    network: &mut Network,
-    level: &mut [&mut (dyn NodeRuntime + Send)],
-    now: TimeSlot,
-    inputs: Vec<T>,
-    step: impl Fn(&mut dyn NodeRuntime, T) -> Vec<Envelope> + Sync,
-) {
-    network.advance(now);
-    let inboxes: Vec<Vec<Envelope>> = level
-        .iter()
-        .map(|node| network.drain(node.node_id(), now))
-        .collect();
-    let step = &step;
-    let mut tasks: Vec<Task<Vec<Envelope>>> = Vec::new();
-    for ((node, inbox), input) in level.iter_mut().zip(inboxes).zip(inputs) {
-        let node: &mut (dyn NodeRuntime + Send) = &mut **node;
-        tasks.push(Box::new(move || {
-            let mut out = Vec::new();
-            for envelope in inbox {
-                out.extend(node.handle(envelope, now));
-            }
-            out.extend(step(node, input));
-            out
-        }));
-    }
-    for envelopes in pool.run_each(tasks) {
-        network.send_all(envelopes);
-    }
-}
-
-/// The planner hierarchy, bottom-up: the BRPs, then (3-level) the TSO.
-/// `+ Send` because each level's nodes are driven concurrently on the
-/// shared pool.
-fn planners<'a>(
-    brps: &'a mut [BrpNode],
-    tso: Option<&'a mut TsoNode>,
-) -> Vec<Vec<&'a mut (dyn NodeRuntime + Send)>> {
-    let mut levels = vec![brps
-        .iter_mut()
-        .map(|b| b as &mut (dyn NodeRuntime + Send))
-        .collect()];
-    levels.extend(tso.map(|t| vec![t as &mut (dyn NodeRuntime + Send)]));
-    levels
-}
-
 /// Crash `node` — only its WAL store survives — and rebuild it as `fresh`
 /// from that store; with no WAL the crash is total amnesia. Returns the
 /// recovery envelopes to route.
@@ -1105,7 +1043,7 @@ fn restart<P: ChildPort>(
 
 /// One BRP builder for initial construction AND crash-restarts: a
 /// recovered BRP must be configured exactly like the node it replaces.
-fn new_brp(cfg: &SimulationConfig, id: NodeId, tso: NodeId) -> BrpNode {
+fn new_brp(cfg: &SimulationConfig, id: NodeId) -> BrpNode {
     let config = BrpConfig {
         scheduler: cfg.scheduler,
         budget_evaluations: cfg.budget_evaluations,
@@ -1115,18 +1053,18 @@ fn new_brp(cfg: &SimulationConfig, id: NodeId, tso: NodeId) -> BrpNode {
         link_health: cfg.link_health,
         ..BrpConfig::default()
     };
-    BrpNode::new(id, cfg.use_tso.then_some(tso), config)
+    BrpNode::new(id, cfg.use_tso.then_some(TSO), config)
 }
 
 /// The TSO's builder, likewise.
-fn new_tso(cfg: &SimulationConfig, id: NodeId) -> TsoNode {
+fn new_tso(cfg: &SimulationConfig) -> TsoNode {
     let runtime = RuntimeConfig {
         budget_evaluations: cfg.budget_evaluations,
         repair_chains: cfg.repair_chains.max(1),
         pool: cfg.pool.clone(),
         ..RuntimeConfig::default()
     };
-    TsoNode::with_config(id, AggregationParams::p0(), runtime)
+    TsoNode::with_config(TSO, AggregationParams::p0(), runtime)
 }
 
 /// Run the simulation: one [`RegionSim`] (the implicit

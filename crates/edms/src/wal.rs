@@ -351,7 +351,8 @@ impl NodeWal {
     /// Reopen a store after a crash: returns the WAL (event-id sequence
     /// resumed), the node snapshot installed last (if any), and the
     /// event records appended since it, in order. Undecodable tail
-    /// records end the replay early rather than failing it.
+    /// records end the replay early rather than failing it, and a store
+    /// whose ids reach `u64::MAX` resumes there: the sequence saturates.
     pub fn recover(
         mut store: Box<dyn WalStore>,
         config: WalConfig,
@@ -375,7 +376,7 @@ impl NodeWal {
         for frame in &frames {
             match EventRecord::from_bytes(frame) {
                 Ok(rec) => {
-                    next_event_id = next_event_id.max(rec.event_id + 1);
+                    next_event_id = next_event_id.max(rec.event_id.saturating_add(1));
                     records.push(rec);
                 }
                 Err(_) => break,
@@ -401,7 +402,7 @@ impl NodeWal {
         recorded_at: TimeSlot,
     ) -> u64 {
         let event_id = self.next_event_id;
-        self.next_event_id += 1;
+        self.next_event_id = event_id.saturating_add(1);
         let record = EventRecord {
             event_id,
             causation_id,
@@ -612,6 +613,33 @@ mod tests {
         assert_eq!(records.len(), 1, "only the post-snapshot tail replays");
         assert_eq!(records[0].event_id, 3);
         assert_eq!(wal2.next_event_id(), 4, "event-id sequence resumes");
+    }
+
+    #[test]
+    fn a_store_at_the_last_event_id_recovers_and_appends() {
+        let recover_and_append = |store: MemWalStore| {
+            let (mut wal, _, _) = NodeWal::recover(Box::new(store), WalConfig::default()).unwrap();
+            assert_eq!(wal.append(&env(1), None, true, TimeSlot(1)), u64::MAX);
+            assert_eq!(wal.next_event_id(), u64::MAX, "the sequence saturates");
+        };
+        // A frame carrying the last id.
+        let mut store = MemWalStore::new();
+        let frame = EventRecord {
+            event_id: u64::MAX,
+            causation_id: None,
+            replay_safe: true,
+            recorded_at: TimeSlot(0),
+            envelope: env(0),
+            region: RegionId::DEFAULT,
+        };
+        store.append(&frame.to_bytes()).unwrap();
+        recover_and_append(store);
+        // A snapshot header resuming at it.
+        let mut store = MemWalStore::new();
+        let mut header = Vec::new();
+        put_u64(&mut header, u64::MAX);
+        store.install_snapshot(&header).unwrap();
+        recover_and_append(store);
     }
 
     #[test]

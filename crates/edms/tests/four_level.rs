@@ -12,13 +12,14 @@
 use mirabel_aggregate::AggregationParams;
 use mirabel_core::{ActorId, EnergyRange, FlexOffer, FlexOfferId, NodeId, Profile, TimeSlot};
 use mirabel_edms::{
-    BrpConfig, BrpNode, Envelope, FailureModel, Message, Network, Node, NodeRuntime, NodeWal,
-    OfferState, ProsumerNode, RuntimeConfig, TsoNode, WalConfig,
+    BrpConfig, BrpNode, Envelope, FailureModel, Message, Network, Node, NodeWal, OfferState,
+    ProsumerNode, RuntimeConfig, TsoNode, WalConfig,
 };
 use mirabel_schedule::MarketPrices;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
+use std::slice;
 
 const BRPS: [NodeId; 2] = [NodeId(1), NodeId(2)];
 const AGG: NodeId = NodeId(500);
@@ -45,6 +46,32 @@ fn brp(id: NodeId) -> BrpNode {
         ..BrpConfig::default()
     };
     BrpNode::new(id, Some(AGG), config)
+}
+
+/// One level's wave, serially in node order: each node handles its
+/// inbox, takes `step`, and what it sent is routed. Returns the offer
+/// ids of the assignments the level sent.
+fn wave<N: Node>(
+    network: &mut Network,
+    nodes: &mut [N],
+    now: TimeSlot,
+    step: impl Fn(&mut N) -> Vec<Envelope>,
+) -> Vec<FlexOfferId> {
+    network.advance(now);
+    let mut assigned = Vec::new();
+    for node in nodes {
+        let mut out = Vec::new();
+        for envelope in network.drain(node.node_id(), now) {
+            out.extend(node.handle(envelope, now));
+        }
+        out.extend(step(node));
+        assigned.extend(out.iter().filter_map(|e| match &e.message {
+            Message::Assignment { schedule, .. } => Some(schedule.offer_id),
+            _ => None,
+        }));
+        network.send_all(out);
+    }
+    assigned
 }
 
 struct Tree {
@@ -110,50 +137,13 @@ impl Tree {
             .unwrap()
     }
 
-    /// Drain every node of a level, handle, run `step`, route.
-    fn wave(
-        &mut self,
-        level: usize,
-        now: TimeSlot,
-        step: impl Fn(&mut dyn NodeRuntime) -> Vec<Envelope>,
-    ) {
-        self.network.advance(now);
-        let nodes: Vec<&mut dyn NodeRuntime> = match level {
-            0 => self
-                .brps
-                .iter_mut()
-                .map(|b| b as &mut dyn NodeRuntime)
-                .collect(),
-            1 => vec![&mut self.agg],
-            _ => vec![&mut self.tso],
-        };
-        for node in nodes {
-            let mut out = Vec::new();
-            for envelope in self.network.drain(node.node_id(), now) {
-                out.extend(node.handle(envelope, now));
-            }
-            out.extend(step(node));
-            if level == 0 {
-                self.assigned
-                    .extend(out.iter().filter_map(|e| match &e.message {
-                        Message::Assignment { schedule, .. } => Some(schedule.offer_id),
-                        _ => None,
-                    }));
-            }
-            self.network.send_all(out);
-        }
-    }
-
     fn prosumer_wave(&mut self, now: TimeSlot, deadline_passes: Option<TimeSlot>) {
-        self.network.advance(now);
-        for p in &mut self.prosumers {
-            for envelope in self.network.drain(p.id, now) {
-                Node::handle(p, envelope, now);
-            }
+        wave(&mut self.network, &mut self.prosumers, now, |p| {
             if let Some(slot) = deadline_passes {
                 p.on_slot(slot);
             }
-        }
+            Vec::new()
+        });
     }
 
     /// One day: submissions, the planning wave bottom-up, the commit wave
@@ -185,19 +175,32 @@ impl Tree {
             .map(|s| if (30..60).contains(&s) { -6.0 } else { 2.0 })
             .collect();
         let prices = MarketPrices::flat(SLOTS as usize, 0.09, 0.02, 4.0);
-        for level in 0..3 {
-            let now = t0 + 4 * (level as u32 + 1);
-            self.wave(level, now, |node| {
-                let (b, p) = (baseline.clone(), prices.clone());
-                node.prepare_plan(now, window, b, p, vec![0.2; SLOTS as usize])
-                    .0
+        let penalties = vec![0.2; SLOTS as usize];
+        let now = t0 + 4;
+        let sent = wave(&mut self.network, &mut self.brps, now, |brp| {
+            let (b, p, q) = (baseline.clone(), prices.clone(), penalties.clone());
+            brp.prepare_plan(now, window, b, p, q).0
+        });
+        self.assigned.extend(sent);
+        for (node, now) in [(&mut self.agg, t0 + 8), (&mut self.tso, t0 + 12)] {
+            wave(&mut self.network, slice::from_mut(node), now, |node| {
+                let (b, p, q) = (baseline.clone(), prices.clone(), penalties.clone());
+                node.prepare_plan(now, window, b, p, q).0
             });
         }
         self.prosumer_wave(t0 + 14, None);
-        for level in (0..3).rev() {
-            let now = t0 + 16 + 4 * (2 - level as u32);
-            self.wave(level, now, |node| node.commit_plan(now));
+        for (node, now) in [(&mut self.tso, t0 + 16), (&mut self.agg, t0 + 20)] {
+            wave(&mut self.network, slice::from_mut(node), now, |node| {
+                node.commit_plan(now)
+                    .map(|(out, _)| out)
+                    .unwrap_or_default()
+            });
         }
+        let now = t0 + 24;
+        let sent = wave(&mut self.network, &mut self.brps, now, |brp| {
+            brp.commit_plan(now).map(|(out, _)| out).unwrap_or_default()
+        });
+        self.assigned.extend(sent);
         self.prosumer_wave(t0 + 28, Some(window));
     }
 

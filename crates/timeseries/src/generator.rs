@@ -102,51 +102,6 @@ impl DemandGenerator {
         }
         TimeSeries::new(start, values)
     }
-
-    /// Synthetic ambient temperature (°C): annual cycle (coldest at day
-    /// 0), mild diurnal cycle, plus a slow mean-reverting weather process
-    /// that produces multi-day cold snaps and warm spells. This is the
-    /// "weather information" input of the EGRV model (paper §5).
-    pub fn temperature(&self, start: TimeSlot, len: usize, seed: u64) -> TimeSeries {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x7e47);
-        let mut weather = 0.0f64; // OU deviation from the climate normal
-        let mut values = Vec::with_capacity(len);
-        for i in 0..len {
-            let t = start + i as u32;
-            let day = t.day() as f64;
-            let x = t.slot_of_day() as f64 / SLOTS_PER_DAY as f64;
-            let climate = 11.0 - 9.0 * (2.0 * PI * day / 365.0).cos()
-                + 3.0 * (2.0 * PI * (x - 0.625)).cos().max(-1.0) * 0.5;
-            let eps: f64 = rng.gen_range(-1.0..1.0) * 0.6;
-            weather += 0.004 * (0.0 - weather) + eps;
-            values.push(climate + weather);
-        }
-        TimeSeries::new(start, values)
-    }
-
-    /// Generate demand that responds to the given temperature series with
-    /// an electric-heating term: `heating_coeff · max(0, 16 °C − T)` as a
-    /// percentage of `base` is added to the weather-free expectation.
-    /// Covers exactly the span of `temperature`.
-    pub fn generate_with_temperature(
-        &self,
-        temperature: &TimeSeries,
-        heating_coeff: f64,
-        seed: u64,
-    ) -> TimeSeries {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut ar = 0.0f64;
-        let sigma = self.base * self.noise;
-        let mut values = Vec::with_capacity(temperature.len());
-        for (t, temp) in temperature.iter() {
-            let eps: f64 =
-                rng.gen_range(-1.0..1.0) * sigma * (1.0 - self.noise_ar * self.noise_ar).sqrt();
-            ar = self.noise_ar * ar + eps;
-            let heating = self.base * 0.01 * heating_coeff * (16.0 - temp).max(0.0);
-            values.push((self.expected(t) + heating + ar).max(0.0));
-        }
-        TimeSeries::new(temperature.start(), values)
-    }
 }
 
 /// Wind farm supply, in MW, via a mean-reverting wind-speed process and a
@@ -324,38 +279,6 @@ mod tests {
         let weekday = g.expected(TimeSlot(SLOTS_PER_DAY as i64 + 48));
         let weekend = g.expected(TimeSlot(5 * SLOTS_PER_DAY as i64 + 48));
         assert!(weekend < weekday);
-    }
-
-    #[test]
-    fn temperature_has_annual_and_weather_structure() {
-        let g = DemandGenerator::default();
-        let temp = g.temperature(TimeSlot(0), 365 * 96, 3);
-        // winter (day 0) colder than summer (day ~182)
-        let winter = temp.window(TimeSlot(0), TimeSlot(96 * 7)).mean();
-        let summer = temp.window(TimeSlot(96 * 180), TimeSlot(96 * 187)).mean();
-        assert!(winter < summer - 10.0, "winter {winter} summer {summer}");
-        // deterministic per seed
-        assert_eq!(temp, g.temperature(TimeSlot(0), 365 * 96, 3));
-        assert_ne!(temp, g.temperature(TimeSlot(0), 365 * 96, 4));
-    }
-
-    #[test]
-    fn cold_weather_raises_demand() {
-        let g = DemandGenerator {
-            noise: 0.0,
-            ..DemandGenerator::default()
-        };
-        let temp = g.temperature(TimeSlot(0), 14 * 96, 9);
-        let warm = temp.map(|_| 20.0);
-        let cold = temp.map(|_| 0.0);
-        let d_warm = g.generate_with_temperature(&warm, 1.5, 1);
-        let d_cold = g.generate_with_temperature(&cold, 1.5, 1);
-        // 16 degrees of heating at 1.5 %/°C = +24 % of base everywhere
-        let lift = d_cold.mean() - d_warm.mean();
-        assert!((lift - 0.24 * g.base).abs() < 1.0, "lift {lift}");
-        // zero coefficient = no response
-        let d_flat = g.generate_with_temperature(&cold, 0.0, 1);
-        assert!((d_flat.mean() - d_warm.mean()).abs() < 1.0);
     }
 
     #[test]
