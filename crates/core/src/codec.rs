@@ -367,8 +367,13 @@ impl Wire for Slice {
 }
 
 impl Wire for Profile {
+    /// The bytes of `Vec<Slice>`, written from the borrowed slices.
     fn encode(&self, out: &mut Vec<u8>) {
-        self.slices().to_vec().encode(out);
+        let slices = self.slices();
+        put_u64(out, slices.len() as u64);
+        for slice in slices {
+            slice.encode(out);
+        }
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(Profile::new(Vec::<Slice>::decode(buf)?)?)

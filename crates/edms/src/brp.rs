@@ -22,7 +22,7 @@ use crate::runtime::{ChildPort, PlanEngine, PlannerNode, RuntimeConfig};
 use crate::wal::{WalConfig, WalStore};
 use crate::wire::{DedupRx, LinkHealthConfig};
 use mirabel_aggregate::{AggregationParams, AggregationPipeline, BinPackerConfig, FlexOfferUpdate};
-use mirabel_core::codec::Wire;
+use mirabel_core::codec::{put_u64, Wire};
 use mirabel_core::{FlexOffer, FlexOfferId, NodeId, Price, ScheduledFlexOffer, TimeSlot};
 use mirabel_forecast::{ForecastModel, HwtConfig, HwtModel, Seasonality};
 use mirabel_negotiate::{AcceptanceDecision, AcceptancePolicy, PreExecutionPricing};
@@ -115,7 +115,9 @@ pub struct Offers {
 /// `(pool, duplicate filters)`: the offer pool with its source nodes, and
 /// one row per inbound stream, sorted by sender. Everything else a BRP
 /// holds — aggregates, exports, outbox — is *derived* and is rebuilt by
-/// re-feeding the pool through the aggregation pipeline on restore.
+/// re-feeding the pool through the aggregation pipeline on restore. Only
+/// recovery decodes one; a compaction writes the same bytes from the
+/// live pool.
 type BrpSnapshot = (Vec<(FlexOffer, NodeId)>, Vec<DedupRow>);
 
 /// `(sender, ((delivered_below, seen), duplicates))`: nested pairs
@@ -202,20 +204,23 @@ impl ChildPort for Offers {
         Some((source, discount))
     }
 
-    fn snapshot(node: &BrpNode) -> BrpSnapshot {
-        let mut rx: Vec<DedupRow> = node
-            .down
-            .rx
-            .iter()
-            .map(|(sender, dedup)| {
-                let (below, seen, dups) = dedup.export_state();
-                (*sender, ((below, seen), dups))
-            })
-            .collect();
-        // The rx map is a HashMap: sort so snapshot bytes (and thus WAL
-        // contents) are identical across runs.
-        rx.sort_unstable_by_key(|row| row.0);
-        (node.down.pool.values().cloned().collect(), rx)
+    /// The pool in id order, then one duplicate-filter row per sender.
+    fn encode_snapshot(node: &BrpNode, out: &mut Vec<u8>) {
+        let down = &node.down;
+        put_u64(out, down.pool.len() as u64);
+        for (offer, from) in down.pool.values() {
+            offer.encode(out);
+            from.encode(out);
+        }
+        // The rx map is a HashMap: rows go out in sender order so snapshot
+        // bytes (and thus WAL contents) are identical across runs.
+        let mut rows: Vec<_> = down.rx.iter().collect();
+        rows.sort_unstable_by_key(|(sender, _)| **sender);
+        put_u64(out, rows.len() as u64);
+        for (sender, rx) in rows {
+            sender.encode(out);
+            rx.encode_state(out);
+        }
     }
 
     /// The pool is staged like any other ingest (its flush rebuilds the
@@ -375,11 +380,13 @@ mod ingest_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::NodeWal;
+    use crate::wal::{LoadedLog, MemWalStore, NodeWal};
     use crate::wire::LinkState;
     use mirabel_core::{EnergyRange, Price, Profile};
     use mirabel_forecast::ForecastEvent;
     use mirabel_schedule::MarketPrices;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn offer(id: u64, owner: u64, es: i64, deadline: i64, tf: u32) -> FlexOffer {
         FlexOffer::builder(id, owner)
@@ -1028,6 +1035,62 @@ mod tests {
         // copy of seq 5 is still rejected.
         assert!(recovered.handle(sequenced(5), TimeSlot(0)).is_empty());
         assert_eq!(recovered.pool_size(), 1);
+    }
+
+    /// A store whose snapshot installs always fail, counting the attempts.
+    #[derive(Debug)]
+    struct NoSnapshots {
+        log: MemWalStore,
+        installs: Arc<AtomicUsize>,
+    }
+
+    impl WalStore for NoSnapshots {
+        fn append(&mut self, frame: &[u8]) -> std::io::Result<()> {
+            self.log.append(frame)
+        }
+
+        fn install_snapshot(&mut self, _snapshot: &[u8]) -> std::io::Result<()> {
+            self.installs.fetch_add(1, Ordering::Relaxed);
+            Err(std::io::Error::other("snapshot volume full"))
+        }
+
+        fn load(&mut self) -> std::io::Result<LoadedLog> {
+            self.log.load()
+        }
+    }
+
+    #[test]
+    fn failed_snapshot_installs_retry_on_cadence_and_recovery_replays_the_log() {
+        let wal_config = WalConfig { snapshot_every: 4 };
+        let installs = Arc::new(AtomicUsize::new(0));
+        let store = NoSnapshots {
+            log: MemWalStore::new(),
+            installs: Arc::clone(&installs),
+        };
+        let mut brp = BrpNode::new(NodeId(1), None, BrpConfig::default());
+        brp.attach_wal(NodeWal::new(Box::new(store), wal_config));
+        for i in 0..20 {
+            submit(&mut brp, offer(100 + i, 50 + i, 110, 90, 8), 1_000 + i, 0);
+        }
+        // One attempt per four events, not one per event once the first
+        // attempt failed; the log keeps every event.
+        let wal = brp.wal().unwrap();
+        assert_eq!(installs.load(Ordering::Relaxed), 5);
+        assert_eq!(wal.io_errors(), 5);
+        assert_eq!(wal.tail_len(), 20, "nothing was truncated");
+
+        let store = brp.take_wal().unwrap().into_store();
+        let (recovered, _) = BrpNode::recover(
+            NodeId(1),
+            None,
+            BrpConfig::default(),
+            store,
+            wal_config,
+            TimeSlot(0),
+        )
+        .unwrap();
+        assert_eq!(recovered.pool_size(), 20);
+        assert_eq!(recovered.pool_digest(), brp.pool_digest());
     }
 
     #[test]

@@ -533,7 +533,9 @@ mod port {
     /// every level is driven on the shared worker pool.
     pub trait ChildPort: Sized + Send {
         /// The port's state at a WAL compaction point: everything the
-        /// node cannot re-derive from its pool.
+        /// node cannot re-derive from its pool. Only recovery builds one,
+        /// by decoding; a compaction writes its bytes straight from the
+        /// node ([`encode_snapshot`](Self::encode_snapshot)).
         type Snapshot: Wire;
 
         /// Whether an inbound envelope is new. A duplicate is dropped
@@ -563,8 +565,10 @@ mod port {
             state: OfferState,
         ) -> Option<(NodeId, Price)>;
 
-        /// The port's snapshot.
-        fn snapshot(node: &PlannerNode<Self>) -> Self::Snapshot;
+        /// Append the bytes `Self::Snapshot::encode` would write for the
+        /// port's state, read from the live node by reference: no offer
+        /// or filter is copied at a compaction.
+        fn encode_snapshot(node: &PlannerNode<Self>, out: &mut Vec<u8>);
 
         /// Restore a decoded snapshot into a fresh node.
         fn restore(node: &mut PlannerNode<Self>, snapshot: Self::Snapshot);
@@ -853,8 +857,9 @@ impl<P: ChildPort> PlannerNode<P> {
     /// Install a compacting snapshot once the journal's tail has reached
     /// its bound.
     fn compact(&mut self) {
-        if self.journal.wants_snapshot() {
-            self.journal.compact(P::snapshot(self));
+        if let Some(mut snapshot) = self.journal.snapshot_due() {
+            P::encode_snapshot(self, &mut snapshot);
+            self.journal.compact(snapshot);
         }
     }
 

@@ -42,6 +42,7 @@ use crate::runtime::{ChildPort, OfferDeltaReport, PlanEngine, PlannerNode, Runti
 use crate::wal::{WalConfig, WalStore};
 use crate::wire::{LinkHealthConfig, SequencedRx, SequencedRxState, StreamRx, StreamStats};
 use mirabel_aggregate::{AggregationParams, AggregationPipeline, FlexOfferUpdate};
+use mirabel_core::codec::{put_u64, Wire};
 use mirabel_core::{FlexOffer, FlexOfferId, NodeId, Price, ScheduledFlexOffer, TimeSlot};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -75,7 +76,8 @@ pub struct Deltas {
 /// pairs `(pool, (streams, (applied, (adopted, superseded))))`: the
 /// pooled macro offers with their sources, the per-child
 /// sequenced-stream guards, the per-child applied-flush counters behind
-/// heartbeat acks, and the reconciliation audit counters.
+/// heartbeat acks, and the reconciliation audit counters. Only recovery
+/// decodes one; a compaction writes the same bytes from the live node.
 type TsoSnapshot = (
     Vec<(FlexOffer, NodeId)>,
     (
@@ -159,21 +161,33 @@ impl ChildPort for Deltas {
         Some((source, Price::ZERO))
     }
 
-    fn snapshot(node: &TsoNode) -> TsoSnapshot {
+    /// The pooled macro offers by reference, in id order, then the
+    /// stream guards, the applied counters and the audit counters.
+    fn encode_snapshot(node: &TsoNode, out: &mut Vec<u8>) {
         let pipeline = node.engine.pipeline();
         let down = &node.down;
-        let pool = down
+        let pool: Vec<_> = down
             .sources
             .iter()
-            .filter_map(|(id, src)| pipeline.offer(*id).map(|o| (o.clone(), *src)))
+            .filter_map(|(id, src)| Some((pipeline.offer(*id)?, src)))
             .collect();
-        let applied = down.applied.iter().map(|(n, c)| (*n, *c)).collect();
-        let audit = (down.provisional_adopted, down.provisional_superseded);
-        let streams = down.streams.rx.iter();
-        let streams = streams
-            .map(|(child, rx)| (*child, rx.export_state()))
-            .collect();
-        (pool, (streams, (applied, audit)))
+        put_u64(out, pool.len() as u64);
+        for (offer, src) in pool {
+            offer.encode(out);
+            src.encode(out);
+        }
+        put_u64(out, down.streams.rx.len() as u64);
+        for (child, rx) in &down.streams.rx {
+            child.encode(out);
+            rx.encode_state(out);
+        }
+        put_u64(out, down.applied.len() as u64);
+        for (child, count) in &down.applied {
+            child.encode(out);
+            count.encode(out);
+        }
+        down.provisional_adopted.encode(out);
+        down.provisional_superseded.encode(out);
     }
 
     fn restore(node: &mut TsoNode, (pool, (streams, (applied, audit))): TsoSnapshot) {

@@ -54,7 +54,7 @@
 //!   the normal delta-splice.
 
 use crate::message::{Envelope, Message};
-use mirabel_core::codec::{CodecError, Wire};
+use mirabel_core::codec::{put_u64, CodecError, Wire};
 use mirabel_core::{FlexOffer, NodeId, TimeSlot};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -255,6 +255,20 @@ impl SequencedRx {
             resync_pending: self.resync_pending,
             stats: self.stats,
         }
+    }
+
+    /// Append the bytes of [`export_state`](Self::export_state)'s
+    /// [`SequencedRxState`] without copying the parked envelopes: a TSO
+    /// snapshot's stream row after its child.
+    pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
+        self.next_expected.encode(out);
+        put_u64(out, self.buffer.len() as u64);
+        for envelope in self.buffer.values() {
+            envelope.encode(out);
+        }
+        (self.buffer_cap as u64).encode(out);
+        self.resync_pending.encode(out);
+        self.stats.encode(out);
     }
 
     /// Rebuild a guard from snapshot state produced by
@@ -692,6 +706,18 @@ impl DedupRx {
         )
     }
 
+    /// Append the bytes of [`export_state`](Self::export_state)'s
+    /// `((delivered_below, seen), duplicates)` without copying `seen`:
+    /// a BRP snapshot's duplicate-filter row after its sender.
+    pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
+        self.delivered_below.encode(out);
+        put_u64(out, self.seen.len() as u64);
+        for seq in &self.seen {
+            seq.encode(out);
+        }
+        self.duplicates.encode(out);
+    }
+
     /// Rebuild a filter from snapshot state produced by
     /// [`export_state`](Self::export_state) — recovery resumes exactly
     /// where the crashed node's duplicate window stood.
@@ -860,6 +886,9 @@ mod tests {
         }
         rx.accept(Some(3)); // one duplicate
         let (below, seen, dups) = rx.export_state();
+        let mut row = Vec::new();
+        rx.encode_state(&mut row);
+        assert_eq!(row, ((below, seen.clone()), dups).to_bytes());
         let mut restored = DedupRx::from_state(below, seen, dups);
         // Same acceptance behaviour as the original going forward.
         assert!(!restored.accept(Some(7)), "remembered as delivered");
@@ -887,6 +916,9 @@ mod tests {
         assert_eq!(state.next_expected, 1);
         assert_eq!(state.buffered.len(), 1);
         assert!(state.resync_pending);
+        let mut row = Vec::new();
+        rx.encode_state(&mut row);
+        assert_eq!(row, state.to_bytes(), "encoded in place, byte for byte");
         // Wire roundtrip, then resume: the late 1 still drains 1 and 2.
         let back = SequencedRxState::from_bytes(&state.to_bytes()).unwrap();
         assert_eq!(back, state);

@@ -1,7 +1,7 @@
 //! The bytes a planner node persists are a compatibility contract: a
 //! WAL store written by one build must recover under the next.
 //!
-//! Two halves:
+//! Three parts:
 //!
 //! 1. **Pinned bytes.** A scripted BRP (TSO mode: ingest, upward flush,
 //!    one islanded commit, a restart hand-off, a heal) and a scripted TSO
@@ -17,16 +17,25 @@
 //!    returns `Ok` and never panics at either level. And with one byte
 //!    appended, an undecodable snapshot means the same thing at both —
 //!    restore nothing, replay the tail.
+//! 3. **The encoders at scale.** A node writes its snapshot straight from
+//!    its live state, not through the snapshot type's codec. A BRP with
+//!    hundreds of senders and a TSO with hundreds of child streams —
+//!    gaps, duplicates and out-of-order sends included — check every
+//!    snapshot they install: it decodes as the public tuple type and
+//!    re-encodes to the same bytes, and recovering from the store at that
+//!    point rebuilds the never-crashed node's pool.
 
 use mirabel_aggregate::{AggregationParams, FlexOfferUpdate};
+use mirabel_core::codec::{take_u64, Wire};
 use mirabel_core::{
     EnergyRange, FlexOffer, FlexOfferId, NodeId, Profile, ScheduledFlexOffer, TimeSlot,
 };
 use mirabel_edms::{
-    BrpConfig, BrpNode, Envelope, LinkHealthConfig, MemWalStore, Message, NodeWal, RuntimeConfig,
-    TsoNode, WalConfig, WalStore,
+    BrpConfig, BrpNode, Envelope, LinkHealthConfig, LoadedLog, MemWalStore, Message, NodeWal,
+    RuntimeConfig, SequencedRxState, TsoNode, WalConfig, WalStore,
 };
 use mirabel_schedule::MarketPrices;
+use std::sync::{Arc, Mutex};
 
 const BRP: NodeId = NodeId(3);
 const TSO: NodeId = NodeId(99);
@@ -459,4 +468,243 @@ fn trailing_snapshot_bytes_restore_nothing_at_both_levels() {
         "TSO restored from a rejected snapshot"
     );
     assert!(out.is_empty(), "no stream survived to re-anchor");
+}
+
+// ---------------------------------------------------------------------
+// The snapshot encoders at scale: hundreds of senders, gaps, duplicates.
+// ---------------------------------------------------------------------
+
+/// A BRP snapshot as the public tuple it decodes as: the pool with its
+/// sources, then `(sender, ((delivered_below, seen), duplicates))` rows.
+type BrpTuple = (Vec<(FlexOffer, NodeId)>, Vec<(u64, ((u64, Vec<u64>), u64))>);
+
+/// A TSO snapshot as the public tuple it decodes as: the pool with its
+/// sources, then the stream guards, the applied counters and the audit.
+type TsoTuple = (
+    Vec<(FlexOffer, NodeId)>,
+    (
+        Vec<(NodeId, SequencedRxState)>,
+        (Vec<(NodeId, u64)>, (u64, u64)),
+    ),
+);
+
+/// An in-memory store shared with the test, so every snapshot a live node
+/// installs can be checked the moment it lands.
+#[derive(Debug, Clone, Default)]
+struct Shared(Arc<Mutex<(MemWalStore, usize)>>);
+
+impl Shared {
+    /// Snapshots installed so far.
+    fn installs(&self) -> usize {
+        self.0.lock().unwrap().1
+    }
+
+    /// A copy of the store as it stands: the snapshot (header stripped)
+    /// and a fresh store holding snapshot and tail.
+    fn copy(&self) -> (Vec<u8>, Box<dyn WalStore>) {
+        let (snapshot, frames) = self.0.lock().unwrap().0.load().unwrap();
+        let snapshot = snapshot.expect("a snapshot was installed");
+        let mut state = snapshot.as_slice();
+        take_u64(&mut state).expect("the event-id header");
+        (state.to_vec(), store_with(&snapshot, &frames))
+    }
+}
+
+impl WalStore for Shared {
+    fn append(&mut self, frame: &[u8]) -> std::io::Result<()> {
+        self.0.lock().unwrap().0.append(frame)
+    }
+
+    fn install_snapshot(&mut self, snapshot: &[u8]) -> std::io::Result<()> {
+        let mut shared = self.0.lock().unwrap();
+        shared.1 += 1;
+        shared.0.install_snapshot(snapshot)
+    }
+
+    fn load(&mut self) -> std::io::Result<LoadedLog> {
+        self.0.lock().unwrap().0.load()
+    }
+}
+
+/// Whether `state` decodes exactly as `T` and re-encodes to itself.
+fn reencodes_as<T: Wire>(state: &[u8]) -> bool {
+    T::from_bytes(state).is_ok_and(|value| value.to_bytes() == state)
+}
+
+/// Sends per sender (or child stream) in the scale scripts.
+const SCALE_SENDS: u64 = 3;
+
+/// The sequence numbers sender `s` sends, in order: every fifth skips
+/// one (a gap the filter remembers), every seventh repeats one (a
+/// duplicate the filter drops), every eleventh sends out of order.
+fn scale_seqs(s: u64) -> Vec<u64> {
+    let mut seqs: Vec<u64> = (0..SCALE_SENDS).collect();
+    if s.is_multiple_of(5) {
+        seqs.retain(|&q| q != 1);
+    }
+    if s.is_multiple_of(7) {
+        seqs.insert(1, 0);
+    }
+    if s.is_multiple_of(11) {
+        seqs.swap(0, 1);
+    }
+    seqs
+}
+
+/// Recover a BRP from `store` and compare it with the live node.
+fn assert_brp_recovers(store: Box<dyn WalStore>, cadence: usize, live: &BrpNode, now: i64) {
+    let (node, _) = BrpNode::recover(
+        BRP,
+        None,
+        scale_brp_config(),
+        store,
+        WalConfig {
+            snapshot_every: cadence,
+        },
+        TimeSlot(now),
+    )
+    .unwrap();
+    assert_eq!(node.pool_size(), live.pool_size(), "cadence {cadence}");
+    assert_eq!(node.pool_digest(), live.pool_digest(), "cadence {cadence}");
+    assert_eq!(node.dedup_duplicates(), live.dedup_duplicates());
+}
+
+/// Recover a TSO from `store` and compare it with the live node.
+fn assert_tso_recovers(store: Box<dyn WalStore>, cadence: usize, live: &TsoNode) {
+    let (node, _) = recover_tso(store, cadence, 0);
+    let ids = live.pooled_ids();
+    assert_eq!(node.pooled_ids(), ids, "cadence {cadence}");
+    for id in ids {
+        assert_eq!(node.pooled_offer(id), live.pooled_offer(id));
+        assert_eq!(node.source_of(id), live.source_of(id));
+    }
+    for c in 1..=SCALE_CHILDREN {
+        assert_eq!(node.stream_stats(NodeId(c)), live.stream_stats(NodeId(c)));
+    }
+}
+
+fn scale_brp_config() -> BrpConfig {
+    BrpConfig {
+        budget_evaluations: 2_000,
+        ..BrpConfig::default()
+    }
+}
+
+/// Child streams of the TSO scale script.
+const SCALE_CHILDREN: u64 = 200;
+
+#[test]
+fn brp_snapshots_at_scale_reencode_and_recover_the_live_pool() {
+    const SENDERS: u64 = 300;
+    for cadence in CADENCES {
+        let shared = Shared::default();
+        let mut brp = BrpNode::new(BRP, None, scale_brp_config());
+        brp.attach_wal(NodeWal::new(
+            Box::new(shared.clone()),
+            WalConfig {
+                snapshot_every: cadence,
+            },
+        ));
+        let mut checked = 0;
+        let mut check = |brp: &BrpNode, now: i64| {
+            if shared.installs() == checked {
+                return;
+            }
+            checked = shared.installs();
+            let (state, store) = shared.copy();
+            assert!(reencodes_as::<BrpTuple>(&state), "cadence {cadence}");
+            let (_, rows) = BrpTuple::from_bytes(&state).unwrap();
+            assert!(
+                rows.windows(2).all(|w| w[0].0 < w[1].0),
+                "rows in sender order"
+            );
+            assert_brp_recovers(store, cadence, brp, now);
+        };
+        let sends: Vec<_> = (0..SENDERS).map(|s| (s, scale_seqs(s))).collect();
+        for round in 0..=SCALE_SENDS as usize {
+            for (s, seqs) in &sends {
+                let Some(&seq) = seqs.get(round) else {
+                    continue;
+                };
+                let id = 1 + s * SCALE_SENDS + seq;
+                submit(&mut brp, micro_offer(id), 1_000 + s, seq, 0);
+                check(&brp, 0);
+            }
+            if round == 1 {
+                // A committed round in the middle: assignment markers
+                // reach the log and the pool shrinks.
+                brp_round(&mut brp, 1);
+                check(&brp, 1);
+            }
+        }
+        assert!(shared.installs() > 0, "cadence {cadence} compacted");
+        assert!(brp.dedup_duplicates() > 0);
+        // The last snapshot and the tail behind it.
+        assert_brp_recovers(shared.copy().1, cadence, &brp, 1);
+    }
+}
+
+#[test]
+fn tso_snapshots_at_scale_reencode_and_recover_the_live_pool() {
+    for cadence in CADENCES {
+        let shared = Shared::default();
+        let mut tso = TsoNode::with_config(TSO, AggregationParams::p0(), tso_runtime());
+        tso.attach_wal(NodeWal::new(
+            Box::new(shared.clone()),
+            WalConfig {
+                snapshot_every: cadence,
+            },
+        ));
+        let mut checked = 0;
+        let mut check = |tso: &TsoNode| {
+            if shared.installs() == checked {
+                return;
+            }
+            checked = shared.installs();
+            let (state, store) = shared.copy();
+            assert!(reencodes_as::<TsoTuple>(&state), "cadence {cadence}");
+            assert_tso_recovers(store, cadence, tso);
+        };
+        let send = |tso: &mut TsoNode, c: u64, seq: u64| {
+            // Each batch inserts one macro offer; the last also retires
+            // the child's first.
+            let export = |k: u64| c * 1_000_000_000 + k;
+            let mut updates = vec![FlexOfferUpdate::Insert(macro_offer(
+                export(seq + 1),
+                120 + (c % 8) as i64,
+            ))];
+            if seq == SCALE_SENDS - 1 {
+                updates.push(FlexOfferUpdate::Delete(FlexOfferId(export(1))));
+            }
+            let env = Envelope::new(
+                NodeId(c),
+                TSO,
+                TimeSlot(0),
+                Message::MacroOfferDeltas(updates),
+            )
+            .with_seq(seq);
+            tso.handle(env, TimeSlot(0));
+        };
+        let sends: Vec<_> = (1..=SCALE_CHILDREN).map(|c| (c, scale_seqs(c))).collect();
+        for round in 0..=SCALE_SENDS as usize {
+            for (c, seqs) in &sends {
+                let Some(&seq) = seqs.get(round) else {
+                    continue;
+                };
+                send(&mut tso, *c, seq);
+                check(&tso);
+            }
+        }
+        let gapped = tso.stream_stats(NodeId(5));
+        assert!(gapped.resyncs_requested > 0, "child 5 left a gap");
+        // The late batches close the gaps: what a snapshot parked behind
+        // them must be delivered after a recovery too.
+        for c in (5..=SCALE_CHILDREN).step_by(5) {
+            send(&mut tso, c, 1);
+            check(&tso);
+        }
+        assert!(shared.installs() > 0, "cadence {cadence} compacted");
+        // The last snapshot and the tail behind it.
+        assert_tso_recovers(shared.copy().1, cadence, &tso);
+    }
 }
