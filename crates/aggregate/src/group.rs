@@ -17,47 +17,13 @@ use mirabel_core::{FlexOffer, FlexOfferId, GroupId, OfferKind};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 
-/// Bucketed similarity key. `cell` is 0 unless the integrated member cap
-/// is active, in which case it sub-partitions an attribute bucket into
-/// bounded cells (the one-pass bin-packing integration of §4 Research
-/// Directions).
+/// Bucketed similarity key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct GroupKey {
     kind_production: bool,
     start_bucket: i64,
     tf_bucket: u32,
     duration_bucket: Option<u32>,
-    cell: u32,
-}
-
-/// Occupancy of the bounded cells of one attribute bucket.
-#[derive(Debug, Default)]
-struct CellDirectory {
-    counts: Vec<u32>,
-    first_open: usize,
-}
-
-impl CellDirectory {
-    /// Allocate a slot: the first cell with room, appending a new cell if
-    /// every existing one is full.
-    fn allocate(&mut self, cap: u32) -> u32 {
-        while self.first_open < self.counts.len() && self.counts[self.first_open] >= cap {
-            self.first_open += 1;
-        }
-        if self.first_open == self.counts.len() {
-            self.counts.push(0);
-        }
-        self.counts[self.first_open] += 1;
-        self.first_open as u32
-    }
-
-    fn release(&mut self, cell: u32) {
-        let c = cell as usize;
-        if c < self.counts.len() && self.counts[c] > 0 {
-            self.counts[c] -= 1;
-            self.first_open = self.first_open.min(c);
-        }
-    }
 }
 
 /// Per-flush membership delta of one group.
@@ -78,11 +44,6 @@ pub struct GroupBuilder {
     /// Updates accumulated since the last flush.
     pending: Vec<FlexOfferUpdate>,
     next_group: u64,
-    /// Integrated member cap: when set, attribute buckets are split into
-    /// cells of at most this many members during grouping itself, so no
-    /// separate bin-packing pass is needed.
-    member_cap: Option<u32>,
-    cells: HashMap<GroupKey, CellDirectory>,
 }
 
 impl GroupBuilder {
@@ -94,20 +55,7 @@ impl GroupBuilder {
             index: HashMap::new(),
             pending: Vec::new(),
             next_group: 0,
-            member_cap: None,
-            cells: HashMap::new(),
         }
-    }
-
-    /// Builder with the integrated member cap (§4 Research Directions:
-    /// "it is a challenge to integrate the bin-packer with a
-    /// group-builder" — this partitions in one pass, bounding every
-    /// emitted group to `cap` members).
-    pub fn with_member_cap(params: AggregationParams, cap: u32) -> GroupBuilder {
-        assert!(cap >= 1, "member cap must be at least 1");
-        let mut gb = GroupBuilder::new(params);
-        gb.member_cap = Some(cap);
-        gb
     }
 
     /// The thresholds in use.
@@ -126,7 +74,6 @@ impl GroupBuilder {
                 .params
                 .duration_tolerance
                 .map(|t| offer.duration() / (t + 1)),
-            cell: 0,
         }
     }
 
@@ -189,21 +136,7 @@ impl GroupBuilder {
         acc: &mut HashMap<GroupKey, DeltaAcc>,
     ) {
         let id = offer.id();
-        let mut key = self.key_of(&offer);
-        // Integrated bin-packing: place the offer into the first
-        // attribute-bucket cell with room. Re-inserting the same id into
-        // the same bucket keeps its cell (membership is replaced, not
-        // duplicated).
-        if let Some(cap) = self.member_cap {
-            match self.index.get(&id).copied() {
-                Some(old) if GroupKey { cell: 0, ..old } == key => {
-                    key.cell = old.cell;
-                }
-                _ => {
-                    key.cell = self.cells.entry(key).or_default().allocate(cap);
-                }
-            }
-        }
+        let key = self.key_of(&offer);
         let displaced = slab.insert(offer);
         match self.index.insert(id, key) {
             Some(old) if old != key => {
@@ -218,11 +151,6 @@ impl GroupBuilder {
                     old_acc
                         .removed
                         .push(displaced.expect("indexed offer is in the slab"));
-                }
-                if self.member_cap.is_some() {
-                    if let Some(dir) = self.cells.get_mut(&GroupKey { cell: 0, ..old }) {
-                        dir.release(old.cell);
-                    }
                 }
                 self.join(id, key, acc);
             }
@@ -275,11 +203,6 @@ impl GroupBuilder {
         let a = acc.entry(key).or_default();
         if !a.added.remove(&id) {
             a.removed.push(removed);
-        }
-        if self.member_cap.is_some() {
-            if let Some(dir) = self.cells.get_mut(&GroupKey { cell: 0, ..key }) {
-                dir.release(key.cell);
-            }
         }
     }
 
@@ -544,84 +467,6 @@ mod tests {
         let (added, removed) = delta_ids(&updates);
         assert_eq!(added.len(), 100);
         assert!(removed.is_empty());
-    }
-
-    #[test]
-    fn integrated_cap_bounds_group_sizes() {
-        let mut slab = OfferSlab::new();
-        let mut gb = GroupBuilder::with_member_cap(AggregationParams::p0(), 3);
-        gb.accumulate(inserts((0..10).map(|i| offer(i, 5, 2)).collect()));
-        let updates = gb.flush(&mut slab);
-        // 10 identical offers, cap 3 → 4 groups (3+3+3+1)
-        assert_eq!(gb.group_count(), 4);
-        let mut sizes: Vec<usize> = updates
-            .iter()
-            .filter_map(|u| match u {
-                GroupUpdate::Upsert { added, .. } => Some(added.len()),
-                _ => None,
-            })
-            .collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1, 3, 3, 3]);
-    }
-
-    #[test]
-    fn integrated_cap_reuses_freed_cells() {
-        let mut slab = OfferSlab::new();
-        let mut gb = GroupBuilder::with_member_cap(AggregationParams::p0(), 2);
-        gb.accumulate(inserts(vec![
-            offer(1, 5, 2),
-            offer(2, 5, 2),
-            offer(3, 5, 2),
-        ]));
-        gb.flush(&mut slab);
-        assert_eq!(gb.group_count(), 2); // cells [2, 1]
-
-        // Delete one of the first cell, insert a new offer: it must fill
-        // the freed slot instead of opening a third cell.
-        gb.accumulate(vec![FlexOfferUpdate::Delete(FlexOfferId(1))]);
-        gb.flush(&mut slab);
-        gb.accumulate(inserts(vec![offer(4, 5, 2)]));
-        gb.flush(&mut slab);
-        assert_eq!(gb.group_count(), 2);
-        assert_eq!(gb.offer_count(), 3);
-    }
-
-    #[test]
-    fn integrated_cap_reinsert_same_bucket_keeps_cell() {
-        let mut slab = OfferSlab::new();
-        let mut gb = GroupBuilder::with_member_cap(AggregationParams::p0(), 2);
-        gb.accumulate(inserts(vec![offer(1, 5, 2), offer(2, 5, 2)]));
-        gb.flush(&mut slab);
-        assert_eq!(gb.group_count(), 1);
-        // re-insert offer 1 with identical attributes: stays in its cell,
-        // no phantom occupancy
-        gb.accumulate(inserts(vec![offer(1, 5, 2)]));
-        gb.flush(&mut slab);
-        assert_eq!(gb.group_count(), 1);
-        assert_eq!(gb.offer_count(), 2);
-        // the group still has room for nobody (cap 2) — a third offer
-        // opens a second cell
-        gb.accumulate(inserts(vec![offer(3, 5, 2)]));
-        gb.flush(&mut slab);
-        assert_eq!(gb.group_count(), 2);
-    }
-
-    #[test]
-    fn integrated_cap_reinsert_other_bucket_releases_cell() {
-        let mut slab = OfferSlab::new();
-        let mut gb = GroupBuilder::with_member_cap(AggregationParams::p0(), 1);
-        gb.accumulate(inserts(vec![offer(1, 5, 2)]));
-        gb.flush(&mut slab);
-        // move offer 1 to a different attribute bucket
-        gb.accumulate(inserts(vec![offer(1, 50, 9)]));
-        gb.flush(&mut slab);
-        assert_eq!(gb.offer_count(), 1);
-        // the old bucket's cell was released: a new offer at (5,2) fits
-        // into cell 0 again
-        gb.accumulate(inserts(vec![offer(2, 5, 2)]));
-        gb.flush(&mut slab);
-        assert_eq!(gb.group_count(), 2);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! [`NToOneAggregator::apply`] partitions them by group-id hash into
 //! one shard per lane of the shared worker pool
 //! ([`mirabel_core::exec::Pool`] — the same persistent executor behind
-//! `incremental::repair_parallel` and `forecast::parallel`, so a
-//! trickle flush wakes parked workers instead of spawning threads) and
+//! `incremental::repair_parallel`, so a trickle flush wakes parked
+//! workers instead of spawning threads) and
 //! merges the folded results in sorted sub-group order. Fresh aggregate
 //! ids are assigned during the sorted merge, so the emitted update
 //! stream — ids included — is identical for any pool width.
@@ -45,6 +45,12 @@ use std::sync::Mutex;
 /// Member operations (adds + removes) an entry absorbs before the next
 /// exact re-fold squashes accumulated float drift.
 const REFOLD_OPS: u32 = 4096;
+
+/// A removed member value more than this many times the running sum it
+/// leaves behind (or 1, for a smaller sum) has cancelled the low bits
+/// the other members contributed to that sum: the entry re-folds exactly
+/// before it is emitted instead of waiting for [`REFOLD_OPS`].
+const CANCEL_RATIO: f64 = 1e6;
 
 /// Errors from disaggregation.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,6 +185,8 @@ impl AggregateEntry {
     }
 
     /// Fold one member out: the exact inverse of [`add`](Self::add).
+    /// A removal that cancels a sum (see [`CANCEL_RATIO`]) makes the
+    /// next emission re-fold.
     fn remove(&mut self, o: &FlexOffer) {
         let es = o.earliest_start().index();
         multi_remove(&mut self.starts, es);
@@ -186,18 +194,26 @@ impl AggregateEntry {
         multi_remove(&mut self.deadlines, o.assignment_before().index());
         multi_remove(&mut self.ends, es + o.duration() as i64);
 
+        let mut cancelled = false;
+        let mut subtract = |sum: &mut f64, v: f64| {
+            *sum -= v;
+            cancelled |= sum.is_nan() || v.abs() > CANCEL_RATIO * sum.abs().max(1.0);
+        };
         let offset = (es - self.base) as usize;
         for (k, r) in o.profile().slot_ranges().enumerate() {
-            self.lo[offset + k] -= r.min().kwh();
-            self.hi[offset + k] -= r.max().kwh();
+            subtract(&mut self.lo[offset + k], r.min().kwh());
+            subtract(&mut self.hi[offset + k], r.max().kwh());
         }
 
         let e = o.profile().max_total_energy().kwh();
-        self.energy -= e;
-        self.weighted_price -= e * o.unit_price().eur();
+        subtract(&mut self.energy, e);
+        subtract(&mut self.weighted_price, e * o.unit_price().eur());
 
         self.members.remove(o.id()); // panics if absent
         self.ops += 1;
+        if cancelled {
+            self.ops = self.ops.max(REFOLD_OPS);
+        }
     }
 
     /// Drop the (≈ zero) slots outside the surviving members' span so the
@@ -719,6 +735,30 @@ mod tests {
         {
             assert!(x.min().approx_eq(y.min(), 1e-9) && x.max().approx_eq(y.max(), 1e-9));
         }
+    }
+
+    #[test]
+    fn cancelling_removal_refolds_before_emitting() {
+        // A member 1.8e19 times larger than the other absorbs its low
+        // bits: subtracting it back out of the running sum would leave
+        // 0 kWh where the other member's 10 kWh remain.
+        let small = member(1, 10, 4, 1, 5.0, 10.0);
+        let huge = member(2, 10, 4, 1, 5.0, 1.8e20);
+        let (mut agg, mut slab, _) = aggregator_with(vec![small, huge.clone()]);
+        let removed = slab.remove(huge.id()).unwrap();
+        let out = agg.apply(
+            vec![SubgroupUpdate::Upsert {
+                subgroup: sg(0, 0),
+                added: vec![],
+                removed: vec![removed],
+            }],
+            &slab,
+        );
+        let AggregateUpdate::Upsert(folded) = &out[0] else {
+            panic!("expected upsert");
+        };
+        let slot = folded.profile.slot_ranges().next().unwrap();
+        assert_eq!((slot.min().kwh(), slot.max().kwh()), (5.0, 10.0));
     }
 
     #[test]

@@ -52,13 +52,6 @@ impl AggregationPipeline {
         self.aggregator.set_pool(pool);
     }
 
-    /// Convenience over [`set_flush_pool`](Self::set_flush_pool): flush
-    /// on a *dedicated* pool of `threads` lanes. Prefer sharing an
-    /// existing pool; this exists for width-pinned benchmarks and tests.
-    pub fn set_flush_threads(&mut self, threads: usize) {
-        self.aggregator.set_pool(Pool::new(threads));
-    }
-
     /// Queue offer updates without processing them — the paper's §4 bulk
     /// mode: "flex-offer updates are accumulated within the group-builder
     /// until their further processing is invoked". Until the next
@@ -96,19 +89,6 @@ impl AggregationPipeline {
     pub fn apply(&mut self, updates: Vec<FlexOfferUpdate>) -> Vec<AggregateUpdate> {
         self.accumulate(updates);
         self.flush()
-    }
-
-    /// Pipeline with the *integrated* bounded group-builder (§4 Research
-    /// Directions): grouping and bin-packing happen in a single pass,
-    /// every aggregate has at most `member_cap` members, and the separate
-    /// bin-packer stage is skipped.
-    pub fn new_integrated(params: AggregationParams, member_cap: u32) -> Self {
-        AggregationPipeline {
-            slab: OfferSlab::new(),
-            groups: GroupBuilder::with_member_cap(params, member_cap),
-            binpacker: None,
-            aggregator: NToOneAggregator::new(),
-        }
     }
 
     /// Convenience: aggregate a whole offer set from scratch.
@@ -347,37 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn integrated_pipeline_matches_chained_binpacker_bounds() {
-        let offers: Vec<FlexOffer> = (0..100).map(|i| offer(i, 10, 4)).collect();
-        let chained = AggregationPipeline::from_scratch(
-            AggregationParams::p0(),
-            Some(BinPackerConfig::max_members(10)),
-            offers.clone(),
-        );
-        let mut integrated = AggregationPipeline::new_integrated(AggregationParams::p0(), 10);
-        integrated.apply(
-            offers
-                .iter()
-                .cloned()
-                .map(FlexOfferUpdate::Insert)
-                .collect(),
-        );
-        assert_eq!(chained.aggregate_count(), 10);
-        assert_eq!(integrated.aggregate_count(), 10);
-        for a in integrated.aggregates() {
-            assert!(a.member_count() <= 10);
-        }
-        assert_eq!(integrated.report().offer_count, 100);
-        // and the round trip still works
-        let macros = integrated.macro_offers();
-        let schedule = ScheduledFlexOffer::at_fraction(&macros[0], TimeSlot(12), 0.3);
-        let micro = integrated
-            .disaggregate(AggregateId(macros[0].id().value()), &schedule)
-            .unwrap();
-        assert_eq!(micro.len(), 10);
-    }
-
-    #[test]
     fn scheduling_roundtrip_through_pipeline() {
         let offers: Vec<FlexOffer> = (0..10).map(|i| offer(i, 10, 4)).collect();
         let p = AggregationPipeline::from_scratch(AggregationParams::p0(), None, offers.clone());
@@ -414,7 +363,7 @@ mod tests {
         let offers: Vec<FlexOffer> = FlexOfferGenerator::with_seed(11).take(2000).collect();
         let run = |threads: usize| {
             let mut p = AggregationPipeline::new(AggregationParams::p3(8, 8), None);
-            p.set_flush_threads(threads);
+            p.set_flush_pool(Pool::new(threads));
             let mut streams = Vec::new();
             for chunk in offers.chunks(500) {
                 streams.push(p.apply(chunk.iter().cloned().map(FlexOfferUpdate::Insert).collect()));

@@ -8,6 +8,7 @@
 use mirabel_aggregate::{
     AggregatedFlexOffer, AggregationParams, AggregationPipeline, FlexOfferUpdate,
 };
+use mirabel_core::exec::Pool;
 use mirabel_core::{EnergyRange, FlexOffer, FlexOfferGenerator, FlexOfferId, Profile, TimeSlot};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -184,7 +185,7 @@ fn parallel_flush_is_deterministic() {
     let offers: Vec<FlexOffer> = FlexOfferGenerator::with_seed(23).take(3000).collect();
     let run = |threads: usize| {
         let mut p = AggregationPipeline::new(AggregationParams::p3(8, 8), None);
-        p.set_flush_threads(threads);
+        p.set_flush_pool(Pool::new(threads));
         let mut streams = Vec::new();
         // Insert in batches, then delete a third, then re-insert some
         // with mutated attributes.

@@ -47,25 +47,6 @@ fn binpack(c: &mut Criterion) {
                 },
             );
         }
-        // §4 Research Directions: bin-packing integrated into the
-        // group-builder (one pass instead of two).
-        group.bench_with_input(
-            BenchmarkId::new(pop_name.to_string(), "integrated50"),
-            offers,
-            |b, offers| {
-                b.iter(|| {
-                    let mut p = AggregationPipeline::new_integrated(AggregationParams::p0(), 50);
-                    p.apply(
-                        offers
-                            .iter()
-                            .cloned()
-                            .map(mirabel_aggregate::FlexOfferUpdate::Insert)
-                            .collect(),
-                    );
-                    p.aggregate_count()
-                })
-            },
-        );
     }
     group.finish();
 }

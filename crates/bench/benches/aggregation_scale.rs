@@ -8,6 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mirabel_aggregate::{
     AggregatedFlexOffer, AggregationParams, AggregationPipeline, FlexOfferUpdate,
 };
+use mirabel_core::exec::Pool;
 use mirabel_core::{
     AggregateId, EnergyRange, FlexOffer, FlexOfferGenerator, FlexOfferId, Profile, TimeSlot,
 };
@@ -129,7 +130,7 @@ fn parallel_flush(c: &mut Criterion) {
     group.throughput(Throughput::Elements(GROUPS));
     for &threads in &[1usize, 4] {
         let mut p = AggregationPipeline::new(AggregationParams::p0(), None);
-        p.set_flush_threads(threads);
+        p.set_flush_pool(Pool::new(threads));
         p.apply(
             (0..GROUPS)
                 .flat_map(|g| (0..MEMBERS).map(move |i| offer_in_group(g, i)))

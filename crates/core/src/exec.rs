@@ -1,8 +1,8 @@
 //! The shared deterministic worker pool every parallel path in the
 //! workspace runs on (paper §5 calls for partition-parallel model
 //! estimation; the same executor also drives shard-parallel aggregate
-//! flushes, multi-start scheduling chains, and — since the concurrent
-//! node drivers landed — whole hierarchy nodes planning side by side).
+//! flushes, parallel repair chains, and — since the concurrent node
+//! drivers landed — whole hierarchy nodes planning side by side).
 //!
 //! ## Why a persistent pool
 //!
@@ -17,15 +17,12 @@
 //! ## One queue, many callers
 //!
 //! The pool's heart is a single FIFO **work queue** shared by every
-//! lane. Two kinds of work flow through it:
-//!
-//! * **Batches** ([`Pool::run`]): `n_tasks` closures `f(0) .. f(n-1)`
-//!   whose results come back **in task-index order**. Lanes claim
-//!   indices from a shared counter, so any number of lanes can chew on
-//!   the same batch.
-//! * **Submissions** ([`Pool::submit`]): independent one-shot tasks,
-//!   each returning a [`Handle`] the caller joins whenever (and in
-//!   whatever order) it likes.
+//! lane. One kind of work flows through it: **batches**
+//! ([`Pool::run`]), `n_tasks` closures `f(0) .. f(n-1)` whose results
+//! come back **in task-index order**. Lanes claim indices from a shared
+//! counter, so any number of lanes can chew on the same batch.
+//! Heterogeneous fan-out ([`Pool::run_each`]) is a batch over a vector
+//! of one-shot tasks.
 //!
 //! Because the queue is shared, **concurrent top-level callers share
 //! workers**. An earlier revision serialized here: a busy `run` meant
@@ -34,24 +31,23 @@
 //! prosumers planned its nodes one at a time. Now a `run` that arrives
 //! while another is in flight enqueues its batch behind it and all
 //! lanes — workers, the first caller, the second caller — drain the
-//! queue together. Callers waiting for their own batch (or joining a
-//! [`Handle`]) *help*: they execute other queued work instead of
-//! blocking, which both keeps cores busy and makes joining from inside
-//! a pool task deadlock-free at any width. [`Pool::stats`] exposes the
-//! dispatch counters; `inline_serial_fallbacks` staying at zero **is**
-//! the claim that the old pathological path is gone.
+//! queue together. Callers waiting for their own batch *help*: they
+//! execute other queued work instead of blocking, which both keeps
+//! cores busy and makes a `run` from inside a pool task deadlock-free
+//! at any width. [`Pool::stats`] exposes the dispatch counters;
+//! `inline_serial_fallbacks` staying at zero **is** the claim that the
+//! old pathological path is gone.
 //!
 //! ## Why determinism survives
 //!
 //! [`Pool::run`] returns results **in task-index order**, whatever the
-//! worker count or OS scheduling; [`Handle`]s are joined in an order
-//! the caller controls. Callers therefore keep the invariant the whole
-//! workspace is built on: *parallelism never changes output*. The
-//! aggregate flush merges shard results in sorted sub-group order,
-//! best-of-K scheduling chains tie-break on chain index, and the
+//! worker count or OS scheduling. Callers therefore keep the invariant
+//! the whole workspace is built on: *parallelism never changes output*.
+//! The aggregate flush merges shard results in sorted sub-group order,
+//! best-of-K repair chains tie-break on chain index, and the
 //! simulation's level pump sends each node's envelopes in node-list
-//! order — all of which
-//! reduce to "results arrive indexed by task, not by completion time".
+//! order — all of which reduce to "results arrive indexed by task, not
+//! by completion time".
 //! Which lane runs a task is scheduling-dependent, but since each task
 //! is a pure function of its index, the *result vector* is
 //! bit-identical for any width.
@@ -65,12 +61,11 @@
 //! per node per round. Pass an explicit [`Pool::new`] handle (they are
 //! cheap `Arc` clones) to isolate a component or to pin a width in
 //! benchmarks; `Pool::new(1)` spawns nothing and executes `run` calls
-//! inline on the caller and `submit` tasks at join time.
+//! inline on the caller.
 //!
 //! Panics propagate: if a batch task panics, the pool finishes the
 //! batch, then re-raises the payload of the lowest-indexed panicking
-//! task on the caller (deterministic); a panicking submission re-raises
-//! at [`Handle::join`]. The pool stays usable after either.
+//! task on the caller (deterministic). The pool stays usable after.
 #![allow(unsafe_code)]
 
 use std::collections::VecDeque;
@@ -120,67 +115,44 @@ struct Job {
     pending: AtomicUsize,
 }
 
-/// One unit of queued work.
-enum WorkItem {
-    /// A submitted one-shot task (already wrapped: it stores its own
-    /// result and signals its handle's joiner).
-    Once(Box<dyn FnOnce() + Send>),
-    /// A claimable indexed batch from [`Pool::run`]. Stays at the queue
-    /// front until every index has been claimed, so any number of lanes
-    /// work it concurrently.
-    Batch(Arc<Job>),
-}
-
 /// State guarded by the pool mutex: the shared FIFO work queue.
 struct QueueState {
-    queue: VecDeque<WorkItem>,
+    /// Claimable batches from [`Pool::run`]. A batch stays at the front
+    /// until every index has been claimed, so any number of lanes work
+    /// it concurrently.
+    queue: VecDeque<Arc<Job>>,
     /// Set on drop; workers exit.
     shutdown: bool,
 }
 
-/// Pop the next executable unit of work, discarding exhausted batches.
-/// A non-exhausted batch is *cloned out* but left at the front so other
+/// The batch to claim from next, discarding exhausted ones. A
+/// non-exhausted batch is *cloned out* but left at the front so other
 /// lanes keep claiming from it.
-fn next_item(st: &mut QueueState) -> Option<WorkItem> {
-    loop {
-        match st.queue.front() {
-            None => return None,
-            Some(WorkItem::Once(_)) => return st.queue.pop_front(),
-            Some(WorkItem::Batch(job)) => {
-                if job.next.load(Ordering::Relaxed) >= job.n_tasks {
-                    // Fully claimed: stragglers are someone else's
-                    // `pending` wait, not claimable work.
-                    st.queue.pop_front();
-                    continue;
-                }
-                return Some(WorkItem::Batch(Arc::clone(job)));
-            }
+fn next_job(st: &mut QueueState) -> Option<Arc<Job>> {
+    while let Some(job) = st.queue.front() {
+        if job.next.load(Ordering::Relaxed) < job.n_tasks {
+            return Some(Arc::clone(job));
         }
+        // Fully claimed: stragglers are someone else's `pending` wait,
+        // not claimable work.
+        st.queue.pop_front();
     }
+    None
 }
 
 struct Shared {
     state: Mutex<QueueState>,
-    /// Workers park here between work items.
+    /// Workers park here between batches.
     work: Condvar,
-    /// Batch callers and handle joiners park here; notified on every
-    /// batch retirement, submission completion, and new enqueue (so a
-    /// parked helper can pick the new work up).
+    /// Batch callers park here; notified on every batch retirement and
+    /// new enqueue (so a parked helper can pick the new work up).
     done: Condvar,
 }
 
 impl Shared {
-    /// Execute one unit of work (outside the lock). Never unwinds: both
-    /// batch runners and submission wrappers catch their own panics.
-    fn execute(&self, item: WorkItem) {
-        match item {
-            WorkItem::Once(f) => f(),
-            WorkItem::Batch(job) => self.run_batch_tasks(&job),
-        }
-    }
-
-    /// Claim and run `job` indices until the batch is exhausted; the
-    /// lane that finishes the last task wakes the batch's caller.
+    /// Claim and run `job` indices (outside the lock) until the batch is
+    /// exhausted; the lane that finishes the last task wakes the batch's
+    /// caller. Never unwinds: the batch runner catches its own panics.
     fn run_batch_tasks(&self, job: &Job) {
         loop {
             let i = job.next.fetch_add(1, Ordering::Relaxed);
@@ -199,10 +171,10 @@ impl Shared {
         }
     }
 
-    /// Push a work item and wake everyone who could run it.
-    fn enqueue(&self, item: WorkItem) {
+    /// Push a batch and wake everyone who could claim from it.
+    fn enqueue(&self, job: Arc<Job>) {
         let mut st = self.state.lock().unwrap();
-        st.queue.push_back(item);
+        st.queue.push_back(job);
         self.work.notify_all();
         self.done.notify_all();
     }
@@ -215,7 +187,8 @@ pub type Task<'a, R> = Box<dyn FnOnce() -> R + Send + 'a>;
 /// Dispatch counters (monotonic since pool creation), via [`Pool::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// One-shot tasks handed to the queue by [`Pool::submit`].
+    /// Always 0: batches are the pool's one kind of queued work. The
+    /// field stays for readers that still sum it.
     pub tasks_submitted: u64,
     /// Indexed batches dispatched to the queue by [`Pool::run`].
     pub batches_run: u64,
@@ -235,7 +208,6 @@ pub struct PoolStats {
 /// Monotonic dispatch counters (see [`PoolStats`]).
 #[derive(Default)]
 struct StatCounters {
-    submitted: AtomicU64,
     batches: AtomicU64,
     batch_tasks: AtomicU64,
     inline_runs: AtomicU64,
@@ -276,58 +248,6 @@ impl std::fmt::Debug for Pool {
         f.debug_struct("Pool")
             .field("width", &self.inner.width)
             .finish_non_exhaustive()
-    }
-}
-
-/// A submitted task's result slot, shared between the queue's wrapper
-/// closure and the [`Handle`].
-struct OnceState<R> {
-    result: Mutex<Option<std::thread::Result<R>>>,
-}
-
-/// The join handle of one [`Pool::submit`] task.
-///
-/// Joining **helps**: while its task is queued or running elsewhere,
-/// the joiner executes other queued pool work instead of blocking, so
-/// joining from inside another pool task cannot deadlock and a width-1
-/// pool simply runs the task at join time. Joining handles in a fixed
-/// caller-chosen order is the pool's deterministic fan-out/fan-in
-/// primitive for heterogeneous top-level tasks.
-///
-/// Dropping a handle without joining detaches the task: it still runs,
-/// its result (or panic payload) is discarded.
-#[must_use = "a submitted task's result (and any panic) surfaces at join()"]
-pub struct Handle<R> {
-    state: Arc<OnceState<R>>,
-    shared: Arc<Shared>,
-}
-
-impl<R> Handle<R> {
-    /// Wait for the task, executing other queued pool work while it is
-    /// not done, and return its result. If the task panicked, the
-    /// payload is re-raised here.
-    pub fn join(self) -> R {
-        let mut st = self.shared.state.lock().unwrap();
-        loop {
-            // Check under the queue lock: completions notify `done`
-            // while holding it, so a result set between this check and
-            // a wait cannot be missed.
-            if let Some(res) = self.state.result.lock().unwrap().take() {
-                drop(st);
-                return match res {
-                    Ok(r) => r,
-                    Err(payload) => resume_unwind(payload),
-                };
-            }
-            match next_item(&mut st) {
-                Some(item) => {
-                    drop(st);
-                    self.shared.execute(item);
-                    st = self.shared.state.lock().unwrap();
-                }
-                None => st = self.shared.done.wait(st).unwrap(),
-            }
-        }
     }
 }
 
@@ -396,44 +316,12 @@ impl Pool {
     pub fn stats(&self) -> PoolStats {
         let s = &self.inner.stats;
         PoolStats {
-            tasks_submitted: s.submitted.load(Ordering::Relaxed),
+            tasks_submitted: 0,
             batches_run: s.batches.load(Ordering::Relaxed),
             batch_tasks: s.batch_tasks.load(Ordering::Relaxed),
             inline_runs: s.inline_runs.load(Ordering::Relaxed),
             inline_serial_fallbacks: s.inline_fallbacks.load(Ordering::Relaxed),
         }
-    }
-
-    /// Submit one independent task; every pool lane is a candidate to
-    /// run it. Returns a [`Handle`] whose `join` yields the result.
-    ///
-    /// Submissions queue FIFO behind earlier work, and joiners help
-    /// drain the queue, so any interleaving of `submit`/`run`/`join`
-    /// across threads makes progress. `'static` bounds because the task
-    /// may outlive the submitting stack frame until joined; for borrowed
-    /// fan-out use [`Pool::run`] or [`Pool::run_each`].
-    pub fn submit<R, F>(&self, f: F) -> Handle<R>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        self.inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let state = Arc::new(OnceState {
-            result: Mutex::new(None),
-        });
-        let slot = Arc::clone(&state);
-        let shared = Arc::clone(&self.inner.shared);
-        let signal = Arc::clone(&shared);
-        let task: Box<dyn FnOnce() + Send> = Box::new(move || {
-            let res = catch_unwind(AssertUnwindSafe(f));
-            *slot.result.lock().unwrap() = Some(res);
-            // Wake the joiner; taking the queue lock orders the notify
-            // after its result check.
-            let _st = signal.state.lock().unwrap();
-            signal.done.notify_all();
-        });
-        self.inner.shared.enqueue(WorkItem::Once(task));
-        Handle { state, shared }
     }
 
     /// Execute `f(0) .. f(n_tasks - 1)` across the pool's lanes and
@@ -495,7 +383,7 @@ impl Pool {
             pending: AtomicUsize::new(n_tasks),
         });
         let shared = &self.inner.shared;
-        shared.enqueue(WorkItem::Batch(Arc::clone(&job)));
+        shared.enqueue(Arc::clone(&job));
 
         // The caller is a lane too: claim from its own batch first.
         shared.run_batch_tasks(&job);
@@ -505,10 +393,10 @@ impl Pool {
         // starved by this one parking.
         let mut st = shared.state.lock().unwrap();
         while job.pending.load(Ordering::Acquire) != 0 {
-            match next_item(&mut st) {
-                Some(item) => {
+            match next_job(&mut st) {
+                Some(other) => {
                     drop(st);
-                    shared.execute(item);
+                    shared.run_batch_tasks(&other);
                     st = shared.state.lock().unwrap();
                 }
                 None => st = shared.done.wait(st).unwrap(),
@@ -516,8 +404,7 @@ impl Pool {
         }
         // Retire the job: drop any queue entry still holding it so the
         // erased task pointer cannot outlive this frame via the queue.
-        st.queue
-            .retain(|w| !matches!(w, WorkItem::Batch(j) if Arc::ptr_eq(j, &job)));
+        st.queue.retain(|j| !Arc::ptr_eq(j, &job));
         drop(st);
 
         if let Some((_, payload)) = first_panic.into_inner().unwrap() {
@@ -530,14 +417,13 @@ impl Pool {
     }
 
     /// Run a vector of **distinct** one-shot tasks and return their
-    /// results in input order — the borrowed (scoped) sibling of
-    /// [`Pool::submit`] for heterogeneous fan-out like "drive every
+    /// results in input order — heterogeneous fan-out like "drive every
     /// node of this hierarchy level once".
     ///
     /// Each task runs exactly once on some lane; results are joined in
-    /// task order, so output is bit-identical for any pool width. Unlike
-    /// `submit`, tasks may borrow from the caller's stack (they are
-    /// kept alive until every task has finished, via [`Pool::run`]).
+    /// task order, so output is bit-identical for any pool width. Tasks
+    /// may borrow from the caller's stack (they are kept alive until
+    /// every task has finished, via [`Pool::run`]).
     pub fn run_each<'a, R>(&self, tasks: Vec<Task<'a, R>>) -> Vec<R>
     where
         R: Send,
@@ -555,23 +441,23 @@ impl Pool {
     }
 }
 
-/// Body of a parked worker thread: wait for queued work, execute one
-/// item (for batches: claim indices until exhausted), park again.
+/// Body of a parked worker thread: wait for a queued batch, claim its
+/// indices until exhausted, park again.
 fn worker_loop(shared: &Shared) {
     loop {
-        let item = {
+        let job = {
             let mut st = shared.state.lock().unwrap();
             loop {
                 if st.shutdown {
                     return;
                 }
-                if let Some(item) = next_item(&mut st) {
-                    break item;
+                if let Some(job) = next_job(&mut st) {
+                    break job;
                 }
                 st = shared.work.wait(st).unwrap();
             }
         };
-        shared.execute(item);
+        shared.run_batch_tasks(&job);
     }
 }
 
@@ -667,53 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_returns_joinable_handles_in_caller_order() {
-        let pool = Pool::new(3);
-        let handles: Vec<Handle<u64>> = (0..16u64).map(|i| pool.submit(move || i * i)).collect();
-        let out: Vec<u64> = handles.into_iter().map(Handle::join).collect();
-        assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(pool.stats().tasks_submitted, 16);
-    }
-
-    #[test]
-    fn submit_on_width_one_pool_runs_at_join() {
-        // No workers exist; the joiner executes the queued task itself.
-        let pool = Pool::new(1);
-        let h = pool.submit(|| 41 + 1);
-        assert_eq!(h.join(), 42);
-    }
-
-    #[test]
-    fn submitted_panic_propagates_at_join() {
-        let pool = Pool::new(2);
-        let h = pool.submit(|| -> usize { panic!("submitted task failed") });
-        let caught = catch_unwind(AssertUnwindSafe(move || h.join())).expect_err("join must panic");
-        let msg = caught.downcast_ref::<&str>().expect("static panic message");
-        assert_eq!(*msg, "submitted task failed");
-        // The pool survives.
-        assert_eq!(pool.run(2, |i| i), vec![0, 1]);
-    }
-
-    #[test]
-    fn join_inside_a_pool_task_does_not_deadlock() {
-        // A submitted task joins another handle: the joiner helps drain
-        // the queue, so this completes at any width — including when all
-        // worker lanes are busy with the outer tasks.
-        let pool = Pool::new(2);
-        let outer: Vec<Handle<u64>> = (0..4u64)
-            .map(|i| {
-                let pool = pool.clone();
-                pool.clone().submit(move || {
-                    let inner = pool.submit(move || i + 100);
-                    inner.join()
-                })
-            })
-            .collect();
-        let out: Vec<u64> = outer.into_iter().map(Handle::join).collect();
-        assert_eq!(out, vec![100, 101, 102, 103]);
-    }
-
-    #[test]
     fn run_each_runs_fnonce_tasks_in_order() {
         // Heterogeneous borrowed tasks: each runs exactly once, results
         // come back in input order for any width.
@@ -740,13 +579,10 @@ mod tests {
         assert_eq!(pool.stats(), PoolStats::default());
         pool.run(8, |i| i); // queued batch
         pool.run(1, |i| i); // inline by design (single task)
-        let h = pool.submit(|| 7); // one-shot
-        h.join();
         let s = pool.stats();
         assert_eq!(s.batches_run, 1);
         assert_eq!(s.batch_tasks, 8);
         assert_eq!(s.inline_runs, 1);
-        assert_eq!(s.tasks_submitted, 1);
         assert_eq!(s.inline_serial_fallbacks, 0);
 
         let narrow = Pool::new(1);

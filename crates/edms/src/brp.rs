@@ -53,13 +53,8 @@ pub struct BrpConfig {
     pub forward_to_tso: bool,
     /// Parallel multi-start chains (K) per incremental repair.
     pub repair_chains: usize,
-    /// Proposed moves per repair chain.
-    pub repair_moves: usize,
-    /// Parallel best-of-K restarts of the *initial* scheduler run (1 =
-    /// single start; chain 0 always reproduces the single-start result).
-    pub initial_starts: usize,
     /// Worker pool shared by every parallel path of this node —
-    /// aggregate flush shards, initial-start chains and repair chains.
+    /// aggregate flush shards and repair chains.
     /// Defaults to the process-wide [`mirabel_core::exec::Pool::global`]
     /// executor, so all BRPs and the TSO of a hierarchy wake the same
     /// parked workers; results are identical for any pool.
@@ -83,8 +78,6 @@ impl Default for BrpConfig {
             pricing: PreExecutionPricing::default(),
             forward_to_tso: false,
             repair_chains: runtime.repair_chains,
-            repair_moves: runtime.repair_moves,
-            initial_starts: runtime.initial_starts,
             pool: runtime.pool,
             link_health: LinkHealthConfig::default(),
         }
@@ -251,9 +244,7 @@ impl BrpNode {
         let runtime = RuntimeConfig {
             scheduler: config.scheduler,
             budget_evaluations: config.budget_evaluations,
-            initial_starts: config.initial_starts,
             repair_chains: config.repair_chains,
-            repair_moves: config.repair_moves,
             pool: config.pool,
         };
         let engine = PlanEngine::new(pipeline, runtime, id.value().wrapping_mul(0x9e37_79b9));
@@ -547,56 +538,17 @@ mod tests {
     }
 
     #[test]
-    fn multi_start_initial_plan_never_worse() {
-        let plan_cost = |starts: usize| {
-            let mut brp = BrpNode::new(
-                NodeId(1),
-                None,
-                BrpConfig {
-                    initial_starts: starts,
-                    budget_evaluations: 4_000,
-                    ..BrpConfig::default()
-                },
-            );
-            for i in 0..20 {
-                submit(
-                    &mut brp,
-                    offer(i, i, 110 + (i as i64 % 5), 90, 8),
-                    100 + i,
-                    0,
-                );
-            }
-            let baseline: Vec<f64> = (0..96).map(|k| if k < 48 { -2.0 } else { 1.0 }).collect();
-            let (_, report) = plan_round(
-                &mut brp,
-                TimeSlot(80),
-                TimeSlot(96),
-                baseline,
-                MarketPrices::flat(96, 0.08, 0.03, 100.0),
-                vec![0.2; 96],
-            );
-            report.cost.expect("scheduled locally")
-        };
-        let single = plan_cost(1);
-        let multi = plan_cost(3);
-        // Chain 0 of the multi-start shares the single-start seed, so
-        // best-of-3 can never be worse.
-        assert!(multi <= single + 1e-9, "multi {multi} vs single {single}");
-    }
-
-    #[test]
     fn shared_pool_width_does_not_change_the_plan() {
-        // End-to-end determinism through the node: flush shards,
-        // best-of-K initial starts and repair chains all dispatch onto
-        // the config's pool, and the committed plan is identical whether
-        // that pool is serial or 8 lanes wide.
+        // End-to-end determinism through the node: flush shards and
+        // repair chains dispatch onto the config's pool, and the
+        // committed plan is identical whether that pool is serial or 8
+        // lanes wide.
         let plan_with = |width: usize| {
             let mut brp = BrpNode::new(
                 NodeId(1),
                 None,
                 BrpConfig {
                     pool: mirabel_core::exec::Pool::new(width),
-                    initial_starts: 3,
                     budget_evaluations: 4_000,
                     ..BrpConfig::default()
                 },

@@ -82,7 +82,7 @@
 //!   [`PlanEngine`] each planner embeds (aggregation pipeline plus a
 //!   live [`DeltaEvaluator`](mirabel_schedule::DeltaEvaluator) plus
 //!   pub/sub-driven incremental replanning). Every parallel path of an
-//!   engine — flush shards, best-of-K initial starts, repair chains —
+//!   engine — flush shards and repair chains —
 //!   dispatches onto the worker pool in its [`RuntimeConfig`]; by
 //!   default that is the process-wide
 //!   [`mirabel_core::exec::Pool::global`] executor, so an entire

@@ -52,9 +52,9 @@ use mirabel_core::exec::Pool;
 use mirabel_core::{AggregateId, FlexOffer, FlexOfferId, NodeId, ScheduledFlexOffer, TimeSlot};
 use mirabel_forecast::ForecastEvent;
 use mirabel_schedule::{
-    multi_start, offer_reach, repair_parallel, repair_scope, Budget, DeltaEvaluator,
-    EvolutionaryScheduler, GreedyScheduler, HybridScheduler, MarketPrices, Placement, RepairConfig,
-    SchedulingProblem, Solution,
+    offer_reach, repair_parallel, repair_scope, Budget, DeltaEvaluator, EvolutionaryScheduler,
+    GreedyScheduler, HybridScheduler, MarketPrices, Placement, RepairConfig, SchedulingProblem,
+    Solution,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -77,32 +77,23 @@ pub struct RuntimeConfig {
     pub scheduler: SchedulerKind,
     /// Cost-evaluation budget per planning run.
     pub budget_evaluations: usize,
-    /// Parallel best-of-K restarts of the *initial* scheduler run (1 =
-    /// single start; chain 0 always reproduces the single-start result).
-    pub initial_starts: usize,
     /// Parallel multi-start chains (K) per incremental repair.
     pub repair_chains: usize,
-    /// Proposed moves per repair chain.
-    pub repair_moves: usize,
     /// Worker pool every parallel path of this engine dispatches onto —
-    /// initial-start chains, repair chains, and the aggregation
-    /// pipeline's shard-parallel flush. Handles are cheap `Arc` clones;
-    /// the default is the process-wide [`Pool::global`], so a whole
-    /// hierarchy of nodes shares one set of parked workers instead of
-    /// re-spawning threads per node per round. Output never depends on
-    /// the pool width.
+    /// repair chains and the aggregation pipeline's shard-parallel
+    /// flush. Handles are cheap `Arc` clones; the default is the
+    /// process-wide [`Pool::global`], so a whole hierarchy of nodes
+    /// shares one set of parked workers instead of re-spawning threads
+    /// per node per round. Output never depends on the pool width.
     pub pool: Pool,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> RuntimeConfig {
-        let repair = RepairConfig::default();
         RuntimeConfig {
             scheduler: SchedulerKind::Greedy,
             budget_evaluations: 20_000,
-            initial_starts: 1,
-            repair_chains: repair.chains,
-            repair_moves: repair.moves_per_chain,
+            repair_chains: RepairConfig::default().chains,
             pool: Pool::global().clone(),
         }
     }
@@ -287,18 +278,12 @@ impl PlanEngine {
             .expect("eligible macros fit the window");
         let budget = Budget::evaluations(self.cfg.budget_evaluations);
         let seed = self.seed;
-        let starts = self.cfg.initial_starts.max(1);
-        let pool = &self.cfg.pool;
         let result = match self.cfg.scheduler {
-            SchedulerKind::Greedy => multi_start(starts, seed, pool, |s| {
-                GreedyScheduler.run(&problem, budget, s)
-            }),
-            SchedulerKind::Evolutionary => multi_start(starts, seed, pool, |s| {
-                EvolutionaryScheduler::default().run(&problem, budget, s)
-            }),
-            SchedulerKind::Hybrid => multi_start(starts, seed, pool, |s| {
-                HybridScheduler::default().run(&problem, budget, s)
-            }),
+            SchedulerKind::Greedy => GreedyScheduler.run(&problem, budget, seed),
+            SchedulerKind::Evolutionary => {
+                EvolutionaryScheduler::default().run(&problem, budget, seed)
+            }
+            SchedulerKind::Hybrid => HybridScheduler::default().run(&problem, budget, seed),
         };
         let cost = result.cost.total();
         let index = problem
@@ -362,8 +347,8 @@ impl PlanEngine {
             &scope,
             RepairConfig {
                 chains: self.cfg.repair_chains,
-                moves_per_chain: self.cfg.repair_moves,
                 seed: self.seed,
+                ..RepairConfig::default()
             },
             &self.cfg.pool,
         );
@@ -467,8 +452,8 @@ impl PlanEngine {
             &scope,
             RepairConfig {
                 chains: self.cfg.repair_chains,
-                moves_per_chain: self.cfg.repair_moves,
                 seed: self.seed,
+                ..RepairConfig::default()
             },
             &self.cfg.pool,
         );

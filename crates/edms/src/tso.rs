@@ -109,7 +109,8 @@ impl ChildPort for Deltas {
                 for env in deliver {
                     if let Message::MacroOfferDeltas(updates) = env.message {
                         node.apply_deltas(env.from, updates);
-                        *node.down.applied.entry(env.from).or_insert(0) += 1;
+                        let applied = node.down.applied.entry(env.from).or_insert(0);
+                        *applied = applied.saturating_add(1);
                     }
                 }
                 reply.into_iter().collect()
@@ -348,11 +349,13 @@ impl TsoNode {
             if self.down.sources.get(&schedule.offer_id) == Some(&from) {
                 adopted.push(FlexOfferUpdate::Delete(schedule.offer_id));
             } else {
-                self.down.provisional_superseded += 1;
+                self.down.provisional_superseded =
+                    self.down.provisional_superseded.saturating_add(1);
             }
         }
         if !adopted.is_empty() {
-            self.down.provisional_adopted += adopted.len() as u64;
+            let count = adopted.len() as u64;
+            self.down.provisional_adopted = self.down.provisional_adopted.saturating_add(count);
             self.apply_deltas(from, adopted);
         }
     }

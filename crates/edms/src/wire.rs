@@ -80,14 +80,16 @@ pub struct StreamStats {
 impl StreamStats {
     /// Accumulate another guard's counters. Rollups (a TSO's per-BRP
     /// streams, a federation gateway's per-peer streams) sum into one
-    /// row with this instead of exposing every link.
+    /// row with this instead of exposing every link. Counters restored
+    /// from a snapshot can sit anywhere, so the sums saturate.
     pub fn absorb(&mut self, other: &StreamStats) {
-        self.delivered += other.delivered;
-        self.duplicates += other.duplicates;
-        self.buffered += other.buffered;
-        self.resyncs_requested += other.resyncs_requested;
-        self.resyncs_applied += other.resyncs_applied;
-        self.overflow_dropped += other.overflow_dropped;
+        let add = |a: &mut u64, b: u64| *a = a.saturating_add(b);
+        add(&mut self.delivered, other.delivered);
+        add(&mut self.duplicates, other.duplicates);
+        add(&mut self.buffered, other.buffered);
+        add(&mut self.resyncs_requested, other.resyncs_requested);
+        add(&mut self.resyncs_applied, other.resyncs_applied);
+        add(&mut self.overflow_dropped, other.overflow_dropped);
     }
 }
 
@@ -153,14 +155,19 @@ impl SequencedRx {
     /// A gapped arrival always asks for a resync — even while one is
     /// already pending — since requests travel the same lossy link as
     /// the deltas; the sender's snapshot answer is idempotent.
+    ///
+    /// The cursor and the counters can be restored from a snapshot at
+    /// any value, so every increment saturates: a stream whose cursor
+    /// reached `u64::MAX` is degraded, not a panic.
     pub fn receive(&mut self, envelope: Envelope) -> (Vec<Envelope>, bool) {
+        let stats = &mut self.stats;
         let Some(seq) = envelope.seq else {
             // Unsequenced: direct hand-off, deliver unchecked.
-            self.stats.delivered += 1;
+            stats.delivered = stats.delivered.saturating_add(1);
             return (vec![envelope], false);
         };
         if seq < self.next_expected || self.buffer.contains_key(&seq) {
-            self.stats.duplicates += 1;
+            stats.duplicates = stats.duplicates.saturating_add(1);
             return (Vec::new(), false);
         }
         if seq > self.next_expected {
@@ -170,32 +177,40 @@ impl SequencedRx {
                 // the resync snapshot the caller sends for supersedes
                 // all of it — so memory stays bounded during long
                 // partitions instead of growing with the backlog.
-                self.stats.overflow_dropped += self.buffer.len() as u64 + 1;
+                let dropped = self.buffer.len() as u64 + 1;
+                stats.overflow_dropped = stats.overflow_dropped.saturating_add(dropped);
                 self.buffer.clear();
-                self.stats.resyncs_requested += 1;
+                stats.resyncs_requested = stats.resyncs_requested.saturating_add(1);
                 self.resync_pending = true;
                 return (Vec::new(), true);
             }
             self.buffer.insert(seq, envelope);
-            self.stats.buffered += 1;
-            self.stats.resyncs_requested += 1;
+            stats.buffered = stats.buffered.saturating_add(1);
+            stats.resyncs_requested = stats.resyncs_requested.saturating_add(1);
             self.resync_pending = true;
             return (Vec::new(), true);
         }
         // In order: deliver it plus every buffered successor that is now
         // consecutive.
         let mut out = vec![envelope];
-        self.next_expected += 1;
-        while let Some(e) = self.buffer.remove(&self.next_expected) {
-            out.push(e);
-            self.next_expected += 1;
-        }
+        self.next_expected = seq.saturating_add(1);
+        self.release(&mut out);
         if self.buffer.is_empty() {
             // The gap (if any) closed by late arrival; nothing is parked.
             self.resync_pending = false;
         }
-        self.stats.delivered += out.len() as u64;
         (out, false)
+    }
+
+    /// Move every parked envelope that is now consecutive onto `out`
+    /// (which already holds the ones delivered before them) and count
+    /// them all delivered.
+    fn release(&mut self, out: &mut Vec<Envelope>) {
+        while let Some(e) = self.buffer.remove(&self.next_expected) {
+            out.push(e);
+            self.next_expected = self.next_expected.saturating_add(1);
+        }
+        self.stats.delivered = self.stats.delivered.saturating_add(out.len() as u64);
     }
 
     /// Re-anchor the stream on a snapshot that carried sequence number
@@ -204,7 +219,7 @@ impl SequencedRx {
     /// envelopes. Pass `None` for an unsequenced (direct) snapshot; the
     /// guard then resets to the highest buffered position.
     pub fn resynced(&mut self, seq: Option<u64>) -> Vec<Envelope> {
-        self.stats.resyncs_applied += 1;
+        self.stats.resyncs_applied = self.stats.resyncs_applied.saturating_add(1);
         self.resync_pending = false;
         let anchor = match seq {
             Some(s) => s,
@@ -215,15 +230,11 @@ impl SequencedRx {
                 None => return Vec::new(),
             },
         };
-        self.next_expected = self.next_expected.max(anchor + 1);
+        self.next_expected = self.next_expected.max(anchor.saturating_add(1));
         // Superseded by the snapshot.
         self.buffer = self.buffer.split_off(&self.next_expected);
         let mut out = Vec::new();
-        while let Some(e) = self.buffer.remove(&self.next_expected) {
-            out.push(e);
-            self.next_expected += 1;
-        }
-        self.stats.delivered += out.len() as u64;
+        self.release(&mut out);
         out
     }
 
@@ -673,24 +684,26 @@ impl DedupRx {
         };
         // In-order fast path (the reliable wire): nothing is parked, so
         // delivery is a watermark bump — no tree operations at all.
+        // A watermark restored from a snapshot can sit at `u64::MAX`;
+        // it saturates there, degrading the filter instead of panicking.
         if seq == self.delivered_below && self.seen.is_empty() {
-            self.delivered_below += 1;
+            self.delivered_below = seq.saturating_add(1);
             return true;
         }
         if seq < self.delivered_below || !self.seen.insert(seq) {
-            self.duplicates += 1;
+            self.duplicates = self.duplicates.saturating_add(1);
             return false;
         }
         // Advance the watermark over any now-contiguous prefix.
         while self.seen.remove(&self.delivered_below) {
-            self.delivered_below += 1;
+            self.delivered_below = self.delivered_below.saturating_add(1);
         }
         // Bound memory under permanent gaps (a lost envelope's slot
         // never fills): compact the oldest remembered numbers away.
         while self.seen.len() > DEDUP_WINDOW {
             if let Some(&min) = self.seen.iter().next() {
                 self.seen.remove(&min);
-                self.delivered_below = self.delivered_below.max(min + 1);
+                self.delivered_below = self.delivered_below.max(min.saturating_add(1));
             }
         }
         true

@@ -12,11 +12,14 @@
 //!    recorded before the node layer moved onto the shared journal. A
 //!    refactor that changes one persisted byte, or the point at which a
 //!    snapshot is installed, fails here.
-//! 2. **Corrupt snapshots degrade.** The same stores, with the snapshot
-//!    truncated at every offset or one bit flipped per byte: `recover`
-//!    returns `Ok` and never panics at either level. And with one byte
-//!    appended, an undecodable snapshot means the same thing at both —
-//!    restore nothing, replay the tail.
+//! 2. **Corrupt stores degrade.** The same stores, with the snapshot or
+//!    one tail frame truncated at every offset or one bit flipped per
+//!    byte: `recover` returns `Ok` and never panics at either level, and
+//!    a recovered TSO's aggregates equal a from-scratch aggregation of
+//!    its pool. With one byte appended, an undecodable snapshot means the
+//!    same thing at both levels — restore nothing, replay the tail. A
+//!    snapshot row or frame that puts a cursor or counter at `u64::MAX`
+//!    degrades the stream; the next increment saturates.
 //! 3. **The encoders at scale.** A node writes its snapshot straight from
 //!    its live state, not through the snapshot type's codec. A BRP with
 //!    hundreds of senders and a TSO with hundreds of child streams —
@@ -25,16 +28,19 @@
 //!    re-encodes to the same bytes, and recovering from the store at that
 //!    point rebuilds the never-crashed node's pool.
 
-use mirabel_aggregate::{AggregationParams, FlexOfferUpdate};
-use mirabel_core::codec::{take_u64, Wire};
+use mirabel_aggregate::{
+    AggregatedFlexOffer, AggregationParams, AggregationPipeline, FlexOfferUpdate,
+};
+use mirabel_core::codec::{put_u64, take_u64, Wire};
 use mirabel_core::{
     EnergyRange, FlexOffer, FlexOfferId, NodeId, Profile, ScheduledFlexOffer, TimeSlot,
 };
 use mirabel_edms::{
-    BrpConfig, BrpNode, Envelope, LinkHealthConfig, LoadedLog, MemWalStore, Message, NodeWal,
-    RuntimeConfig, SequencedRxState, TsoNode, WalConfig, WalStore,
+    BrpConfig, BrpNode, Envelope, EventRecord, LinkHealthConfig, LoadedLog, MemWalStore, Message,
+    NodeWal, RuntimeConfig, SequencedRxState, StreamStats, TsoNode, WalConfig, WalStore,
 };
 use mirabel_schedule::MarketPrices;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 const BRP: NodeId = NodeId(3);
@@ -405,31 +411,52 @@ fn pinned_stores_recover_to_the_live_state() {
     }
 }
 
-/// A fresh store holding `snapshot` and `frames`.
-fn store_with(snapshot: &[u8], frames: &[Vec<u8>]) -> Box<dyn WalStore> {
+/// A fresh store holding `snapshot` (if any) and `frames`.
+fn store_with(snapshot: Option<&[u8]>, frames: &[Vec<u8>]) -> Box<dyn WalStore> {
     let mut store = MemWalStore::new();
-    store.install_snapshot(snapshot).unwrap();
+    if let Some(snapshot) = snapshot {
+        store.install_snapshot(snapshot).unwrap();
+    }
     for frame in frames {
         store.append(frame).unwrap();
     }
     Box::new(store)
 }
 
-/// Copies of `store` with its snapshot corrupted: truncated at each
-/// offset, and one bit flipped per byte.
+/// `bytes` truncated at each offset, then with one bit flipped per byte.
+fn corruptions(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let truncated = (0..bytes.len()).map(|cut| bytes[..cut].to_vec());
+    let flipped = (0..bytes.len()).map(|at| {
+        let mut copy = bytes.to_vec();
+        copy[at] ^= 1 << (at % 8);
+        copy
+    });
+    truncated.chain(flipped)
+}
+
+/// Copies of `store` with its snapshot corrupted.
 fn corrupted(mut store: Box<dyn WalStore>) -> Vec<Box<dyn WalStore>> {
     let (snapshot, frames) = store.load().unwrap();
     let snapshot = snapshot.expect("cadence 4 installs a snapshot");
-    let truncated = (0..snapshot.len()).map(|cut| snapshot[..cut].to_vec());
-    let flipped = (0..snapshot.len()).map(|at| {
-        let mut bytes = snapshot.clone();
-        bytes[at] ^= 1 << (at % 8);
-        bytes
-    });
-    truncated
-        .chain(flipped)
-        .map(|bytes| store_with(&bytes, &frames))
+    corruptions(&snapshot)
+        .map(|bytes| store_with(Some(&bytes), &frames))
         .collect()
+}
+
+/// Hand `check` the snapshot of `store` and a copy of its tail with
+/// frame `k` corrupted, for every frame `k` and every corruption of it.
+fn for_each_corrupt_frame(
+    mut store: Box<dyn WalStore>,
+    mut check: impl FnMut(Option<&[u8]>, &[Vec<u8>], usize),
+) {
+    let (snapshot, frames) = store.load().unwrap();
+    for (k, frame) in frames.iter().enumerate() {
+        for bytes in corruptions(frame) {
+            let mut copy = frames.clone();
+            copy[k] = bytes;
+            check(snapshot.as_deref(), &copy, k);
+        }
+    }
 }
 
 #[test]
@@ -447,6 +474,70 @@ fn corrupt_snapshots_degrade_without_panicking() {
     }
 }
 
+/// Index aggregates by their member-id sets: with the bin-packer off the
+/// partition is a pure function of the pooled offers, whatever history
+/// built it.
+fn by_members(pipeline: &AggregationPipeline) -> BTreeMap<Vec<FlexOfferId>, AggregatedFlexOffer> {
+    pipeline
+        .aggregates()
+        .map(|a| (a.member_ids.to_vec(), a.clone()))
+        .collect()
+}
+
+/// A recovered TSO's aggregates equal a from-scratch aggregation of its
+/// pool: member sets bit-equal, bounds and price within 1e-6.
+fn assert_aggregates_fold_from_scratch(tso: &TsoNode, context: &str) {
+    let pooled = tso.pooled_ids().into_iter().map(|id| {
+        tso.pooled_offer(id)
+            .expect("a pooled id has an offer")
+            .clone()
+    });
+    let scratch = AggregationPipeline::from_scratch(AggregationParams::p0(), None, pooled);
+    let live = by_members(tso.pipeline());
+    let fresh = by_members(&scratch);
+    assert_eq!(
+        live.keys().collect::<Vec<_>>(),
+        fresh.keys().collect::<Vec<_>>(),
+        "{context}: member sets differ"
+    );
+    let close = |x: f64, y: f64| (x - y).abs() <= 1e-6 * y.abs().max(1.0);
+    for (members, a) in &live {
+        let b = &fresh[members];
+        assert_eq!(a.profile.total_duration(), b.profile.total_duration());
+        for (x, y) in a.profile.slot_ranges().zip(b.profile.slot_ranges()) {
+            assert!(
+                close(x.min().kwh(), y.min().kwh()) && close(x.max().kwh(), y.max().kwh()),
+                "{context}: folded {x} vs from-scratch {y}"
+            );
+        }
+        assert!(close(a.unit_price.eur(), b.unit_price.eur()), "{context}");
+    }
+}
+
+#[test]
+fn corrupt_frames_degrade_without_panicking() {
+    // Cadence 4 corrupts the tail behind a snapshot, cadence 256 a store
+    // that is all frames. A frame that no longer decodes ends the replay;
+    // one that decodes to a different event is replayed like any other.
+    for cadence in [4, 256] {
+        for stage in BRP_STAGES {
+            for_each_corrupt_frame(brp_store(cadence, stage), |snapshot, frames, _| {
+                recover_brp(store_with(snapshot, frames), cadence, 50);
+            });
+        }
+        // The TSO also crashes after every frame from the corrupted one
+        // on: a wrongly folded aggregate can be planned and committed
+        // away before the end of the script.
+        for_each_corrupt_frame(tso_store(cadence).0, |snapshot, frames, k| {
+            for end in k + 1..=frames.len() {
+                let (tso, _) = recover_tso(store_with(snapshot, &frames[..end]), cadence, 102);
+                let context = format!("cadence {cadence}, frame {k}, crash after {end} frames");
+                assert_aggregates_fold_from_scratch(&tso, &context);
+            }
+        });
+    }
+}
+
 #[test]
 fn trailing_snapshot_bytes_restore_nothing_at_both_levels() {
     // An undecodable snapshot means the same thing at both levels: it is
@@ -457,7 +548,7 @@ fn trailing_snapshot_bytes_restore_nothing_at_both_levels() {
         assert!(frames.is_empty());
         let mut bytes = snapshot.expect("snapshot installed");
         bytes.push(0);
-        store_with(&bytes, &frames)
+        store_with(Some(&bytes), &frames)
     };
     let (node, _) = recover_brp(with_trailing_byte(brp_store(1, BrpStage::Healed)), 1, 43);
     assert_eq!(node.pool_size(), 0, "BRP restored from a rejected snapshot");
@@ -468,6 +559,144 @@ fn trailing_snapshot_bytes_restore_nothing_at_both_levels() {
         "TSO restored from a rejected snapshot"
     );
     assert!(out.is_empty(), "no stream survived to re-anchor");
+}
+
+/// A store holding `state` behind a snapshot header (if any), then one
+/// replay-safe frame per envelope, recorded when it was sent.
+fn store_of(state: Option<Vec<u8>>, envelopes: Vec<Envelope>) -> Box<dyn WalStore> {
+    let snapshot = state.map(|state| {
+        let mut bytes = Vec::new();
+        put_u64(&mut bytes, 0);
+        bytes.extend(state);
+        bytes
+    });
+    let frames: Vec<Vec<u8>> = envelopes
+        .into_iter()
+        .zip(1..)
+        .map(|(envelope, event_id)| {
+            EventRecord {
+                event_id,
+                causation_id: None,
+                replay_safe: true,
+                recorded_at: envelope.sent_at,
+                region: envelope.region,
+                envelope,
+            }
+            .to_bytes()
+        })
+        .collect();
+    store_with(snapshot.as_deref(), &frames)
+}
+
+#[test]
+fn cursors_and_counters_at_u64_max_saturate() {
+    const MAX: u64 = u64::MAX;
+    let child = NodeId(1);
+    let from_child =
+        |seq: u64, message: Message| Envelope::new(child, TSO, TimeSlot(1), message).with_seq(seq);
+    let deltas = |seq: u64, id: u64| {
+        let insert = FlexOfferUpdate::Insert(macro_offer(id, 120));
+        from_child(seq, Message::MacroOfferDeltas(vec![insert]))
+    };
+    // A TSO snapshot: one stream row for the child, its applied count
+    // and the audit counters.
+    let tso_state = |rx: SequencedRxState, applied: u64, audit: (u64, u64)| {
+        let pool: Vec<(FlexOffer, NodeId)> = Vec::new();
+        (pool, (vec![(child, rx)], (vec![(child, applied)], audit))).to_bytes()
+    };
+    let cursor_at = |next_expected: u64, stats: StreamStats| SequencedRxState {
+        next_expected,
+        buffered: Vec::new(),
+        buffer_cap: 1024,
+        resync_pending: false,
+        stats,
+    };
+    let delivered_max = StreamStats {
+        delivered: MAX,
+        ..StreamStats::default()
+    };
+    let tso_stores = [
+        // A replayed resync snapshot that anchors the stream at MAX.
+        store_of(
+            None,
+            vec![from_child(
+                MAX,
+                Message::ResyncSnapshot {
+                    offers: vec![macro_offer(1_000_000_001, 120)],
+                },
+            )],
+        ),
+        // A restored cursor at MAX, then the frame at that position.
+        store_of(
+            Some(tso_state(cursor_at(MAX, StreamStats::default()), 0, (0, 0))),
+            vec![deltas(MAX, 1_000_000_002)],
+        ),
+        // A restored delivery counter at MAX, then an in-order frame.
+        store_of(
+            Some(tso_state(cursor_at(0, delivered_max), 0, (0, 0))),
+            vec![deltas(0, 1_000_000_003)],
+        ),
+        // Applied and audit counters at MAX, then an applied batch and a
+        // report that adopts one offer and supersedes another.
+        store_of(
+            Some(tso_state(
+                cursor_at(0, StreamStats::default()),
+                MAX,
+                (MAX, MAX),
+            )),
+            vec![
+                deltas(0, 1_000_000_004),
+                from_child(
+                    1,
+                    Message::ProvisionalReport {
+                        window_start: TimeSlot(96),
+                        assignments: vec![
+                            ScheduledFlexOffer::at_min(
+                                &macro_offer(1_000_000_004, 120),
+                                TimeSlot(120),
+                            ),
+                            ScheduledFlexOffer::at_min(
+                                &macro_offer(1_000_000_777, 120),
+                                TimeSlot(120),
+                            ),
+                        ],
+                    },
+                ),
+            ],
+        ),
+    ];
+    for (case, store) in tso_stores.into_iter().enumerate() {
+        let (mut tso, _) = recover_tso(store, 256, 2);
+        // The node keeps handling: more traffic on the saturated stream,
+        // then a whole planning round, heartbeats included.
+        tso.handle(deltas(MAX, 1_000_000_100), TimeSlot(3));
+        tso.prepare_plan(
+            TimeSlot(100),
+            TimeSlot(96),
+            vec![-5.0; 96],
+            MarketPrices::flat(96, 0.08, 0.03, 1000.0),
+            vec![0.2; 96],
+        );
+        tso.commit_plan(TimeSlot(100));
+        match case {
+            2 => assert_eq!(tso.stream_stats(child).delivered, MAX),
+            3 => assert_eq!(tso.provisional_audit(), (MAX, MAX)),
+            _ => {}
+        }
+    }
+
+    // A BRP duplicate-filter row whose watermark sits at MAX, then a
+    // submission at that position.
+    let sender = 100;
+    let state: BrpTuple = (Vec::new(), vec![(sender, ((MAX, Vec::new()), 0))]);
+    let submission = |now: i64| {
+        let offer = Message::SubmitOffer(micro_offer(1));
+        Envelope::new(NodeId(sender), BRP, TimeSlot(now), offer).with_seq(MAX)
+    };
+    let store = store_of(Some(state.to_bytes()), vec![submission(0)]);
+    let (mut brp, _) = recover_brp(store, 256, 1);
+    brp.handle(submission(1), TimeSlot(1));
+    brp_round(&mut brp, 10);
 }
 
 // ---------------------------------------------------------------------
@@ -506,7 +735,7 @@ impl Shared {
         let snapshot = snapshot.expect("a snapshot was installed");
         let mut state = snapshot.as_slice();
         take_u64(&mut state).expect("the event-id header");
-        (state.to_vec(), store_with(&snapshot, &frames))
+        (state.to_vec(), store_with(Some(&snapshot), &frames))
     }
 }
 

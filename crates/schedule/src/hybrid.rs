@@ -1,82 +1,16 @@
-//! Simulated-annealing scheduler and greedy/EA hybrid.
+//! The greedy/EA hybrid scheduler.
 //!
 //! The paper lists "implementing and testing additional scheduling
 //! algorithms as well as hybridizing the existing ones" as future work
-//! (§6 Research Directions); both are provided here and compared in the
-//! ablation benches.
+//! (§6 Research Directions). The hybrid seeds the EA with the greedy
+//! search's best construction; the layered benchmark's `sched_deep`
+//! workload runs it.
 
-use crate::cost::evaluate;
-use crate::delta::DeltaEvaluator;
 use crate::evolutionary::EvolutionaryScheduler;
 use crate::greedy::GreedyScheduler;
 use crate::problem::SchedulingProblem;
-use crate::solution::{jitter_move, Budget, Recorder, ScheduleResult, Solution};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::solution::{Budget, ScheduleResult};
 use std::time::Instant;
-
-/// Metropolis local search over complete schedules.
-#[derive(Debug, Clone, Copy)]
-pub struct AnnealingScheduler {
-    /// Initial temperature relative to the starting cost magnitude.
-    pub initial_temp: f64,
-    /// Geometric cooling factor per move.
-    pub cooling: f64,
-}
-
-impl Default for AnnealingScheduler {
-    fn default() -> AnnealingScheduler {
-        AnnealingScheduler {
-            initial_temp: 0.1,
-            cooling: 0.999,
-        }
-    }
-}
-
-impl AnnealingScheduler {
-    /// Run from a random solution until the budget is exhausted.
-    ///
-    /// The Metropolis loop scores every neighbor through a
-    /// [`DeltaEvaluator`]: propose mutates one offer's placement in
-    /// place, scoring costs O(offer duration), and a rejected move is
-    /// reverted rather than a fresh `Solution` being cloned per
-    /// iteration.
-    pub fn run(&self, problem: &SchedulingProblem, budget: Budget, seed: u64) -> ScheduleResult {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut recorder = Recorder::new(budget);
-
-        let mut eval = DeltaEvaluator::new(problem, Solution::random(problem, &mut rng));
-        let mut f_cur = eval.total();
-        recorder.record(f_cur);
-        let mut best = eval.solution().clone();
-        let mut f_best = f_cur;
-        let scale = f_cur.abs().max(1.0);
-        let mut temp = self.initial_temp * scale;
-
-        while !recorder.exhausted() && !problem.offers.is_empty() {
-            // Neighbor: mutate one random offer's placement.
-            let j = rng.gen_range(0..problem.offers.len());
-            let f_cand = eval.propose(j, |g, offer| jitter_move(g, offer, &mut rng, 0.6, 0.3));
-            recorder.record(f_cand);
-            let accept = f_cand <= f_cur
-                || rng.gen_bool((((f_cur - f_cand) / temp.max(1e-12)).exp()).clamp(0.0, 1.0));
-            if accept {
-                f_cur = f_cand;
-                if f_cur < f_best {
-                    f_best = f_cur;
-                    best.clone_from(eval.solution());
-                }
-            } else {
-                eval.revert();
-            }
-            temp *= self.cooling;
-        }
-
-        let cost = evaluate(problem, &best);
-        let _ = f_best;
-        recorder.finish(best, cost)
-    }
-}
 
 /// Hybrid scheduler: greedy constructions seed the EA population.
 #[derive(Debug, Clone, Copy, Default)]
@@ -143,27 +77,6 @@ mod tests {
             seed,
             ..ScenarioConfig::default()
         })
-    }
-
-    #[test]
-    fn annealing_improves_over_first_random() {
-        let p = small(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let random_cost = evaluate(&p, &Solution::random(&p, &mut rng)).total();
-        let r = AnnealingScheduler::default().run(&p, Budget::evaluations(4_000), 2);
-        assert!(r.cost.total() <= random_cost);
-        assert!(r.solution.is_feasible(&p));
-    }
-
-    #[test]
-    fn annealing_empty_problem() {
-        let p = scenario(ScenarioConfig {
-            offer_count: 0,
-            seed: 1,
-            ..ScenarioConfig::default()
-        });
-        let r = AnnealingScheduler::default().run(&p, Budget::evaluations(50), 1);
-        assert!(r.cost.total().is_finite());
     }
 
     #[test]

@@ -6,42 +6,31 @@
 //! arrives, the BRP does not re-run the full scheduler; it repairs the
 //! previous solution with a budgeted hill climb over single-offer moves.
 //!
-//! Two repair entry points implement the event-driven replanning
-//! pipeline (forecast event → rebase → scoped repair):
+//! One repair path implements the event-driven replanning pipeline
+//! (forecast event → rebase → scoped repair): the caller holds a *live*
+//! [`DeltaEvaluator`], calls [`DeltaEvaluator::rebase`] with the slots a
+//! typed forecast event reported changed, restricts moves to the offers
+//! that can reach those slots ([`repair_scope`]), and runs K independent
+//! hill-climb chains ([`repair_parallel`]), keeping the best chain. Work
+//! is proportional to the *change*, not the problem.
 //!
-//! 1. [`reschedule`] — the compatibility path: adopt a previous solution
-//!    under a rebuilt problem and repair it over *all* offers with a
-//!    single chain. Pays one full `DeltaEvaluator` resync.
-//! 2. [`repair_scope`] + [`repair_parallel`] — the incremental path: the
-//!    caller holds a *live* [`DeltaEvaluator`], calls
-//!    [`DeltaEvaluator::rebase`] with the slots a typed forecast event
-//!    reported changed, restricts moves to the offers that can reach
-//!    those slots, and runs K independent hill-climb chains on the
-//!    shared worker pool (per-move state is already thread-local),
-//!    keeping the best chain. Work is proportional to the *change*, not
-//!    the problem.
-//!
-//! Both parallel entry points ([`repair_parallel`], [`multi_start`])
-//! dispatch their chains onto a persistent
-//! [`mirabel_core::exec::Pool`] instead of spawning scoped threads per
-//! call: replanning is the steady-state hot path, and `Pool::run`
-//! returns chain results in chain-index order, so the best-of-K
-//! tie-break — and therefore the chosen schedule — is identical for any
-//! pool width.
+//! The chains run on a persistent [`mirabel_core::exec::Pool`] instead
+//! of scoped threads spawned per call: replanning is the steady-state
+//! hot path, and `Pool::run` returns chain results in chain-index order,
+//! so the best-of-K tie-break — and therefore the chosen schedule — is
+//! identical for any pool width.
 
-use crate::cost::evaluate;
 use crate::delta::{hill_climb, DeltaEvaluator};
 use crate::problem::SchedulingProblem;
-use crate::solution::{Budget, Placement, Recorder, ScheduleResult, Solution};
+use crate::solution::{Budget, Placement, Recorder, Solution};
 use mirabel_core::exec::Pool;
 use mirabel_core::FlexOffer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The single-offer repair move shared by [`reschedule`] and the
-/// parallel repair chains: shift the start, re-draw one fraction, or
-/// jitter all fractions — always clamped back into the offer's
-/// constraints.
+/// The single-offer repair move of every repair chain: shift the
+/// start, re-draw one fraction, or jitter all fractions — always
+/// clamped back into the offer's constraints.
 fn repair_move(g: &mut Placement, offer: &FlexOffer, rng: &mut StdRng) {
     match rng.gen_range(0..3) {
         0 if offer.time_flexibility() > 0 => {
@@ -59,50 +48,6 @@ fn repair_move(g: &mut Placement, offer: &FlexOffer, rng: &mut StdRng) {
         }
     }
     g.repair(offer);
-}
-
-/// Repair `previous` against a problem with updated forecasts.
-///
-/// The previous solution's placements are first clamped to the (possibly
-/// changed) offer constraints, then improved by first-improvement hill
-/// climbing: random single-offer start shifts and fraction jitters,
-/// keeping only moves that reduce total cost. Moves are scored through a
-/// [`DeltaEvaluator`] — O(offer duration) per move — which is what makes
-/// repair after a forecast notification cheaper than any full re-run.
-pub fn reschedule(
-    problem: &SchedulingProblem,
-    previous: &Solution,
-    budget: Budget,
-    seed: u64,
-) -> ScheduleResult {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut recorder = Recorder::new(budget);
-
-    // Adopt and repair the previous placements (offer list must match).
-    let current = if previous.placements.len() == problem.offers.len() {
-        let mut s = previous.clone();
-        for (p, o) in s.placements.iter_mut().zip(&problem.offers) {
-            p.repair(o);
-        }
-        s
-    } else {
-        Solution::baseline(problem)
-    };
-    let mut eval = DeltaEvaluator::new(problem, current);
-    recorder.record(eval.total());
-
-    hill_climb(
-        &mut eval,
-        &mut recorder,
-        &mut rng,
-        usize::MAX,
-        None,
-        repair_move,
-    );
-
-    let current = eval.into_solution();
-    let cost = evaluate(problem, &current);
-    recorder.finish(current, cost)
 }
 
 /// The horizon-index range an offer's placement can reach:
@@ -200,42 +145,6 @@ pub fn repair_parallel(
     eval.total()
 }
 
-/// Parallel multi-start for the *initial* schedulers: run `chains`
-/// independent scheduler invocations on the shared worker pool — chain
-/// `i` seeded with `base_seed + i` — and keep the lowest-cost result.
-/// Chain 0 uses `base_seed` itself, so the best-of-K result is never
-/// worse than the corresponding single-start run; with `chains == 1`
-/// it reproduces the single-start run exactly.
-///
-/// This is the construction-side sibling of [`repair_parallel`]: the
-/// repair path forks a live [`DeltaEvaluator`] because its chains share
-/// a starting solution, whereas initial constructions are independent,
-/// so each chain simply runs the scheduler closure (`GreedyScheduler`,
-/// `AnnealingScheduler`, …) with its own seed. `evaluations` in the
-/// returned result sums all chains (the cost actually paid);
-/// wall-clock is one chain's worth on idle cores.
-pub fn multi_start<F>(chains: usize, base_seed: u64, pool: &Pool, run: F) -> ScheduleResult
-where
-    F: Fn(u64) -> ScheduleResult + Sync,
-{
-    assert!(chains >= 1, "multi_start needs at least one chain");
-    if chains == 1 {
-        return run(base_seed);
-    }
-    let mut results: Vec<ScheduleResult> =
-        pool.run(chains, |i| run(base_seed.wrapping_add(i as u64)));
-    let total_evaluations: usize = results.iter().map(|r| r.evaluations).sum();
-    let mut best = 0;
-    for i in 1..results.len() {
-        if results[i].cost.total() < results[best].cost.total() {
-            best = i;
-        }
-    }
-    let mut winner = results.swap_remove(best);
-    winner.evaluations = total_evaluations;
-    winner
-}
-
 /// One repair chain: a budgeted scoped hill climb (shared mutation
 /// kernel) on a forked evaluator.
 fn run_chain(chain: &mut DeltaEvaluator<'_>, scope: &[usize], moves: usize, seed: u64) -> f64 {
@@ -254,66 +163,9 @@ fn run_chain(chain: &mut DeltaEvaluator<'_>, scope: &[usize], moves: usize, seed
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::evaluate;
     use crate::greedy::GreedyScheduler;
     use crate::scenario::{scenario, ScenarioConfig};
-
-    fn shifted_forecast(mut p: SchedulingProblem, shift: f64) -> SchedulingProblem {
-        for v in &mut p.baseline_imbalance {
-            *v += shift;
-        }
-        p
-    }
-
-    #[test]
-    fn repairs_previous_solution_under_new_forecast() {
-        let p0 = scenario(ScenarioConfig {
-            offer_count: 30,
-            seed: 6,
-            ..ScenarioConfig::default()
-        });
-        let initial = GreedyScheduler.run(&p0, Budget::evaluations(20_000), 1);
-
-        // forecast update: systematic extra deficit
-        let p1 = shifted_forecast(p0.clone(), 0.8);
-        let stale_cost = evaluate(&p1, &initial.solution).total();
-        let repaired = reschedule(&p1, &initial.solution, Budget::evaluations(5_000), 2);
-        assert!(
-            repaired.cost.total() <= stale_cost,
-            "repaired {} vs stale {}",
-            repaired.cost.total(),
-            stale_cost
-        );
-        assert!(repaired.solution.is_feasible(&p1));
-    }
-
-    #[test]
-    fn cheaper_than_full_rerun_for_small_changes() {
-        let p0 = scenario(ScenarioConfig {
-            offer_count: 40,
-            seed: 8,
-            ..ScenarioConfig::default()
-        });
-        let initial = GreedyScheduler.run(&p0, Budget::evaluations(30_000), 3);
-        let p1 = shifted_forecast(p0.clone(), 0.1); // small forecast change
-        let repaired = reschedule(&p1, &initial.solution, Budget::evaluations(2_000), 4);
-        // With a tiny budget the repair should already be close to (or
-        // better than) a fresh greedy run with the same tiny budget.
-        let fresh = GreedyScheduler.run(&p1, Budget::evaluations(2_000), 4);
-        assert!(repaired.cost.total() <= fresh.cost.total() * 1.1 + 1e-9);
-    }
-
-    #[test]
-    fn mismatched_offer_list_falls_back_to_baseline() {
-        let p = scenario(ScenarioConfig {
-            offer_count: 5,
-            seed: 2,
-            ..ScenarioConfig::default()
-        });
-        let wrong = Solution { placements: vec![] };
-        let r = reschedule(&p, &wrong, Budget::evaluations(200), 1);
-        assert_eq!(r.solution.placements.len(), 5);
-        assert!(r.solution.is_feasible(&p));
-    }
 
     #[test]
     fn repair_scope_finds_overlapping_offers() {
@@ -389,53 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn multi_start_single_chain_reproduces_single_run() {
-        let p = scenario(ScenarioConfig {
-            offer_count: 20,
-            seed: 17,
-            ..ScenarioConfig::default()
-        });
-        let budget = Budget::evaluations(5_000);
-        let direct = GreedyScheduler.run(&p, budget, 42);
-        let multi = multi_start(1, 42, Pool::global(), |s| {
-            GreedyScheduler.run(&p, budget, s)
-        });
-        assert_eq!(direct.solution, multi.solution);
-        assert_eq!(direct.evaluations, multi.evaluations);
-    }
-
-    #[test]
-    fn multi_start_never_loses_to_single_start() {
-        let p = scenario(ScenarioConfig {
-            offer_count: 40,
-            seed: 19,
-            ..ScenarioConfig::default()
-        });
-        let budget = Budget::evaluations(4_000);
-        let pool = Pool::new(4);
-        let single = GreedyScheduler.run(&p, budget, 7);
-        let multi = multi_start(4, 7, &pool, |s| GreedyScheduler.run(&p, budget, s));
-        // Chain 0 shares the single run's seed, so best-of-4 can never
-        // be worse than it.
-        assert!(
-            multi.cost.total() <= single.cost.total() + 1e-9,
-            "multi {} vs single {}",
-            multi.cost.total(),
-            single.cost.total()
-        );
-        assert!(multi.solution.is_feasible(&p));
-        // Evaluations account for every chain.
-        assert!(multi.evaluations >= single.evaluations);
-        // Determinism: independent of thread scheduling.
-        let again = multi_start(4, 7, &pool, |s| GreedyScheduler.run(&p, budget, s));
-        assert_eq!(multi.solution, again.solution);
-    }
-
-    #[test]
     fn pool_width_does_not_change_results() {
-        // The determinism contract of the shared pool: repair chains and
-        // multi-start restarts produce bit-identical schedules whether
-        // they run serially (width 1) or across 2/8 lanes.
+        // The determinism contract of the shared pool: repair chains
+        // produce bit-identical schedules whether they run serially
+        // (width 1) or across 2/8 lanes.
         let p = scenario(ScenarioConfig {
             offer_count: 60,
             seed: 23,
@@ -462,22 +271,12 @@ mod tests {
             let total = repair_parallel(&mut eval, &scope, cfg, &pool);
             (total, eval.solution().clone())
         };
-        let start_with = |width: usize| {
-            let pool = Pool::new(width);
-            multi_start(5, 17, &pool, |s| {
-                GreedyScheduler.run(&p, Budget::evaluations(2_000), s)
-            })
-        };
 
         let (ref_total, ref_solution) = repair_with(1);
-        let ref_start = start_with(1);
         for width in [2, 8] {
             let (total, solution) = repair_with(width);
             assert_eq!(total, ref_total, "repair total at width {width}");
             assert_eq!(solution, ref_solution, "repair solution at width {width}");
-            let start = start_with(width);
-            assert_eq!(start.solution, ref_start.solution, "start at width {width}");
-            assert_eq!(start.evaluations, ref_start.evaluations);
         }
     }
 

@@ -22,15 +22,13 @@
 //! * [`greedy`] — the randomized greedy search;
 //! * [`evolutionary`] — the evolutionary algorithm \[3\], with a
 //!   delta-scored memetic refinement step;
-//! * [`anneal`] — a simulated-annealing scheduler and a greedy-seeded
-//!   hybrid (the paper's "hybridizing the existing ones" future work);
+//! * [`hybrid`] — the greedy-seeded EA (the paper's "hybridizing the
+//!   existing ones" future work);
 //! * [`exhaustive`] — exact enumeration for tiny instances (the paper's
 //!   850-million-solution optimality probe);
-//! * [`incremental`] — rescheduling after forecast changes, including
-//!   the scoped parallel multi-start repair behind event-driven
-//!   replanning and [`incremental::multi_start`], the best-of-K
-//!   parallel restart harness for the initial schedulers — both
-//!   dispatch their chains onto the shared deterministic worker pool
+//! * [`incremental`] — repair after forecast changes: the scoped
+//!   parallel multi-chain repair behind event-driven replanning, which
+//!   dispatches its chains onto the shared deterministic worker pool
 //!   ([`mirabel_core::exec::Pool`]), so steady-state replanning wakes
 //!   parked workers instead of spawning threads and the chosen schedule
 //!   is identical for any pool width;
@@ -98,26 +96,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anneal;
 pub mod cost;
 pub mod delta;
 pub mod evolutionary;
 pub mod exhaustive;
 pub mod greedy;
+pub mod hybrid;
 pub mod incremental;
 pub mod problem;
 pub mod scenario;
 pub mod solution;
 
-pub use anneal::{AnnealingScheduler, HybridScheduler};
 pub use cost::{evaluate, CostBreakdown};
 pub use delta::DeltaEvaluator;
 pub use evolutionary::{EaConfig, EvolutionaryScheduler};
 pub use exhaustive::{search_space_size, ExhaustiveScheduler};
 pub use greedy::GreedyScheduler;
-pub use incremental::{
-    multi_start, offer_reach, repair_parallel, repair_scope, reschedule, RepairConfig,
-};
+pub use hybrid::HybridScheduler;
+pub use incremental::{offer_reach, repair_parallel, repair_scope, RepairConfig};
 pub use problem::{MarketPrices, SchedulingProblem};
 pub use scenario::{scenario, ScenarioConfig};
 pub use solution::{Budget, Placement, ScheduleResult, Solution, TrajectoryPoint};

@@ -93,8 +93,8 @@ impl Placement {
     }
 }
 
-/// Shared single-offer neighbor move (annealing neighbors, greedy
-/// polish): with probability `p_shift` — and available flexibility —
+/// Single-offer neighbor move of the greedy polish: with probability
+/// `p_shift` — and available flexibility —
 /// shift the start by up to ±`time_flexibility/4` slots, otherwise
 /// jitter one random fraction by ±`jitter`; always repaired back into
 /// the offer's constraints.

@@ -12,8 +12,8 @@
 //! while a changed RNG stream should not.
 
 use mirabel_schedule::{
-    scenario, search_space_size, AnnealingScheduler, Budget, EvolutionaryScheduler,
-    ExhaustiveScheduler, GreedyScheduler, HybridScheduler, ScenarioConfig, SchedulingProblem,
+    scenario, search_space_size, Budget, EvolutionaryScheduler, ExhaustiveScheduler,
+    GreedyScheduler, HybridScheduler, ScenarioConfig, SchedulingProblem,
 };
 
 const BUDGET: usize = 5_000;
@@ -23,20 +23,14 @@ type Run = fn(&SchedulingProblem, u64) -> f64;
 
 /// Scheduler, worst allowed gap on any instance, allowed mean gap — both
 /// relative to `max(|optimum|, 1)`. Measured worst / mean when written
-/// (58 instances x 2 seeds): greedy 15.9 % / 0.52 %, annealing 12.2 % /
-/// 0.26 %, EA 6.2 % / 0.31 %, hybrid 1.0 % / 0.05 %.
-const HEURISTICS: [(&str, Run, f64, f64); 4] = [
+/// (58 instances x 2 seeds): greedy 15.9 % / 0.52 %, EA 6.2 % / 0.31 %,
+/// hybrid 1.0 % / 0.05 %.
+const HEURISTICS: [(&str, Run, f64, f64); 3] = [
     (
         "greedy",
         |p, s| cost(GreedyScheduler.run(p, Budget::evaluations(BUDGET), s)),
         0.30,
         0.012,
-    ),
-    (
-        "annealing",
-        |p, s| cost(AnnealingScheduler::default().run(p, Budget::evaluations(BUDGET), s)),
-        0.25,
-        0.006,
     ),
     (
         "evolutionary",

@@ -1,9 +1,13 @@
 //! Integration: forecasting feeding scheduling (paper §8, second
 //! interplay), including publish-subscribe-triggered rescheduling.
 
+use mirabel::core::exec::Pool;
 use mirabel::core::{TimeSlot, SLOTS_PER_DAY};
 use mirabel::forecast::{ForecastHub, ForecastModel, HwtModel};
-use mirabel::schedule::{evaluate, reschedule, scenario, Budget, GreedyScheduler, ScenarioConfig};
+use mirabel::schedule::{
+    evaluate, repair_parallel, repair_scope, scenario, Budget, DeltaEvaluator, GreedyScheduler,
+    RepairConfig, ScenarioConfig,
+};
 use mirabel::timeseries::{smape, DemandGenerator};
 
 #[test]
@@ -70,16 +74,26 @@ fn pubsub_triggers_rescheduling_only_on_significant_change() {
     assert!(hub.publish(&f1).is_empty());
 
     // Significant change: notification arrives, scheduler repairs the
-    // previous solution incrementally.
+    // previous solution incrementally, as a planning node does: rebase
+    // the live evaluator onto the event's changed slots, then run the
+    // scoped multi-chain repair on a pool.
     let f2: Vec<f64> = f0.iter().map(|v| v * 1.5 + 1.0).collect();
     assert_eq!(hub.publish(&f2), vec![sub]);
     let notification = hub.poll(sub).unwrap();
     let mut updated = problem.clone();
     updated.baseline_imbalance = notification.forecast.clone();
     let stale_cost = evaluate(&updated, &initial.solution).total();
-    let repaired = reschedule(&updated, &initial.solution, Budget::evaluations(5_000), 2);
-    assert!(repaired.cost.total() <= stale_cost);
-    assert!(repaired.solution.is_feasible(&updated));
+    let mut live = DeltaEvaluator::new_owned(problem, initial.solution);
+    let changed = notification.changed_slots();
+    live.rebase(&notification.forecast, &changed);
+    let scope = repair_scope(live.problem(), &changed);
+    let repair = RepairConfig {
+        seed: 2,
+        ..RepairConfig::default()
+    };
+    repair_parallel(&mut live, &scope, repair, &Pool::new(2));
+    assert!(evaluate(&updated, live.solution()).total() <= stale_cost);
+    assert!(live.solution().is_feasible(&updated));
 
     let (publishes, notifications) = hub.stats();
     assert_eq!(publishes, 3);
