@@ -109,14 +109,12 @@ impl AggregationPipeline {
 
     /// Aggregates as plain flex-offers for the scheduler, in stable id
     /// order (schedulers are order-sensitive; the aggregate store
-    /// iterates in id order by construction).
+    /// iterates in id order by construction). An aggregate whose sums
+    /// left the finite range is no valid offer and is skipped.
     pub fn macro_offers(&self) -> Vec<FlexOffer> {
         self.aggregator
             .aggregates()
-            .map(|a| {
-                a.to_flex_offer()
-                    .expect("aggregates are valid flex-offers by construction")
-            })
+            .filter_map(|a| a.to_flex_offer().ok())
             .collect()
     }
 

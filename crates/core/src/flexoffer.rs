@@ -146,13 +146,36 @@ impl FlexOffer {
     }
 
     /// Structural validation; called by the builder and usable on
-    /// deserialized offers.
+    /// deserialized offers. Besides the paper's constraints it rejects
+    /// what no node can compute with: a start window wider than
+    /// [`SlotSpan`], a latest end past the last slot, and non-finite
+    /// energy bounds or price.
     pub fn validate(&self) -> Result<(), DomainError> {
         if self.latest_start < self.earliest_start {
             return Err(DomainError::InvalidFlexOffer(format!(
                 "latest_start {} precedes earliest_start {}",
                 self.latest_start, self.earliest_start
             )));
+        }
+        if self.earliest_start.span_to(self.latest_start).is_none() {
+            return Err(DomainError::InvalidFlexOffer(
+                "start window is wider than SlotSpan".into(),
+            ));
+        }
+        let duration = i64::from(self.profile.total_duration());
+        if self.latest_start.0.checked_add(duration).is_none() {
+            return Err(DomainError::InvalidFlexOffer(
+                "latest end overflows the slot clock".into(),
+            ));
+        }
+        let finite = |r: EnergyRange| r.min().kwh().is_finite() && r.max().kwh().is_finite();
+        if !self.profile.slices().iter().all(|s| finite(s.energy))
+            || !self.total_energy.is_none_or(finite)
+            || !self.unit_price.eur().is_finite()
+        {
+            return Err(DomainError::InvalidFlexOffer(
+                "energy bounds and unit price must be finite".into(),
+            ));
         }
         if self.assignment_before > self.earliest_start {
             return Err(DomainError::InvalidFlexOffer(format!(
@@ -286,7 +309,9 @@ impl FlexOfferBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Wire;
     use crate::energy::EnergyRange;
+    use crate::profile::Slice;
 
     fn ev_offer() -> FlexOffer {
         // §2 scenario: 10pm plug-in, 2h charge, latest start 5am.
@@ -364,6 +389,95 @@ mod tests {
     #[test]
     fn requires_profile() {
         assert!(FlexOffer::builder(7, 1).build().is_err());
+    }
+
+    /// An offer's fields, each within its own type's range, that no
+    /// node can compute with: the profile is written slice by slice and
+    /// the price and bounds may be non-finite.
+    struct Raw {
+        es: i64,
+        ls: i64,
+        slices: Vec<(SlotSpan, f64, f64)>,
+        total: Option<(f64, f64)>,
+        price: f64,
+    }
+
+    fn raw(es: i64, ls: i64, slices: &[(SlotSpan, f64, f64)]) -> Raw {
+        Raw {
+            es,
+            ls,
+            slices: slices.to_vec(),
+            total: None,
+            price: 0.25,
+        }
+    }
+
+    impl Raw {
+        fn slices(&self) -> Vec<Slice> {
+            self.slices
+                .iter()
+                .map(|&(d, lo, hi)| Slice::new(d, EnergyRange::new(lo, hi).unwrap()).unwrap())
+                .collect()
+        }
+
+        fn build(&self) -> Result<FlexOffer, DomainError> {
+            let mut b = FlexOffer::builder(9, 1)
+                .earliest_start(TimeSlot(self.es))
+                .latest_start(TimeSlot(self.ls))
+                .profile(Profile::new(self.slices())?)
+                .unit_price(Price(self.price));
+            if let Some((lo, hi)) = self.total {
+                b = b.total_energy(EnergyRange::new(lo, hi).unwrap());
+            }
+            b.build()
+        }
+
+        /// The bytes `FlexOffer::encode` would write, field by field.
+        fn encode(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            FlexOfferId(9).encode(&mut out);
+            ActorId(1).encode(&mut out);
+            OfferKind::Consumption.encode(&mut out);
+            TimeSlot(self.es).encode(&mut out); // assignment_before
+            TimeSlot(self.es).encode(&mut out);
+            TimeSlot(self.ls).encode(&mut out);
+            self.slices().encode(&mut out);
+            self.total
+                .map(|(lo, hi)| EnergyRange::new(lo, hi).unwrap())
+                .encode(&mut out);
+            Price(self.price).encode(&mut out);
+            out
+        }
+    }
+
+    #[test]
+    fn rejects_overflowing_and_non_finite_offers() {
+        let inf = f64::INFINITY;
+        let mut cases = vec![
+            raw(i64::MAX - 5, i64::MAX - 1, &[(8, 1.0, 2.0)]),
+            raw(
+                0,
+                4,
+                &[(3_000_000_000, 1.0, 2.0), (3_000_000_000, 1.0, 2.0)],
+            ),
+            raw(i64::MIN + 10, i64::MAX - 10, &[(1, 1.0, 2.0)]),
+            raw(0, 4, &[(2, 1.0, inf)]),
+            raw(0, 4, &[(2, -inf, 1.0)]),
+        ];
+        for (total, price) in [(Some((1.0, inf)), 0.25), (None, f64::NAN), (None, inf)] {
+            cases.push(Raw {
+                total,
+                price,
+                ..raw(0, 4, &[(2, 1.0, 2.0)])
+            });
+        }
+        for case in &cases {
+            assert!(case.build().is_err(), "built {:?}", case.slices());
+            assert!(FlexOffer::from_bytes(&case.encode()).is_err());
+        }
+        // The same fields within range encode the offer the builder makes.
+        let fine = raw(0, 4, &[(2, 1.0, 2.0)]);
+        assert_eq!(fine.encode(), fine.build().unwrap().to_bytes());
     }
 
     #[test]

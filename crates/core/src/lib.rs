@@ -9,9 +9,8 @@
 //! * [`Profile`] / [`Slice`] — the shape of a flex-offer's consumption or production,
 //! * [`FlexOffer`] — the energy planning object at the heart of MIRABEL (paper §2),
 //! * [`ScheduledFlexOffer`] — a flex-offer with start time and energies fixed,
-//! * flexibility metrics (paper §4/§7) and a reproducible synthetic
-//!   [`generator`] used by the experiments in place of the paper's
-//!   800 000-offer artificial data set,
+//! * a reproducible synthetic [`generator`] used by the experiments in
+//!   place of the paper's 800 000-offer artificial data set,
 //! * [`exec`] — the shared deterministic worker [`Pool`] every parallel
 //!   path in the workspace (aggregate flushes, scheduling chains,
 //!   parallel regions) dispatches onto instead of spawning scoped threads
@@ -54,7 +53,6 @@ pub mod exec;
 pub mod flexoffer;
 pub mod generator;
 pub mod id;
-pub mod metrics;
 pub mod price;
 pub mod profile;
 pub mod schedule;
@@ -67,7 +65,6 @@ pub use exec::Pool;
 pub use flexoffer::{FlexOffer, FlexOfferBuilder, OfferKind};
 pub use generator::{FlexOfferGenerator, GeneratorConfig};
 pub use id::{ActorId, AggregateId, FlexOfferId, GroupId, NodeId, RegionId};
-pub use metrics::{energy_flexibility, time_flexibility, total_flexibility};
 pub use price::Price;
 pub use profile::{Profile, Slice};
 pub use schedule::ScheduledFlexOffer;

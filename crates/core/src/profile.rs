@@ -59,6 +59,14 @@ impl Profile {
                 "profile contains zero-duration slice".into(),
             ));
         }
+        let total = slices
+            .iter()
+            .try_fold(0 as SlotSpan, |acc, s| acc.checked_add(s.duration));
+        if total.is_none() {
+            return Err(DomainError::InvalidProfile(
+                "total duration overflows SlotSpan".into(),
+            ));
+        }
         Ok(Profile { slices })
     }
 

@@ -59,23 +59,12 @@ impl TimeSlot {
         (self.day().rem_euclid(7)) as u32
     }
 
-    /// Saturating forward jump by `span` slots.
-    #[inline]
-    pub fn advance(self, span: SlotSpan) -> TimeSlot {
-        TimeSlot(self.0 + span as i64)
-    }
-
-    /// Distance in slots to `later`; `None` when `later` precedes `self`.
+    /// Distance in slots to `later`; `None` when `later` precedes `self`
+    /// or lies too far ahead to fit a [`SlotSpan`].
     #[inline]
     pub fn span_to(self, later: TimeSlot) -> Option<SlotSpan> {
-        let d = later.0 - self.0;
+        let d = later.0.checked_sub(self.0)?;
         u32::try_from(d).ok()
-    }
-
-    /// Minutes since the epoch for the slot start.
-    #[inline]
-    pub fn minutes(self) -> i64 {
-        self.0 * SLOT_MINUTES as i64
     }
 }
 

@@ -25,7 +25,7 @@ use mirabel_aggregate::{AggregationParams, AggregationPipeline, BinPackerConfig,
 use mirabel_core::codec::{put_u64, Wire};
 use mirabel_core::{FlexOffer, FlexOfferId, NodeId, Price, ScheduledFlexOffer, TimeSlot};
 use mirabel_forecast::{ForecastModel, HwtConfig, HwtModel, Seasonality};
-use mirabel_negotiate::{AcceptanceDecision, AcceptancePolicy, PreExecutionPricing};
+use mirabel_negotiate::{AcceptanceDecision, AcceptancePolicy};
 use mirabel_timeseries::TimeSeries;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -43,10 +43,6 @@ pub struct BrpConfig {
     pub scheduler: SchedulerKind,
     /// Cost-evaluation budget per planning run.
     pub budget_evaluations: usize,
-    /// Acceptance policy (Negotiation component).
-    pub acceptance: AcceptancePolicy,
-    /// Pricing scheme for assignments.
-    pub pricing: PreExecutionPricing,
     /// Forward macro-offer deltas to the parent TSO instead of scheduling
     /// locally. A node given no parent schedules locally either way, and
     /// one that does not forward ignores the parent it is given.
@@ -74,8 +70,6 @@ impl Default for BrpConfig {
             binpacker: None,
             scheduler: runtime.scheduler,
             budget_evaluations: runtime.budget_evaluations,
-            acceptance: AcceptancePolicy::default(),
-            pricing: PreExecutionPricing::default(),
             forward_to_tso: false,
             repair_chains: runtime.repair_chains,
             pool: runtime.pool,
@@ -100,8 +94,8 @@ pub struct Offers {
     /// sender only, never iterated, so its order cannot leak into
     /// results (snapshots sort by sender before encoding).
     rx: HashMap<u64, DedupRx, crate::comm::IdHashBuilder>,
-    acceptance: AcceptancePolicy,
-    pricing: PreExecutionPricing,
+    /// Acceptance on submission; its pricing also prices assignments.
+    policy: AcceptancePolicy,
 }
 
 /// What a BRP installs at WAL compaction points, as the nested pair
@@ -181,7 +175,7 @@ impl ChildPort for Offers {
         state: OfferState,
     ) -> Option<(NodeId, Price)> {
         let (offer, source) = node.down.pool.remove(&member.offer_id)?;
-        let discount = node.down.pricing.discount_per_kwh(&offer, now);
+        let discount = node.down.policy.pricing.discount_per_kwh(&offer, now);
         node.store.record_offer(OfferFact {
             offer: offer.id(),
             actor: offer.owner(),
@@ -254,8 +248,7 @@ impl BrpNode {
         let offers = Offers {
             pool: BTreeMap::new(),
             rx: HashMap::default(),
-            acceptance: config.acceptance,
-            pricing: config.pricing,
+            policy: AcceptancePolicy::default(),
         };
         PlannerNode::assemble(id, engine, offers, parent)
     }
@@ -327,7 +320,7 @@ impl BrpNode {
     /// doubles as the duplicate probe and the accept path's slot.
     fn on_submit(&mut self, offer: FlexOffer, from: NodeId, now: TimeSlot) -> Envelope {
         let id = offer.id();
-        let value = match self.down.acceptance.decide(&offer, now) {
+        let value = match self.down.policy.decide(&offer, now) {
             AcceptanceDecision::Accept { value } => Some(value),
             AcceptanceDecision::Reject(_) => None,
         };

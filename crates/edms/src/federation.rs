@@ -55,6 +55,10 @@ use std::collections::BTreeMap;
 /// cleans stale imports either way).
 const EXCHANGE_ROUNDS: usize = 4;
 
+/// Macro offers a region may export per cycle (bounds the exchange
+/// batch, and with it cross-border traffic).
+const EXPORT_CAP: usize = 64;
+
 /// A regional TSO's cross-border endpoint: publishes the region's
 /// exportable surplus as deltas, maintains a sequenced, resyncable view
 /// of every peer's exports.
@@ -243,11 +247,6 @@ pub struct FederationConfig {
     /// scoped with [`ChaosPlan::in_region`]; unscoped plans hit every
     /// region.
     pub sim: SimulationConfig,
-    /// Macro offers a region may export per cycle (bounds the exchange
-    /// batch, and with it cross-border traffic).
-    pub exchange_cap: usize,
-    /// Failure injection on the inter-regional bus.
-    pub exchange_failure: FailureModel,
     /// Time-phased chaos on the bus alone (storms that hit only the
     /// cross-border links, leaving every region internally healthy).
     pub exchange_chaos: ChaosPlan,
@@ -263,8 +262,6 @@ impl Default for FederationConfig {
         FederationConfig {
             regions: 2,
             sim: SimulationConfig::default(),
-            exchange_cap: 64,
-            exchange_failure: FailureModel::reliable(),
             exchange_chaos: ChaosPlan::reliable(),
             meter_bytes: false,
         }
@@ -394,7 +391,7 @@ impl Federation {
     /// address space, disjoint from every region network.
     pub fn new(cfg: FederationConfig) -> Federation {
         assert!(cfg.regions > 0, "a federation needs at least one region");
-        let mut bus = Network::new(cfg.exchange_failure, splitmix(cfg.sim.seed ^ 0x0b05));
+        let mut bus = Network::new(FailureModel::reliable(), splitmix(cfg.sim.seed ^ 0x0b05));
         bus.set_chaos(cfg.exchange_chaos.clone());
         // The ratio bound is the exchange's contract; the bus is always
         // metered so it holds without opting the whole run in.
@@ -472,7 +469,7 @@ impl Federation {
                 // Publishing is idempotent within the splice: after the
                 // first round the diff against `exports` is empty, so
                 // later rounds only pump resync traffic.
-                let surplus = self.sims[r].exportable_surplus(now, self.cfg.exchange_cap);
+                let surplus = self.sims[r].exportable_surplus(now, EXPORT_CAP);
                 let peers: Vec<NodeId> = endpoints
                     .iter()
                     .copied()

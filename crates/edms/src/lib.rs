@@ -27,12 +27,11 @@
 //! * **federation** — the same repetition, once more, *above* the
 //!   national hierarchies: a [`federation::Federation`] shards the
 //!   population into `N` regions — each a complete hierarchy with its
-//!   own [`Network`], node-id space, WAL namespace
-//!   ([`FileWalStore::open_namespaced`](wal::FileWalStore::open_namespaced))
-//!   and splitmix-derived RNG streams — and glues the regional TSOs
-//!   with a bounded cross-border *macro-offer exchange* over an
-//!   inter-regional bus that reuses the intra-region delta-wire
-//!   contract ([`Message::ExchangeOfferDeltas`](message::Message),
+//!   own [`Network`], node-id space and splitmix-derived RNG streams —
+//!   and glues the regional TSOs with a bounded cross-border
+//!   *macro-offer exchange* over an inter-regional bus that reuses the
+//!   intra-region delta-wire contract
+//!   ([`Message::ExchangeOfferDeltas`](message::Message),
 //!   [`SequencedRx`] guards, resync snapshots). Regions share no
 //!   mutable state, so whole regions run concurrently on the worker
 //!   pool; only the region-ordered exchange splice is serial, keeping

@@ -265,10 +265,7 @@ impl PlanEngine {
         // ones are materialized as `FlexOffer`s.
         let macros: Vec<FlexOffer> = self
             .eligible_aggregates(window_start, baseline.len())
-            .map(|a| {
-                a.to_flex_offer()
-                    .expect("aggregates are valid flex-offers by construction")
-            })
+            .filter_map(|a| a.to_flex_offer().ok())
             .collect();
         let eligible = macros.len();
         if macros.is_empty() {
@@ -414,28 +411,28 @@ impl PlanEngine {
                     }
                 }
                 AggregateUpdate::Upsert(agg) => {
-                    let offer = agg
-                        .to_flex_offer()
-                        .expect("aggregates are valid flex-offers by construction");
-                    let fid = offer.id();
-                    let eligible =
-                        offer.earliest_start() >= live.window_start && offer.latest_end() <= end;
+                    let fid = FlexOfferId(agg.id.value());
+                    // An aggregate whose sums left the finite range is
+                    // no valid offer; it drops out of the plan.
+                    let eligible = agg.to_flex_offer().ok().filter(|offer| {
+                        offer.earliest_start() >= live.window_start && offer.latest_end() <= end
+                    });
                     let was_live = live.index.contains_key(&fid);
                     match (was_live, eligible) {
-                        (true, true) => {
+                        (true, Some(offer)) => {
                             remove_live_offer(live, fid, &mut touched_slots);
                             insert_live_offer(live, offer, &mut touched_slots);
                             report.replaced += 1;
                         }
-                        (true, false) => {
+                        (true, None) => {
                             remove_live_offer(live, fid, &mut touched_slots);
                             report.removed += 1;
                         }
-                        (false, true) => {
+                        (false, Some(offer)) => {
                             insert_live_offer(live, offer, &mut touched_slots);
                             report.inserted += 1;
                         }
-                        (false, false) => {}
+                        (false, None) => {}
                     }
                 }
             }
@@ -991,13 +988,11 @@ impl<P: ChildPort> PlannerNode<P> {
         let deltas: Vec<FlexOfferUpdate> = std::mem::take(&mut link.outbox)
             .into_iter()
             .map(|export_id| {
-                let live =
-                    exported_aggregate(self.id, export_id).and_then(|a| pipeline.aggregate(a));
+                let live = exported_aggregate(self.id, export_id)
+                    .and_then(|a| pipeline.aggregate(a))
+                    .and_then(|agg| agg.to_flex_offer_as(export_id, self.id.value()).ok());
                 match live {
-                    Some(agg) => FlexOfferUpdate::Insert(
-                        agg.to_flex_offer_as(export_id, self.id.value())
-                            .expect("aggregates are valid flex-offers"),
-                    ),
+                    Some(offer) => FlexOfferUpdate::Insert(offer),
                     None => FlexOfferUpdate::Delete(FlexOfferId(export_id)),
                 }
             })

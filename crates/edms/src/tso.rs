@@ -223,19 +223,7 @@ impl ChildPort for Deltas {
 
 impl TsoNode {
     /// Create a TSO aggregating BRP macro offers with the given
-    /// thresholds.
-    pub fn new(id: NodeId, aggregation: AggregationParams, budget_evaluations: usize) -> TsoNode {
-        TsoNode::with_config(
-            id,
-            aggregation,
-            RuntimeConfig {
-                budget_evaluations,
-                ..RuntimeConfig::default()
-            },
-        )
-    }
-
-    /// Create a TSO with full control over the runtime knobs.
+    /// thresholds and runtime knobs.
     pub fn with_config(id: NodeId, aggregation: AggregationParams, cfg: RuntimeConfig) -> TsoNode {
         TsoNode::assemble_deltas(id, aggregation, cfg, None)
     }
@@ -444,6 +432,18 @@ mod tests {
         );
     }
 
+    /// A TSO with `p0` thresholds and the given evaluation budget.
+    fn p0_tso(budget_evaluations: usize) -> TsoNode {
+        TsoNode::with_config(
+            NodeId(99),
+            AggregationParams::p0(),
+            RuntimeConfig {
+                budget_evaluations,
+                ..RuntimeConfig::default()
+            },
+        )
+    }
+
     /// One prepare-then-commit round; the commit's assignments.
     fn plan_round(
         tso: &mut TsoNode,
@@ -461,7 +461,7 @@ mod tests {
 
     #[test]
     fn pools_macro_offer_deltas_without_cloning() {
-        let mut tso = TsoNode::new(NodeId(99), AggregationParams::p0(), 5_000);
+        let mut tso = p0_tso(5_000);
         insert(&mut tso, 1, macro_offer(1_000_000_001, 120));
         assert_eq!(tso.pool_size(), 1);
         assert_eq!(tso.aggregate_count(), 1);
@@ -485,7 +485,7 @@ mod tests {
 
     #[test]
     fn plan_sends_assignments_to_source_brps() {
-        let mut tso = TsoNode::new(NodeId(99), AggregationParams::p0(), 5_000);
+        let mut tso = p0_tso(5_000);
         insert(&mut tso, 1, macro_offer(1_000_000_001, 120));
         insert(&mut tso, 2, macro_offer(2_000_000_001, 120));
         let envelopes = plan_round(
@@ -508,7 +508,7 @@ mod tests {
 
     #[test]
     fn offers_outside_window_deferred() {
-        let mut tso = TsoNode::new(NodeId(99), AggregationParams::p0(), 1_000);
+        let mut tso = p0_tso(1_000);
         insert(&mut tso, 1, macro_offer(1_000_000_001, 500));
         let envelopes = plan_round(
             &mut tso,
@@ -524,7 +524,7 @@ mod tests {
 
     #[test]
     fn delta_while_live_splices_into_plan() {
-        let mut tso = TsoNode::new(NodeId(99), AggregationParams::p0(), 4_000);
+        let mut tso = p0_tso(4_000);
         for i in 0..10u64 {
             insert(
                 &mut tso,
@@ -570,7 +570,7 @@ mod tests {
 
     #[test]
     fn prepare_emits_heartbeats_with_applied_counts() {
-        let mut tso = TsoNode::new(NodeId(99), AggregationParams::p0(), 2_000);
+        let mut tso = p0_tso(2_000);
         insert(&mut tso, 1, macro_offer(1_000_000_001, 120));
         insert(&mut tso, 1, macro_offer(1_000_000_002, 121));
         insert(&mut tso, 2, macro_offer(2_000_000_001, 120));
@@ -598,7 +598,7 @@ mod tests {
 
     #[test]
     fn provisional_report_adopts_pooled_and_supersedes_assigned() {
-        let mut tso = TsoNode::new(NodeId(99), AggregationParams::p0(), 2_000);
+        let mut tso = p0_tso(2_000);
         let pooled = macro_offer(1_000_000_001, 120);
         insert(&mut tso, 1, pooled.clone());
         // A provisional schedule for the pooled offer (adopt) and for an
@@ -627,7 +627,7 @@ mod tests {
     #[test]
     fn tso_recovers_from_wal_and_reanchors_brps() {
         use crate::wal::{NodeWal, WalConfig};
-        let mut tso = TsoNode::new(NodeId(99), AggregationParams::p0(), 2_000);
+        let mut tso = p0_tso(2_000);
         tso.attach_wal(NodeWal::in_memory(WalConfig { snapshot_every: 3 }));
         // Enough traffic to cross the snapshot threshold, plus a tail.
         for i in 0..5u64 {
@@ -665,7 +665,7 @@ mod tests {
     #[test]
     fn tso_recovery_replays_commit_markers() {
         use crate::wal::{NodeWal, WalConfig};
-        let mut tso = TsoNode::new(NodeId(99), AggregationParams::p0(), 5_000);
+        let mut tso = p0_tso(5_000);
         tso.attach_wal(NodeWal::in_memory(WalConfig::default()));
         insert(&mut tso, 1, macro_offer(1_000_000_001, 120));
         insert(&mut tso, 2, macro_offer(2_000_000_001, 120));
@@ -710,7 +710,7 @@ mod tests {
 
     #[test]
     fn ineligible_delta_pools_but_does_not_splice() {
-        let mut tso = TsoNode::new(NodeId(99), AggregationParams::p0(), 2_000);
+        let mut tso = p0_tso(2_000);
         insert(&mut tso, 1, macro_offer(1_000_000_001, 120));
         tso.prepare_plan(
             TimeSlot(90),

@@ -55,7 +55,7 @@
 
 use crate::message::Envelope;
 use mirabel_core::codec::{put_u64, take_u64, CodecError, Wire};
-use mirabel_core::{NodeId, RegionId, TimeSlot};
+use mirabel_core::{RegionId, TimeSlot};
 use std::fs;
 use std::io::{Read, Write as IoWrite};
 use std::path::{Path, PathBuf};
@@ -249,23 +249,6 @@ impl FileWalStore {
             log: None,
             frame: Vec::new(),
         })
-    }
-
-    /// Open a store in the federation's per-region WAL namespace:
-    /// `root/region-<r>/node-<n>`. Every region owns a disjoint
-    /// directory subtree, so region-scoped recovery, archival and
-    /// deletion are directory operations that cannot touch a peer
-    /// region's logs.
-    pub fn open_namespaced(
-        root: impl AsRef<Path>,
-        region: RegionId,
-        node: NodeId,
-    ) -> std::io::Result<FileWalStore> {
-        FileWalStore::open(
-            root.as_ref()
-                .join(format!("region-{}", region.value()))
-                .join(format!("node-{}", node.value())),
-        )
     }
 
     fn snapshot_path(&self) -> PathBuf {
@@ -637,35 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn namespaced_stores_are_disjoint_per_region() {
-        let root = std::env::temp_dir().join(format!(
-            "mirabel-wal-ns-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&root);
-        let mut a = FileWalStore::open_namespaced(&root, RegionId(0), NodeId(1)).unwrap();
-        let mut b = FileWalStore::open_namespaced(&root, RegionId(1), NodeId(1)).unwrap();
-        a.append(b"region-0-frame").unwrap();
-        b.append(b"region-1-frame").unwrap();
-        assert!(root
-            .join("region-0")
-            .join("node-1")
-            .join("wal.log")
-            .exists());
-        assert!(root
-            .join("region-1")
-            .join("node-1")
-            .join("wal.log")
-            .exists());
-        // Dropping one region's namespace leaves the peer untouched.
-        fs::remove_dir_all(root.join("region-0")).unwrap();
-        let (_, frames) = b.load().unwrap();
-        assert_eq!(frames, vec![b"region-1-frame".to_vec()]);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn mem_store_append_snapshot_truncate() {
         let mut wal = NodeWal::in_memory(WalConfig { snapshot_every: 3 });
         assert_eq!(wal.append(&env(0), None, true, TimeSlot(0)), 0);
@@ -823,6 +777,63 @@ mod tests {
                 "{} bytes",
                 log.len()
             );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_store_torn_at_every_offset_keeps_the_whole_frames() {
+        let dir = std::env::temp_dir().join(format!(
+            "mirabel-wal-every-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let open = || Box::new(FileWalStore::open(&dir).unwrap());
+        let recover = || NodeWal::recover(open(), WalConfig::default()).unwrap();
+        {
+            let mut wal = NodeWal::new(open(), WalConfig::default());
+            wal.append(&env(0), None, true, TimeSlot(0));
+            wal.install_snapshot(b"state");
+            for n in 1..=6 {
+                wal.append(&env(n), None, true, TimeSlot(n as i64));
+            }
+        }
+        let log = fs::read(dir.join("wal.log")).unwrap();
+        let snapshot = fs::read(dir.join("snapshot.bin")).unwrap();
+        let (_, frames) = open().load().unwrap();
+        let ends: Vec<usize> = frames
+            .iter()
+            .scan(0, |end, frame| {
+                *end += 8 + frame.len();
+                Some(*end)
+            })
+            .collect();
+        assert_eq!((frames.len(), ends.last()), (6, Some(&log.len())));
+
+        for cut in 0..=log.len() {
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            fs::write(dir.join("wal.log"), &log[..cut]).unwrap();
+            let (_, loaded) = open().load().unwrap();
+            assert_eq!(loaded, frames[..whole], "cut at {cut}");
+            let intact = whole.checked_sub(1).map_or(0, |last| ends[last]);
+            let len = fs::metadata(dir.join("wal.log")).unwrap().len();
+            assert_eq!(len, intact as u64, "the torn tail is cut off at {cut}");
+
+            let (mut wal, restored, tail) = recover();
+            assert_eq!(restored.as_deref(), Some(b"state".as_slice()));
+            assert_eq!(tail.len(), whole, "cut at {cut}");
+            wal.append(&env(7), None, true, TimeSlot(7));
+            let (_, _, tail) = recover();
+            assert_eq!(tail.len(), whole + 1, "cut at {cut}");
+            assert_eq!(tail.last().unwrap().envelope, env(7), "cut at {cut}");
+        }
+
+        fs::write(dir.join("wal.log"), &log).unwrap();
+        for cut in 0..snapshot.len() {
+            fs::write(dir.join("snapshot.bin"), &snapshot[..cut]).unwrap();
+            let (_, _, tail) = recover();
+            assert_eq!(tail.len(), 6, "snapshot cut at {cut}");
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -200,6 +200,72 @@ fn tso_incremental_replan_equals_scratch_rebuild() {
     }
 }
 
+/// Members whose per-slot energy sums leave the finite range make an
+/// aggregate that is no valid flex-offer: the TSO splices it out of its
+/// live plan, and an intermediate aggregator exports a delete for it,
+/// instead of panicking. Release only: in a debug build the n-to-1
+/// fold's cross-check trips on the infinite sum first.
+#[test]
+#[ignore = "release only; run with cargo test --release -- --ignored"]
+fn aggregates_past_the_finite_range_drop_out_of_plan_and_exports() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let huge = |id: u64| {
+        FlexOffer::builder(id, 1)
+            .earliest_start(TimeSlot(100))
+            .time_flexibility(8)
+            .assignment_before(TimeSlot(90))
+            .profile(Profile::uniform(1, EnergyRange::new(1.0, 1e308).unwrap()))
+            .build()
+            .unwrap()
+    };
+    let insert = |offer| vec![FlexOfferUpdate::Insert(offer)];
+    let plan = |node: &mut TsoNode| {
+        let prices = MarketPrices::flat(96, 0.08, 0.03, 1000.0);
+        node.prepare_plan(
+            TimeSlot(80),
+            TimeSlot(96),
+            vec![0.0; 96],
+            prices,
+            vec![0.2; 96],
+        )
+    };
+
+    let mut top = tso(1_000);
+    top.handle(
+        deltas(1, insert(macro_offer(1_000_000_001, 130, 8))),
+        TimeSlot(0),
+    );
+    top.handle(deltas(1, insert(huge(1_000_000_002))), TimeSlot(0));
+    assert_eq!(plan(&mut top).1.eligible_macro, 2);
+    // A second member at the same window joins the live aggregate and
+    // takes its maximum past `f64::MAX`.
+    top.handle(deltas(2, insert(huge(2_000_000_001))), TimeSlot(81));
+    assert_eq!(top.live_problem().unwrap().offers.len(), 1);
+    assert!(top.commit_plan(TimeSlot(82)).is_some());
+
+    let mut mid = TsoNode::with_parent(
+        NodeId(99),
+        NodeId(500),
+        AggregationParams::p0(),
+        RuntimeConfig::default(),
+    );
+    mid.handle(deltas(1, insert(huge(1_000_000_002))), TimeSlot(0));
+    mid.handle(deltas(2, insert(huge(2_000_000_001))), TimeSlot(0));
+    let (out, _) = plan(&mut mid);
+    let exported = out.iter().any(|e| match &e.message {
+        Message::MacroOfferDeltas(updates) => updates
+            .iter()
+            .any(|u| matches!(u, FlexOfferUpdate::Insert(_))),
+        _ => false,
+    });
+    assert!(
+        !exported,
+        "an aggregate past the finite range is not exported"
+    );
+}
+
 #[test]
 fn forecast_event_with_wrong_horizon_ignored_at_level_3() {
     let mut t = tso(1_000);

@@ -217,13 +217,6 @@ impl ForecastModel for HwtModel {
     }
 }
 
-/// Convenience: fit an HWT model on `history` and forecast `horizon` slots.
-pub fn fit_and_forecast(history: &TimeSeries, horizon: usize) -> Vec<f64> {
-    let mut m = HwtModel::daily_weekly();
-    m.fit(history);
-    m.forecast(horizon)
-}
-
 /// Seasonal-naive baseline: repeat the value one `period` ago.
 pub fn seasonal_naive(history: &TimeSeries, horizon: usize, period: usize) -> Vec<f64> {
     let v = history.values();

@@ -9,8 +9,6 @@
 //!   a mean-reverting wind-speed process pushed through a turbine power
 //!   curve — much weaker seasonality, so forecast error grows quickly with
 //!   the horizon, which is exactly the contrast Figure 4(b) shows.
-//! * [`SolarGenerator`] produces PV-like supply for the end-to-end
-//!   balancing examples (clear-sky bell curve with weather dips).
 
 use crate::calendar::Calendar;
 use crate::series::TimeSeries;
@@ -179,59 +177,6 @@ impl WindGenerator {
     }
 }
 
-/// PV supply: clear-sky bell over daylight hours with random cloud dips.
-#[derive(Debug, Clone)]
-pub struct SolarGenerator {
-    /// Peak clear-sky output in MW.
-    pub peak_power: f64,
-    /// Sunrise as fraction of day (e.g. 0.25 = 06:00).
-    pub sunrise: f64,
-    /// Sunset as fraction of day.
-    pub sunset: f64,
-    /// Mean cloudiness in `[0,1]`; output is scaled by `1 - cloud`.
-    pub mean_cloud: f64,
-    /// Cloud process innovation scale.
-    pub cloud_sigma: f64,
-}
-
-impl Default for SolarGenerator {
-    fn default() -> SolarGenerator {
-        SolarGenerator {
-            peak_power: 500.0,
-            sunrise: 0.27,
-            sunset: 0.80,
-            mean_cloud: 0.3,
-            cloud_sigma: 0.05,
-        }
-    }
-}
-
-impl SolarGenerator {
-    /// Clear-sky output fraction at slot-of-day fraction `x`.
-    pub fn clear_sky(&self, x: f64) -> f64 {
-        if x <= self.sunrise || x >= self.sunset {
-            return 0.0;
-        }
-        let y = (x - self.sunrise) / (self.sunset - self.sunrise);
-        (PI * y).sin().max(0.0)
-    }
-
-    /// Generate `len` slots starting at `start`.
-    pub fn generate(&self, start: TimeSlot, len: usize, seed: u64) -> TimeSeries {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut cloud = self.mean_cloud;
-        let mut values = Vec::with_capacity(len);
-        for i in 0..len {
-            let t = start + i as u32;
-            let x = t.slot_of_day() as f64 / SLOTS_PER_DAY as f64;
-            let eps: f64 = rng.gen_range(-1.0..1.0) * self.cloud_sigma;
-            cloud = (0.95 * cloud + 0.05 * self.mean_cloud + eps).clamp(0.0, 1.0);
-            values.push(self.peak_power * self.clear_sky(x) * (1.0 - cloud));
-        }
-        TimeSeries::new(start, values)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,24 +263,5 @@ mod tests {
             naive_err(&d),
             naive_err(&w)
         );
-    }
-
-    #[test]
-    fn solar_zero_at_night_peaks_midday() {
-        let g = SolarGenerator::default();
-        let s = g.generate(TimeSlot(0), 96, 5);
-        assert_eq!(s.at(TimeSlot(2)), Some(0.0)); // 00:30
-        assert_eq!(s.at(TimeSlot(94)), Some(0.0)); // 23:30
-        let midday = s.at(TimeSlot(50)).unwrap(); // 12:30
-        assert!(midday > 0.0);
-        assert!(midday <= g.peak_power);
-    }
-
-    #[test]
-    fn solar_clear_sky_bounds() {
-        let g = SolarGenerator::default();
-        assert_eq!(g.clear_sky(0.0), 0.0);
-        assert_eq!(g.clear_sky(0.9), 0.0);
-        assert!(g.clear_sky(0.5) > 0.9);
     }
 }

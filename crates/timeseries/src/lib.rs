@@ -8,14 +8,15 @@
 //! Neither is redistributable here, so this crate provides:
 //!
 //! * [`TimeSeries`] — a dense, slot-aligned series container,
-//! * [`stats`] — forecast accuracy metrics (SMAPE as used in Figure 4,
-//!   plus MAPE/MAE/RMSE/MASE),
+//! * [`stats`] — forecast accuracy as SMAPE, the metric of Figure 4,
 //! * [`calendar`] — day-of-week/holiday context for forecast contexts
 //!   and the demand generator,
 //! * [`generator`] — synthetic multi-seasonal demand and wind-supply
 //!   processes that reproduce the statistical properties the experiments
-//!   rely on (each generator's docs name the data set it stands in for),
-//! * [`store`] — the measurement side of the Data Management component.
+//!   rely on (each generator's docs name the data set it stands in for).
+//!
+//! Measurements themselves are stored as facts in the EDMS data store
+//! (`mirabel_edms::DataStore`), the one star schema of paper §3.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,10 +25,8 @@ pub mod calendar;
 pub mod generator;
 pub mod series;
 pub mod stats;
-pub mod store;
 
 pub use calendar::Calendar;
-pub use generator::{DemandGenerator, SolarGenerator, WindGenerator};
+pub use generator::{DemandGenerator, WindGenerator};
 pub use series::TimeSeries;
-pub use stats::{mae, mape, mase, rmse, smape};
-pub use store::MeasurementStore;
+pub use stats::smape;

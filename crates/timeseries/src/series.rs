@@ -72,18 +72,6 @@ impl TimeSeries {
         self.values.extend(vs);
     }
 
-    /// Sub-series covering `[from, to)` intersected with the series span.
-    pub fn window(&self, from: TimeSlot, to: TimeSlot) -> TimeSeries {
-        let lo = from.max(self.start).min(self.end());
-        let hi = to.min(self.end()).max(lo);
-        let a = (lo - self.start) as usize;
-        let b = (hi - self.start) as usize;
-        TimeSeries {
-            start: lo,
-            values: self.values[a..b].to_vec(),
-        }
-    }
-
     /// The last `n` observations (fewer if the series is shorter).
     pub fn tail(&self, n: usize) -> TimeSeries {
         let k = self.values.len().saturating_sub(n);
@@ -184,18 +172,6 @@ mod tests {
         assert_eq!(s.at(TimeSlot(12)), Some(3.0));
         assert_eq!(s.at(TimeSlot(13)), None);
         assert_eq!(s.at(TimeSlot(9)), None);
-    }
-
-    #[test]
-    fn window_clamps() {
-        let s = ts(10, &[1.0, 2.0, 3.0, 4.0]);
-        let w = s.window(TimeSlot(11), TimeSlot(13));
-        assert_eq!(w.values(), &[2.0, 3.0]);
-        assert_eq!(w.start(), TimeSlot(11));
-        let all = s.window(TimeSlot(0), TimeSlot(100));
-        assert_eq!(all.values(), s.values());
-        let none = s.window(TimeSlot(50), TimeSlot(60));
-        assert!(none.is_empty());
     }
 
     #[test]

@@ -25,74 +25,6 @@ pub fn smape(actual: &[f64], forecast: &[f64]) -> f64 {
     acc / actual.len() as f64
 }
 
-/// Mean absolute percentage error; zero-actual pairs are skipped.
-pub fn mape(actual: &[f64], forecast: &[f64]) -> f64 {
-    assert_eq!(actual.len(), forecast.len(), "length mismatch");
-    let mut acc = 0.0;
-    let mut n = 0usize;
-    for (&a, &f) in actual.iter().zip(forecast) {
-        if a.abs() > 0.0 {
-            acc += ((f - a) / a).abs();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        acc / n as f64
-    }
-}
-
-/// Mean absolute error.
-pub fn mae(actual: &[f64], forecast: &[f64]) -> f64 {
-    assert_eq!(actual.len(), forecast.len(), "length mismatch");
-    if actual.is_empty() {
-        return 0.0;
-    }
-    actual
-        .iter()
-        .zip(forecast)
-        .map(|(a, f)| (f - a).abs())
-        .sum::<f64>()
-        / actual.len() as f64
-}
-
-/// Root mean squared error.
-pub fn rmse(actual: &[f64], forecast: &[f64]) -> f64 {
-    assert_eq!(actual.len(), forecast.len(), "length mismatch");
-    if actual.is_empty() {
-        return 0.0;
-    }
-    (actual
-        .iter()
-        .zip(forecast)
-        .map(|(a, f)| (f - a) * (f - a))
-        .sum::<f64>()
-        / actual.len() as f64)
-        .sqrt()
-}
-
-/// Mean absolute scaled error with seasonal naive scaling at lag `m`.
-///
-/// `history` supplies the in-sample series used for the scaling factor.
-/// Returns `f64::INFINITY` when the naive error is zero (constant history).
-pub fn mase(history: &[f64], actual: &[f64], forecast: &[f64], m: usize) -> f64 {
-    assert_eq!(actual.len(), forecast.len(), "length mismatch");
-    assert!(m >= 1);
-    if history.len() <= m || actual.is_empty() {
-        return f64::INFINITY;
-    }
-    let naive = history
-        .windows(m + 1)
-        .map(|w| (w[m] - w[0]).abs())
-        .sum::<f64>()
-        / (history.len() - m) as f64;
-    if naive == 0.0 {
-        return f64::INFINITY;
-    }
-    mae(actual, forecast) / naive
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,33 +53,6 @@ mod tests {
     fn smape_zero_pairs_ignored() {
         assert_eq!(smape(&[0.0, 1.0], &[0.0, 1.0]), 0.0);
         assert_eq!(smape(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn mape_skips_zero_actuals() {
-        let m = mape(&[0.0, 2.0], &[5.0, 3.0]);
-        assert!((m - 0.5).abs() < 1e-12);
-        assert_eq!(mape(&[0.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn mae_rmse_basic() {
-        assert!((mae(&[1.0, 2.0], &[2.0, 0.0]) - 1.5).abs() < 1e-12);
-        assert!((rmse(&[0.0, 0.0], &[3.0, 4.0]) - (12.5f64).sqrt()).abs() < 1e-12);
-        assert_eq!(mae(&[], &[]), 0.0);
-        assert_eq!(rmse(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn mase_scaling() {
-        // history with seasonal-naive MAE of 1.0 at m=1
-        let hist = [0.0, 1.0, 2.0, 3.0];
-        let m = mase(&hist, &[4.0], &[5.0], 1);
-        assert!((m - 1.0).abs() < 1e-12);
-        // constant history -> infinite MASE
-        assert!(mase(&[1.0, 1.0, 1.0], &[1.0], &[2.0], 1).is_infinite());
-        // degenerate history shorter than lag
-        assert!(mase(&[1.0], &[1.0], &[1.0], 4).is_infinite());
     }
 
     #[test]
