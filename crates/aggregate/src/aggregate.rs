@@ -18,10 +18,9 @@ use mirabel_core::{
     AggregateId, DomainError, EnergyRange, FlexOffer, FlexOfferId, OfferKind, Price, Profile,
     SlotSpan, TimeSlot,
 };
-use serde::{Deserialize, Serialize};
 
 /// A macro flex-offer produced by the n-to-1 aggregator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregatedFlexOffer {
     /// Aggregate identifier.
     pub id: AggregateId,

@@ -1,7 +1,5 @@
 //! Aggregation thresholds and bin-packer bounds (paper §4).
 
-use serde::{Deserialize, Serialize};
-
 /// User-defined aggregation thresholds: "two flex-offers are allowed to be
 /// aggregated together only if their attribute values (e.g., duration,
 /// start after time) deviate by no more than user-specified thresholds."
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The presets `p0`…`p3` are the four parameter combinations of the
 /// Figure 5 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggregationParams {
     /// Maximum deviation of *earliest start* ("Start After Time") within a
     /// group, in slots.
@@ -74,7 +72,7 @@ impl Default for AggregationParams {
 /// following aggregated flex-offer properties: (1) the number of
 /// flex-offers included into a single aggregate, (2) the amount of energy
 /// (or time flexibility) an aggregated flex-offer has to offer".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BinPackerConfig {
     /// Maximum members per aggregate.
     pub max_members: Option<usize>,

@@ -1,9 +1,7 @@
 //! Aggregation quality metrics: the quantities plotted in Figure 5.
 
-use serde::{Deserialize, Serialize};
-
 /// Snapshot of the aggregation state quality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregationReport {
     /// Micro flex-offers currently aggregated.
     pub offer_count: usize,
@@ -58,7 +56,7 @@ impl AggregationReport {
 /// Counters of the n-to-1 aggregator's delta-fold machinery: how much
 /// work the incremental path did and how often the drift-bounding exact
 /// re-fold kicked in. Cheap observability for the 10⁶-offer ingest path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaStats {
     /// Members folded *into* aggregates by delta updates.
     pub folded_in: u64,

@@ -20,11 +20,10 @@
 use crate::aggregate::AggregatedFlexOffer;
 use mirabel_core::codec::{CodecError, Wire};
 use mirabel_core::{FlexOffer, FlexOfferId, GroupId};
-use serde::{Deserialize, Serialize};
 
 /// Input to the pipeline: offer arrivals and removals (accepted or
 /// expiring offers — "those with approaching assignment before time").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FlexOfferUpdate {
     /// A new offer entered the pool.
     Insert(FlexOffer),
@@ -83,7 +82,7 @@ pub enum GroupUpdate {
 }
 
 /// Identifier of a bin-packed sub-group: the parent group plus an index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubgroupId {
     /// Parent similarity group.
     pub group: GroupId,

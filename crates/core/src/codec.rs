@@ -1,8 +1,7 @@
 //! Compact hand-rolled binary wire codec.
 //!
-//! The vendored `serde` is a no-op stub, so nothing in the workspace
-//! could actually serialize until now. This module supplies the real
-//! format: a varint-based little-endian encoding with a [`Wire`] trait
+//! The workspace's one serialization format, with no serde derive behind
+//! it: a varint-based little-endian encoding with a [`Wire`] trait
 //! implemented by every type that crosses a node boundary or is written
 //! to a write-ahead log (`FlexOffer`, `Profile`, `ScheduledFlexOffer`,
 //! and — in the layers above — `FlexOfferUpdate`, `Message`,

@@ -1,7 +1,6 @@
 //! Energy quantities and per-slot flexibility bounds.
 
 use crate::error::DomainError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -12,7 +11,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// context (a consumption offer consumes positive energy; a production offer
 /// produces positive energy). Signed arithmetic is supported because
 /// imbalance computations subtract supply from demand.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 impl Energy {
@@ -151,7 +150,7 @@ impl fmt::Display for Energy {
 /// This is the *energy flexibility* of one profile slot: the scheduler may
 /// fix any amount inside the range (paper §4, "energy flexibility — the
 /// ability to scale energy up or down at a given time").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyRange {
     min: Energy,
     max: Energy,

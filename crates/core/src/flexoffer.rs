@@ -17,14 +17,13 @@ use crate::id::{ActorId, FlexOfferId};
 use crate::price::Price;
 use crate::profile::Profile;
 use crate::time::{SlotSpan, TimeSlot};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether the offer consumes or produces energy.
 ///
 /// The paper treats production flex-offers "equivalently to flex-offers for
 /// consumption" (§2); the sign convention is applied by the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OfferKind {
     /// Flexible demand (EV charging, dishwasher, heat pump, ...).
     Consumption,
@@ -42,7 +41,7 @@ impl fmt::Display for OfferKind {
 }
 
 /// An energy planning object offered by a prosumer to its BRP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlexOffer {
     id: FlexOfferId,
     owner: ActorId,
@@ -501,17 +500,8 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn debug_output_names_the_kind() {
         let o = ev_offer();
-        let json = serde_json_like(&o);
-        assert!(json.contains("Consumption"));
-    }
-
-    // serde_json is not a dependency; exercise Serialize via the compact
-    // debug of the serde data model using bincode-free approach: just make
-    // sure the derives exist by serializing to a string with serde's
-    // fmt-based test helper.
-    fn serde_json_like(o: &FlexOffer) -> String {
-        format!("{o:?}")
+        assert!(format!("{o:?}").contains("Consumption"));
     }
 }

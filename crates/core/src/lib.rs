@@ -17,8 +17,8 @@
 //!   per call,
 //! * [`codec`] — the compact binary [`Wire`] format (varint/zigzag
 //!   integers, bit-exact floats) that the message layer and the
-//!   per-node write-ahead logs serialize through; it replaces the
-//!   vendored no-op serde stub as the workspace's real wire encoding.
+//!   per-node write-ahead logs serialize through, the workspace's one
+//!   wire encoding.
 //!
 //! The types are deliberately free of any aggregation / forecasting /
 //! scheduling logic — those live in the dedicated crates layered on top.

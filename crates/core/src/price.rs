@@ -4,13 +4,12 @@
 //! activation costs) or plain EUR (for schedule cost totals). Both use f64;
 //! money precision is not the subject of the paper's evaluation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 /// A price in EUR per kWh, or a plain EUR amount when used as a total.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Price(pub f64);
 
 impl Price {

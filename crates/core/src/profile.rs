@@ -8,11 +8,10 @@
 use crate::energy::{Energy, EnergyRange};
 use crate::error::DomainError;
 use crate::time::SlotSpan;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A run of consecutive slots sharing the same per-slot energy bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slice {
     /// Number of consecutive metering slots covered by this slice (≥ 1).
     pub duration: SlotSpan,
@@ -43,7 +42,7 @@ impl Slice {
 }
 
 /// A flex-offer energy profile: a non-empty sequence of slices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     slices: Vec<Slice>,
 }

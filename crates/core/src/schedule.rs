@@ -5,11 +5,10 @@ use crate::error::DomainError;
 use crate::flexoffer::FlexOffer;
 use crate::id::FlexOfferId;
 use crate::time::{SlotSpan, TimeSlot};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The result of scheduling one flex-offer: all flexibility resolved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledFlexOffer {
     /// The offer this schedule instantiates.
     pub offer_id: FlexOfferId,

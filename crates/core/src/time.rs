@@ -5,7 +5,6 @@
 //! arbitrary epoch; negative indices are valid history). All durations are
 //! expressed as a whole number of slots ([`SlotSpan`]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -25,9 +24,7 @@ pub type SlotSpan = u32;
 ///
 /// `TimeSlot(t)` covers the half-open wall-clock interval
 /// `[t * 15 min, (t + 1) * 15 min)`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TimeSlot(pub i64);
 
 impl TimeSlot {

@@ -3,7 +3,7 @@
 //! A BRP is a [`PlannerNode`] whose child port is [`Offers`]: flex-offers
 //! straight from prosumers, decided on by the Negotiation component
 //! (acceptance on submission, pre-execution pricing on assignment),
-//! recorded by the Data Management component, and pooled by value. With
+//! recorded by the Data Management component, and pooled by the node. With
 //! [`BrpConfig::forward_to_tso`] it is linked to its TSO and forwards its
 //! macro-offer delta stream instead of scheduling locally — until the
 //! link goes `Down` and it islands. The life-cycle, flush-before-read
@@ -13,7 +13,7 @@
 //! [`DedupRx`] — at-most-once, not sequenced, since a lost submission is
 //! a negotiation-level loss the deadline fallback covers; an accepted
 //! submission updates the pool, the store and its reply on the spot and
-//! only *stages* its pipeline insert; and the snapshot is the pool plus
+//! only *stages* its pipeline insert; and the port's snapshot state is
 //! the duplicate filters (everything else is derived).
 
 use crate::datastore::{EnergyType, MeasurementFact, OfferFact, OfferState, ScheduleFact};
@@ -23,12 +23,12 @@ use crate::wal::{WalConfig, WalStore};
 use crate::wire::{DedupRx, LinkHealthConfig};
 use mirabel_aggregate::{AggregationParams, AggregationPipeline, BinPackerConfig, FlexOfferUpdate};
 use mirabel_core::codec::{put_u64, Wire};
-use mirabel_core::{FlexOffer, FlexOfferId, NodeId, Price, ScheduledFlexOffer, TimeSlot};
+use mirabel_core::{FlexOffer, NodeId, Price, ScheduledFlexOffer, TimeSlot};
 use mirabel_forecast::{ForecastModel, HwtConfig, HwtModel, Seasonality};
 use mirabel_negotiate::{AcceptanceDecision, AcceptancePolicy};
 use mirabel_timeseries::TimeSeries;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 pub use crate::runtime::{PlanReport, ReplanReport, SchedulerKind};
 
@@ -81,13 +81,9 @@ impl Default for BrpConfig {
 /// The level-2 node: a planner node over [`Offers`].
 pub type BrpNode = PlannerNode<Offers>;
 
-/// A BRP's child port: the accepted prosumer offers, by value, and what
-/// decides about them.
-#[derive(Debug)]
+/// A BRP's child port: what decides about the offers the node pools.
+#[derive(Debug, Default)]
 pub struct Offers {
-    /// Offer pool: id → (offer, source node). Ordered so every walk
-    /// (expiry, snapshots) is deterministic across runs.
-    pool: BTreeMap<FlexOfferId, (FlexOffer, NodeId)>,
     /// One at-most-once filter per sender: network-duplicated inbound
     /// envelopes (submissions, assignments, resync requests) are dropped
     /// before they reach a handler. A `HashMap` is safe: probed by
@@ -98,22 +94,17 @@ pub struct Offers {
     policy: AcceptancePolicy,
 }
 
-/// What a BRP installs at WAL compaction points, as the nested pair
-/// `(pool, duplicate filters)`: the offer pool with its source nodes, and
-/// one row per inbound stream, sorted by sender. Everything else a BRP
-/// holds — aggregates, exports, outbox — is *derived* and is rebuilt by
-/// re-feeding the pool through the aggregation pipeline on restore. Only
-/// recovery decodes one; a compaction writes the same bytes from the
-/// live pool.
-type BrpSnapshot = (Vec<(FlexOffer, NodeId)>, Vec<DedupRow>);
-
 /// `(sender, ((delivered_below, seen), duplicates))`: nested pairs
 /// because pairs are what the codec implements — the bytes are the four
 /// fields in a row.
 type DedupRow = (u64, ((u64, Vec<u64>), u64));
 
 impl ChildPort for Offers {
-    type Snapshot = BrpSnapshot;
+    /// What a BRP installs at WAL compaction points behind its pool: one
+    /// duplicate-filter row per inbound stream, sorted by sender. The
+    /// rest — aggregates, exports, outbox — is *derived*, rebuilt by
+    /// re-feeding the pool through the aggregation pipeline on restore.
+    type State = Vec<DedupRow>;
 
     fn admit(&mut self, envelope: &Envelope) -> bool {
         self.rx
@@ -149,33 +140,25 @@ impl ChildPort for Offers {
         }
     }
 
-    fn expire(node: &mut BrpNode, now: TimeSlot) -> usize {
-        let expired: Vec<_> = node
-            .down
-            .pool
-            .extract_if(.., |_, (offer, _)| offer.is_expired(now))
-            .collect();
-        for (id, (offer, _)) in &expired {
+    fn expired(node: &mut BrpNode, offers: &[(FlexOffer, NodeId)], now: TimeSlot) {
+        for (offer, _) in offers {
             node.store.record_offer(OfferFact {
-                offer: *id,
+                offer: offer.id(),
                 actor: offer.owner(),
                 slot: now,
                 state: OfferState::Expired,
             });
         }
-        node.engine
-            .stage_offer_updates(expired.iter().map(|(id, _)| FlexOfferUpdate::Delete(*id)));
-        expired.len()
     }
 
-    fn release(
+    fn released(
         node: &mut BrpNode,
+        offer: &FlexOffer,
         member: &ScheduledFlexOffer,
         now: TimeSlot,
         state: OfferState,
-    ) -> Option<(NodeId, Price)> {
-        let (offer, source) = node.down.pool.remove(&member.offer_id)?;
-        let discount = node.down.policy.pricing.discount_per_kwh(&offer, now);
+    ) -> Price {
+        let discount = node.down.policy.pricing.discount_per_kwh(offer, now);
         node.store.record_offer(OfferFact {
             offer: offer.id(),
             actor: offer.owner(),
@@ -188,20 +171,13 @@ impl ChildPort for Offers {
             total_kwh: member.total_energy().kwh(),
             discount,
         });
-        Some((source, discount))
+        discount
     }
 
-    /// The pool in id order, then one duplicate-filter row per sender.
-    fn encode_snapshot(node: &BrpNode, out: &mut Vec<u8>) {
-        let down = &node.down;
-        put_u64(out, down.pool.len() as u64);
-        for (offer, from) in down.pool.values() {
-            offer.encode(out);
-            from.encode(out);
-        }
+    fn encode_state(node: &BrpNode, out: &mut Vec<u8>) {
         // The rx map is a HashMap: rows go out in sender order so snapshot
         // bytes (and thus WAL contents) are identical across runs.
-        let mut rows: Vec<_> = down.rx.iter().collect();
+        let mut rows: Vec<_> = node.down.rx.iter().collect();
         rows.sort_unstable_by_key(|(sender, _)| **sender);
         put_u64(out, rows.len() as u64);
         for (sender, rx) in rows {
@@ -210,18 +186,9 @@ impl ChildPort for Offers {
         }
     }
 
-    /// The pool is staged like any other ingest (its flush rebuilds the
-    /// aggregates, and a linked node's recovery snapshot re-anchors the
-    /// parent's view of them); the duplicate filters resume where the
-    /// crashed node's windows stood.
-    fn restore(node: &mut BrpNode, (pool, rx): BrpSnapshot) {
-        node.engine.stage_offer_updates(
-            pool.iter()
-                .map(|(offer, _)| FlexOfferUpdate::Insert(offer.clone())),
-        );
-        for (offer, from) in pool {
-            node.down.pool.insert(offer.id(), (offer, from));
-        }
+    /// The duplicate filters resume where the crashed node's windows
+    /// stood.
+    fn restore(node: &mut BrpNode, rx: Vec<DedupRow>) {
         node.down.rx = rx
             .into_iter()
             .map(|(sender, ((below, seen), dups))| (sender, DedupRx::from_state(below, seen, dups)))
@@ -245,12 +212,7 @@ impl BrpNode {
         let parent = parent
             .filter(|_| config.forward_to_tso)
             .map(|parent| (parent, config.link_health));
-        let offers = Offers {
-            pool: BTreeMap::new(),
-            rx: HashMap::default(),
-            policy: AcceptancePolicy::default(),
-        };
-        PlannerNode::assemble(id, engine, offers, parent)
+        PlannerNode::assemble(id, engine, Offers::default(), parent)
     }
 
     /// Rebuild a crashed BRP from its surviving WAL store (see
@@ -268,33 +230,11 @@ impl BrpNode {
 
     /// Network-injected duplicates this node's at-most-once filters
     /// dropped, summed across its inbound sender streams — the dedup
-    /// column of the federation's per-region stats rollup.
+    /// column of the federation's per-region stats rollup. Saturating, as
+    /// the counters are restored from disk.
     pub fn dedup_duplicates(&self) -> u64 {
-        self.down.rx.values().map(|rx| rx.duplicates).sum()
-    }
-
-    /// Order-independent digest of the pooled offers — recovery tests
-    /// compare a replayed node's pool against its never-crashed twin.
-    pub fn pool_digest(&self) -> u64 {
-        let mut digest: u64 = 0x9e37_79b9_7f4a_7c15;
-        let mut buf = Vec::new();
-        for (offer, from) in self.down.pool.values() {
-            buf.clear();
-            offer.encode(&mut buf);
-            from.encode(&mut buf);
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in &buf {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            digest = digest.rotate_left(7) ^ h;
-        }
-        digest
-    }
-
-    /// Offers currently pooled.
-    pub fn pool_size(&self) -> usize {
-        self.down.pool.len()
+        let counts = self.down.rx.values().map(|rx| rx.duplicates);
+        counts.fold(0, u64::saturating_add)
     }
 
     /// Forecast the baseline imbalance for `[start, start+horizon)` from
@@ -324,7 +264,7 @@ impl BrpNode {
             AcceptanceDecision::Accept { value } => Some(value),
             AcceptanceDecision::Reject(_) => None,
         };
-        let reply = match self.down.pool.entry(id) {
+        let reply = match self.pool.entry(id) {
             // Replayed submission of an offer already pooled (an
             // unsequenced duplicate the network dedup cannot catch):
             // re-acknowledge without staging anything — the pool state

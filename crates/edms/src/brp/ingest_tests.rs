@@ -25,9 +25,10 @@
 
 use super::*;
 use crate::wal::NodeWal;
-use mirabel_core::{EnergyRange, Price, Profile};
+use mirabel_core::{EnergyRange, FlexOfferId, Price, Profile};
 use mirabel_schedule::MarketPrices;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const PARENT: NodeId = NodeId(99);
 const WINDOW: TimeSlot = TimeSlot(384);
@@ -76,6 +77,14 @@ fn submit(brp: &mut BrpNode, o: FlexOffer, now: TimeSlot) -> Vec<Envelope> {
         Envelope::new(from, brp.id, now, Message::SubmitOffer(o)),
         now,
     )
+}
+
+/// After a flush the pipeline's slab holds exactly the pool.
+fn assert_slab_is_pool(brp: &BrpNode) {
+    assert_eq!(brp.engine.pipeline().offer_count(), brp.pool_size());
+    for id in brp.pooled_ids() {
+        assert_eq!(brp.engine.pipeline().offer(id), brp.pooled_offer(id));
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -215,8 +224,12 @@ fn run(ops: &[Op], forward_to_tso: bool, eager: bool) -> Observed {
             }
             Op::Assign(_) => Vec::new(),
         };
+        // A round and a commit end on a flush, the eager twin every op.
         if eager {
             brp.flush_staged();
+        }
+        if eager || matches!(op, Op::Round { .. } | Op::Commit) {
+            assert_slab_is_pool(&brp);
         }
         for env in out {
             if env.to != PARENT {
@@ -244,6 +257,7 @@ fn run(ops: &[Op], forward_to_tso: bool, eager: bool) -> Observed {
         parent_views.push(view);
     }
     brp.flush_staged();
+    assert_slab_is_pool(&brp);
     Observed {
         down,
         up,

@@ -274,7 +274,7 @@ impl ChaosPlan {
     }
 }
 
-/// Per-link delivery counters (also the shape of the global roll-up).
+/// The network's delivery counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Envelopes handed to the network.
@@ -323,8 +323,8 @@ pub struct DeadLetter {
     pub envelope: Envelope,
     /// Why it could not be delivered.
     pub reason: DeadLetterReason,
-    /// Interned index of the `(from, to)` link, so replay updates the
-    /// link's stats without a map lookup.
+    /// Interned index of the `(from, to)` link, so the per-link
+    /// retention cap needs no map lookup.
     link: u32,
 }
 
@@ -384,26 +384,27 @@ impl DeadLetterQueue {
         self.per_link_cap
     }
 
-    /// Retain a letter; if its link is at the cap, evict and return that
-    /// link's oldest letter (the caller accounts the drop).
-    fn push(&mut self, letter: DeadLetter) -> Option<DeadLetter> {
+    /// Retain a letter; if its link is at the cap, evict that link's
+    /// oldest letter. Returns whether one was evicted (the caller
+    /// accounts the drop).
+    fn push(&mut self, letter: DeadLetter) -> bool {
         let link = letter.link;
         if self.per_link.len() <= link as usize {
             self.per_link.resize(link as usize + 1, 0);
         }
         let held = &mut self.per_link[link as usize];
         // One out, one in: an eviction leaves the link's count as it was.
-        let evicted = if *held as usize >= self.per_link_cap {
+        let evicted = *held as usize >= self.per_link_cap;
+        if evicted {
             let oldest = self
                 .letters
                 .iter()
                 .position(|l| l.link == link)
                 .expect("cap >= 1, so at least one letter on the link");
-            Some(self.letters.remove(oldest))
+            self.letters.remove(oldest);
         } else {
             *held += 1;
-            None
-        };
+        }
         self.letters.push(letter);
         evicted
     }
@@ -434,18 +435,10 @@ struct InFlight {
     /// delayed-delivery ordering total (duplicates get fresh numbers;
     /// the per-link *stream* number lives in `envelope.seq`).
     arrival: u64,
-    /// Interned index of the `(from, to)` link, so drain-time stats
-    /// need no map lookup.
+    /// Interned index of the `(from, to)` link, carried into the
+    /// dead-letter queue (and its per-link cap) without a map lookup.
     link: u32,
     envelope: Envelope,
-}
-
-/// Per-link bookkeeping: the stream sequence counter and the link's
-/// delivery stats.
-#[derive(Debug, Default)]
-struct LinkState {
-    next_seq: u64,
-    stats: NetworkStats,
 }
 
 /// The in-process message network.
@@ -457,15 +450,16 @@ pub struct Network {
     inboxes: HashMap<NodeId, Vec<InFlight>, IdHashBuilder>,
     /// Per-`(from, to)` link interning, keyed by the packed pair. The
     /// hot paths resolve a link to its dense index exactly once per
-    /// [`Network::route`]; everything downstream (enqueue, drain,
-    /// dead-letter replay) carries the index and touches `link_states`
-    /// by position — the sequenced wire's only structural cost on the
-    /// reliable path is this one lookup. A `HashMap` is safe here:
+    /// [`Network::route`], which picks the link's stream counter in
+    /// `next_seq` by position; in-flight envelopes and dead letters
+    /// carry the index for the dead-letter queue's per-link cap. The
+    /// sequenced wire's only structural cost on the reliable path is
+    /// this one lookup. A `HashMap` is safe here:
     /// the map is never iterated, only probed by key, so its
     /// process-random order can never leak into results.
     links: HashMap<u128, u32, IdHashBuilder>,
-    /// Stream counters and stats, indexed by interned link id.
-    link_states: Vec<LinkState>,
+    /// Next stream sequence number, indexed by interned link id.
+    next_seq: Vec<u64>,
     /// Baseline model, active outside any chaos phase.
     baseline: FailureModel,
     /// The model currently in force (baseline or an active phase's).
@@ -500,7 +494,7 @@ impl Network {
         Network {
             inboxes: HashMap::default(),
             links: HashMap::default(),
-            link_states: Vec::new(),
+            next_seq: Vec::new(),
             baseline: failure,
             failure,
             chaos: ChaosPlan::reliable(),
@@ -583,7 +577,6 @@ impl Network {
         };
         for m in q {
             self.stats.dead_lettered += 1;
-            self.link_states[m.link as usize].stats.dead_lettered += 1;
             self.dead_letter(DeadLetter {
                 envelope: m.envelope,
                 reason: DeadLetterReason::Unregistered,
@@ -595,11 +588,8 @@ impl Network {
     /// Retain a dead letter, accounting the eviction if its link was at
     /// the retention cap.
     fn dead_letter(&mut self, letter: DeadLetter) {
-        if let Some(evicted) = self.dead_letters.push(letter) {
+        if self.dead_letters.push(letter) {
             self.stats.dropped_dead_letters += 1;
-            self.link_states[evicted.link as usize]
-                .stats
-                .dropped_dead_letters += 1;
         }
     }
 
@@ -609,17 +599,13 @@ impl Network {
         self.dead_letters.per_link_cap = cap.max(1);
     }
 
-    /// Pack a directed link into the interning key.
-    fn link_key(from: NodeId, to: NodeId) -> u128 {
-        ((from.value() as u128) << 64) | to.value() as u128
-    }
-
     /// Intern the `(from, to)` link, returning its dense index.
     fn link_idx(&mut self, from: NodeId, to: NodeId) -> u32 {
-        let next = self.link_states.len() as u32;
-        let idx = *self.links.entry(Self::link_key(from, to)).or_insert(next);
+        let next = self.next_seq.len() as u32;
+        let key = ((from.value() as u128) << 64) | to.value() as u128;
+        let idx = *self.links.entry(key).or_insert(next);
         if idx == next {
-            self.link_states.push(LinkState::default());
+            self.next_seq.push(0);
         }
         idx
     }
@@ -635,21 +621,17 @@ impl Network {
         self.stats.sent += 1;
         envelope.region = self.region;
         let link = self.link_idx(envelope.from, envelope.to);
-        let ls = &mut self.link_states[link as usize];
-        ls.stats.sent += 1;
-        envelope.seq = Some(ls.next_seq);
-        ls.next_seq += 1;
+        let seq = &mut self.next_seq[link as usize];
+        envelope.seq = Some(*seq);
+        *seq += 1;
         if self.metering {
             self.meter_buf.clear();
             envelope.encode(&mut self.meter_buf);
-            let bytes = self.meter_buf.len() as u64;
-            self.stats.bytes_sent += bytes;
-            self.link_states[link as usize].stats.bytes_sent += bytes;
+            self.stats.bytes_sent += self.meter_buf.len() as u64;
         }
 
         if self.phase_cuts.contains(&(envelope.from, envelope.to)) {
             self.stats.dead_lettered += 1;
-            self.link_states[link as usize].stats.dead_lettered += 1;
             self.dead_letter(DeadLetter {
                 envelope,
                 reason: DeadLetterReason::Partitioned,
@@ -663,7 +645,6 @@ impl Network {
                 .gen_bool(self.failure.drop_probability.clamp(0.0, 1.0))
         {
             self.stats.dropped += 1;
-            self.link_states[link as usize].stats.dropped += 1;
             return;
         }
         let duplicate = self.failure.duplicate_probability > 0.0
@@ -672,7 +653,6 @@ impl Network {
                 .gen_bool(self.failure.duplicate_probability.clamp(0.0, 1.0));
         if duplicate {
             self.stats.duplicated += 1;
-            self.link_states[link as usize].stats.duplicated += 1;
             let copy = envelope.clone();
             self.enqueue(copy, link);
         }
@@ -698,11 +678,9 @@ impl Network {
                     envelope,
                 });
                 self.stats.enqueued += 1;
-                self.link_states[link as usize].stats.enqueued += 1;
             }
             None => {
                 self.stats.dead_lettered += 1;
-                self.link_states[link as usize].stats.dead_lettered += 1;
                 self.dead_letter(DeadLetter {
                     envelope,
                     reason: DeadLetterReason::Unregistered,
@@ -735,9 +713,6 @@ impl Network {
             link,
             envelope,
         });
-        let ls = &mut self.link_states[link as usize];
-        ls.stats.replayed += 1;
-        ls.stats.enqueued += 1;
     }
 
     /// Replay every partitioned dead letter whose link is clear again.
@@ -798,9 +773,6 @@ impl Network {
         // unstable sort is deterministic.
         due.sort_unstable_by_key(|m| (m.envelope.sent_at, m.envelope.from, m.arrival));
         self.stats.delivered += due.len() as u64;
-        for m in &due {
-            self.link_states[m.link as usize].stats.delivered += 1;
-        }
         // Collected into a fresh, exact-size vector, so the drained buffer
         // is released here rather than by whoever handles the envelopes.
         let mut envelopes = Vec::with_capacity(due.len());
@@ -813,19 +785,9 @@ impl Network {
         self.inboxes.get(&node).map_or(0, |q| q.len())
     }
 
-    /// Global delivery counters.
+    /// Delivery counters.
     pub fn stats(&self) -> NetworkStats {
         self.stats
-    }
-
-    /// Delivery counters for the directed `from → to` link (zeros if the
-    /// link never carried a message).
-    pub fn link_stats(&self, from: NodeId, to: NodeId) -> NetworkStats {
-        self.links
-            .get(&Self::link_key(from, to))
-            .map_or(NetworkStats::default(), |&i| {
-                self.link_states[i as usize].stats
-            })
     }
 
     /// The retained undeliverable envelopes.
@@ -888,7 +850,6 @@ mod tests {
         // default region.
         let expected = env(1, 0).with_seq(1).to_bytes().len() as u64;
         assert_eq!(n.stats().bytes_sent, expected);
-        assert_eq!(n.link_stats(NodeId(0), NodeId(1)).bytes_sent, expected);
     }
 
     #[test]
@@ -1171,11 +1132,6 @@ mod tests {
         // Cap 3: the two oldest letters on the 0→1 link were evicted.
         assert_eq!(n.dead_letters().len(), 3);
         assert_eq!(n.stats().dropped_dead_letters, 2);
-        assert_eq!(
-            n.link_stats(NodeId(0), NodeId(1)).dropped_dead_letters,
-            2,
-            "evictions are accounted on the evicted letter's link"
-        );
         // Another link is unaffected by the first link's pressure.
         n.register(NodeId(2));
         n.route(env(2, 0));
@@ -1288,24 +1244,5 @@ mod tests {
             vec![NodeId(5), NodeId(7), NodeId(9)],
             "duplicates collapse, phase order preserved"
         );
-    }
-
-    #[test]
-    fn per_link_stats_are_tracked() {
-        let mut n = Network::reliable();
-        n.register(NodeId(1));
-        n.register(NodeId(2));
-        n.route(env(1, 0));
-        n.route(env(1, 0));
-        n.route(env(2, 0));
-        n.drain(NodeId(1), TimeSlot(0));
-        let link1 = n.link_stats(NodeId(0), NodeId(1));
-        assert_eq!(link1.sent, 2);
-        assert_eq!(link1.enqueued, 2);
-        assert_eq!(link1.delivered, 2);
-        let link2 = n.link_stats(NodeId(0), NodeId(2));
-        assert_eq!(link2.sent, 1);
-        assert_eq!(link2.delivered, 0, "routed but not yet drained");
-        assert_eq!(n.link_stats(NodeId(5), NodeId(6)), NetworkStats::default());
     }
 }

@@ -21,11 +21,10 @@
 
 use crate::comm::IdHashBuilder;
 use mirabel_core::{ActorId, FlexOfferId, Price, TimeSlot};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 
 /// Energy-type dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnergyType {
     /// Metered consumption.
     Consumption,
@@ -35,7 +34,7 @@ pub enum EnergyType {
 
 /// Lifecycle state of a flex-offer (the flex-offer fact's state
 /// dimension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OfferState {
     /// Received and accepted into the pool.
     Accepted,
@@ -65,7 +64,7 @@ impl StateCounts {
 
 /// Actor dimension row; `market_area` snowflakes into the market-area
 /// dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActorDim {
     /// The actor key.
     pub actor: ActorId,
@@ -76,7 +75,7 @@ pub struct ActorDim {
 }
 
 /// Measurement fact: one metered value per (slot, actor, type).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementFact {
     /// Slot key (time dimension is computed from it).
     pub slot: TimeSlot,
@@ -89,7 +88,7 @@ pub struct MeasurementFact {
 }
 
 /// Flex-offer lifecycle fact.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OfferFact {
     /// Offer key.
     pub offer: FlexOfferId,
@@ -102,7 +101,7 @@ pub struct OfferFact {
 }
 
 /// Schedule fact: the resolved assignment of one offer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleFact {
     /// Offer key.
     pub offer: FlexOfferId,
@@ -116,7 +115,7 @@ pub struct ScheduleFact {
 
 /// Forecast fact: a published net-load forecast value for a future slot.
 /// Several publications for the same slot may exist; the freshest wins.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForecastFact {
     /// The forecast target slot.
     pub slot: TimeSlot,
@@ -127,7 +126,7 @@ pub struct ForecastFact {
 }
 
 /// Price fact per (market area, slot).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceFact {
     /// Market-area key.
     pub market_area: u32,

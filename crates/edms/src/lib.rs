@@ -5,9 +5,10 @@
 //! The EDMS is a hierarchy of **homogeneous** nodes — "the process is
 //! essentially repeated at a higher level" — and this crate makes that
 //! literal: every planning level is one node type, [`PlannerNode`], whose
-//! prepare → replan → commit life-cycle is defined once in [`runtime`];
-//! levels differ only in the child port they speak downwards and in
-//! whether they have a parent:
+//! pool of the offers below it and whose prepare → replan → commit
+//! life-cycle are defined once in [`runtime`]; levels differ only in the
+//! child port they speak downwards — how offers reach the pool and what
+//! the level records about them — and in whether they have a parent:
 //!
 //! * **level 1** — [`prosumer`]s issue flex-offers, execute assignments,
 //!   and fall back to the open contract on loss or missed deadlines;

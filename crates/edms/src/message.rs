@@ -6,10 +6,9 @@ use mirabel_core::codec::{CodecError, Wire};
 use mirabel_core::{
     ActorId, FlexOffer, FlexOfferId, NodeId, Price, RegionId, ScheduledFlexOffer, TimeSlot,
 };
-use serde::{Deserialize, Serialize};
 
 /// The message vocabulary of the EDMS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Prosumer → BRP: a new flex-offer.
     SubmitOffer(FlexOffer),
@@ -102,7 +101,7 @@ pub enum Message {
 }
 
 /// A routed message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// Sender node.
     pub from: NodeId,

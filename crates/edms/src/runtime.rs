@@ -48,8 +48,11 @@ use crate::wire::{LinkHealth, LinkHealthConfig, LinkHealthStats, LinkState, Retr
 use mirabel_aggregate::{
     AggregateUpdate, AggregatedFlexOffer, AggregationPipeline, FlexOfferUpdate,
 };
+use mirabel_core::codec::{put_u64, Wire};
 use mirabel_core::exec::Pool;
-use mirabel_core::{AggregateId, FlexOffer, FlexOfferId, NodeId, ScheduledFlexOffer, TimeSlot};
+use mirabel_core::{
+    AggregateId, FlexOffer, FlexOfferId, NodeId, Price, ScheduledFlexOffer, TimeSlot,
+};
 use mirabel_forecast::ForecastEvent;
 use mirabel_schedule::{
     offer_reach, repair_parallel, repair_scope, Budget, DeltaEvaluator, EvolutionaryScheduler,
@@ -507,18 +510,18 @@ pub trait Node {
 
 mod port {
     use super::*;
-    use mirabel_core::{codec::Wire, Price};
 
-    /// What a planner node speaks with the level below it. Unnameable
-    /// outside the crate: [`Offers`](crate::brp::Offers) and
-    /// [`Deltas`](crate::tso::Deltas) are the only two. `Send`, because
-    /// every level is driven on the shared worker pool.
+    /// What a planner node speaks with the level below it, beyond the
+    /// pool every level keeps. Unnameable outside the crate:
+    /// [`Offers`](crate::brp::Offers) and [`Deltas`](crate::tso::Deltas)
+    /// are the only two. `Send`, because every level is driven on the
+    /// shared worker pool.
     pub trait ChildPort: Sized + Send {
-        /// The port's state at a WAL compaction point: everything the
-        /// node cannot re-derive from its pool. Only recovery builds one,
-        /// by decoding; a compaction writes its bytes straight from the
-        /// node ([`encode_snapshot`](Self::encode_snapshot)).
-        type Snapshot: Wire;
+        /// The port's part of a WAL compaction point, written behind the
+        /// node's pool. Only recovery builds one, by decoding; a compaction
+        /// writes its bytes straight from the node
+        /// ([`encode_state`](Self::encode_state)).
+        type State: Wire;
 
         /// Whether an inbound envelope is new. A duplicate is dropped
         /// before the journal sees it.
@@ -533,27 +536,32 @@ mod port {
             now: TimeSlot,
         ) -> Vec<Envelope>;
 
-        /// Drop the pooled offers whose assignment deadline has passed and
-        /// stage their deletes; returns how many.
-        fn expire(node: &mut PlannerNode<Self>, now: TimeSlot) -> usize;
+        /// Account the offers the node's expiry sweep just took out of
+        /// its pool, in id order.
+        fn expired(_node: &mut PlannerNode<Self>, _offers: &[(FlexOffer, NodeId)], _now: TimeSlot) {
+        }
 
-        /// Take an assigned member out of the pool and record it in
-        /// `state`: where its assignment goes and at what discount, or
-        /// `None` when it is not pooled (any more).
-        fn release(
-            node: &mut PlannerNode<Self>,
-            member: &ScheduledFlexOffer,
-            now: TimeSlot,
-            state: OfferState,
-        ) -> Option<(NodeId, Price)>;
+        /// Record an assigned member the node just took out of its pool
+        /// in `state`; returns the discount its assignment carries. A
+        /// level whose children price their own members grants none.
+        fn released(
+            _node: &mut PlannerNode<Self>,
+            _offer: &FlexOffer,
+            _member: &ScheduledFlexOffer,
+            _now: TimeSlot,
+            _state: OfferState,
+        ) -> Price {
+            Price::ZERO
+        }
 
-        /// Append the bytes `Self::Snapshot::encode` would write for the
-        /// port's state, read from the live node by reference: no offer
-        /// or filter is copied at a compaction.
-        fn encode_snapshot(node: &PlannerNode<Self>, out: &mut Vec<u8>);
+        /// Append the bytes `Self::State::encode` would write for the
+        /// port's state, read from the live node by reference: nothing is
+        /// copied at a compaction.
+        fn encode_state(node: &PlannerNode<Self>, out: &mut Vec<u8>);
 
-        /// Restore a decoded snapshot into a fresh node.
-        fn restore(node: &mut PlannerNode<Self>, snapshot: Self::Snapshot);
+        /// Restore a decoded port state into a fresh node, after
+        /// recovery has restored its pool and staged the pool's inserts.
+        fn restore(node: &mut PlannerNode<Self>, state: Self::State);
 
         /// The child streams a planning round heartbeats and a restart
         /// re-anchors, ascending, each with the count of its flushes
@@ -658,7 +666,9 @@ impl ParentLink {
 /// one, is a parent link. A BRP is offers-down with a link to its TSO, a
 /// TSO is deltas-down with none, and deltas-down *with* a link
 /// ([`TsoNode::with_parent`](crate::tso::TsoNode::with_parent)) is an
-/// intermediate aggregator: depth is data, not a node type.
+/// intermediate aggregator: depth is data, not a node type. At every
+/// level the node itself pools what the children offer, by value with its
+/// source, and does its expiry, release, snapshot and restore.
 ///
 /// ## Life-cycle
 ///
@@ -684,12 +694,13 @@ impl ParentLink {
 ///
 /// Pool changes are staged in the engine and run through the pipeline in
 /// bulk (the paper's §4), so everything derived — aggregates, exports,
-/// the outbox, a live plan — describes the last flush. One rule follows:
-/// **flush before anything reads derived state**. The reads are the top
-/// of `prepare_plan`, an export snapshot, a parent's assignment,
-/// `commit_plan`, and a live plan, which is a standing reader: while one
-/// is live, `handle` flushes what it staged, so a late change folds in
-/// as a trickle. The deltas port flushes each batch as it arrives.
+/// the outbox, a live plan, the slab that then holds exactly the pool —
+/// describes the last flush. One rule follows: **flush before anything
+/// reads derived state**. The reads are the top of `prepare_plan`, an
+/// export snapshot, a parent's assignment, `commit_plan`, and a live
+/// plan, which is a standing reader: while one is live, `handle` flushes
+/// what it staged, so a late change folds in as a trickle. The deltas
+/// port flushes each batch as it arrives.
 ///
 /// ## Durability
 ///
@@ -697,9 +708,9 @@ impl ParentLink {
 /// envelope is appended before it is applied, and what the node emits as
 /// the durable effect of planning — an upward flush, a final assignment,
 /// an islanded ledger and its hand-off — is appended as a marker.
-/// [`recover_from`](Self::recover_from) restores the port's snapshot,
-/// re-handles the ingests, re-applies the markers, and re-anchors the
-/// streams up and down.
+/// [`recover_from`](Self::recover_from) restores the snapshot, re-handles
+/// the ingests, re-applies the markers, and re-anchors the streams up and
+/// down.
 #[derive(Debug)]
 pub struct PlannerNode<P: ChildPort> {
     /// This node's id.
@@ -708,6 +719,10 @@ pub struct PlannerNode<P: ChildPort> {
     /// the offers pooled here (a deltas level records none).
     pub store: DataStore,
     pub(crate) engine: PlanEngine,
+    /// The offers pooled from the level below: id → (offer, source
+    /// child). Ordered, so every walk (expiry, snapshots) is
+    /// deterministic across runs.
+    pub(crate) pool: BTreeMap<FlexOfferId, (FlexOffer, NodeId)>,
     journal: Journal,
     pub(crate) down: P,
     pub(crate) up: Option<ParentLink>,
@@ -727,6 +742,7 @@ impl<P: ChildPort> PlannerNode<P> {
             id,
             store: DataStore::new(),
             engine,
+            pool: BTreeMap::new(),
             journal: Journal::default(),
             down,
             up: parent.map(|(parent, link)| ParentLink::new(parent, link)),
@@ -752,10 +768,11 @@ impl<P: ChildPort> PlannerNode<P> {
     }
 
     /// Rebuild this freshly built node from the store a crashed twin
-    /// left behind: restore the snapshot, replay the tail with the
-    /// original clock (the replies it regenerates were sent before the
-    /// crash and are dropped), resume the log, and re-anchor — the
-    /// provisional ledger and an export snapshot up, a resync request to
+    /// left behind: restore the snapshot (its pool is staged like any
+    /// ingest, so the next flush rebuilds the aggregates), replay the tail
+    /// with the original clock (the replies it regenerates were sent
+    /// before the crash and are dropped), resume the log, and re-anchor —
+    /// the provisional ledger and an export snapshot up, a resync request to
     /// every child stream down. Returns the node and those envelopes.
     pub fn recover_from(
         mut self,
@@ -763,9 +780,15 @@ impl<P: ChildPort> PlannerNode<P> {
         wal_config: WalConfig,
         now: TimeSlot,
     ) -> std::io::Result<(Self, Vec<Envelope>)> {
-        let (journal, snapshot, tail) = Journal::reopen::<P::Snapshot>(store, wal_config)?;
-        if let Some(snapshot) = snapshot {
-            P::restore(&mut self, snapshot);
+        let (journal, snapshot, tail) =
+            Journal::reopen::<(Vec<(FlexOffer, NodeId)>, P::State)>(store, wal_config)?;
+        if let Some((pool, state)) = snapshot {
+            for (offer, source) in pool {
+                self.engine
+                    .stage_offer_updates([FlexOfferUpdate::Insert(offer.clone())]);
+                self.pool.insert(offer.id(), (offer, source));
+            }
+            P::restore(&mut self, state);
         }
         // A run of assignment markers is one commit: the live node flushed
         // before it and flushed its deletes as one batch, and so does the
@@ -804,9 +827,7 @@ impl<P: ChildPort> PlannerNode<P> {
         match marker {
             // A final assignment: the member left the pool here.
             Message::Assignment { schedule, .. } => {
-                let released = P::release(self, &schedule, at, OfferState::Assigned);
-                let delete = released.map(|_| FlexOfferUpdate::Delete(schedule.offer_id));
-                self.engine.stage_offer_updates(delete);
+                self.release(&schedule, at, OfferState::Assigned);
             }
             // An upward flush: the deltas staged so far left the node. The
             // ingests replayed before it are what it carried, so they go
@@ -837,12 +858,50 @@ impl<P: ChildPort> PlannerNode<P> {
     }
 
     /// Install a compacting snapshot once the journal's tail has reached
-    /// its bound.
+    /// its bound: the pool in id order, then the port's state, written
+    /// from the live node by reference.
     fn compact(&mut self) {
         if let Some(mut snapshot) = self.journal.snapshot_due() {
-            P::encode_snapshot(self, &mut snapshot);
+            put_u64(&mut snapshot, self.pool.len() as u64);
+            for entry in self.pool.values() {
+                entry.encode(&mut snapshot);
+            }
+            P::encode_state(self, &mut snapshot);
             self.journal.compact(snapshot);
         }
+    }
+
+    /// Drop the pooled offers whose assignment deadline has passed and
+    /// stage their deletes; returns how many. One timeout rule for every
+    /// level — and what makes the delta wire *self-healing*: a lost
+    /// `Delete` leaves a ghost offer only until its deadline.
+    fn expire(&mut self, now: TimeSlot) -> usize {
+        let expired: Vec<_> = self
+            .pool
+            .extract_if(.., |_, (offer, _)| offer.is_expired(now))
+            .map(|(_, entry)| entry)
+            .collect();
+        let deletes = expired
+            .iter()
+            .map(|(offer, _)| FlexOfferUpdate::Delete(offer.id()));
+        self.engine.stage_offer_updates(deletes);
+        P::expired(self, &expired, now);
+        expired.len()
+    }
+
+    /// Take an assigned member out of the pool, stage its delete and let
+    /// the port record it in `state`: where its assignment goes and at
+    /// what discount, or `None` when it is not pooled (any more).
+    fn release(
+        &mut self,
+        member: &ScheduledFlexOffer,
+        now: TimeSlot,
+        state: OfferState,
+    ) -> Option<(NodeId, Price)> {
+        let (offer, source) = self.pool.remove(&member.offer_id)?;
+        let delete = FlexOfferUpdate::Delete(member.offer_id);
+        self.engine.stage_offer_updates([delete]);
+        Some((source, P::released(self, &offer, member, now, state)))
     }
 
     /// Run everything staged through the pipeline in one pass (plus the
@@ -907,7 +966,7 @@ impl<P: ChildPort> PlannerNode<P> {
         // window's stale plan.
         self.engine.abandon();
         let mut report = PlanReport {
-            expired: P::expire(self, now),
+            expired: self.expire(now),
             ..PlanReport::default()
         };
         // The round's one bulk pass.
@@ -1161,17 +1220,15 @@ impl<P: ChildPort> PlannerNode<P> {
         state: OfferState,
     ) -> Vec<Envelope> {
         let mut out = Vec::new();
-        let mut deletes = Vec::new();
         for macro_schedule in macros {
             let agg_id = AggregateId(macro_schedule.offer_id.value());
             let Ok(members) = self.engine.pipeline().disaggregate(agg_id, macro_schedule) else {
                 continue;
             };
             for schedule in members {
-                let Some((to, discount_per_kwh)) = P::release(self, &schedule, now, state) else {
+                let Some((to, discount_per_kwh)) = self.release(&schedule, now, state) else {
                     continue;
                 };
-                deletes.push(FlexOfferUpdate::Delete(schedule.offer_id));
                 let message = Message::Assignment {
                     schedule,
                     discount_per_kwh,
@@ -1179,8 +1236,7 @@ impl<P: ChildPort> PlannerNode<P> {
                 out.push(Envelope::new(self.id, to, now, message));
             }
         }
-        if !deletes.is_empty() {
-            self.engine.stage_offer_updates(deletes);
+        if !out.is_empty() {
             self.flush_staged();
         }
         out
@@ -1218,6 +1274,45 @@ impl<P: ChildPort> PlannerNode<P> {
             .aggregates()
             .map(|agg| FlexOfferId(export_id(self.id, agg.id)))
             .collect()
+    }
+
+    /// Offers currently pooled.
+    pub fn pool_size(&self) -> usize {
+        self.pool.len()
+    }
+
+    /// Ids of the pooled offers, ascending.
+    pub fn pooled_ids(&self) -> Vec<FlexOfferId> {
+        self.pool.keys().copied().collect()
+    }
+
+    /// A pooled offer, by id.
+    pub fn pooled_offer(&self, id: FlexOfferId) -> Option<&FlexOffer> {
+        self.pool.get(&id).map(|(offer, _)| offer)
+    }
+
+    /// The child a pooled offer came from.
+    pub fn source_of(&self, id: FlexOfferId) -> Option<NodeId> {
+        self.pool.get(&id).map(|(_, source)| *source)
+    }
+
+    /// Digest of the pooled offers and their sources, in id order —
+    /// recovery tests compare a replayed node's pool against its
+    /// never-crashed twin.
+    pub fn pool_digest(&self) -> u64 {
+        let mut digest: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut buf = Vec::new();
+        for entry in self.pool.values() {
+            buf.clear();
+            entry.encode(&mut buf);
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &b in &buf {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            digest = digest.rotate_left(7) ^ h;
+        }
+        digest
     }
 
     /// State of the parent-link failure detector (`Up` without a parent).

@@ -20,10 +20,10 @@
 //! * a planning round heartbeats every child with its applied-flush
 //!   count (the ack the child's retransmit tracker waits for), and a
 //!   restart asks every child for a resync snapshot;
-//! * pooled offers are stored **once**, in the pipeline's slab, beside
-//!   an id → source map ([`TsoNode::source_of`]); the snapshot is that
-//!   pool plus the stream guards and counters, and a marker is one
-//!   committed assignment.
+//! * the node pools the macro offers by value, with their source child
+//!   ([`TsoNode::source_of`]), as every level does; the port's part of a
+//!   snapshot, behind that pool, is the stream guards and counters, and
+//!   a marker is one committed assignment.
 //!
 //! Deltas down *and* a parent ([`TsoNode::with_parent`]) is an
 //! intermediate aggregator, whose aggregates are exported up in turn.
@@ -36,26 +36,22 @@
 //! [`ExchangeGateway`](crate::federation::ExchangeGateway) publishes it
 //! to peer regions on the same stream receiver.
 
-use crate::datastore::OfferState;
 use crate::message::{Envelope, Message};
 use crate::runtime::{ChildPort, OfferDeltaReport, PlanEngine, PlannerNode, RuntimeConfig};
 use crate::wal::{WalConfig, WalStore};
 use crate::wire::{LinkHealthConfig, SequencedRx, SequencedRxState, StreamRx, StreamStats};
 use mirabel_aggregate::{AggregationParams, AggregationPipeline, FlexOfferUpdate};
 use mirabel_core::codec::{put_u64, Wire};
-use mirabel_core::{FlexOffer, FlexOfferId, NodeId, Price, ScheduledFlexOffer, TimeSlot};
+use mirabel_core::{FlexOffer, FlexOfferId, NodeId, ScheduledFlexOffer, TimeSlot};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The level-3 node: a planner node over [`Deltas`].
 pub type TsoNode = PlannerNode<Deltas>;
 
-/// The child port of a level that pools its children's macro offers.
+/// The child port of a level that pools its children's macro offers:
+/// how their delta streams arrive and what reconciliation decided.
 #[derive(Debug, Default)]
 pub struct Deltas {
-    /// Source child per pooled macro offer. Offer *values* live exactly
-    /// once, in the pipeline's slab — resolve them with
-    /// [`TsoNode::pooled_offer`].
-    sources: BTreeMap<FlexOfferId, NodeId>,
     /// One sequenced-stream guard per child: the delta wire is
     /// stateful, so a batch must apply exactly once and in order.
     streams: StreamRx,
@@ -72,22 +68,15 @@ pub struct Deltas {
     last_fold: Option<OfferDeltaReport>,
 }
 
-/// The TSO's recoverable state at WAL compaction points, as the nested
-/// pairs `(pool, (streams, (applied, (adopted, superseded))))`: the
-/// pooled macro offers with their sources, the per-child
-/// sequenced-stream guards, the per-child applied-flush counters behind
-/// heartbeat acks, and the reconciliation audit counters. Only recovery
-/// decodes one; a compaction writes the same bytes from the live node.
-type TsoSnapshot = (
-    Vec<(FlexOffer, NodeId)>,
-    (
+impl ChildPort for Deltas {
+    /// What a TSO installs at WAL compaction points behind its pool, as
+    /// `(streams, (applied, (adopted, superseded)))`: the per-child stream
+    /// guards, the per-child applied-flush counters behind heartbeat acks,
+    /// and the reconciliation audit counters.
+    type State = (
         Vec<(NodeId, SequencedRxState)>,
         (Vec<(NodeId, u64)>, (u64, u64)),
-    ),
-);
-
-impl ChildPort for Deltas {
-    type Snapshot = TsoSnapshot;
+    );
 
     fn on_child(node: &mut TsoNode, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
         let from = envelope.from;
@@ -132,51 +121,14 @@ impl ChildPort for Deltas {
         }
     }
 
-    /// The same timeout rule every other level applies — and what makes
-    /// the delta wire *self-healing*: a lost `Delete` leaves a ghost
-    /// offer only until its deadline, never forever.
-    fn expire(node: &mut TsoNode, now: TimeSlot) -> usize {
-        // A new round: the last fold described the previous plan.
+    /// The expiry sweep opens a new round: the last fold described the
+    /// previous plan.
+    fn expired(node: &mut TsoNode, _offers: &[(FlexOffer, NodeId)], _now: TimeSlot) {
         node.down.last_fold = None;
-        let pipeline = node.engine.pipeline();
-        let expired: Vec<_> = node
-            .down
-            .sources
-            .extract_if(.., |id, _| {
-                pipeline.offer(*id).is_some_and(|o| o.is_expired(now))
-            })
-            .collect();
-        node.engine
-            .stage_offer_updates(expired.iter().map(|(id, _)| FlexOfferUpdate::Delete(*id)));
-        expired.len()
     }
 
-    /// The child prices its own members: no discount here.
-    fn release(
-        node: &mut TsoNode,
-        member: &ScheduledFlexOffer,
-        _now: TimeSlot,
-        _state: OfferState,
-    ) -> Option<(NodeId, Price)> {
-        let source = node.down.sources.remove(&member.offer_id)?;
-        Some((source, Price::ZERO))
-    }
-
-    /// The pooled macro offers by reference, in id order, then the
-    /// stream guards, the applied counters and the audit counters.
-    fn encode_snapshot(node: &TsoNode, out: &mut Vec<u8>) {
-        let pipeline = node.engine.pipeline();
+    fn encode_state(node: &TsoNode, out: &mut Vec<u8>) {
         let down = &node.down;
-        let pool: Vec<_> = down
-            .sources
-            .iter()
-            .filter_map(|(id, src)| Some((pipeline.offer(*id)?, src)))
-            .collect();
-        put_u64(out, pool.len() as u64);
-        for (offer, src) in pool {
-            offer.encode(out);
-            src.encode(out);
-        }
         put_u64(out, down.streams.rx.len() as u64);
         for (child, rx) in &down.streams.rx {
             child.encode(out);
@@ -191,14 +143,8 @@ impl ChildPort for Deltas {
         down.provisional_superseded.encode(out);
     }
 
-    fn restore(node: &mut TsoNode, (pool, (streams, (applied, audit))): TsoSnapshot) {
-        for (offer, src) in &pool {
-            node.down.sources.insert(offer.id(), *src);
-        }
-        node.engine.stage_offer_updates(
-            pool.into_iter()
-                .map(|(offer, _)| FlexOfferUpdate::Insert(offer)),
-        );
+    /// The restored pool is flushed on the spot, as every delta batch is.
+    fn restore(node: &mut TsoNode, (streams, (applied, audit)): Self::State) {
         node.flush_staged();
         let streams = streams.into_iter();
         let rx = streams.map(|(child, state)| (child, SequencedRx::from_state(state)));
@@ -266,36 +212,15 @@ impl TsoNode {
         TsoNode::with_config(id, aggregation, cfg).recover_from(store, wal_config, now)
     }
 
-    /// Macro offers currently pooled.
-    pub fn pool_size(&self) -> usize {
-        self.down.sources.len()
-    }
-
     /// Second-level aggregates currently maintained.
     pub fn aggregate_count(&self) -> usize {
         self.engine.pipeline().aggregate_count()
-    }
-
-    /// The child a pooled macro offer came from.
-    pub fn source_of(&self, id: FlexOfferId) -> Option<NodeId> {
-        self.down.sources.get(&id).copied()
-    }
-
-    /// Resolve a pooled macro offer against the pipeline's slab (the
-    /// single store).
-    pub fn pooled_offer(&self, id: FlexOfferId) -> Option<&FlexOffer> {
-        self.engine.pipeline().offer(id)
     }
 
     /// The TSO's aggregation pipeline (read-only; diagnostics and
     /// equivalence tests).
     pub fn pipeline(&self) -> &AggregationPipeline {
         self.engine.pipeline()
-    }
-
-    /// Ids of the pooled macro offers, ascending.
-    pub fn pooled_ids(&self) -> Vec<FlexOfferId> {
-        self.down.sources.keys().copied().collect()
     }
 
     /// Fold report of the most recent delta batch that touched a live
@@ -334,7 +259,7 @@ impl TsoNode {
     fn audit_provisional(&mut self, from: NodeId, assignments: Vec<ScheduledFlexOffer>) {
         let mut adopted = Vec::new();
         for schedule in assignments {
-            if self.down.sources.get(&schedule.offer_id) == Some(&from) {
+            if self.source_of(schedule.offer_id) == Some(from) {
                 adopted.push(FlexOfferUpdate::Delete(schedule.offer_id));
             } else {
                 self.down.provisional_superseded =
@@ -355,13 +280,13 @@ impl TsoNode {
         for u in updates {
             match u {
                 FlexOfferUpdate::Insert(offer) => {
-                    self.down.sources.insert(offer.id(), from);
+                    self.pool.insert(offer.id(), (offer.clone(), from));
                     accepted.push(FlexOfferUpdate::Insert(offer));
                 }
                 FlexOfferUpdate::Delete(id) => {
                     // Deletes for offers already assigned (and dropped at
                     // commit) are expected no-ops.
-                    if self.down.sources.remove(&id).is_some() {
+                    if self.pool.remove(&id).is_some() {
                         accepted.push(FlexOfferUpdate::Delete(id));
                     }
                 }
@@ -384,15 +309,15 @@ impl TsoNode {
     fn snapshot_diff(&self, from: NodeId, offers: &[FlexOffer]) -> Vec<FlexOfferUpdate> {
         let snapshot_ids: BTreeSet<FlexOfferId> = offers.iter().map(|o| o.id()).collect();
         let mut diff: Vec<FlexOfferUpdate> = self
-            .down
-            .sources
+            .pool
             .iter()
-            .filter(|(id, src)| **src == from && !snapshot_ids.contains(id))
+            .filter(|(id, (_, src))| *src == from && !snapshot_ids.contains(id))
             .map(|(id, _)| FlexOfferUpdate::Delete(*id))
             .collect();
         let unchanged = |o: &FlexOffer| {
-            self.down.sources.get(&o.id()) == Some(&from)
-                && self.engine.pipeline().offer(o.id()) == Some(o)
+            self.pool
+                .get(&o.id())
+                .is_some_and(|(pooled, src)| *src == from && pooled == o)
         };
         let changed = offers.iter().filter(|o| !unchanged(o));
         diff.extend(changed.map(|o| FlexOfferUpdate::Insert(o.clone())));
@@ -466,7 +391,6 @@ mod tests {
         assert_eq!(tso.pool_size(), 1);
         assert_eq!(tso.aggregate_count(), 1);
         assert_eq!(tso.source_of(FlexOfferId(1_000_000_001)), Some(NodeId(1)));
-        // The value lives once, in the slab.
         assert!(tso.pooled_offer(FlexOfferId(1_000_000_001)).is_some());
         // Deletes shrink the pool; unknown deletes are tolerated no-ops.
         tso.handle(

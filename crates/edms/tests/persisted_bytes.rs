@@ -697,6 +697,16 @@ fn cursors_and_counters_at_u64_max_saturate() {
     let (mut brp, _) = recover_brp(store, 256, 1);
     brp.handle(submission(1), TimeSlot(1));
     brp_round(&mut brp, 10);
+
+    // Two duplicate-filter rows whose counters sum past MAX: the node's
+    // total saturates.
+    let rows = vec![
+        (sender, ((0, Vec::new()), MAX)),
+        (sender + 1, ((0, Vec::new()), 5)),
+    ];
+    let state: BrpTuple = (Vec::new(), rows);
+    let (brp, _) = recover_brp(store_of(Some(state.to_bytes()), Vec::new()), 256, 1);
+    assert_eq!(brp.dedup_duplicates(), MAX);
 }
 
 // ---------------------------------------------------------------------

@@ -312,7 +312,7 @@ proptest! {
 
     /// Random BRP flush sequences through `MacroOfferDeltas` leave the
     /// TSO pool identical to the snapshot-forwarding baseline: same ids,
-    /// same sources, same slab values, same aggregate membership union.
+    /// same sources, same values, same aggregate membership union.
     #[test]
     fn macro_offer_deltas_match_snapshot_baseline(
         batches in proptest::collection::vec(
@@ -341,6 +341,12 @@ proptest! {
                 .collect();
             apply_to_model(&mut model, *from, &updates);
             t.handle(deltas(*from, updates), TimeSlot(0));
+            // Each batch is flushed on arrival: the slab holds exactly
+            // the pool.
+            prop_assert_eq!(t.pipeline().offer_count(), t.pool_size());
+            for id in t.pooled_ids() {
+                prop_assert_eq!(t.pipeline().offer(id), t.pooled_offer(id));
+            }
         }
 
         // Pool size, ids and sources match the baseline.
@@ -351,7 +357,7 @@ proptest! {
         prop_assert_eq!(&ids, &expected);
         for (id, (offer, source)) in &model {
             prop_assert_eq!(t.source_of(FlexOfferId(*id)), Some(NodeId(*source)));
-            // The slab holds the latest value, stored exactly once.
+            // The pool holds the latest value.
             let pooled = t.pooled_offer(FlexOfferId(*id)).expect("pooled");
             prop_assert_eq!(pooled.earliest_start(), offer.earliest_start());
             prop_assert_eq!(pooled.time_flexibility(), offer.time_flexibility());

@@ -13,10 +13,9 @@
 
 use mirabel_core::{SLOTS_PER_DAY, SLOTS_PER_WEEK};
 use mirabel_timeseries::{Calendar, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 /// Numeric summary of a time-series context.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextDescriptor {
     features: Vec<f64>,
 }
@@ -107,7 +106,7 @@ pub fn describe(series: &TimeSeries, calendar: &Calendar) -> ContextDescriptor {
 }
 
 /// A remembered estimation outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Case {
     /// Context the parameters were estimated under.
     pub descriptor: ContextDescriptor,

@@ -8,10 +8,9 @@
 
 use crate::pricing::PreExecutionPricing;
 use mirabel_core::{FlexOffer, SlotSpan, TimeSlot};
-use serde::{Deserialize, Serialize};
 
 /// Why an offer was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectionReason {
     /// The assignment deadline leaves less than the BRP's minimum
     /// processing time.
@@ -21,7 +20,7 @@ pub enum RejectionReason {
 }
 
 /// The BRP's verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AcceptanceDecision {
     /// Taken into the aggregation/scheduling pool; carries the estimated
     /// value in `[0, 1]`.
@@ -34,7 +33,7 @@ pub enum AcceptanceDecision {
 }
 
 /// Acceptance policy: minimum processing lead time and value floor.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AcceptancePolicy {
     /// Pricing scheme supplying the value estimate.
     pub pricing: PreExecutionPricing,

@@ -7,7 +7,6 @@
 //! flexibility potentials and can be computed before execution time."
 
 use mirabel_core::{FlexOffer, SlotSpan, TimeSlot};
-use serde::{Deserialize, Serialize};
 
 /// Logistic squashing: `1 / (1 + exp(-steepness · (x − midpoint)))`.
 pub fn sigmoid(x: f64, midpoint: f64, steepness: f64) -> f64 {
@@ -15,7 +14,7 @@ pub fn sigmoid(x: f64, midpoint: f64, steepness: f64) -> f64 {
 }
 
 /// Sigmoid shape per flexibility dimension plus combination weights.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PotentialConfig {
     /// Midpoint (slots) of the assignment-flexibility sigmoid.
     pub assignment_mid: f64,
@@ -59,7 +58,7 @@ impl Default for PotentialConfig {
 }
 
 /// The three normalized potentials of one offer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlexibilityPotentials {
     /// Potential of the time left for re-scheduling before the assignment
     /// deadline (capped at the day-ahead horizon).

@@ -7,11 +7,10 @@
 
 use crate::potential::{FlexibilityPotentials, PotentialConfig};
 use mirabel_core::{FlexOffer, Price, TimeSlot};
-use serde::{Deserialize, Serialize};
 
 /// Monetize-flexibility pricing: value = weighted potential sum scaled to
 /// a per-kWh discount.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PreExecutionPricing {
     /// Potential configuration (sigmoids + weights).
     pub potentials: PotentialConfig,

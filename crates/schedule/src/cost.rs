@@ -10,10 +10,9 @@
 use crate::problem::SchedulingProblem;
 use crate::solution::Solution;
 use mirabel_core::FlexOffer;
-use serde::{Deserialize, Serialize};
 
 /// Cost components of one evaluated schedule (EUR).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// Penalized residual imbalance after market transactions.
     pub mismatch_cost: f64,

@@ -1,12 +1,11 @@
 //! The MIRABEL scheduling problem definition.
 
 use mirabel_core::{FlexOffer, TimeSlot};
-use serde::{Deserialize, Serialize};
 
 /// Per-slot market conditions for buying and selling energy
 /// ("the possibility of selling energy to (and buying energy from) the
 /// market (other BRPs)", paper §6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketPrices {
     /// Price (EUR/kWh) to buy energy, one entry per horizon slot.
     pub buy: Vec<f64>,
@@ -28,7 +27,7 @@ impl MarketPrices {
 }
 
 /// One BRP-level scheduling instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulingProblem {
     /// First slot of the planning horizon.
     pub start: TimeSlot,

@@ -11,11 +11,10 @@ use crate::problem::SchedulingProblem;
 use mirabel_core::{FlexOffer, ScheduledFlexOffer, TimeSlot};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// One offer's resolved flexibility.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Placement {
     /// Chosen start slot.
     pub start: TimeSlot,
@@ -117,7 +116,7 @@ pub(crate) fn jitter_move(
 
 /// A complete candidate schedule: one placement per problem offer, in the
 /// problem's offer order.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Solution {
     /// Placements aligned with `problem.offers`.
     pub placements: Vec<Placement>,

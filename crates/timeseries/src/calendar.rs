@@ -6,11 +6,10 @@
 //! explicit, queryable set of day indices.
 
 use mirabel_core::TimeSlot;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A calendar: weekday structure plus a set of holiday days.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Calendar {
     holidays: BTreeSet<i64>,
 }

@@ -1,14 +1,13 @@
 //! Dense, slot-aligned time series.
 
 use mirabel_core::TimeSlot;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense series of f64 observations, one per metering slot, starting at
 /// [`TimeSeries::start`]. Units are whatever the producer says they are
 /// (kWh per slot for energy series, MW for the demand experiments — the
 /// accuracy metrics are scale-free).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     start: TimeSlot,
     values: Vec<f64>,
