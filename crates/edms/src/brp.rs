@@ -16,17 +16,15 @@
 //! only *stages* its pipeline insert; and the port's snapshot state is
 //! the duplicate filters (everything else is derived).
 
-use crate::datastore::{EnergyType, MeasurementFact, OfferFact, OfferState, ScheduleFact};
+use crate::datastore::{EnergyType, MeasurementFact, OfferFact, OfferState};
 use crate::message::{Envelope, Message};
 use crate::runtime::{ChildPort, PlanEngine, PlannerNode, RuntimeConfig};
 use crate::wal::{WalConfig, WalStore};
 use crate::wire::{DedupRx, LinkHealthConfig};
 use mirabel_aggregate::{AggregationParams, AggregationPipeline, BinPackerConfig, FlexOfferUpdate};
 use mirabel_core::codec::{put_u64, Wire};
-use mirabel_core::{FlexOffer, NodeId, Price, ScheduledFlexOffer, TimeSlot};
-use mirabel_forecast::{ForecastModel, HwtConfig, HwtModel, Seasonality};
+use mirabel_core::{FlexOffer, NodeId, Price, TimeSlot};
 use mirabel_negotiate::{AcceptanceDecision, AcceptancePolicy};
-use mirabel_timeseries::TimeSeries;
 use std::collections::btree_map::Entry;
 use std::collections::HashMap;
 
@@ -151,27 +149,14 @@ impl ChildPort for Offers {
         }
     }
 
-    fn released(
-        node: &mut BrpNode,
-        offer: &FlexOffer,
-        member: &ScheduledFlexOffer,
-        now: TimeSlot,
-        state: OfferState,
-    ) -> Price {
-        let discount = node.down.policy.pricing.discount_per_kwh(offer, now);
+    fn released(node: &mut BrpNode, offer: &FlexOffer, now: TimeSlot, state: OfferState) -> Price {
         node.store.record_offer(OfferFact {
             offer: offer.id(),
             actor: offer.owner(),
             slot: now,
             state,
         });
-        node.store.record_schedule(ScheduleFact {
-            offer: offer.id(),
-            start: member.start,
-            total_kwh: member.total_energy().kwh(),
-            discount,
-        });
-        discount
+        node.down.policy.pricing.discount_per_kwh(offer, now)
     }
 
     fn encode_state(node: &BrpNode, out: &mut Vec<u8>) {
@@ -237,25 +222,6 @@ impl BrpNode {
         counts.fold(0, u64::saturating_add)
     }
 
-    /// Forecast the baseline imbalance for `[start, start+horizon)` from
-    /// the measurement history (net load via the star schema, HWT daily
-    /// model). Returns zeros when history is too short — the cold-start
-    /// behaviour.
-    pub fn forecast_baseline(&self, start: TimeSlot, horizon: usize) -> Vec<f64> {
-        let train_slots = 4 * mirabel_core::SLOTS_PER_DAY as i64;
-        let history = self.store.net_load(start - train_slots as u32, start);
-        let nonzero = history.iter().filter(|v| **v != 0.0).count();
-        if nonzero < 2 * mirabel_core::SLOTS_PER_DAY as usize {
-            return vec![0.0; horizon];
-        }
-        let series = TimeSeries::new(start - train_slots as u32, history);
-        let mut model = HwtModel::new(HwtConfig {
-            seasonality: Seasonality::Daily,
-        });
-        model.fit(&series);
-        model.forecast(horizon)
-    }
-
     /// Decide a submission and reply. One pool descent: the entry
     /// doubles as the duplicate probe and the accept path's slot.
     fn on_submit(&mut self, offer: FlexOffer, from: NodeId, now: TimeSlot) -> Envelope {
@@ -306,7 +272,7 @@ mod tests {
     use super::*;
     use crate::wal::{LoadedLog, MemWalStore, NodeWal};
     use crate::wire::LinkState;
-    use mirabel_core::{EnergyRange, Price, Profile};
+    use mirabel_core::{EnergyRange, Price, Profile, ScheduledFlexOffer};
     use mirabel_forecast::ForecastEvent;
     use mirabel_schedule::MarketPrices;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -810,35 +776,30 @@ mod tests {
     }
 
     #[test]
-    fn forecast_baseline_cold_start_is_zero() {
-        let brp = BrpNode::new(NodeId(1), None, BrpConfig::default());
-        let f = brp.forecast_baseline(TimeSlot(1000), 96);
-        assert_eq!(f, vec![0.0; 96]);
-    }
-
-    #[test]
-    fn forecast_baseline_learns_from_measurements() {
+    fn measurement_envelopes_land_in_net_load() {
         let mut brp = BrpNode::new(NodeId(1), None, BrpConfig::default());
-        // four days of a flat 5 kWh/slot net load
-        let start = TimeSlot(0);
-        let values = vec![5.0; 4 * 96];
-        brp.handle(
-            Envelope::new(
-                NodeId(10),
-                NodeId(1),
+        // Two meters over slots 10..13; a negative value is production.
+        for (from, values) in [(10, vec![5.0, -2.0, 3.0]), (11, vec![1.0, 1.5])] {
+            let replies = brp.handle(
+                Envelope::new(
+                    NodeId(from),
+                    NodeId(1),
+                    TimeSlot(0),
+                    Message::Measurement {
+                        actor: mirabel_core::ActorId(from),
+                        start: TimeSlot(from as i64),
+                        values,
+                    },
+                ),
                 TimeSlot(0),
-                Message::Measurement {
-                    actor: mirabel_core::ActorId(7),
-                    start,
-                    values,
-                },
-            ),
-            TimeSlot(0),
-        );
-        let f = brp.forecast_baseline(TimeSlot(4 * 96), 10);
-        for v in f {
-            assert!((v - 5.0).abs() < 0.5, "forecast {v}");
+            );
+            assert!(replies.is_empty());
         }
+        assert_eq!(
+            brp.store.net_load(TimeSlot(9), TimeSlot(14)),
+            vec![0.0, 5.0, -1.0, 4.5, 0.0]
+        );
+        assert_eq!(brp.store.row_counts(), (5, 0));
     }
 
     #[test]

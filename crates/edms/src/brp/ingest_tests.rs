@@ -25,7 +25,7 @@
 
 use super::*;
 use crate::wal::NodeWal;
-use mirabel_core::{EnergyRange, FlexOfferId, Price, Profile};
+use mirabel_core::{EnergyRange, FlexOfferId, Price, Profile, ScheduledFlexOffer};
 use mirabel_schedule::MarketPrices;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -158,7 +158,7 @@ struct Observed {
     reports: Vec<PlanReport>,
     pool_digest: u64,
     offer_states: BTreeMap<FlexOfferId, OfferState>,
-    row_counts: (usize, usize, usize, usize, usize),
+    row_counts: (usize, usize),
     exported: Vec<FlexOfferId>,
 }
 

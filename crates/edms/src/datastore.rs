@@ -7,21 +7,28 @@
 //! In the reproduction's event-sourced split, this store is the **read
 //! side**: the durable record of a node is the event log in
 //! [`crate::wal`] (every ingested envelope, appended before it is
-//! applied), and the facts here are *materializations* of that event
-//! stream into the queryable shape the control loop needs — each
-//! [`crate::brp::BrpNode`] handler that appends a wire event also
-//! upserts the corresponding fact rows. Replaying the log through the
-//! handlers (crash recovery) rebuilds the same rows, so the store needs
-//! no persistence story of its own.
+//! applied), and the store keeps only what the node reads back. It has no
+//! persistence of its own: crash recovery rebuilds only what the
+//! journal's tail replays through the handlers, since a compacting
+//! snapshot carries the pool, not the store. Two tables remain:
 //!
-//! Dimensions: time (derived from the slot index), actor, energy type and
-//! market area (snowflaked off the actor dimension). Fact tables:
-//! measurements, flex-offer lifecycle events, schedules and prices.
-//! Queries are the star-join aggregations the control loop needs.
+//! - **measurements** — metered energy per (slot, actor, energy type),
+//!   from [`Message::Measurement`](crate::message::Message) envelopes,
+//!   read back as [`DataStore::net_load`]: the measured history a
+//!   maintained forecast of the node's load is to be fitted to;
+//! - **offer states** — a current-state column, each offer's latest
+//!   [`OfferState`] plus a per-state tally kept current on every
+//!   transition, so the closing report's [`DataStore::state_counts`] is
+//!   O(1).
+//!
+//! What the store does not keep lives in the journal, when one is
+//! attached: the ingested submissions carry each offer's owner and
+//! arrival slot, and every committed schedule is a logged `Assignment`
+//! marker.
 
 use crate::comm::IdHashBuilder;
-use mirabel_core::{ActorId, FlexOfferId, Price, TimeSlot};
-use std::collections::{BTreeMap, HashSet};
+use mirabel_core::{ActorId, FlexOfferId, TimeSlot};
+use std::collections::{BTreeMap, HashMap};
 
 /// Energy-type dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,18 +69,6 @@ impl StateCounts {
     }
 }
 
-/// Actor dimension row; `market_area` snowflakes into the market-area
-/// dimension.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActorDim {
-    /// The actor key.
-    pub actor: ActorId,
-    /// Display name.
-    pub name: String,
-    /// Market area key (e.g. bidding zone).
-    pub market_area: u32,
-}
-
 /// Measurement fact: one metered value per (slot, actor, type).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementFact {
@@ -87,7 +82,8 @@ pub struct MeasurementFact {
     pub kwh: f64,
 }
 
-/// Flex-offer lifecycle fact.
+/// Flex-offer lifecycle transition. The store keeps only `offer` and
+/// `state`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OfferFact {
     /// Offer key.
@@ -100,53 +96,14 @@ pub struct OfferFact {
     pub state: OfferState,
 }
 
-/// Schedule fact: the resolved assignment of one offer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScheduleFact {
-    /// Offer key.
-    pub offer: FlexOfferId,
-    /// Assigned start.
-    pub start: TimeSlot,
-    /// Total scheduled energy (kWh).
-    pub total_kwh: f64,
-    /// Agreed discount (EUR/kWh).
-    pub discount: Price,
-}
-
-/// Forecast fact: a published net-load forecast value for a future slot.
-/// Several publications for the same slot may exist; the freshest wins.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ForecastFact {
-    /// The forecast target slot.
-    pub slot: TimeSlot,
-    /// Forecast net load (kWh, consumption minus production).
-    pub net_kwh: f64,
-    /// When the forecast was published.
-    pub published_at: TimeSlot,
-}
-
-/// Price fact per (market area, slot).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PriceFact {
-    /// Market-area key.
-    pub market_area: u32,
-    /// Slot key.
-    pub slot: TimeSlot,
-    /// Buy price (EUR/kWh).
-    pub buy: f64,
-    /// Sell price (EUR/kWh).
-    pub sell: f64,
-}
-
-/// The star-schema store of one LEDMS node.
+/// The store of one LEDMS node.
 #[derive(Debug, Default)]
 pub struct DataStore {
-    actors: BTreeMap<ActorId, ActorDim>,
     measurements: Vec<MeasurementFact>,
-    offers: Vec<OfferFact>,
-    schedules: Vec<ScheduleFact>,
-    prices: Vec<PriceFact>,
-    forecasts: Vec<ForecastFact>,
+    /// Latest state of each offer ever recorded.
+    states: HashMap<FlexOfferId, OfferState, IdHashBuilder>,
+    /// `states` tallied by state.
+    counts: StateCounts,
 }
 
 impl DataStore {
@@ -155,118 +112,17 @@ impl DataStore {
         DataStore::default()
     }
 
-    /// Upsert an actor-dimension row.
-    pub fn upsert_actor(&mut self, row: ActorDim) {
-        self.actors.insert(row.actor, row);
-    }
-
-    /// Actor-dimension lookup.
-    pub fn actor(&self, id: ActorId) -> Option<&ActorDim> {
-        self.actors.get(&id)
-    }
-
     /// Append a measurement fact.
     pub fn record_measurement(&mut self, fact: MeasurementFact) {
         self.measurements.push(fact);
     }
 
-    /// Append an offer lifecycle fact.
+    /// Move an offer to its new state.
     pub fn record_offer(&mut self, fact: OfferFact) {
-        self.offers.push(fact);
-    }
-
-    /// Append a schedule fact.
-    pub fn record_schedule(&mut self, fact: ScheduleFact) {
-        self.schedules.push(fact);
-    }
-
-    /// Append a price fact.
-    pub fn record_price(&mut self, fact: PriceFact) {
-        self.prices.push(fact);
-    }
-
-    /// Append a forecast fact.
-    pub fn record_forecast(&mut self, fact: ForecastFact) {
-        self.forecasts.push(fact);
-    }
-
-    /// Seamless past/current/forecast integration (paper §10 future
-    /// work): net load per slot over `[from, to)`, served from
-    /// measurements for slots at or before `now` and from the freshest
-    /// published forecast for future slots. Slots with neither source
-    /// yield `None`.
-    pub fn unified_net_load(
-        &self,
-        from: TimeSlot,
-        to: TimeSlot,
-        now: TimeSlot,
-    ) -> Vec<Option<f64>> {
-        let len = (to - from).max(0) as usize;
-        let mut out: Vec<Option<f64>> = vec![None; len];
-        // Past and current: measured net load.
-        for m in &self.measurements {
-            if m.slot >= from && m.slot < to && m.slot <= now {
-                let i = (m.slot - from) as usize;
-                let signed = match m.energy_type {
-                    EnergyType::Consumption => m.kwh,
-                    EnergyType::Production => -m.kwh,
-                };
-                *out[i].get_or_insert(0.0) += signed;
-            }
+        if let Some(old) = self.states.insert(fact.offer, fact.state) {
+            self.counts.0[old as usize] -= 1;
         }
-        // Future: freshest forecast per slot.
-        let mut freshest: BTreeMap<i64, (TimeSlot, f64)> = BTreeMap::new();
-        for f in &self.forecasts {
-            if f.slot >= from && f.slot < to && f.slot > now {
-                match freshest.get(&f.slot.index()) {
-                    Some((published, _)) if *published >= f.published_at => {}
-                    _ => {
-                        freshest.insert(f.slot.index(), (f.published_at, f.net_kwh));
-                    }
-                }
-            }
-        }
-        for (slot_idx, (_, v)) in freshest {
-            let i = (slot_idx - from.index()) as usize;
-            out[i] = Some(v);
-        }
-        out
-    }
-
-    /// Star join: total energy by actor over `[from, to)` for one energy
-    /// type.
-    pub fn energy_by_actor(
-        &self,
-        energy_type: EnergyType,
-        from: TimeSlot,
-        to: TimeSlot,
-    ) -> BTreeMap<ActorId, f64> {
-        let mut out = BTreeMap::new();
-        for m in &self.measurements {
-            if m.energy_type == energy_type && m.slot >= from && m.slot < to {
-                *out.entry(m.actor).or_insert(0.0) += m.kwh;
-            }
-        }
-        out
-    }
-
-    /// Star join through the snowflaked market-area dimension: total
-    /// energy per market area.
-    pub fn energy_by_market_area(
-        &self,
-        energy_type: EnergyType,
-        from: TimeSlot,
-        to: TimeSlot,
-    ) -> BTreeMap<u32, f64> {
-        let mut out = BTreeMap::new();
-        for m in &self.measurements {
-            if m.energy_type == energy_type && m.slot >= from && m.slot < to {
-                if let Some(actor) = self.actors.get(&m.actor) {
-                    *out.entry(actor.market_area).or_insert(0.0) += m.kwh;
-                }
-            }
-        }
-        out
+        self.counts.0[fact.state as usize] += 1;
     }
 
     /// Net load (consumption − production) per slot over `[from, to)`.
@@ -287,84 +143,44 @@ impl DataStore {
 
     /// Latest recorded state of each offer.
     pub fn offer_states(&self) -> BTreeMap<FlexOfferId, OfferState> {
-        let mut out = BTreeMap::new();
-        for f in &self.offers {
-            out.insert(f.offer, f.state); // facts are appended in time order
-        }
-        out
+        self.states
+            .iter()
+            .map(|(&id, &state)| (id, state))
+            .collect()
     }
 
-    /// How many offers currently sit in each lifecycle state, from one
-    /// pass over the offer facts: walking newest-first, the first fact
-    /// seen for an offer is its latest state. O(facts), one id set, no
-    /// ordered map — the closing report of a run asks for every state of
-    /// every BRP, so it calls this once per store instead of
-    /// [`DataStore::count_in_state`] once per state.
+    /// How many offers currently sit in each lifecycle state.
     pub fn state_counts(&self) -> StateCounts {
-        let mut seen: HashSet<FlexOfferId, IdHashBuilder> =
-            HashSet::with_capacity_and_hasher(self.offers.len() / 2, IdHashBuilder::default());
-        let mut counts = StateCounts::default();
-        for f in self.offers.iter().rev() {
-            if seen.insert(f.offer) {
-                counts.0[f.state as usize] += 1;
-            }
-        }
-        counts
+        self.counts
     }
 
-    /// Count offers currently in `state`. A full
-    /// [`DataStore::state_counts`] pass per call: ask for the counts once
-    /// when more than one state is wanted.
+    /// Count offers currently in `state`.
     pub fn count_in_state(&self, state: OfferState) -> usize {
-        self.state_counts().of(state)
+        self.counts.of(state)
     }
 
-    /// Total scheduled energy and flexibility credit over all schedule
-    /// facts.
-    pub fn scheduled_totals(&self) -> (f64, Price) {
-        let mut kwh = 0.0;
-        let mut credit = Price::ZERO;
-        for s in &self.schedules {
-            kwh += s.total_kwh;
-            credit += s.discount * s.total_kwh;
-        }
-        (kwh, credit)
-    }
-
-    /// Fact-table row counts
-    /// `(measurements, offers, schedules, prices, forecasts)`.
-    pub fn row_counts(&self) -> (usize, usize, usize, usize, usize) {
-        (
-            self.measurements.len(),
-            self.offers.len(),
-            self.schedules.len(),
-            self.prices.len(),
-            self.forecasts.len(),
-        )
+    /// Row counts `(measurements, offers)`.
+    pub fn row_counts(&self) -> (usize, usize) {
+        (self.measurements.len(), self.states.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    const STATES: [OfferState; 5] = [
+        OfferState::Accepted,
+        OfferState::Rejected,
+        OfferState::Assigned,
+        OfferState::Provisional,
+        OfferState::Expired,
+    ];
 
     fn store_with_data() -> DataStore {
         let mut s = DataStore::new();
-        s.upsert_actor(ActorDim {
-            actor: ActorId(1),
-            name: "home-1".into(),
-            market_area: 10,
-        });
-        s.upsert_actor(ActorDim {
-            actor: ActorId(2),
-            name: "pv-2".into(),
-            market_area: 10,
-        });
-        s.upsert_actor(ActorDim {
-            actor: ActorId(3),
-            name: "plant-3".into(),
-            market_area: 20,
-        });
         for slot in 0..4 {
             s.record_measurement(MeasurementFact {
                 slot: TimeSlot(slot),
@@ -388,21 +204,13 @@ mod tests {
         s
     }
 
-    #[test]
-    fn energy_by_actor_filters_type_and_window() {
-        let s = store_with_data();
-        let by_actor = s.energy_by_actor(EnergyType::Consumption, TimeSlot(0), TimeSlot(2));
-        assert_eq!(by_actor[&ActorId(1)], 4.0);
-        assert_eq!(by_actor[&ActorId(3)], 10.0);
-        assert!(!by_actor.contains_key(&ActorId(2)));
-    }
-
-    #[test]
-    fn snowflake_join_groups_by_market_area() {
-        let s = store_with_data();
-        let by_area = s.energy_by_market_area(EnergyType::Consumption, TimeSlot(0), TimeSlot(4));
-        assert_eq!(by_area[&10], 8.0);
-        assert_eq!(by_area[&20], 20.0);
+    fn fact(offer: u64, slot: i64, state: OfferState) -> OfferFact {
+        OfferFact {
+            offer: FlexOfferId(offer),
+            actor: ActorId(1),
+            slot: TimeSlot(slot),
+            state,
+        }
     }
 
     #[test]
@@ -415,118 +223,65 @@ mod tests {
     #[test]
     fn offer_lifecycle_latest_state_wins() {
         let mut s = DataStore::new();
-        s.record_offer(OfferFact {
-            offer: FlexOfferId(1),
-            actor: ActorId(1),
-            slot: TimeSlot(0),
-            state: OfferState::Accepted,
-        });
-        s.record_offer(OfferFact {
-            offer: FlexOfferId(1),
-            actor: ActorId(1),
-            slot: TimeSlot(5),
-            state: OfferState::Assigned,
-        });
-        s.record_offer(OfferFact {
-            offer: FlexOfferId(2),
-            actor: ActorId(1),
-            slot: TimeSlot(1),
-            state: OfferState::Expired,
-        });
+        s.record_offer(fact(1, 0, OfferState::Accepted));
+        s.record_offer(fact(1, 5, OfferState::Assigned));
+        s.record_offer(fact(2, 1, OfferState::Expired));
         assert_eq!(s.offer_states()[&FlexOfferId(1)], OfferState::Assigned);
         assert_eq!(s.count_in_state(OfferState::Assigned), 1);
         assert_eq!(s.count_in_state(OfferState::Expired), 1);
         assert_eq!(s.count_in_state(OfferState::Rejected), 0);
-        // The one-pass tally agrees with the latest-state map, state by
-        // state: the superseded `Accepted` fact of offer 1 counts nowhere.
+        // The tally agrees with the latest-state map, state by state: the
+        // superseded `Accepted` fact of offer 1 counts nowhere.
         let counts = s.state_counts();
-        for state in [
-            OfferState::Accepted,
-            OfferState::Rejected,
-            OfferState::Assigned,
-            OfferState::Provisional,
-            OfferState::Expired,
-        ] {
+        for state in STATES {
             let by_map = s.offer_states().values().filter(|&&x| x == state).count();
             assert_eq!(counts.of(state), by_map, "{state:?}");
         }
     }
 
     #[test]
-    fn scheduled_totals_accumulate() {
-        let mut s = DataStore::new();
-        s.record_schedule(ScheduleFact {
-            offer: FlexOfferId(1),
-            start: TimeSlot(3),
-            total_kwh: 10.0,
-            discount: Price(0.02),
-        });
-        s.record_schedule(ScheduleFact {
-            offer: FlexOfferId(2),
-            start: TimeSlot(4),
-            total_kwh: 5.0,
-            discount: Price(0.04),
-        });
-        let (kwh, credit) = s.scheduled_totals();
-        assert_eq!(kwh, 15.0);
-        assert!(credit.approx_eq(Price(0.4), 1e-12));
-    }
-
-    #[test]
     fn row_counts() {
-        let s = store_with_data();
-        let (m, o, sc, p, f) = s.row_counts();
-        assert_eq!(m, 12);
-        assert_eq!((o, sc, p, f), (0, 0, 0, 0));
-    }
-
-    #[test]
-    fn unified_net_load_stitches_past_and_forecast() {
-        let mut s = store_with_data(); // measurements for slots 0..4
-
-        // Forecasts for slots 3..8, published at slot 2 and refreshed at 3.
-        for slot in 3..8 {
-            s.record_forecast(ForecastFact {
-                slot: TimeSlot(slot),
-                net_kwh: 100.0,
-                published_at: TimeSlot(2),
-            });
-        }
-        s.record_forecast(ForecastFact {
-            slot: TimeSlot(5),
-            net_kwh: 42.0,
-            published_at: TimeSlot(3), // fresher forecast for slot 5
-        });
-        let unified = s.unified_net_load(TimeSlot(0), TimeSlot(8), TimeSlot(3));
-        // slots 0..=3: measured net load (2 + 5 - 1 = 6 kWh)
-        for (i, v) in unified.iter().take(4).enumerate() {
-            assert_eq!(*v, Some(6.0), "slot {i}");
-        }
-        // slots 4, 6, 7: stale forecast; slot 5: refreshed forecast
-        assert_eq!(unified[4], Some(100.0));
-        assert_eq!(unified[5], Some(42.0));
-        assert_eq!(unified[6], Some(100.0));
-        assert_eq!(unified[7], Some(100.0));
-    }
-
-    #[test]
-    fn unified_net_load_gaps_are_none() {
-        let s = DataStore::new();
-        let unified = s.unified_net_load(TimeSlot(0), TimeSlot(3), TimeSlot(1));
-        assert_eq!(unified, vec![None, None, None]);
-    }
-
-    #[test]
-    fn unified_net_load_measurement_beats_forecast_for_past() {
         let mut s = store_with_data();
-        // a (stale) forecast exists for an already-measured slot: the
-        // measurement wins because the slot is not in the future
-        s.record_forecast(ForecastFact {
-            slot: TimeSlot(2),
-            net_kwh: 999.0,
-            published_at: TimeSlot(0),
-        });
-        let unified = s.unified_net_load(TimeSlot(0), TimeSlot(4), TimeSlot(3));
-        assert_eq!(unified[2], Some(6.0));
+        assert_eq!(s.row_counts(), (12, 0));
+        s.record_offer(fact(1, 0, OfferState::Accepted));
+        s.record_offer(fact(1, 5, OfferState::Assigned));
+        assert_eq!(s.row_counts(), (12, 1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The state column against the fold it replaced: keep every fact,
+        /// walk them newest-first, and the first fact seen for an offer is
+        /// its latest state.
+        #[test]
+        fn state_column_matches_newest_first_fold(
+            raw in proptest::collection::vec((0u64..8, 0usize..5), 0..64),
+        ) {
+            let facts: Vec<OfferFact> = raw
+                .iter()
+                .enumerate()
+                .map(|(slot, &(offer, state))| fact(offer, slot as i64, STATES[state]))
+                .collect();
+            let mut s = DataStore::new();
+            let mut seen = HashSet::new();
+            let mut latest = BTreeMap::new();
+            let mut counts = [0usize; 5];
+            for f in &facts {
+                s.record_offer(*f);
+            }
+            for f in facts.iter().rev() {
+                if seen.insert(f.offer) {
+                    latest.insert(f.offer, f.state);
+                    counts[f.state as usize] += 1;
+                }
+            }
+            prop_assert_eq!(s.offer_states(), latest);
+            for state in STATES {
+                prop_assert_eq!(s.state_counts().of(state), counts[state as usize]);
+                prop_assert_eq!(s.count_in_state(state), counts[state as usize]);
+            }
+            prop_assert_eq!(s.row_counts().1, seen.len());
+        }
     }
 }

@@ -109,9 +109,11 @@
 //!   ([`ResyncRequest`](message::Message::ResyncRequest) /
 //!   [`ResyncSnapshot`](message::Message::ResyncSnapshot)) that splices
 //!   a bounded state snapshot into the live delta stream;
-//! * [`datastore`] — the Data Management component: a multidimensional
-//!   star-schema store (dimension + fact tables, \[6\]) materializing
-//!   the node's event history into queryable facts;
+//! * [`datastore`] — the Data Management component, the read side of
+//!   the node's journal: metered measurements (read back as net load)
+//!   and one current-state column per flex-offer with a per-state
+//!   tally; transition history and committed schedules stay in the
+//!   [`wal`];
 //! * [`wal`] — the **event-sourced persistence layer**, and the one
 //!   place the journal contract every planner node follows is stated:
 //!   [`EventRecord`]s appended to a pluggable [`WalStore`] before the

@@ -541,13 +541,12 @@ mod port {
         fn expired(_node: &mut PlannerNode<Self>, _offers: &[(FlexOffer, NodeId)], _now: TimeSlot) {
         }
 
-        /// Record an assigned member the node just took out of its pool
+        /// Record an assigned offer the node just took out of its pool
         /// in `state`; returns the discount its assignment carries. A
         /// level whose children price their own members grants none.
         fn released(
             _node: &mut PlannerNode<Self>,
             _offer: &FlexOffer,
-            _member: &ScheduledFlexOffer,
             _now: TimeSlot,
             _state: OfferState,
         ) -> Price {
@@ -715,8 +714,8 @@ impl ParentLink {
 pub struct PlannerNode<P: ChildPort> {
     /// This node's id.
     pub id: NodeId,
-    /// The Data Management component: the offer and schedule facts of
-    /// the offers pooled here (a deltas level records none).
+    /// The Data Management component: the measurements and offer
+    /// states a BRP records (a deltas level records none).
     pub store: DataStore,
     pub(crate) engine: PlanEngine,
     /// The offers pooled from the level below: id → (offer, source
@@ -901,7 +900,7 @@ impl<P: ChildPort> PlannerNode<P> {
         let (offer, source) = self.pool.remove(&member.offer_id)?;
         let delete = FlexOfferUpdate::Delete(member.offer_id);
         self.engine.stage_offer_updates([delete]);
-        Some((source, P::released(self, &offer, member, now, state)))
+        Some((source, P::released(self, &offer, now, state)))
     }
 
     /// Run everything staged through the pipeline in one pass (plus the

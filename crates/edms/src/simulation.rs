@@ -851,8 +851,7 @@ impl RegionSim {
         //     snapshot is read-only and RNG-free: planning never sees it.
         export_pool.clear();
         for tso in tso_level.iter() {
-            let pooled = tso.pooled_ids().into_iter();
-            export_pool.extend(pooled.filter_map(|id| tso.pooled_offer(id)).cloned());
+            export_pool.extend(tso.pool.values().map(|(offer, _)| offer.clone()));
         }
 
         // 4. Commit wave, top-down: the TSO disaggregates its (possibly
@@ -965,10 +964,10 @@ impl RegionSim {
                 .flat_map(|b| b.exported_offer_ids())
                 .map(|id| id.value())
                 .collect();
-            tso.pooled_ids()
+            tso.pool
                 .iter()
-                .filter(|id| !exported.contains(&id.value()))
-                .filter(|id| tso.pooled_offer(**id).is_some_and(|o| !o.is_expired(end)))
+                .filter(|(id, _)| !exported.contains(&id.value()))
+                .filter(|(_, (offer, _))| !offer.is_expired(end))
                 .count()
         });
         let energy_violations = prosumers.iter().map(|p| p.energy_violations(1e-6)).sum();

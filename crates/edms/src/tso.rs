@@ -31,8 +31,8 @@
 //! In a multi-region [`Federation`](crate::federation::Federation) the
 //! TSO is also the **export boundary**: mid-cycle — after planning and
 //! refinement, before the commit wave consumes the pool — the region
-//! snapshots [`TsoNode::pooled_ids`] / [`TsoNode::pooled_offer`] as its
-//! exportable surplus, and the federation's
+//! snapshots the TSO's pooled offers, in id order, as its exportable
+//! surplus, and the federation's
 //! [`ExchangeGateway`](crate::federation::ExchangeGateway) publishes it
 //! to peer regions on the same stream receiver.
 
@@ -385,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn pools_macro_offer_deltas_without_cloning() {
+    fn pools_macro_offer_deltas_and_ignores_unknown_deletes() {
         let mut tso = p0_tso(5_000);
         insert(&mut tso, 1, macro_offer(1_000_000_001, 120));
         assert_eq!(tso.pool_size(), 1);
