@@ -20,9 +20,9 @@ use crate::datastore::{EnergyType, MeasurementFact, OfferFact, OfferState};
 use crate::message::{Envelope, Message};
 use crate::runtime::{ChildPort, PlanEngine, PlannerNode, RuntimeConfig};
 use crate::wal::{WalConfig, WalStore};
-use crate::wire::{DedupRx, LinkHealthConfig};
+use crate::wire::{decode_rows, DedupRx, LinkHealthConfig};
 use mirabel_aggregate::{AggregationParams, AggregationPipeline, BinPackerConfig, FlexOfferUpdate};
-use mirabel_core::codec::{put_u64, Wire};
+use mirabel_core::codec::{put_u64, CodecError, Wire};
 use mirabel_core::{FlexOffer, NodeId, Price, TimeSlot};
 use mirabel_negotiate::{AcceptanceDecision, AcceptancePolicy};
 use std::collections::btree_map::Entry;
@@ -84,26 +84,41 @@ pub type BrpNode = PlannerNode<Offers>;
 pub struct Offers {
     /// One at-most-once filter per sender: network-duplicated inbound
     /// envelopes (submissions, assignments, resync requests) are dropped
-    /// before they reach a handler. A `HashMap` is safe: probed by
-    /// sender only, never iterated, so its order cannot leak into
-    /// results (snapshots sort by sender before encoding).
+    /// before they reach a handler. A `HashMap` is safe: its order never
+    /// reaches a result, as snapshots sort by sender before encoding and
+    /// the duplicate count is a sum.
     rx: HashMap<u64, DedupRx, crate::comm::IdHashBuilder>,
     /// Acceptance on submission; its pricing also prices assignments.
     policy: AcceptancePolicy,
 }
 
-/// `(sender, ((delivered_below, seen), duplicates))`: nested pairs
-/// because pairs are what the codec implements — the bytes are the four
-/// fields in a row.
-type DedupRow = (u64, ((u64, Vec<u64>), u64));
+/// What a BRP installs at WAL compaction points behind its pool: one
+/// duplicate-filter row per inbound stream, `(sender, filter)` in sender
+/// order. The rest — aggregates, exports, outbox — is *derived*, rebuilt
+/// by re-feeding the pool through the aggregation pipeline on restore.
+/// The policy is not persisted: every BRP is built with the default one.
+impl Wire for Offers {
+    fn encode(&self, out: &mut Vec<u8>) {
+        // The rx map is a HashMap: rows go out in sender order so snapshot
+        // bytes (and thus WAL contents) are identical across runs.
+        let mut rows: Vec<_> = self.rx.iter().collect();
+        rows.sort_unstable_by_key(|(sender, _)| **sender);
+        put_u64(out, rows.len() as u64);
+        for (sender, rx) in rows {
+            sender.encode(out);
+            rx.encode(out);
+        }
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(Offers {
+            rx: decode_rows(buf)?,
+            policy: AcceptancePolicy::default(),
+        })
+    }
+}
 
 impl ChildPort for Offers {
-    /// What a BRP installs at WAL compaction points behind its pool: one
-    /// duplicate-filter row per inbound stream, sorted by sender. The
-    /// rest — aggregates, exports, outbox — is *derived*, rebuilt by
-    /// re-feeding the pool through the aggregation pipeline on restore.
-    type State = Vec<DedupRow>;
-
     fn admit(&mut self, envelope: &Envelope) -> bool {
         self.rx
             .entry(envelope.from.value())
@@ -157,27 +172,6 @@ impl ChildPort for Offers {
             state,
         });
         node.down.policy.pricing.discount_per_kwh(offer, now)
-    }
-
-    fn encode_state(node: &BrpNode, out: &mut Vec<u8>) {
-        // The rx map is a HashMap: rows go out in sender order so snapshot
-        // bytes (and thus WAL contents) are identical across runs.
-        let mut rows: Vec<_> = node.down.rx.iter().collect();
-        rows.sort_unstable_by_key(|(sender, _)| **sender);
-        put_u64(out, rows.len() as u64);
-        for (sender, rx) in rows {
-            sender.encode(out);
-            rx.encode_state(out);
-        }
-    }
-
-    /// The duplicate filters resume where the crashed node's windows
-    /// stood.
-    fn restore(node: &mut BrpNode, rx: Vec<DedupRow>) {
-        node.down.rx = rx
-            .into_iter()
-            .map(|(sender, ((below, seen), dups))| (sender, DedupRx::from_state(below, seen, dups)))
-            .collect();
     }
 }
 

@@ -333,13 +333,13 @@ pub struct DeadLetter {
 /// when a node comes back).
 ///
 /// Retention is **bounded per link**: once a `(from, to)` link holds
-/// [`DeadLetterQueue::per_link_cap`] letters, pushing another evicts
+/// [`DeadLetterQueue::DEFAULT_PER_LINK_CAP`] letters, pushing another evicts
 /// that link's oldest (counted in
 /// [`NetworkStats::dropped_dead_letters`]). A partition that never
 /// heals therefore costs bounded memory, and the freshest traffic —
 /// the part a resync snapshot cannot reconstruct from — is what
 /// survives to replay.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DeadLetterQueue {
     letters: Vec<DeadLetter>,
     /// Letters retained per interned link id (links past the end hold
@@ -347,21 +347,10 @@ pub struct DeadLetterQueue {
     /// scanning the queue — a held partition pushes thousands of letters
     /// onto a long queue.
     per_link: Vec<u32>,
-    per_link_cap: usize,
-}
-
-impl Default for DeadLetterQueue {
-    fn default() -> DeadLetterQueue {
-        DeadLetterQueue {
-            letters: Vec::new(),
-            per_link: Vec::new(),
-            per_link_cap: DeadLetterQueue::DEFAULT_PER_LINK_CAP,
-        }
-    }
 }
 
 impl DeadLetterQueue {
-    /// Default per-link retention bound.
+    /// The per-link retention bound.
     pub const DEFAULT_PER_LINK_CAP: usize = 1024;
 
     /// Retained envelopes, oldest first.
@@ -379,11 +368,6 @@ impl DeadLetterQueue {
         self.letters.is_empty()
     }
 
-    /// The per-link retention bound.
-    pub fn per_link_cap(&self) -> usize {
-        self.per_link_cap
-    }
-
     /// Retain a letter; if its link is at the cap, evict that link's
     /// oldest letter. Returns whether one was evicted (the caller
     /// accounts the drop).
@@ -394,7 +378,7 @@ impl DeadLetterQueue {
         }
         let held = &mut self.per_link[link as usize];
         // One out, one in: an eviction leaves the link's count as it was.
-        let evicted = *held as usize >= self.per_link_cap;
+        let evicted = *held as usize >= DeadLetterQueue::DEFAULT_PER_LINK_CAP;
         if evicted {
             let oldest = self
                 .letters
@@ -591,12 +575,6 @@ impl Network {
         if self.dead_letters.push(letter) {
             self.stats.dropped_dead_letters += 1;
         }
-    }
-
-    /// Override the dead-letter queue's per-link retention bound (0 is
-    /// clamped to 1 — the queue always keeps a link's freshest letter).
-    pub fn set_dead_letter_cap(&mut self, cap: usize) {
-        self.dead_letters.per_link_cap = cap.max(1);
     }
 
     /// Intern the `(from, to)` link, returning its dense index.
@@ -1118,26 +1096,28 @@ mod tests {
         assert!(n.phase_cuts.is_empty());
     }
 
+    /// The per-link retention bound the dead-letter tests route past.
+    const CAP: usize = DeadLetterQueue::DEFAULT_PER_LINK_CAP;
+
     #[test]
     fn dead_letter_cap_evicts_oldest_per_link() {
         let mut n = Network::reliable();
-        n.set_dead_letter_cap(3);
         n.register(NodeId(1));
         let (to1, to2) = ((NodeId(0), NodeId(1)), (NodeId(0), NodeId(2)));
         n.set_chaos(cut_then_heal(vec![to1, to2], vec![to2]));
         n.advance(TimeSlot(0));
-        for at in 0..5 {
+        for at in 0..CAP as i64 + 2 {
             n.route(env(1, at));
         }
-        // Cap 3: the two oldest letters on the 0→1 link were evicted.
-        assert_eq!(n.dead_letters().len(), 3);
+        // At the cap: the two oldest letters on the 0→1 link were evicted.
+        assert_eq!(n.dead_letters().len(), CAP);
         assert_eq!(n.stats().dropped_dead_letters, 2);
         // Another link is unaffected by the first link's pressure.
         n.register(NodeId(2));
         n.route(env(2, 0));
-        assert_eq!(n.dead_letters().len(), 4);
+        assert_eq!(n.dead_letters().len(), CAP + 1);
         assert_eq!(n.stats().dropped_dead_letters, 2);
-        // Heal 0→1 (0→2 stays cut): only the freshest three replay —
+        // Heal 0→1 (0→2 stays cut): only the freshest `CAP` replay —
         // their stream sequence numbers show the oldest two are gone for
         // good (the receiver's resync protocol reconstructs what they
         // carried).
@@ -1146,7 +1126,7 @@ mod tests {
         let got = n.drain(NodeId(1), TimeSlot(10));
         assert_eq!(
             got.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![Some(2), Some(3), Some(4)]
+            (2..CAP as u64 + 2).map(Some).collect::<Vec<_>>()
         );
     }
 
@@ -1163,13 +1143,13 @@ mod tests {
     #[test]
     fn dead_letter_link_counts_survive_eviction_replay_and_heal() {
         let mut n = Network::reliable();
-        n.set_dead_letter_cap(3);
         n.register(NodeId(1));
         n.set_chaos(cut_then_heal(vec![(NodeId(0), NodeId(1))], vec![]));
         n.advance(TimeSlot(0));
         // Interleave a partitioned link (0→1, pushed past its cap), an
-        // unregistered recipient (0→2) and one that never comes back (0→3).
-        for at in 0..5 {
+        // unregistered recipient (0→2, likewise) and one that never comes
+        // back (0→3).
+        for at in 0..CAP as i64 + 2 {
             n.route(env(1, at));
             n.route(env(2, at));
             if at < 2 {
@@ -1177,7 +1157,7 @@ mod tests {
             }
             assert_counts_match_recount(&n);
         }
-        assert_eq!(n.dead_letters().len(), 3 + 3 + 2);
+        assert_eq!(n.dead_letters().len(), CAP + CAP + 2);
         assert_eq!(n.stats().dropped_dead_letters, 4);
         let retained: Vec<(u64, Option<u64>)> = n
             .dead_letters()
@@ -1185,26 +1165,21 @@ mod tests {
             .iter()
             .map(|l| (l.envelope.to.value(), l.envelope.seq))
             .collect();
+        let freshest = (2..CAP as u64 + 2).flat_map(|seq| [(1, Some(seq)), (2, Some(seq))]);
         assert_eq!(
             retained,
-            [
-                (3, Some(0)),
-                (3, Some(1)),
-                (1, Some(2)),
-                (2, Some(2)),
-                (1, Some(3)),
-                (2, Some(3)),
-                (1, Some(4)),
-                (2, Some(4)),
-            ],
-            "each link keeps its freshest three, queue order untouched"
+            [(3, Some(0)), (3, Some(1))]
+                .into_iter()
+                .chain(freshest)
+                .collect::<Vec<_>>(),
+            "each link keeps its freshest `CAP`, queue order untouched"
         );
 
         // `register` replays 0→2 only; the freed link then refills.
         n.register(NodeId(2));
         assert_counts_match_recount(&n);
-        assert_eq!(n.stats().replayed, 3);
-        n.deregister(NodeId(2)); // its three queued messages dead-letter again
+        assert_eq!(n.stats().replayed, CAP as u64);
+        n.deregister(NodeId(2)); // its queued messages dead-letter again
         assert_counts_match_recount(&n);
         n.route(env(2, 9)); // at the cap: evicts 0→2's oldest
         assert_counts_match_recount(&n);
@@ -1213,12 +1188,14 @@ mod tests {
         // Heal replays 0→1; 0→2 and 0→3 stay retained.
         n.advance(TimeSlot(10));
         assert_counts_match_recount(&n);
-        assert_eq!(n.drain(NodeId(1), TimeSlot(10)).len(), 3);
-        assert_eq!(n.dead_letters().len(), 3 + 2);
-        n.route(env(3, 10));
-        n.route(env(3, 11)); // fourth letter on 0→3: evicts its oldest
+        assert_eq!(n.drain(NodeId(1), TimeSlot(10)).len(), CAP);
+        assert_eq!(n.dead_letters().len(), CAP + 2);
+        for at in 10..CAP as i64 + 9 {
+            n.route(env(3, at));
+        }
+        // One letter past the cap on 0→3: evicts its oldest.
         assert_counts_match_recount(&n);
-        assert_eq!(n.dead_letters().len(), 3 + 3);
+        assert_eq!(n.dead_letters().len(), CAP + CAP);
         assert_eq!(n.stats().dropped_dead_letters, 6);
     }
 

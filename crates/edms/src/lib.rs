@@ -193,5 +193,5 @@ pub use tso::{Deltas, TsoNode};
 pub use wal::{EventRecord, FileWalStore, LoadedLog, MemWalStore, NodeWal, WalConfig, WalStore};
 pub use wire::{
     DedupRx, LinkHealth, LinkHealthConfig, LinkHealthStats, LinkState, RetransmitTracker,
-    SequencedRx, SequencedRxState, StreamStats,
+    SequencedRx, StreamStats,
 };

@@ -48,7 +48,7 @@ use crate::wire::{LinkHealth, LinkHealthConfig, LinkHealthStats, LinkState, Retr
 use mirabel_aggregate::{
     AggregateUpdate, AggregatedFlexOffer, AggregationPipeline, FlexOfferUpdate,
 };
-use mirabel_core::codec::{put_u64, Wire};
+use mirabel_core::codec::{put_u64, CodecError, Wire};
 use mirabel_core::exec::Pool;
 use mirabel_core::{
     AggregateId, FlexOffer, FlexOfferId, NodeId, Price, ScheduledFlexOffer, TimeSlot,
@@ -515,14 +515,9 @@ mod port {
     /// pool every level keeps. Unnameable outside the crate:
     /// [`Offers`](crate::brp::Offers) and [`Deltas`](crate::tso::Deltas)
     /// are the only two. `Send`, because every level is driven on the
-    /// shared worker pool.
-    pub trait ChildPort: Sized + Send {
-        /// The port's part of a WAL compaction point, written behind the
-        /// node's pool. Only recovery builds one, by decoding; a compaction
-        /// writes its bytes straight from the node
-        /// ([`encode_state`](Self::encode_state)).
-        type State: Wire;
-
+    /// shared worker pool. Its [`Wire`] impl is its part of a WAL
+    /// compaction point, written by reference behind the node's pool.
+    pub trait ChildPort: Wire + Send {
         /// Whether an inbound envelope is new. A duplicate is dropped
         /// before the journal sees it.
         fn admit(&mut self, _envelope: &Envelope) -> bool {
@@ -553,14 +548,9 @@ mod port {
             Price::ZERO
         }
 
-        /// Append the bytes `Self::State::encode` would write for the
-        /// port's state, read from the live node by reference: nothing is
-        /// copied at a compaction.
-        fn encode_state(node: &PlannerNode<Self>, out: &mut Vec<u8>);
-
-        /// Restore a decoded port state into a fresh node, after
-        /// recovery has restored its pool and staged the pool's inserts.
-        fn restore(node: &mut PlannerNode<Self>, state: Self::State);
+        /// Finish a recovery once the decoded port is in place, the pool
+        /// restored and its inserts staged.
+        fn restored(_node: &mut PlannerNode<Self>) {}
 
         /// The child streams a planning round heartbeats and a restart
         /// re-anchors, ascending, each with the count of its flushes
@@ -572,6 +562,25 @@ mod port {
 }
 
 pub(crate) use port::ChildPort;
+
+/// A snapshot's pool row: the pooled offers with their sources, in id
+/// order, decoded straight into the map the node keeps.
+struct PoolRow(BTreeMap<FlexOfferId, (FlexOffer, NodeId)>);
+
+impl Wire for PoolRow {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.0.len() as u64);
+        for entry in self.0.values() {
+            entry.encode(out);
+        }
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let rows = usize::decode(buf)?;
+        let entry = |_| <(FlexOffer, NodeId)>::decode(buf).map(|e| (e.0.id(), e));
+        (0..rows).map(entry).collect::<Result<_, _>>().map(PoolRow)
+    }
+}
 
 /// Export ids of one node: `node * EXPORT_SPAN + aggregate`, so the macro
 /// offers of different children never collide in their parent's pool.
@@ -707,9 +716,10 @@ impl ParentLink {
 /// envelope is appended before it is applied, and what the node emits as
 /// the durable effect of planning — an upward flush, a final assignment,
 /// an islanded ledger and its hand-off — is appended as a marker.
-/// [`recover_from`](Self::recover_from) restores the snapshot, re-handles
-/// the ingests, re-applies the markers, and re-anchors the streams up and
-/// down.
+/// [`recover_from`](Self::recover_from) decodes the whole snapshot (pool,
+/// then port) before it applies any of it, re-handles the ingests,
+/// re-applies the markers, and re-anchors the streams up and down. The
+/// snapshot holds no [`DataStore`]: only the tail's offers are re-counted.
 #[derive(Debug)]
 pub struct PlannerNode<P: ChildPort> {
     /// This node's id.
@@ -779,15 +789,15 @@ impl<P: ChildPort> PlannerNode<P> {
         wal_config: WalConfig,
         now: TimeSlot,
     ) -> std::io::Result<(Self, Vec<Envelope>)> {
-        let (journal, snapshot, tail) =
-            Journal::reopen::<(Vec<(FlexOffer, NodeId)>, P::State)>(store, wal_config)?;
-        if let Some((pool, state)) = snapshot {
-            for (offer, source) in pool {
-                self.engine
-                    .stage_offer_updates([FlexOfferUpdate::Insert(offer.clone())]);
-                self.pool.insert(offer.id(), (offer, source));
-            }
-            P::restore(&mut self, state);
+        let (journal, snapshot, tail) = Journal::reopen::<(PoolRow, P)>(store, wal_config)?;
+        if let Some((PoolRow(pool), down)) = snapshot {
+            let inserts = pool
+                .values()
+                .map(|(offer, _)| FlexOfferUpdate::Insert(offer.clone()));
+            self.engine.stage_offer_updates(inserts);
+            self.pool = pool;
+            self.down = down;
+            P::restored(&mut self);
         }
         // A run of assignment markers is one commit: the live node flushed
         // before it and flushed its deletes as one batch, and so does the
@@ -861,11 +871,11 @@ impl<P: ChildPort> PlannerNode<P> {
     /// from the live node by reference.
     fn compact(&mut self) {
         if let Some(mut snapshot) = self.journal.snapshot_due() {
-            put_u64(&mut snapshot, self.pool.len() as u64);
-            for entry in self.pool.values() {
-                entry.encode(&mut snapshot);
-            }
-            P::encode_state(self, &mut snapshot);
+            // Moved out and back, not copied.
+            let pool = PoolRow(std::mem::take(&mut self.pool));
+            pool.encode(&mut snapshot);
+            self.pool = pool.0;
+            self.down.encode(&mut snapshot);
             self.journal.compact(snapshot);
         }
     }

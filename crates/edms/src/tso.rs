@@ -39,9 +39,9 @@
 use crate::message::{Envelope, Message};
 use crate::runtime::{ChildPort, OfferDeltaReport, PlanEngine, PlannerNode, RuntimeConfig};
 use crate::wal::{WalConfig, WalStore};
-use crate::wire::{LinkHealthConfig, SequencedRx, SequencedRxState, StreamRx, StreamStats};
+use crate::wire::{decode_rows, LinkHealthConfig, SequencedRx, StreamRx, StreamStats};
 use mirabel_aggregate::{AggregationParams, AggregationPipeline, FlexOfferUpdate};
-use mirabel_core::codec::{put_u64, Wire};
+use mirabel_core::codec::{put_u64, CodecError, Wire};
 use mirabel_core::{FlexOffer, FlexOfferId, NodeId, ScheduledFlexOffer, TimeSlot};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -68,16 +68,39 @@ pub struct Deltas {
     last_fold: Option<OfferDeltaReport>,
 }
 
-impl ChildPort for Deltas {
-    /// What a TSO installs at WAL compaction points behind its pool, as
-    /// `(streams, (applied, (adopted, superseded)))`: the per-child stream
-    /// guards, the per-child applied-flush counters behind heartbeat acks,
-    /// and the reconciliation audit counters.
-    type State = (
-        Vec<(NodeId, SequencedRxState)>,
-        (Vec<(NodeId, u64)>, (u64, u64)),
-    );
+/// What a TSO installs at WAL compaction points behind its pool, as
+/// `(streams, (applied, (adopted, superseded)))`: the per-child stream
+/// guards, the per-child applied-flush counters behind heartbeat acks,
+/// and the reconciliation audit counters.
+impl Wire for Deltas {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.streams.rx.len() as u64);
+        for (child, rx) in &self.streams.rx {
+            child.encode(out);
+            rx.encode(out);
+        }
+        put_u64(out, self.applied.len() as u64);
+        for (child, count) in &self.applied {
+            child.encode(out);
+            count.encode(out);
+        }
+        self.provisional_adopted.encode(out);
+        self.provisional_superseded.encode(out);
+    }
 
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let rx = decode_rows(buf)?;
+        Ok(Deltas {
+            streams: StreamRx { rx },
+            applied: decode_rows(buf)?,
+            provisional_adopted: u64::decode(buf)?,
+            provisional_superseded: u64::decode(buf)?,
+            last_fold: None,
+        })
+    }
+}
+
+impl ChildPort for Deltas {
     fn on_child(node: &mut TsoNode, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
         let from = envelope.from;
         match envelope.message {
@@ -127,33 +150,9 @@ impl ChildPort for Deltas {
         node.down.last_fold = None;
     }
 
-    fn encode_state(node: &TsoNode, out: &mut Vec<u8>) {
-        let down = &node.down;
-        put_u64(out, down.streams.rx.len() as u64);
-        for (child, rx) in &down.streams.rx {
-            child.encode(out);
-            rx.encode_state(out);
-        }
-        put_u64(out, down.applied.len() as u64);
-        for (child, count) in &down.applied {
-            child.encode(out);
-            count.encode(out);
-        }
-        down.provisional_adopted.encode(out);
-        down.provisional_superseded.encode(out);
-    }
-
     /// The restored pool is flushed on the spot, as every delta batch is.
-    fn restore(node: &mut TsoNode, (streams, (applied, audit)): Self::State) {
+    fn restored(node: &mut TsoNode) {
         node.flush_staged();
-        let streams = streams.into_iter();
-        let rx = streams.map(|(child, state)| (child, SequencedRx::from_state(state)));
-        node.down.streams = StreamRx { rx: rx.collect() };
-        node.down.applied = applied.into_iter().collect();
-        (
-            node.down.provisional_adopted,
-            node.down.provisional_superseded,
-        ) = audit;
     }
 
     fn children(node: &TsoNode) -> Vec<(NodeId, u64)> {

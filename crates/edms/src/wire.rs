@@ -44,9 +44,8 @@
 //!   own pool locally (see [`PlannerNode`](crate::runtime::PlannerNode)),
 //!   stamping assignments provisional.
 //! * **recover** — both node roles rebuild from their WAL
-//!   ([`crate::wal`]); [`SequencedRx::export_state`] /
-//!   [`SequencedRx::from_state`] let a crashed TSO freeze and restore
-//!   its per-BRP stream guards bit-for-bit.
+//!   ([`crate::wal`]); each guard is its own snapshot row (its [`Wire`]
+//!   impl), restored bit-for-bit: a TSO's stream guards, a BRP's filters.
 //! * **reconcile** — on heal the rejoining BRP ships its provisional
 //!   assignments
 //!   ([`Message::ProvisionalReport`])
@@ -252,26 +251,15 @@ impl SequencedRx {
     pub fn stats(&self) -> StreamStats {
         self.stats
     }
+}
 
-    /// Freeze the guard for a WAL snapshot: sequencing cursor, parked
-    /// envelopes, pending-resync flag, buffer cap and counters. A
-    /// crashed receiver restored via [`from_state`](Self::from_state)
-    /// resumes the stream exactly where it stood — no spurious gap, no
-    /// double delivery.
-    pub fn export_state(&self) -> SequencedRxState {
-        SequencedRxState {
-            next_expected: self.next_expected,
-            buffered: self.buffer.values().cloned().collect(),
-            buffer_cap: self.buffer_cap as u64,
-            resync_pending: self.resync_pending,
-            stats: self.stats,
-        }
-    }
-
-    /// Append the bytes of [`export_state`](Self::export_state)'s
-    /// [`SequencedRxState`] without copying the parked envelopes: a TSO
-    /// snapshot's stream row after its child.
-    pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
+/// A guard's row in a WAL snapshot: sequencing cursor, parked envelopes
+/// (in sequence order), buffer cap, pending-resync flag and counters. A
+/// compaction writes it from the live guard; a crashed receiver decoded
+/// from it resumes the stream exactly where it stood — no spurious gap,
+/// no double delivery.
+impl Wire for SequencedRx {
+    fn encode(&self, out: &mut Vec<u8>) {
         self.next_expected.encode(out);
         put_u64(out, self.buffer.len() as u64);
         for envelope in self.buffer.values() {
@@ -282,42 +270,23 @@ impl SequencedRx {
         self.stats.encode(out);
     }
 
-    /// Rebuild a guard from snapshot state produced by
-    /// [`export_state`](Self::export_state). Buffered envelopes without
-    /// a sequence number (impossible for a guard that parked them, but
-    /// representable on the wire) are dropped rather than trusted.
-    pub fn from_state(state: SequencedRxState) -> SequencedRx {
-        let mut buffer = BTreeMap::new();
-        for env in state.buffered {
-            if let Some(seq) = env.seq {
-                buffer.insert(seq, env);
-            }
-        }
-        SequencedRx {
-            next_expected: state.next_expected,
-            buffer,
-            buffer_cap: (state.buffer_cap as usize).max(1),
-            resync_pending: state.resync_pending,
-            stats: state.stats,
-        }
+    /// Parked envelopes without a sequence number (impossible for a
+    /// guard that parked them, but representable on the wire) are
+    /// dropped rather than trusted.
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let next_expected = u64::decode(buf)?;
+        let parked = Vec::<Envelope>::decode(buf)?;
+        Ok(SequencedRx {
+            next_expected,
+            buffer: parked
+                .into_iter()
+                .filter_map(|e| Some((e.seq?, e)))
+                .collect(),
+            buffer_cap: (u64::decode(buf)? as usize).max(1),
+            resync_pending: bool::decode(buf)?,
+            stats: StreamStats::decode(buf)?,
+        })
     }
-}
-
-/// Serializable freeze-frame of a [`SequencedRx`] — what a TSO's WAL
-/// snapshot stores per BRP stream so crash-restart recovery resumes
-/// in-order delivery without re-anchoring every link from scratch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SequencedRxState {
-    /// The next sequence number the guard would deliver.
-    pub next_expected: u64,
-    /// Envelopes parked behind a gap (in sequence order).
-    pub buffered: Vec<Envelope>,
-    /// The guard's out-of-order buffer cap.
-    pub buffer_cap: u64,
-    /// Whether a resync request was believed in flight.
-    pub resync_pending: bool,
-    /// Delivery counters at freeze time.
-    pub stats: StreamStats,
 }
 
 impl Wire for StreamStats {
@@ -338,26 +307,6 @@ impl Wire for StreamStats {
             resyncs_requested: u64::decode(buf)?,
             resyncs_applied: u64::decode(buf)?,
             overflow_dropped: u64::decode(buf)?,
-        })
-    }
-}
-
-impl Wire for SequencedRxState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.next_expected.encode(out);
-        self.buffered.encode(out);
-        self.buffer_cap.encode(out);
-        self.resync_pending.encode(out);
-        self.stats.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(SequencedRxState {
-            next_expected: u64::decode(buf)?,
-            buffered: Vec::<Envelope>::decode(buf)?,
-            buffer_cap: u64::decode(buf)?,
-            resync_pending: bool::decode(buf)?,
-            stats: StreamStats::decode(buf)?,
         })
     }
 }
@@ -708,21 +657,13 @@ impl DedupRx {
         }
         true
     }
+}
 
-    /// Export the filter state for a WAL snapshot:
-    /// `(delivered_below, seen, duplicates)`.
-    pub fn export_state(&self) -> (u64, Vec<u64>, u64) {
-        (
-            self.delivered_below,
-            self.seen.iter().copied().collect(),
-            self.duplicates,
-        )
-    }
-
-    /// Append the bytes of [`export_state`](Self::export_state)'s
-    /// `((delivered_below, seen), duplicates)` without copying `seen`:
-    /// a BRP snapshot's duplicate-filter row after its sender.
-    pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
+/// A filter's row in a WAL snapshot: `delivered_below`, the `seen`
+/// numbers ascending, `duplicates`. Recovery resumes exactly where the
+/// crashed node's duplicate window stood.
+impl Wire for DedupRx {
+    fn encode(&self, out: &mut Vec<u8>) {
         self.delivered_below.encode(out);
         put_u64(out, self.seen.len() as u64);
         for seq in &self.seen {
@@ -731,16 +672,23 @@ impl DedupRx {
         self.duplicates.encode(out);
     }
 
-    /// Rebuild a filter from snapshot state produced by
-    /// [`export_state`](Self::export_state) — recovery resumes exactly
-    /// where the crashed node's duplicate window stood.
-    pub fn from_state(delivered_below: u64, seen: Vec<u64>, duplicates: u64) -> DedupRx {
-        DedupRx {
-            delivered_below,
-            seen: seen.into_iter().collect(),
-            duplicates,
-        }
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(DedupRx {
+            delivered_below: u64::decode(buf)?,
+            seen: Vec::<u64>::decode(buf)?.into_iter().collect(),
+            duplicates: u64::decode(buf)?,
+        })
     }
+}
+
+/// Decode a snapshot's `(key, value)` rows, the bytes of a `Vec<(K, V)>`,
+/// straight into their map: a transient vector of 10 k rows cost a BRP
+/// recovery ~600 page faults (glibc's adaptive mmap / trim thresholds).
+pub(crate) fn decode_rows<K: Wire, V: Wire, M: FromIterator<(K, V)>>(
+    buf: &mut &[u8],
+) -> Result<M, CodecError> {
+    let rows = usize::decode(buf)?;
+    (0..rows).map(|_| <(K, V)>::decode(buf)).collect()
 }
 
 #[cfg(test)]
@@ -898,15 +846,15 @@ mod tests {
             rx.accept(Some(s));
         }
         rx.accept(Some(3)); // one duplicate
-        let (below, seen, dups) = rx.export_state();
-        let mut row = Vec::new();
-        rx.encode_state(&mut row);
-        assert_eq!(row, ((below, seen.clone()), dups).to_bytes());
-        let mut restored = DedupRx::from_state(below, seen, dups);
+        let row = rx.to_bytes();
+        // `((delivered_below, seen), duplicates)`, written independently.
+        assert_eq!(row, ((2u64, vec![3u64, 7]), 1u64).to_bytes());
+        let mut restored = DedupRx::from_bytes(&row).unwrap();
+        assert_eq!(restored.to_bytes(), row);
         // Same acceptance behaviour as the original going forward.
         assert!(!restored.accept(Some(7)), "remembered as delivered");
         assert!(restored.accept(Some(2)), "gap slot still deliverable");
-        assert_eq!(restored.duplicates, dups + 1);
+        assert_eq!(restored.duplicates, 2);
     }
 
     #[test]
@@ -925,17 +873,17 @@ mod tests {
         let mut rx = SequencedRx::with_buffer_cap(8);
         rx.receive(env(0));
         rx.receive(env(2)); // gap at 1 parks seq 2
-        let state = rx.export_state();
-        assert_eq!(state.next_expected, 1);
-        assert_eq!(state.buffered.len(), 1);
-        assert!(state.resync_pending);
-        let mut row = Vec::new();
-        rx.encode_state(&mut row);
-        assert_eq!(row, state.to_bytes(), "encoded in place, byte for byte");
+        let row = rx.to_bytes();
+        // `(next_expected, (parked, (buffer_cap, (resync_pending,
+        // stats))))`, written independently.
+        let parked = vec![env(2)];
+        let described = (1u64, (parked, (8u64, (true, rx.stats())))).to_bytes();
+        assert_eq!(row, described, "encoded in place, byte for byte");
         // Wire roundtrip, then resume: the late 1 still drains 1 and 2.
-        let back = SequencedRxState::from_bytes(&state.to_bytes()).unwrap();
-        assert_eq!(back, state);
-        let mut restored = SequencedRx::from_state(back);
+        let mut restored = SequencedRx::from_bytes(&row).unwrap();
+        assert_eq!(restored.to_bytes(), row);
+        assert_eq!(restored.buffered(), 1);
+        assert!(restored.resync_pending());
         let (out, resync) = restored.receive(env(1));
         assert_eq!(seqs(&out), vec![1, 2]);
         assert!(!resync);

@@ -302,7 +302,7 @@ fn crash_restarted_aggregator_ends_with_its_twins_assignments() {
 /// BRP's offers port drops a network duplicate of its parent's envelope,
 /// but the deltas port of an intermediate aggregator admits every copy,
 /// so it counts (and journals) the duplicate. A known gap, pinned here
-/// (ROADMAP item 2).
+/// (ROADMAP item 3, hole (iii)).
 #[test]
 fn a_duplicated_parent_envelope_is_dropped_by_a_brp_but_admitted_by_an_aggregator() {
     let heartbeat =

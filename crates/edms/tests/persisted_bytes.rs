@@ -21,12 +21,14 @@
 //!    snapshot row or frame that puts a cursor or counter at `u64::MAX`
 //!    degrades the stream; the next increment saturates.
 //! 3. **The encoders at scale.** A node writes its snapshot straight from
-//!    its live state, not through the snapshot type's codec. A BRP with
-//!    hundreds of senders and a TSO with hundreds of child streams —
-//!    gaps, duplicates and out-of-order sends included — check every
-//!    snapshot they install: it decodes as the public tuple type and
-//!    re-encodes to the same bytes, and recovering from the store at that
-//!    point rebuilds the never-crashed node's pool.
+//!    its live state: the pool, then the child port through the port's
+//!    own codec, which is also what recovery decodes. A BRP with hundreds
+//!    of senders and a TSO with hundreds of child streams — gaps,
+//!    duplicates and out-of-order sends included — check every snapshot
+//!    they install: it decodes as a tuple type written independently
+//!    here and re-encodes to the same bytes, it decodes as the pool and
+//!    the live port and re-encodes to the same bytes, and recovering from
+//!    the store at that point rebuilds the never-crashed node's pool.
 
 use mirabel_aggregate::{
     AggregatedFlexOffer, AggregationParams, AggregationPipeline, FlexOfferUpdate,
@@ -36,8 +38,8 @@ use mirabel_core::{
     EnergyRange, FlexOffer, FlexOfferId, NodeId, Profile, ScheduledFlexOffer, TimeSlot,
 };
 use mirabel_edms::{
-    BrpConfig, BrpNode, Envelope, EventRecord, LinkHealthConfig, LoadedLog, MemWalStore, Message,
-    NodeWal, RuntimeConfig, SequencedRxState, StreamStats, TsoNode, WalConfig, WalStore,
+    BrpConfig, BrpNode, Deltas, Envelope, EventRecord, LinkHealthConfig, LoadedLog, MemWalStore,
+    Message, NodeWal, OfferState, Offers, RuntimeConfig, StreamStats, TsoNode, WalConfig, WalStore,
 };
 use mirabel_schedule::MarketPrices;
 use std::collections::BTreeMap;
@@ -411,6 +413,34 @@ fn pinned_stores_recover_to_the_live_state() {
     }
 }
 
+/// The snapshot carries a BRP's pool, not its `DataStore`: a BRP
+/// recovered from a compaction point counts only the submissions its
+/// tail replays, so the closing report's `accepted` / `rejected`
+/// undercount after every crash-restart. A known gap, pinned here
+/// (ROADMAP item 3, hole (iv)).
+#[test]
+fn a_brp_recovered_from_a_snapshot_recounts_only_its_tail() {
+    let wal_config = WalConfig { snapshot_every: 2 };
+    let mut live = BrpNode::new(BRP, None, BrpConfig::default());
+    live.attach_wal(NodeWal::new(Box::new(MemWalStore::new()), wal_config));
+    for id in 1..=5 {
+        submit(&mut live, micro_offer(id), 100 + id, 0, 0);
+    }
+    let store = live.take_wal().expect("attached").into_store();
+    let (recovered, _) = BrpNode::recover(
+        BRP,
+        None,
+        BrpConfig::default(),
+        store,
+        wal_config,
+        TimeSlot(1),
+    )
+    .unwrap();
+    assert_eq!((live.pool_size(), recovered.pool_size()), (5, 5));
+    let accepted = |node: &BrpNode| node.store.count_in_state(OfferState::Accepted);
+    assert_eq!((accepted(&live), accepted(&recovered)), (5, 1));
+}
+
 /// A fresh store holding `snapshot` (if any) and `frames`.
 fn store_with(snapshot: Option<&[u8]>, frames: &[Vec<u8>]) -> Box<dyn WalStore> {
     let mut store = MemWalStore::new();
@@ -600,16 +630,12 @@ fn cursors_and_counters_at_u64_max_saturate() {
     };
     // A TSO snapshot: one stream row for the child, its applied count
     // and the audit counters.
-    let tso_state = |rx: SequencedRxState, applied: u64, audit: (u64, u64)| {
+    let tso_state = |rx: StreamRow, applied: u64, audit: (u64, u64)| {
         let pool: Vec<(FlexOffer, NodeId)> = Vec::new();
         (pool, (vec![(child, rx)], (vec![(child, applied)], audit))).to_bytes()
     };
-    let cursor_at = |next_expected: u64, stats: StreamStats| SequencedRxState {
-        next_expected,
-        buffered: Vec::new(),
-        buffer_cap: 1024,
-        resync_pending: false,
-        stats,
+    let cursor_at = |next_expected: u64, stats: StreamStats| {
+        (next_expected, (Vec::new(), (1024, (false, stats))))
     };
     let delivered_max = StreamStats {
         delivered: MAX,
@@ -717,15 +743,22 @@ fn cursors_and_counters_at_u64_max_saturate() {
 /// sources, then `(sender, ((delivered_below, seen), duplicates))` rows.
 type BrpTuple = (Vec<(FlexOffer, NodeId)>, Vec<(u64, ((u64, Vec<u64>), u64))>);
 
+/// A stream guard's row as the tuple it decodes as:
+/// `(next_expected, (parked, (buffer_cap, (resync_pending, stats))))`.
+type StreamRow = (u64, (Vec<Envelope>, (u64, (bool, StreamStats))));
+
 /// A TSO snapshot as the public tuple it decodes as: the pool with its
 /// sources, then the stream guards, the applied counters and the audit.
 type TsoTuple = (
     Vec<(FlexOffer, NodeId)>,
-    (
-        Vec<(NodeId, SequencedRxState)>,
-        (Vec<(NodeId, u64)>, (u64, u64)),
-    ),
+    (Vec<(NodeId, StreamRow)>, (Vec<(NodeId, u64)>, (u64, u64))),
 );
+
+/// A BRP snapshot as the node itself decodes it: the pool, then the port.
+type BrpLive = (Vec<(FlexOffer, NodeId)>, Offers);
+
+/// A TSO snapshot as the node itself decodes it: the pool, then the port.
+type TsoLive = (Vec<(FlexOffer, NodeId)>, Deltas);
 
 /// An in-memory store shared with the test, so every snapshot a live node
 /// installs can be checked the moment it lands.
@@ -852,6 +885,7 @@ fn brp_snapshots_at_scale_reencode_and_recover_the_live_pool() {
             checked = shared.installs();
             let (state, store) = shared.copy();
             assert!(reencodes_as::<BrpTuple>(&state), "cadence {cadence}");
+            assert!(reencodes_as::<BrpLive>(&state), "cadence {cadence}");
             let (_, rows) = BrpTuple::from_bytes(&state).unwrap();
             assert!(
                 rows.windows(2).all(|w| w[0].0 < w[1].0),
@@ -902,6 +936,7 @@ fn tso_snapshots_at_scale_reencode_and_recover_the_live_pool() {
             checked = shared.installs();
             let (state, store) = shared.copy();
             assert!(reencodes_as::<TsoTuple>(&state), "cadence {cadence}");
+            assert!(reencodes_as::<TsoLive>(&state), "cadence {cadence}");
             assert_tso_recovers(store, cadence, tso);
         };
         let send = |tso: &mut TsoNode, c: u64, seq: u64| {

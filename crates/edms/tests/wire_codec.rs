@@ -17,8 +17,8 @@ use mirabel_core::{
     RegionId, ScheduledFlexOffer, Slice, SlotSpan, TimeSlot,
 };
 use mirabel_edms::{
-    DedupRx, Envelope, EventRecord, MemWalStore, Message, NodeWal, RuntimeConfig, SequencedRxState,
-    StreamStats, TsoNode, WalConfig, WalStore,
+    DedupRx, Deltas, Envelope, EventRecord, MemWalStore, Message, NodeWal, Offers, RuntimeConfig,
+    SequencedRx, StreamStats, TsoNode, WalConfig, WalStore,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -246,8 +246,10 @@ proptest! {
         prop_assert_eq!(roundtrip(&msg), msg);
     }
 
-    /// A [`SequencedRx`] freeze-frame — cursor, parked envelopes, buffer
-    /// cap, resync flag, counters — survives the snapshot codec.
+    /// A [`SequencedRx`] row — cursor, parked envelopes, buffer cap,
+    /// resync flag, counters — written as an independent tuple decodes
+    /// as the live guard, which reports what the row says and re-encodes
+    /// to the same bytes.
     #[test]
     fn prop_sequenced_rx_state_roundtrip(
         next_expected in any::<u64>(),
@@ -257,37 +259,40 @@ proptest! {
         delivered in any::<u32>(),
         duplicates in any::<u32>(),
     ) {
-        let state = SequencedRxState {
-            next_expected,
-            buffered: parked
-                .into_iter()
-                .map(|(seq, value)| {
-                    Envelope::new(
-                        NodeId(1),
-                        NodeId(9_999),
-                        TimeSlot(0),
-                        Message::OfferAccepted { offer: FlexOfferId(seq), value },
-                    )
-                    .with_seq(seq)
-                })
-                .collect(),
-            buffer_cap,
-            resync_pending,
-            stats: StreamStats {
-                delivered: delivered as u64,
-                duplicates: duplicates as u64,
-                ..StreamStats::default()
-            },
+        // A guard parks each sequence number once, in order.
+        let mut parked = parked;
+        parked.sort_by_key(|&(seq, _)| seq);
+        parked.dedup_by_key(|&mut (seq, _)| seq);
+        let parked: Vec<Envelope> = parked
+            .into_iter()
+            .map(|(seq, value)| {
+                Envelope::new(
+                    NodeId(1),
+                    NodeId(9_999),
+                    TimeSlot(0),
+                    Message::OfferAccepted { offer: FlexOfferId(seq), value },
+                )
+                .with_seq(seq)
+            })
+            .collect();
+        let stats = StreamStats {
+            delivered: delivered as u64,
+            duplicates: duplicates as u64,
+            ..StreamStats::default()
         };
-        let back = SequencedRxState::from_bytes(&state.to_bytes()).unwrap();
-        prop_assert_eq!(back, state);
+        let count = parked.len();
+        let row = (next_expected, (parked, (buffer_cap, (resync_pending, stats)))).to_bytes();
+        let rx = SequencedRx::from_bytes(&row).unwrap();
+        prop_assert_eq!(rx.to_bytes(), row);
+        prop_assert_eq!(rx.buffered(), count);
+        prop_assert_eq!(rx.resync_pending(), resync_pending);
+        prop_assert_eq!(rx.stats(), stats);
     }
 
-    /// A [`DedupRx`] frozen mid-stream and rebuilt from its exported
-    /// state is *behaviorally* identical to the original: the exported
-    /// tuple matches, and both filters give the same accept/reject
-    /// verdict on any follow-up stream (duplicates of pre-freeze
-    /// deliveries included).
+    /// A [`DedupRx`] frozen mid-stream and decoded from its snapshot row
+    /// is *behaviorally* identical to the original: the rows match, and
+    /// both filters give the same accept/reject verdict on any follow-up
+    /// stream (duplicates of pre-freeze deliveries included).
     #[test]
     fn prop_dedup_rx_state_roundtrips_behaviorally(
         before in proptest::collection::vec(0u64..64, 0..48),
@@ -297,13 +302,12 @@ proptest! {
         for seq in &before {
             original.accept(Some(*seq));
         }
-        let (delivered_below, seen, duplicates) = original.export_state();
-        let mut restored = DedupRx::from_state(delivered_below, seen, duplicates);
-        prop_assert_eq!(restored.export_state(), original.export_state());
+        let mut restored = DedupRx::from_bytes(&original.to_bytes()).unwrap();
+        prop_assert_eq!(restored.to_bytes(), original.to_bytes());
         for seq in &after {
             prop_assert_eq!(restored.accept(Some(*seq)), original.accept(Some(*seq)));
         }
-        prop_assert_eq!(restored.export_state(), original.export_state());
+        prop_assert_eq!(restored.to_bytes(), original.to_bytes());
         prop_assert_eq!(restored.duplicates, original.duplicates);
     }
 
@@ -437,14 +441,15 @@ fn tso_recovery_drops_a_frame_carrying_a_crafted_offer() {
 /// The BRP snapshot as its public tuple: `(pool, duplicate filters)`.
 type BrpTuple = (Vec<(FlexOffer, NodeId)>, Vec<(u64, ((u64, Vec<u64>), u64))>);
 
+/// A stream guard's row as a tuple:
+/// `(next_expected, (parked, (buffer_cap, (resync_pending, stats))))`.
+type StreamRow = (u64, (Vec<Envelope>, (u64, (bool, StreamStats))));
+
 /// The TSO snapshot as its public tuple:
 /// `(pool, (streams, (applied, (adopted, superseded))))`.
 type TsoTuple = (
     Vec<(FlexOffer, NodeId)>,
-    (
-        Vec<(NodeId, SequencedRxState)>,
-        (Vec<(NodeId, u64)>, (u64, u64)),
-    ),
+    (Vec<(NodeId, StreamRow)>, (Vec<(NodeId, u64)>, (u64, u64))),
 );
 
 /// Use what a decoder let through the way a node would first use it.
@@ -485,12 +490,16 @@ fn decode_all(bytes: &[u8]) {
     }
     if let Ok((pool, (streams, _))) = TsoTuple::from_bytes(bytes) {
         pool.iter().for_each(|(offer, _)| touch_offer(offer));
-        for (_, state) in &streams {
-            state
-                .buffered
-                .iter()
-                .for_each(|e| touch_message(&e.message));
+        for (_, (_, (parked, _))) in &streams {
+            parked.iter().for_each(|e| touch_message(&e.message));
         }
+    }
+    // The pool and port a recovering node decodes.
+    if let Ok((pool, _)) = <(Vec<(FlexOffer, NodeId)>, Offers)>::from_bytes(bytes) {
+        pool.iter().for_each(|(offer, _)| touch_offer(offer));
+    }
+    if let Ok((pool, _)) = <(Vec<(FlexOffer, NodeId)>, Deltas)>::from_bytes(bytes) {
+        pool.iter().for_each(|(offer, _)| touch_offer(offer));
     }
 }
 
