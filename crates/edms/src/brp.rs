@@ -18,7 +18,7 @@
 
 use crate::datastore::{EnergyType, MeasurementFact, OfferFact, OfferState};
 use crate::message::{Envelope, Message};
-use crate::runtime::{ChildPort, PlanEngine, PlannerNode, RuntimeConfig};
+use crate::runtime::{ChildPort, PlannerNode, RuntimeConfig};
 use crate::wal::{WalConfig, WalStore};
 use crate::wire::{decode_rows, DedupRx, LinkHealthConfig};
 use mirabel_aggregate::{AggregationParams, AggregationPipeline, BinPackerConfig, FlexOfferUpdate};
@@ -187,11 +187,11 @@ impl BrpNode {
             repair_chains: config.repair_chains,
             pool: config.pool,
         };
-        let engine = PlanEngine::new(pipeline, runtime, id.value().wrapping_mul(0x9e37_79b9));
+        let seed = id.value().wrapping_mul(0x9e37_79b9);
         let parent = parent
             .filter(|_| config.forward_to_tso)
             .map(|parent| (parent, config.link_health));
-        PlannerNode::assemble(id, engine, Offers::default(), parent)
+        PlannerNode::assemble(id, pipeline, runtime, seed, Offers::default(), parent)
     }
 
     /// Rebuild a crashed BRP from its surviving WAL store (see
@@ -246,8 +246,7 @@ impl BrpNode {
                 match value {
                     Some(value) => {
                         entry.insert_entry((offer.clone(), from));
-                        self.engine
-                            .stage_offer_updates([FlexOfferUpdate::Insert(offer)]);
+                        self.pipeline.accumulate([FlexOfferUpdate::Insert(offer)]);
                         Message::OfferAccepted { offer: id, value }
                     }
                     None => Message::OfferRejected { offer: id },
@@ -682,6 +681,66 @@ mod tests {
         // Committed: nothing live anymore.
         assert!(brp.commit_plan(TimeSlot(80)).is_none());
         assert!(brp.on_forecast_event(&event).is_none());
+    }
+
+    #[test]
+    fn a_window_plans_the_same_whatever_repairs_came_before_it() {
+        // Each planning run re-derives the seed from the window, so a
+        // repair in one twin's history cannot shift its later plans —
+        // the rule the chaos campaigns' quiet-tail comparison rests on.
+        let twin = || {
+            let config = BrpConfig {
+                scheduler: SchedulerKind::Evolutionary,
+                budget_evaluations: 2_000,
+                ..BrpConfig::default()
+            };
+            let mut brp = BrpNode::new(NodeId(1), None, config);
+            for i in 0..20 {
+                submit(
+                    &mut brp,
+                    offer(i, i, 110 + (i as i64 % 5), 90, 8),
+                    100 + i,
+                    0,
+                );
+            }
+            brp
+        };
+        // A baseline that varies under the offers, so where they land
+        // matters and a search seeded differently lands elsewhere.
+        let baseline: Vec<f64> = (0..96).map(|k| ((k * 7) % 5) as f64 - 2.0).collect();
+        let prepare = |brp: &mut BrpNode| {
+            brp.prepare_plan(
+                TimeSlot(80),
+                TimeSlot(96),
+                baseline.clone(),
+                MarketPrices::flat(96, 0.08, 0.03, 100.0),
+                vec![0.2; 96],
+            )
+        };
+        let (mut repaired, mut quiet) = (twin(), twin());
+        prepare(&mut repaired);
+        prepare(&mut quiet);
+        let mut refined = baseline.clone();
+        for v in refined.iter_mut().skip(20).take(10) {
+            *v += 1.5;
+        }
+        let event = ForecastEvent {
+            subscription: 0,
+            forecast: refined,
+            changed: vec![mirabel_forecast::SlotRange { start: 20, end: 30 }],
+            max_relative_change: f64::INFINITY,
+        };
+        let replan = repaired.on_forecast_event(&event).expect("live plan");
+        assert!(replan.scoped_offers > 0, "the repair ran");
+
+        prepare(&mut repaired);
+        prepare(&mut quiet);
+        assert!(quiet.live_solution().is_some());
+        assert_eq!(repaired.live_solution(), quiet.live_solution());
+        assert_eq!(
+            repaired.live_cost().map(f64::to_bits),
+            quiet.live_cost().map(f64::to_bits)
+        );
     }
 
     #[test]

@@ -81,9 +81,9 @@ fn submit(brp: &mut BrpNode, o: FlexOffer, now: TimeSlot) -> Vec<Envelope> {
 
 /// After a flush the pipeline's slab holds exactly the pool.
 fn assert_slab_is_pool(brp: &BrpNode) {
-    assert_eq!(brp.engine.pipeline().offer_count(), brp.pool_size());
+    assert_eq!(brp.pipeline().offer_count(), brp.pool_size());
     for id in brp.pooled_ids() {
-        assert_eq!(brp.engine.pipeline().offer(id), brp.pooled_offer(id));
+        assert_eq!(brp.pipeline().offer(id), brp.pooled_offer(id));
     }
 }
 
@@ -319,9 +319,9 @@ fn a_wave_costs_one_emission_per_touched_aggregate() {
             TimeSlot(0),
         );
     }
-    assert_eq!(brp.engine.pipeline().delta_stats().emitted, 0, "staged");
+    assert_eq!(brp.pipeline().delta_stats().emitted, 0, "staged");
     let (out, report) = round(&mut brp, 0);
-    let stats = brp.engine.pipeline().delta_stats();
+    let stats = brp.pipeline().delta_stats();
     assert_eq!(stats.emitted, 2, "one emission per touched aggregate");
     assert_eq!(stats.folded_in, 40);
     assert_eq!(report.forwarded, 2);
@@ -330,7 +330,7 @@ fn a_wave_costs_one_emission_per_touched_aggregate() {
     // A trickle after the wave is a trickle: one more emission.
     submit(&mut brp, offer(77, 0, 0, 200), TimeSlot(1));
     round(&mut brp, 1);
-    assert_eq!(brp.engine.pipeline().delta_stats().emitted, 3);
+    assert_eq!(brp.pipeline().delta_stats().emitted, 3);
 }
 
 #[test]
@@ -355,7 +355,7 @@ fn crash_with_a_staged_buffer_recovers_to_the_twins_state() {
         }
     }
     assert_eq!(
-        brp.engine.pipeline().offer_count(),
+        brp.pipeline().offer_count(),
         4,
         "the second wave is staged, not flushed"
     );

@@ -20,14 +20,14 @@
 //!   merely survive it;
 //! * **islanded imbalance bound** — every window a BRP balanced locally
 //!   (TSO link `Down`) must commit at a cost no worse than the
-//!   local-only optimum its engine found at prepare time: islanding
+//!   local-only optimum it found at prepare time: islanding
 //!   degrades service to the local optimum, never below it.
 //!
 //! The comparison is meaningful because everything stochastic outside
 //! the network — offer generation, forecasts, churn — draws from RNG
 //! streams independent of delivery outcomes, and every planner derives
 //! its scheduling seeds from the window being planned rather than from
-//! its history (see [`crate::runtime::PlanEngine`]).
+//! its history (see [`crate::runtime::PlannerNode`]'s life-cycle).
 
 use crate::comm::{ChaosPhase, ChaosPlan, FailureModel};
 use crate::federation::{Federation, FederationConfig, FederationReport};

@@ -57,11 +57,11 @@
 //!    [`wire::RetransmitTracker`] drives bounded exponential-backoff
 //!    retransmits of unacked outbox flushes (always as idempotent
 //!    resync snapshots, never replayed deltas);
-//! 2. **island** — a node whose parent link is `Down` keeps balancing: its
-//!    local [`PlanEngine`] runs over the node's own pool and the commit
-//!    stamps every assignment [`OfferState::Provisional`] in the store
-//!    *and* the WAL, so even a degraded window is durable and bounded
-//!    by the local-only optimum ([`IslandedRound`]);
+//! 2. **island** — a node whose parent link is `Down` keeps balancing: it
+//!    plans its own pool locally, and the commit stamps every assignment
+//!    [`OfferState::Provisional`] in the store *and* the WAL, so even a
+//!    degraded window is durable and bounded by the local-only optimum
+//!    ([`IslandedRound`]);
 //! 3. **recover** — a crashed planner node
 //!    ([`PlannerNode::recover_from`]) rebuilds from snapshot + tail
 //!    replay, re-registers, and re-anchors every peer stream — a resync
@@ -77,14 +77,13 @@
 //!
 //! Components per the paper's LEDMS description:
 //!
-//! * [`runtime`] — the unified node runtime: the one [`PlannerNode`],
-//!   the [`Node`] trait the simulation's wave drains, and the
-//!   [`PlanEngine`] each planner embeds (aggregation pipeline plus a
-//!   live [`DeltaEvaluator`](mirabel_schedule::DeltaEvaluator) plus
-//!   pub/sub-driven incremental replanning). Every parallel path of an
-//!   engine — flush shards and repair chains —
-//!   dispatches onto the worker pool in its [`RuntimeConfig`]; by
-//!   default that is the process-wide
+//! * [`runtime`] — the unified node runtime: the one [`PlannerNode`]
+//!   (aggregation pipeline plus a live
+//!   [`DeltaEvaluator`](mirabel_schedule::DeltaEvaluator) plus
+//!   pub/sub-driven incremental replanning) and the [`Node`] trait the
+//!   simulation's wave drains. Every parallel path of a node — flush
+//!   shards and repair chains — dispatches onto the worker pool in its
+//!   [`RuntimeConfig`]; by default that is the process-wide
 //!   [`mirabel_core::exec::Pool::global`] executor, so an entire
 //!   hierarchy wakes one set of persistent parked workers instead of
 //!   spawning threads per node per round (and the pool width never
@@ -185,8 +184,8 @@ pub use federation::{
 pub use message::{Envelope, Message};
 pub use prosumer::ProsumerNode;
 pub use runtime::{
-    IslandedRound, Node, OfferDeltaReport, PlanEngine, PlanReport, PlannerNode, ReplanReport,
-    RuntimeConfig, SchedulerKind,
+    IslandedRound, Node, OfferDeltaReport, PlanReport, PlannerNode, ReplanReport, RuntimeConfig,
+    SchedulerKind,
 };
 pub use simulation::{simulate, RegionSim, SimulationConfig, SimulationReport};
 pub use tso::{Deltas, TsoNode};

@@ -6,30 +6,12 @@
 //! cycle at every level ("the process is essentially repeated at a
 //! higher level", §2), and this module is that repetition:
 //!
-//! * [`PlannerNode`] is the one planner node type: a [`PlanEngine`], a
-//!   journal, a child port (what the level below speaks) and an
-//!   optional link to a parent. Its docs state the life-cycle, the
-//!   flush-before-read rule and the durability rule, once for every
-//!   level;
-//! * [`PlanEngine`] owns a node's aggregation pipeline plus the **live
-//!   plan** — a [`DeltaEvaluator`] that survives between scheduling and
-//!   commitment. It implements the three phases:
-//!   1. [`PlanEngine::prepare`] — schedule the window-eligible macro
-//!      offers (parallel best-of-K restarts) and keep the search state
-//!      alive instead of throwing it away;
-//!   2. [`PlanEngine::on_forecast_event`] — rebase the live evaluator on
-//!      exactly the slots a typed pub/sub forecast event moved
-//!      (lineage-guarded), then run a scoped parallel multi-start
-//!      repair — O(changed), never a problem reconstruction; its
-//!      sibling [`PlanEngine::flush_offer_updates`] runs staged pool
-//!      deltas through the aggregation pipeline *and folds the resulting
-//!      aggregate changes into the live plan*: new/updated macro offers
-//!      are spliced into the evaluator at O(offer duration) each
-//!      ([`DeltaEvaluator::insert_offer`] / `remove_offer`), followed by
-//!      a repair scoped to the touched slots — a trickle offer change
-//!      replans in time proportional to the *trickle*, not the pool;
-//!   3. [`PlanEngine::commit`] — hand the (possibly repaired) problem +
-//!      solution back for disaggregation.
+//! * [`PlannerNode`] is the one planner node type: an aggregation
+//!   pipeline, the **live plan** — a [`DeltaEvaluator`] that survives
+//!   between scheduling and commitment — a journal, a child port (what
+//!   the level below speaks) and an optional link to a parent. Its docs
+//!   state the prepare → replan → commit life-cycle, the flush-before-read
+//!   rule and the durability rule, once for every level;
 //! * [`Node`] is the minimal message-handling surface the simulation's
 //!   wave drains — every hierarchy level implements it.
 //!
@@ -73,7 +55,7 @@ pub enum SchedulerKind {
     Hybrid,
 }
 
-/// Scheduling/replanning knobs shared by every [`PlanEngine`].
+/// Scheduling/replanning knobs of a [`PlannerNode`].
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Scheduling algorithm for the initial plan.
@@ -82,7 +64,7 @@ pub struct RuntimeConfig {
     pub budget_evaluations: usize,
     /// Parallel multi-start chains (K) per incremental repair.
     pub repair_chains: usize,
-    /// Worker pool every parallel path of this engine dispatches onto —
+    /// Worker pool every parallel path of the node dispatches onto —
     /// repair chains and the aggregation pipeline's shard-parallel
     /// flush. Handles are cheap `Arc` clones; the default is the
     /// process-wide [`Pool::global`], so a whole hierarchy of nodes
@@ -129,8 +111,8 @@ pub struct ReplanReport {
     pub cost_after: f64,
 }
 
-/// Outcome of folding a batch of offer-pool deltas into a live plan
-/// ([`PlanEngine::flush_offer_updates`] while a plan is live).
+/// Outcome of folding a flushed batch of offer-pool deltas into a live
+/// plan (see [`PlannerNode`]'s flush-before-read rule).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OfferDeltaReport {
     /// Macro offers newly spliced into the live problem.
@@ -166,309 +148,29 @@ struct LivePlan {
     index: BTreeMap<FlexOfferId, usize>,
 }
 
-/// The shared planning core of a hierarchy node: aggregation pipeline +
-/// live delta evaluator + the prepare/replan/commit life-cycle.
-#[derive(Debug)]
-pub struct PlanEngine {
-    pipeline: AggregationPipeline,
-    cfg: RuntimeConfig,
-    live: Option<LivePlan>,
-    /// The engine's identity seed, fixed at construction.
-    base_seed: u64,
-    /// The current window's running seed, re-derived from
-    /// `(base_seed, window_start)` at every [`PlanEngine::prepare`] and
-    /// bumped per stochastic use within the window. Deriving it from the
-    /// window — not from a running history counter — means two runs that
-    /// agree on a window's inputs plan it identically *even if their
-    /// histories differ* (e.g. a chaos run that needed extra resync
-    /// repairs earlier converges back to the no-chaos run's plans).
-    seed: u64,
+impl LivePlan {
+    /// Re-optimize the offers that can reach `slots`: the scope first,
+    /// then one bump of the window's running `seed`, then the config's K
+    /// parallel chains. Returns the scope's size and the cost after.
+    fn repair(&mut self, slots: &[usize], seed: &mut u64, cfg: &RuntimeConfig) -> (usize, f64) {
+        let scope = repair_scope(self.eval.problem(), slots);
+        *seed = seed.wrapping_add(1);
+        let config = RepairConfig {
+            chains: cfg.repair_chains,
+            seed: *seed,
+            ..RepairConfig::default()
+        };
+        let cost = repair_parallel(&mut self.eval, &scope, config, &cfg.pool);
+        (scope.len(), cost)
+    }
 }
 
-/// Mix a window start into an engine's base seed (splitmix64 finalizer).
+/// Mix a window start into a node's base seed (splitmix64 finalizer).
 fn window_seed(base: u64, window_start: TimeSlot) -> u64 {
     let mut z = base ^ (window_start.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-impl PlanEngine {
-    /// Engine around an aggregation pipeline. The pipeline's flush is
-    /// rewired onto the config's shared worker pool, so aggregation and
-    /// scheduling run on the same executor.
-    pub fn new(mut pipeline: AggregationPipeline, cfg: RuntimeConfig, seed: u64) -> PlanEngine {
-        pipeline.set_flush_pool(cfg.pool.clone());
-        PlanEngine {
-            pipeline,
-            cfg,
-            live: None,
-            base_seed: seed,
-            seed,
-        }
-    }
-
-    /// The aggregation pipeline (read-only; mutate through
-    /// [`stage_offer_updates`](Self::stage_offer_updates) and
-    /// [`flush_offer_updates`](Self::flush_offer_updates) so live plans
-    /// stay in sync). Reflects the last flush: staged updates are not in
-    /// it yet.
-    pub fn pipeline(&self) -> &AggregationPipeline {
-        &self.pipeline
-    }
-
-    /// Window start of the live plan, if one is pending commitment.
-    pub fn live_window(&self) -> Option<TimeSlot> {
-        self.live.as_ref().map(|l| l.window_start)
-    }
-
-    /// Drop the live plan without committing it (a new planning round is
-    /// starting; pool deltas must not be folded into the stale window).
-    pub fn abandon(&mut self) {
-        self.live = None;
-    }
-
-    /// Aggregates that fit entirely inside `[start, start+horizon)`, in
-    /// ascending id order (schedulers are order-sensitive).
-    fn eligible_aggregates(
-        &self,
-        start: TimeSlot,
-        horizon: usize,
-    ) -> impl Iterator<Item = &AggregatedFlexOffer> {
-        let end = start + horizon as u32;
-        self.pipeline
-            .aggregates()
-            .filter(move |a| a.earliest_start >= start && a.latest_start + a.duration() <= end)
-    }
-
-    /// Number of window-eligible macro offers, counted straight off the
-    /// aggregate store — no `FlexOffer` materialization (reporting-only
-    /// callers must not pay O(aggregates × profile) clones).
-    pub fn eligible_count(&self, start: TimeSlot, horizon: usize) -> usize {
-        self.eligible_aggregates(start, horizon).count()
-    }
-
-    /// Phase 1: schedule the eligible macro offers against `baseline`
-    /// and keep the result as a live evaluator. Returns the number of
-    /// eligible macros and, when any were scheduled, the plan cost. Any
-    /// previous live plan is discarded.
-    pub fn prepare(
-        &mut self,
-        window_start: TimeSlot,
-        baseline: Vec<f64>,
-        prices: MarketPrices,
-        penalties: Vec<f64>,
-    ) -> (usize, Option<f64>) {
-        self.live = None;
-        // Reset the stochastic stream for this window even if nothing
-        // ends up eligible — later windows must not see a seed offset
-        // that depends on how many empty windows preceded them.
-        self.seed = window_seed(self.base_seed, window_start);
-        // The window test runs on the aggregate, so only the eligible
-        // ones are materialized as `FlexOffer`s.
-        let macros: Vec<FlexOffer> = self
-            .eligible_aggregates(window_start, baseline.len())
-            .filter_map(|a| a.to_flex_offer().ok())
-            .collect();
-        let eligible = macros.len();
-        if macros.is_empty() {
-            return (0, None);
-        }
-        let problem = SchedulingProblem::new(window_start, baseline, macros, prices, penalties)
-            .expect("eligible macros fit the window");
-        let budget = Budget::evaluations(self.cfg.budget_evaluations);
-        let seed = self.seed;
-        let result = match self.cfg.scheduler {
-            SchedulerKind::Greedy => GreedyScheduler.run(&problem, budget, seed),
-            SchedulerKind::Evolutionary => {
-                EvolutionaryScheduler::default().run(&problem, budget, seed)
-            }
-            SchedulerKind::Hybrid => HybridScheduler::default().run(&problem, budget, seed),
-        };
-        let cost = result.cost.total();
-        let index = problem
-            .offers
-            .iter()
-            .enumerate()
-            .map(|(j, o)| (o.id(), j))
-            .collect();
-        self.live = Some(LivePlan {
-            eval: DeltaEvaluator::new_owned(problem, result.solution),
-            window_start,
-            index,
-        });
-        (eligible, Some(cost))
-    }
-
-    /// Phase 2: react to a typed forecast change event on the live plan:
-    /// rebase the evaluator to the event's forecast (re-pricing only the
-    /// changed slots), then run a parallel multi-start repair restricted
-    /// to the offers that can reach them. Returns `None` when there is
-    /// no live plan or the event does not match its horizon.
-    ///
-    /// The event's ranges are relative to the *hub's* last delivery; if
-    /// the live baseline has diverged from that lineage (e.g. the plan
-    /// was prepared from a post-processed forecast), the extra differing
-    /// slots are detected by an O(horizon) scan and folded into the
-    /// rebase, so the result is always exact.
-    pub fn on_forecast_event(&mut self, event: &ForecastEvent) -> Option<ReplanReport> {
-        let live = self.live.as_mut()?;
-        let horizon = live.eval.problem().horizon();
-        if event.forecast.len() != horizon {
-            return None;
-        }
-        let mut touched = vec![false; horizon];
-        for t in event.changed_slots() {
-            if t < horizon {
-                touched[t] = true;
-            }
-        }
-        for (i, (new, old)) in event
-            .forecast
-            .iter()
-            .zip(&live.eval.problem().baseline_imbalance)
-            .enumerate()
-        {
-            if new != old {
-                touched[i] = true;
-            }
-        }
-        let changed: Vec<usize> = touched
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t)
-            .map(|(i, _)| i)
-            .collect();
-        let cost_before = live.eval.rebase(&event.forecast, &changed);
-        let scope = repair_scope(live.eval.problem(), &changed);
-        self.seed = self.seed.wrapping_add(1);
-        let cost_after = repair_parallel(
-            &mut live.eval,
-            &scope,
-            RepairConfig {
-                chains: self.cfg.repair_chains,
-                seed: self.seed,
-                ..RepairConfig::default()
-            },
-            &self.cfg.pool,
-        );
-        Some(ReplanReport {
-            changed_slots: changed.len(),
-            scoped_offers: scope.len(),
-            cost_before,
-            cost_after,
-        })
-    }
-
-    /// Accumulate offer-pool deltas in the pipeline's group-builder
-    /// without processing them. Nothing derived moves — aggregates, slab
-    /// and live plan all keep describing the last flush — so the owner
-    /// must [`flush_offer_updates`](Self::flush_offer_updates) before it
-    /// reads any of them ([`PlannerNode`]'s flush-before-read rule).
-    pub fn stage_offer_updates(&mut self, updates: impl IntoIterator<Item = FlexOfferUpdate>) {
-        self.pipeline.accumulate(updates);
-    }
-
-    /// Phase 2b: run everything staged through the aggregation pipeline
-    /// in one pass, and — when a plan is live — fold the emitted
-    /// aggregate changes straight into the live evaluator: removed
-    /// aggregates leave the problem (O(duration) withdrawal), new or
-    /// updated window-eligible aggregates are spliced in at their
-    /// baseline placement, and a parallel repair scoped to the touched
-    /// slots re-optimizes. Cost is proportional to the delta, never to
-    /// the pool.
-    ///
-    /// Returns the pipeline's aggregate update stream (for forwarding up
-    /// the hierarchy) plus the live-plan fold report, when one applied;
-    /// a no-op (empty stream, `None`) when nothing is staged.
-    pub fn flush_offer_updates(&mut self) -> (Vec<AggregateUpdate>, Option<OfferDeltaReport>) {
-        let agg_updates = self.pipeline.flush();
-        let report = self.fold_into_live(&agg_updates);
-        (agg_updates, report)
-    }
-
-    /// Splice a stream of aggregate updates into the live plan.
-    fn fold_into_live(&mut self, updates: &[AggregateUpdate]) -> Option<OfferDeltaReport> {
-        if updates.is_empty() {
-            return None;
-        }
-        let live = self.live.as_mut()?;
-        let horizon = live.eval.problem().horizon();
-        let end = live.window_start + horizon as u32;
-        let cost_before_splice = live.eval.total();
-        let mut touched_slots: Vec<usize> = Vec::new();
-        let mut report = OfferDeltaReport {
-            inserted: 0,
-            removed: 0,
-            replaced: 0,
-            scoped_offers: 0,
-            cost_before: cost_before_splice,
-            cost_after: cost_before_splice,
-        };
-        for u in updates {
-            match u {
-                AggregateUpdate::Removed(agg_id) => {
-                    let fid = FlexOfferId(agg_id.value());
-                    if remove_live_offer(live, fid, &mut touched_slots) {
-                        report.removed += 1;
-                    }
-                }
-                AggregateUpdate::Upsert(agg) => {
-                    let fid = FlexOfferId(agg.id.value());
-                    // An aggregate whose sums left the finite range is
-                    // no valid offer; it drops out of the plan.
-                    let eligible = agg.to_flex_offer().ok().filter(|offer| {
-                        offer.earliest_start() >= live.window_start && offer.latest_end() <= end
-                    });
-                    let was_live = live.index.contains_key(&fid);
-                    match (was_live, eligible) {
-                        (true, Some(offer)) => {
-                            remove_live_offer(live, fid, &mut touched_slots);
-                            insert_live_offer(live, offer, &mut touched_slots);
-                            report.replaced += 1;
-                        }
-                        (true, None) => {
-                            remove_live_offer(live, fid, &mut touched_slots);
-                            report.removed += 1;
-                        }
-                        (false, Some(offer)) => {
-                            insert_live_offer(live, offer, &mut touched_slots);
-                            report.inserted += 1;
-                        }
-                        (false, None) => {}
-                    }
-                }
-            }
-        }
-        if !report.touched() {
-            return Some(report);
-        }
-        report.cost_before = live.eval.total();
-        let scope = repair_scope(live.eval.problem(), &touched_slots);
-        report.scoped_offers = scope.len();
-        self.seed = self.seed.wrapping_add(1);
-        report.cost_after = repair_parallel(
-            &mut live.eval,
-            &scope,
-            RepairConfig {
-                chains: self.cfg.repair_chains,
-                seed: self.seed,
-                ..RepairConfig::default()
-            },
-            &self.cfg.pool,
-        );
-        Some(report)
-    }
-
-    /// Phase 3: take the live plan for commitment. Returns the problem,
-    /// the (possibly repaired) solution and its total cost; the caller
-    /// disaggregates and performs its node-specific bookkeeping.
-    pub fn commit(&mut self) -> Option<(SchedulingProblem, Solution, f64)> {
-        let live = self.live.take()?;
-        let cost = live.eval.total();
-        let (problem, solution) = live.eval.into_problem_and_solution();
-        Some((problem, solution, cost))
-    }
 }
 
 /// Remove the live offer with id `fid`, recording its reachable slots
@@ -596,11 +298,11 @@ fn exported_aggregate(node: NodeId, export_id: u64) -> Option<AggregateId> {
     (local < EXPORT_SPAN).then_some(AggregateId(local))
 }
 
-/// One islanded planning round: what a node's local engine prepared and
-/// committed for a window while its parent link was `Down`. The chaos
+/// One islanded planning round: what a node planned and committed for a
+/// window on its own while its parent link was `Down`. The chaos
 /// invariant checker asserts `committed_cost <= prepared_cost` — the
 /// islanded window's imbalance is bounded by the local-only optimum the
-/// engine found at prepare time (refreshed after each mid-window
+/// node found at prepare time (refreshed after each mid-window
 /// forecast repair, which legitimately moves the bound).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IslandedRound {
@@ -689,9 +391,20 @@ impl ParentLink {
 ///    parent its link presumes `Down` — or lets the link act: forward the
 ///    staged export deltas (a heartbeat when there are none), retransmit
 ///    an unacked flush as a snapshot, or reconcile after an island. A
-///    plan stays live on a delta evaluator.
-/// 3. [`on_forecast_event`](Self::on_forecast_event) rebases and repairs
-///    the live plan on exactly the slots a forecast event moved.
+///    plan schedules the window-eligible macro offers (parallel best-of-K
+///    restarts) and stays live on a delta evaluator. Every planning run
+///    first re-derives the node's scheduling seed from its base seed and
+///    the window start, and each repair in the window bumps it once, so
+///    two runs that agree on a window's inputs plan it identically even
+///    if their histories differ (a chaos run that needed extra repairs
+///    earlier converges back to the no-chaos run's plans).
+/// 3. [`on_forecast_event`](Self::on_forecast_event) rebases the live
+///    plan on exactly the slots a typed forecast event moved (plus any
+///    slot where the plan's baseline left the event's lineage), then
+///    repairs the offers that can reach them — O(changed), never a
+///    problem reconstruction. A flush folds pool deltas in the same way:
+///    changed macro offers are spliced into the evaluator at O(offer
+///    duration) each, then the touched slots are repaired.
 /// 4. [`commit_plan`](Self::commit_plan) disaggregates the live plan one
 ///    level down. Without a parent the assignments are final; under one
 ///    they are provisional, and their macro ledger is what the link hands
@@ -700,7 +413,7 @@ impl ParentLink {
 ///
 /// ## Flush before read
 ///
-/// Pool changes are staged in the engine and run through the pipeline in
+/// Pool changes are staged in the pipeline and run through it in
 /// bulk (the paper's §4), so everything derived — aggregates, exports,
 /// the outbox, a live plan, the slab that then holds exactly the pool —
 /// describes the last flush. One rule follows: **flush before anything
@@ -727,7 +440,15 @@ pub struct PlannerNode<P: ChildPort> {
     /// The Data Management component: the measurements and offer
     /// states a BRP records (a deltas level records none).
     pub store: DataStore,
-    pub(crate) engine: PlanEngine,
+    /// Aggregates the pool; changes are staged here until a flush.
+    pub(crate) pipeline: AggregationPipeline,
+    cfg: RuntimeConfig,
+    /// The plan pending commitment, if any.
+    live: Option<LivePlan>,
+    /// The node's identity seed, fixed at construction.
+    base_seed: u64,
+    /// The current window's running seed (see the life-cycle).
+    seed: u64,
     /// The offers pooled from the level below: id → (offer, source
     /// child). Ordered, so every walk (expiry, snapshots) is
     /// deterministic across runs.
@@ -738,19 +459,27 @@ pub struct PlannerNode<P: ChildPort> {
 }
 
 impl<P: ChildPort> PlannerNode<P> {
-    /// A node on `engine` speaking `down` to the level below and, when
-    /// `parent` is given, linked to that node with a failure detector on
-    /// the given horizons.
+    /// A node aggregating on `pipeline` — whose flush is rewired onto the
+    /// config's shared worker pool — speaking `down` to the level below
+    /// and, when `parent` is given, linked to that node with a failure
+    /// detector on the given horizons.
     pub(crate) fn assemble(
         id: NodeId,
-        engine: PlanEngine,
+        mut pipeline: AggregationPipeline,
+        cfg: RuntimeConfig,
+        seed: u64,
         down: P,
         parent: Option<(NodeId, LinkHealthConfig)>,
     ) -> PlannerNode<P> {
+        pipeline.set_flush_pool(cfg.pool.clone());
         PlannerNode {
             id,
             store: DataStore::new(),
-            engine,
+            pipeline,
+            cfg,
+            live: None,
+            base_seed: seed,
+            seed,
             pool: BTreeMap::new(),
             journal: Journal::default(),
             down,
@@ -794,7 +523,7 @@ impl<P: ChildPort> PlannerNode<P> {
             let inserts = pool
                 .values()
                 .map(|(offer, _)| FlexOfferUpdate::Insert(offer.clone()));
-            self.engine.stage_offer_updates(inserts);
+            self.pipeline.accumulate(inserts);
             self.pool = pool;
             self.down = down;
             P::restored(&mut self);
@@ -893,7 +622,7 @@ impl<P: ChildPort> PlannerNode<P> {
         let deletes = expired
             .iter()
             .map(|(offer, _)| FlexOfferUpdate::Delete(offer.id()));
-        self.engine.stage_offer_updates(deletes);
+        self.pipeline.accumulate(deletes);
         P::expired(self, &expired, now);
         expired.len()
     }
@@ -909,19 +638,85 @@ impl<P: ChildPort> PlannerNode<P> {
     ) -> Option<(NodeId, Price)> {
         let (offer, source) = self.pool.remove(&member.offer_id)?;
         let delete = FlexOfferUpdate::Delete(member.offer_id);
-        self.engine.stage_offer_updates([delete]);
+        self.pipeline.accumulate([delete]);
         Some((source, P::released(self, &offer, now, state)))
     }
 
-    /// Run everything staged through the pipeline in one pass (plus the
-    /// live-plan fold) and, under a parent, stage the aggregate changes as
-    /// export deltas. A no-op when nothing is staged.
+    /// Run everything staged through the pipeline in one pass, stage the
+    /// aggregate changes as export deltas under a parent, and fold them
+    /// into the live plan, if any. A no-op when nothing is staged.
     pub(crate) fn flush_staged(&mut self) -> Option<OfferDeltaReport> {
-        let (updates, fold) = self.engine.flush_offer_updates();
+        let updates = self.pipeline.flush();
         if let Some(link) = self.up.as_mut() {
             link.stage(self.id, &updates);
         }
-        fold
+        self.fold_into_live(&updates)
+    }
+
+    /// Splice flushed aggregate changes into the live plan: removed
+    /// aggregates leave the problem (O(duration) withdrawal), new or
+    /// updated window-eligible ones go in at their baseline placement,
+    /// and a repair scoped to the touched slots re-optimizes. Cost is
+    /// proportional to the delta, never to the pool.
+    fn fold_into_live(&mut self, updates: &[AggregateUpdate]) -> Option<OfferDeltaReport> {
+        if updates.is_empty() {
+            return None;
+        }
+        let live = self.live.as_mut()?;
+        let horizon = live.eval.problem().horizon();
+        let end = live.window_start + horizon as u32;
+        let cost_before_splice = live.eval.total();
+        let mut touched_slots: Vec<usize> = Vec::new();
+        let mut report = OfferDeltaReport {
+            inserted: 0,
+            removed: 0,
+            replaced: 0,
+            scoped_offers: 0,
+            cost_before: cost_before_splice,
+            cost_after: cost_before_splice,
+        };
+        for u in updates {
+            match u {
+                AggregateUpdate::Removed(agg_id) => {
+                    let fid = FlexOfferId(agg_id.value());
+                    if remove_live_offer(live, fid, &mut touched_slots) {
+                        report.removed += 1;
+                    }
+                }
+                AggregateUpdate::Upsert(agg) => {
+                    let fid = FlexOfferId(agg.id.value());
+                    // An aggregate whose sums left the finite range is
+                    // no valid offer; it drops out of the plan.
+                    let eligible = agg.to_flex_offer().ok().filter(|offer| {
+                        offer.earliest_start() >= live.window_start && offer.latest_end() <= end
+                    });
+                    let was_live = live.index.contains_key(&fid);
+                    match (was_live, eligible) {
+                        (true, Some(offer)) => {
+                            remove_live_offer(live, fid, &mut touched_slots);
+                            insert_live_offer(live, offer, &mut touched_slots);
+                            report.replaced += 1;
+                        }
+                        (true, None) => {
+                            remove_live_offer(live, fid, &mut touched_slots);
+                            report.removed += 1;
+                        }
+                        (false, Some(offer)) => {
+                            insert_live_offer(live, offer, &mut touched_slots);
+                            report.inserted += 1;
+                        }
+                        (false, None) => {}
+                    }
+                }
+            }
+        }
+        if !report.touched() {
+            return Some(report);
+        }
+        report.cost_before = live.eval.total();
+        (report.scoped_offers, report.cost_after) =
+            live.repair(&touched_slots, &mut self.seed, &self.cfg);
+        Some(report)
     }
 
     /// Handle one message; returns reply envelopes.
@@ -953,7 +748,7 @@ impl<P: ChildPort> PlannerNode<P> {
             }
             _ => P::on_child(self, envelope, now),
         };
-        if self.engine.live_window().is_some() {
+        if self.live.is_some() {
             self.flush_staged();
         }
         self.compact();
@@ -973,7 +768,7 @@ impl<P: ChildPort> PlannerNode<P> {
     ) -> (Vec<Envelope>, PlanReport) {
         // A new round: expiry deletes must not fold into the previous
         // window's stale plan.
-        self.engine.abandon();
+        self.live = None;
         let mut report = PlanReport {
             expired: self.expire(now),
             ..PlanReport::default()
@@ -988,9 +783,7 @@ impl<P: ChildPort> PlannerNode<P> {
         });
         let mut out = match state {
             None | Some(LinkState::Down) => {
-                let (eligible, cost) =
-                    self.engine
-                        .prepare(window_start, baseline, prices, penalties);
+                let (eligible, cost) = self.plan(window_start, baseline, prices, penalties);
                 report.eligible_macro = eligible;
                 report.cost = cost;
                 if let Some(link) = self.up.as_mut() {
@@ -1009,9 +802,12 @@ impl<P: ChildPort> PlannerNode<P> {
                 }
                 Vec::new()
             }
-            // The parent plans: report what it will see of this window.
+            // The parent plans: report what it will see of this window,
+            // counted off the aggregates without materializing offers.
             Some(state) => {
-                report.eligible_macro = self.engine.eligible_count(window_start, baseline.len());
+                report.eligible_macro = self
+                    .eligible_aggregates(window_start, baseline.len())
+                    .count();
                 if state == LinkState::Recovering {
                     let out = self.reconcile(now);
                     // The handshake ran: this tick confirms the heal.
@@ -1036,6 +832,69 @@ impl<P: ChildPort> PlannerNode<P> {
         (out, report)
     }
 
+    /// Aggregates that fit entirely inside `[start, start+horizon)`, in
+    /// ascending id order (schedulers are order-sensitive).
+    fn eligible_aggregates(
+        &self,
+        start: TimeSlot,
+        horizon: usize,
+    ) -> impl Iterator<Item = &AggregatedFlexOffer> {
+        let end = start + horizon as u32;
+        self.pipeline
+            .aggregates()
+            .filter(move |a| a.earliest_start >= start && a.latest_start + a.duration() <= end)
+    }
+
+    /// Schedule the window-eligible macro offers against `baseline` and
+    /// keep the result live. Returns the number of eligible macros and,
+    /// when any were scheduled, the plan cost.
+    fn plan(
+        &mut self,
+        window_start: TimeSlot,
+        baseline: Vec<f64>,
+        prices: MarketPrices,
+        penalties: Vec<f64>,
+    ) -> (usize, Option<f64>) {
+        // Reset the stochastic stream for this window even if nothing
+        // ends up eligible — later windows must not see a seed offset
+        // that depends on how many empty windows preceded them.
+        self.seed = window_seed(self.base_seed, window_start);
+        // The window test runs on the aggregate, so only the eligible
+        // ones are materialized as `FlexOffer`s.
+        let macros: Vec<FlexOffer> = self
+            .eligible_aggregates(window_start, baseline.len())
+            .filter_map(|a| a.to_flex_offer().ok())
+            .collect();
+        let eligible = macros.len();
+        if macros.is_empty() {
+            return (0, None);
+        }
+        let problem = SchedulingProblem::new(window_start, baseline, macros, prices, penalties)
+            .expect("eligible macros fit the window");
+        let budget = Budget::evaluations(self.cfg.budget_evaluations);
+        let seed = self.seed;
+        let result = match self.cfg.scheduler {
+            SchedulerKind::Greedy => GreedyScheduler.run(&problem, budget, seed),
+            SchedulerKind::Evolutionary => {
+                EvolutionaryScheduler::default().run(&problem, budget, seed)
+            }
+            SchedulerKind::Hybrid => HybridScheduler::default().run(&problem, budget, seed),
+        };
+        let cost = result.cost.total();
+        let index = problem
+            .offers
+            .iter()
+            .enumerate()
+            .map(|(j, o)| (o.id(), j))
+            .collect();
+        self.live = Some(LivePlan {
+            eval: DeltaEvaluator::new_owned(problem, result.solution),
+            window_start,
+            index,
+        });
+        (eligible, Some(cost))
+    }
+
     /// Send the staged export deltas up as one batch — or, when the last
     /// flush is overdue for an ack, an export snapshot instead (a re-sent
     /// batch would take a fresh sequence number and could regress newer
@@ -1052,7 +911,7 @@ impl<P: ChildPort> PlannerNode<P> {
             link.health.note_retransmit();
             return self.export_snapshot(now);
         }
-        let pipeline = self.engine.pipeline();
+        let pipeline = &self.pipeline;
         let deltas: Vec<FlexOfferUpdate> = std::mem::take(&mut link.outbox)
             .into_iter()
             .map(|export_id| {
@@ -1093,8 +952,7 @@ impl<P: ChildPort> PlannerNode<P> {
         };
         link.outbox.clear();
         let offers = self
-            .engine
-            .pipeline()
+            .pipeline
             .aggregates()
             .filter_map(|agg| {
                 agg.to_flex_offer_as(export_id(self.id, agg.id), self.id.value())
@@ -1139,16 +997,57 @@ impl<P: ChildPort> PlannerNode<P> {
         out
     }
 
-    /// Phase 2: incremental replan after a forecast change event (see
-    /// [`PlanEngine::on_forecast_event`]).
+    /// Phase 2: rebase the live plan on a typed forecast change event
+    /// (re-pricing only the changed slots), then repair the offers that
+    /// can reach them. Returns `None` when no plan is live or the event
+    /// does not match its horizon.
+    ///
+    /// The event's ranges are relative to the *hub's* last delivery; if
+    /// the live baseline has diverged from that lineage (e.g. the plan
+    /// was prepared from a post-processed forecast), the extra differing
+    /// slots are detected by an O(horizon) scan and folded into the
+    /// rebase, so the result is always exact.
     pub fn on_forecast_event(&mut self, event: &ForecastEvent) -> Option<ReplanReport> {
-        let report = self.engine.on_forecast_event(event)?;
+        let live = self.live.as_mut()?;
+        let horizon = live.eval.problem().horizon();
+        if event.forecast.len() != horizon {
+            return None;
+        }
+        let mut touched = vec![false; horizon];
+        for t in event.changed_slots() {
+            if t < horizon {
+                touched[t] = true;
+            }
+        }
+        for (i, (new, old)) in event
+            .forecast
+            .iter()
+            .zip(&live.eval.problem().baseline_imbalance)
+            .enumerate()
+        {
+            if new != old {
+                touched[i] = true;
+            }
+        }
+        let changed: Vec<usize> = touched
+            .iter()
+            .enumerate()
+            .filter(|(_, &t)| t)
+            .map(|(i, _)| i)
+            .collect();
+        let cost_before = live.eval.rebase(&event.forecast, &changed);
+        let (scoped_offers, cost_after) = live.repair(&changed, &mut self.seed, &self.cfg);
         // Under a parent a live plan is an islanded one, and a repair
         // moves its local-only bound.
         if let Some(round) = self.up.as_mut().and_then(|l| l.islanded_log.last_mut()) {
-            round.prepared_cost = Some(report.cost_after);
+            round.prepared_cost = Some(cost_after);
         }
-        Some(report)
+        Some(ReplanReport {
+            changed_slots: changed.len(),
+            scoped_offers,
+            cost_before,
+            cost_after,
+        })
     }
 
     /// Phase 3: disaggregate the live plan one level down and drop it.
@@ -1156,7 +1055,9 @@ impl<P: ChildPort> PlannerNode<P> {
     /// `None` when no plan is live.
     pub fn commit_plan(&mut self, now: TimeSlot) -> Option<(Vec<Envelope>, f64)> {
         self.flush_staged();
-        let (problem, solution, cost) = self.engine.commit()?;
+        let live = self.live.take()?;
+        let cost = live.eval.total();
+        let (problem, solution) = live.eval.into_problem_and_solution();
         let schedules = solution.to_schedules(&problem);
         let state = match self.up {
             None => OfferState::Assigned,
@@ -1231,7 +1132,7 @@ impl<P: ChildPort> PlannerNode<P> {
         let mut out = Vec::new();
         for macro_schedule in macros {
             let agg_id = AggregateId(macro_schedule.offer_id.value());
-            let Ok(members) = self.engine.pipeline().disaggregate(agg_id, macro_schedule) else {
+            let Ok(members) = self.pipeline.disaggregate(agg_id, macro_schedule) else {
                 continue;
             };
             for schedule in members {
@@ -1253,22 +1154,22 @@ impl<P: ChildPort> PlannerNode<P> {
 
     /// Window start of the live plan, if one is pending commitment.
     pub fn live_window(&self) -> Option<TimeSlot> {
-        self.engine.live_window()
+        self.live.as_ref().map(|l| l.window_start)
     }
 
     /// The live plan's problem, when one is pending commitment.
     pub fn live_problem(&self) -> Option<&SchedulingProblem> {
-        self.engine.live.as_ref().map(|l| l.eval.problem())
+        self.live.as_ref().map(|l| l.eval.problem())
     }
 
     /// The live plan's current solution.
     pub fn live_solution(&self) -> Option<&Solution> {
-        self.engine.live.as_ref().map(|l| l.eval.solution())
+        self.live.as_ref().map(|l| l.eval.solution())
     }
 
     /// The live plan's current total cost.
     pub fn live_cost(&self) -> Option<f64> {
-        self.engine.live.as_ref().map(|l| l.eval.total())
+        self.live.as_ref().map(|l| l.eval.total())
     }
 
     /// Export ids of the macro offers this node's parent should pool —
@@ -1278,11 +1179,21 @@ impl<P: ChildPort> PlannerNode<P> {
         if self.up.is_none() {
             return Vec::new();
         }
-        self.engine
-            .pipeline()
+        self.pipeline
             .aggregates()
             .map(|agg| FlexOfferId(export_id(self.id, agg.id)))
             .collect()
+    }
+
+    /// The aggregation pipeline (read-only; diagnostics and equivalence
+    /// tests). Reflects the last flush: staged updates are not in it yet.
+    pub fn pipeline(&self) -> &AggregationPipeline {
+        &self.pipeline
+    }
+
+    /// Aggregates currently maintained.
+    pub fn aggregate_count(&self) -> usize {
+        self.pipeline.aggregate_count()
     }
 
     /// Offers currently pooled.
@@ -1373,7 +1284,7 @@ impl<P: ChildPort> PlannerNode<P> {
     pub(crate) fn outbox(&self) -> Option<BTreeMap<u64, Option<AggregateId>>> {
         let staged = |id: &u64| {
             let live = exported_aggregate(self.id, *id)
-                .filter(|agg| self.engine.pipeline().aggregate(*agg).is_some());
+                .filter(|agg| self.pipeline.aggregate(*agg).is_some());
             (*id, live)
         };
         self.up

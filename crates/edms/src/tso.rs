@@ -37,7 +37,7 @@
 //! to peer regions on the same stream receiver.
 
 use crate::message::{Envelope, Message};
-use crate::runtime::{ChildPort, OfferDeltaReport, PlanEngine, PlannerNode, RuntimeConfig};
+use crate::runtime::{ChildPort, OfferDeltaReport, PlannerNode, RuntimeConfig};
 use crate::wal::{WalConfig, WalStore};
 use crate::wire::{decode_rows, LinkHealthConfig, SequencedRx, StreamRx, StreamStats};
 use mirabel_aggregate::{AggregationParams, AggregationPipeline, FlexOfferUpdate};
@@ -193,8 +193,8 @@ impl TsoNode {
         parent: Option<(NodeId, LinkHealthConfig)>,
     ) -> TsoNode {
         let pipeline = AggregationPipeline::new(aggregation, None);
-        let engine = PlanEngine::new(pipeline, cfg, id.value().wrapping_mul(0x51ed_270b));
-        PlannerNode::assemble(id, engine, Deltas::default(), parent)
+        let seed = id.value().wrapping_mul(0x51ed_270b);
+        PlannerNode::assemble(id, pipeline, cfg, seed, Deltas::default(), parent)
     }
 
     /// Rebuild a crashed TSO from its surviving WAL store (see
@@ -209,17 +209,6 @@ impl TsoNode {
         now: TimeSlot,
     ) -> std::io::Result<(TsoNode, Vec<Envelope>)> {
         TsoNode::with_config(id, aggregation, cfg).recover_from(store, wal_config, now)
-    }
-
-    /// Second-level aggregates currently maintained.
-    pub fn aggregate_count(&self) -> usize {
-        self.engine.pipeline().aggregate_count()
-    }
-
-    /// The TSO's aggregation pipeline (read-only; diagnostics and
-    /// equivalence tests).
-    pub fn pipeline(&self) -> &AggregationPipeline {
-        self.engine.pipeline()
     }
 
     /// Fold report of the most recent delta batch that touched a live
@@ -297,7 +286,7 @@ impl TsoNode {
         self.down.last_fold = if accepted.is_empty() {
             None
         } else {
-            self.engine.stage_offer_updates(accepted);
+            self.pipeline.accumulate(accepted);
             self.flush_staged()
         };
     }

@@ -78,7 +78,6 @@ pub struct HwtModel {
     last_err: f64,
     /// Index of the next expected observation relative to the fit origin.
     t: usize,
-    fitted: bool,
 }
 
 impl HwtModel {
@@ -96,7 +95,6 @@ impl HwtModel {
             level: 0.0,
             last_err: 0.0,
             t: 0,
-            fitted: false,
         }
     }
 
@@ -123,11 +121,6 @@ impl HwtModel {
             v += self.seasons[cycle][t % period];
         }
         v
-    }
-
-    /// Whether [`ForecastModel::fit`] has been called.
-    pub fn is_fitted(&self) -> bool {
-        self.fitted
     }
 
     fn initialize(&mut self, values: &[f64]) {
@@ -184,7 +177,6 @@ impl ForecastModel for HwtModel {
 
     fn fit(&mut self, history: &TimeSeries) {
         self.initialize(history.values());
-        self.fitted = true;
         // Run the smoothing recursions over the history so the state ends
         // positioned at the end of the series.
         for &y in history.values() {

@@ -68,7 +68,6 @@ pub struct ModelMaintainer<M: ForecastModel + Clone> {
     updates_since_estimation: usize,
     estimation_budget: Budget,
     repository: Option<Arc<Mutex<ContextRepository>>>,
-    calendar: Calendar,
     seed: u64,
     reestimations: usize,
 }
@@ -87,7 +86,6 @@ impl<M: ForecastModel + Clone> ModelMaintainer<M> {
             updates_since_estimation: 0,
             estimation_budget: Budget::evaluations(400),
             repository: None,
-            calendar: Calendar::new(),
             seed: 1,
             reestimations: 0,
         }
@@ -96,12 +94,6 @@ impl<M: ForecastModel + Clone> ModelMaintainer<M> {
     /// Attach a context repository for warm-started re-estimation.
     pub fn with_repository(mut self, repo: Arc<Mutex<ContextRepository>>) -> Self {
         self.repository = Some(repo);
-        self
-    }
-
-    /// Set the calendar used for context descriptors.
-    pub fn with_calendar(mut self, calendar: Calendar) -> Self {
-        self.calendar = calendar;
         self
     }
 
@@ -211,7 +203,7 @@ impl<M: ForecastModel + Clone> ModelMaintainer<M> {
             m.evaluate(&history, warmup)
         });
 
-        let descriptor = describe(&self.history, &self.calendar);
+        let descriptor = describe(&self.history, &Calendar::new());
         let warm = self
             .repository
             .as_ref()

@@ -45,7 +45,10 @@
 //!
 //! [`rebase`]: DeltaEvaluator::rebase
 
-use crate::cost::{evaluate, residual_imbalance_into, slot_cost, CostBreakdown};
+// The reference cost: the debug cross-check and the tests use it.
+#[cfg(any(debug_assertions, test))]
+use crate::cost::evaluate;
+use crate::cost::{residual_imbalance_into, slot_cost};
 use crate::problem::SchedulingProblem;
 use crate::solution::{Placement, Recorder, Solution};
 use mirabel_core::FlexOffer;
@@ -424,12 +427,6 @@ impl<'p> DeltaEvaluator<'p> {
     /// Consume the evaluator, yielding the current solution.
     pub fn into_solution(self) -> Solution {
         self.solution
-    }
-
-    /// Full cost breakdown of the current solution (O(horizon); intended
-    /// for reporting once search finishes, not for the hot loop).
-    pub fn breakdown(&self) -> CostBreakdown {
-        evaluate(&self.problem, &self.solution)
     }
 
     /// Replace offer `j`'s placement, updating only the slots inside the
