@@ -459,50 +459,36 @@ impl NToOneAggregator {
             }
         }
 
-        let lanes = self.pool.width().min(work.len()).max(1);
-        if lanes <= 1 {
-            for w in work {
-                let mut entry = w.entry;
-                let stats = Self::fold(
-                    &mut entry,
-                    w.id.unwrap_or(AggregateId(0)),
-                    w.added,
-                    w.removed,
-                    slab,
-                );
-                outcomes.push((w.subgroup, w.id, Outcome::Upsert { entry, stats }));
-            }
-        } else {
-            // Shard by group-id hash; all sub-groups of one group land
-            // on one lane, preserving their relative order. Each shard
-            // sits behind a mutex only so the lane that claims task `i`
-            // can take ownership of shard `i`; there is no contention.
-            let mut shards: Vec<Vec<Work>> = (0..lanes).map(|_| Vec::new()).collect();
-            for w in work {
-                let h = w.subgroup.group.value().wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                shards[(h >> 32) as usize % lanes].push(w);
-            }
-            let shards: Vec<Mutex<Vec<Work>>> = shards.into_iter().map(Mutex::new).collect();
-            let folded: Vec<Vec<(SubgroupId, Option<AggregateId>, Outcome)>> =
-                self.pool.run(lanes, |i| {
-                    let shard = std::mem::take(&mut *shards[i].lock().expect("unpoisoned"));
-                    shard
-                        .into_iter()
-                        .map(|w| {
-                            let mut entry = w.entry;
-                            let stats = Self::fold(
-                                &mut entry,
-                                w.id.unwrap_or(AggregateId(0)),
-                                w.added,
-                                w.removed,
-                                slab,
-                            );
-                            (w.subgroup, w.id, Outcome::Upsert { entry, stats })
-                        })
-                        .collect()
-                });
-            outcomes.extend(folded.into_iter().flatten());
+        // Shard by group-id hash; all sub-groups of one group land on one
+        // lane, preserving their relative order. Each shard sits behind a
+        // mutex only so the lane that claims task `i` can take ownership
+        // of shard `i`; there is no contention. One lane runs inline.
+        let lanes = self.pool.width().min(work.len());
+        let mut shards: Vec<Vec<Work>> = (0..lanes).map(|_| Vec::new()).collect();
+        for w in work {
+            let h = w.subgroup.group.value().wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            shards[(h >> 32) as usize % lanes].push(w);
         }
+        let shards: Vec<Mutex<Vec<Work>>> = shards.into_iter().map(Mutex::new).collect();
+        let folded: Vec<Vec<(SubgroupId, Option<AggregateId>, Outcome)>> =
+            self.pool.run(lanes, |i| {
+                let shard = std::mem::take(&mut *shards[i].lock().expect("unpoisoned"));
+                shard
+                    .into_iter()
+                    .map(|w| {
+                        let mut entry = w.entry;
+                        let stats = Self::fold(
+                            &mut entry,
+                            w.id.unwrap_or(AggregateId(0)),
+                            w.added,
+                            w.removed,
+                            slab,
+                        );
+                        (w.subgroup, w.id, Outcome::Upsert { entry, stats })
+                    })
+                    .collect()
+            });
+        outcomes.extend(folded.into_iter().flatten());
 
         // Deterministic merge: sorted sub-group order fixes both the
         // emission order and the allocation order of fresh aggregate ids.

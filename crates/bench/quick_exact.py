@@ -9,7 +9,9 @@ repeat to the last digit per seed, so a difference is a behaviour change: a
 declared one regenerates quick_exact.json in the same commit, anything else
 is a bug. A traced run prints only per-layer rows; it must report
 `trace.signature_match` 1, i.e. the traced pump planned exactly what the
-region driver planned.
+region driver planned, and match the per-layer values pinned for W under
+"traced" (the WAL's `wal.bytes_per_event`, so a change to the persisted
+bytes is declared like any other).
 """
 
 import json
@@ -22,12 +24,18 @@ lines = sys.stdin.read().splitlines()
 print("\n".join(lines))
 got = json.loads(lines[-1])["metrics"]
 with open(os.path.join(os.path.dirname(__file__), "quick_exact.json")) as pinned:
-    want = json.load(pinned)["workloads"][workload]
+    pinned = json.load(pinned)
 
 signature = got.get("trace.signature_match")
 if signature is not None:
     differs = [] if signature["value"] == 1 else [f"trace.signature_match is {signature['value']!r}"]
+    differs += [
+        f"{name}: pinned {value!r}, this run {got[name]['value']!r}"
+        for name, value in pinned["traced"].get(workload, {}).items()
+        if got[name]["value"] != value
+    ]
 else:
+    want = pinned["workloads"][workload]
     # Bytes and counts divide exactly; imbalance_reduction passes through libm.
     differs = [
         f"{name}: pinned {value!r}, this run {got[name]['value']!r}"

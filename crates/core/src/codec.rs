@@ -388,7 +388,6 @@ impl Wire for FlexOffer {
         self.earliest_start().encode(out);
         self.latest_start().encode(out);
         self.profile().encode(out);
-        self.total_energy().encode(out);
         self.unit_price().encode(out);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
@@ -399,21 +398,17 @@ impl Wire for FlexOffer {
         let earliest_start = TimeSlot::decode(buf)?;
         let latest_start = TimeSlot::decode(buf)?;
         let profile = Profile::decode(buf)?;
-        let total_energy = Option::<EnergyRange>::decode(buf)?;
         let unit_price = Price::decode(buf)?;
         // Route through the validating builder so decoded offers uphold
         // the same invariants as constructed ones.
-        let mut b = FlexOffer::builder(id.value(), owner.value())
+        Ok(FlexOffer::builder(id.value(), owner.value())
             .kind(kind)
             .earliest_start(earliest_start)
             .latest_start(latest_start)
             .assignment_before(assignment_before)
             .profile(profile)
-            .unit_price(unit_price);
-        if let Some(te) = total_energy {
-            b = b.total_energy(te);
-        }
-        Ok(b.build()?)
+            .unit_price(unit_price)
+            .build()?)
     }
 }
 
@@ -559,7 +554,6 @@ mod tests {
                 ])
                 .unwrap(),
             )
-            .total_energy(EnergyRange::new(2.0, 15.0).unwrap())
             .unit_price(Price(0.07))
             .build()
             .unwrap()

@@ -50,7 +50,6 @@ pub struct FlexOffer {
     earliest_start: TimeSlot,
     latest_start: TimeSlot,
     profile: Profile,
-    total_energy: Option<EnergyRange>,
     unit_price: Price,
 }
 
@@ -98,13 +97,6 @@ impl FlexOffer {
     /// The energy profile.
     pub fn profile(&self) -> &Profile {
         &self.profile
-    }
-
-    /// Optional total-energy constraint coupling the slots
-    /// (paper §6: "flex-offer energy constraints construct dependences
-    /// among different intervals of a single flex-offer profile").
-    pub fn total_energy(&self) -> Option<EnergyRange> {
-        self.total_energy
     }
 
     /// Activation price in EUR/kWh that the BRP pays the prosumer.
@@ -169,7 +161,6 @@ impl FlexOffer {
         }
         let finite = |r: EnergyRange| r.min().kwh().is_finite() && r.max().kwh().is_finite();
         if !self.profile.slices().iter().all(|s| finite(s.energy))
-            || !self.total_energy.is_none_or(finite)
             || !self.unit_price.eur().is_finite()
         {
             return Err(DomainError::InvalidFlexOffer(
@@ -182,15 +173,6 @@ impl FlexOffer {
                  could start before it was assigned",
                 self.assignment_before, self.earliest_start
             )));
-        }
-        if let Some(te) = self.total_energy {
-            let lo = self.profile.min_total_energy();
-            let hi = self.profile.max_total_energy();
-            if te.max() < lo || te.min() > hi {
-                return Err(DomainError::InvalidFlexOffer(format!(
-                    "total energy constraint {te} cannot be met by profile [{lo}, {hi}]"
-                )));
-            }
         }
         Ok(())
     }
@@ -216,7 +198,6 @@ pub struct FlexOfferBuilder {
     earliest_start: TimeSlot,
     latest_start: Option<TimeSlot>,
     profile: Option<Profile>,
-    total_energy: Option<EnergyRange>,
     unit_price: Price,
 }
 
@@ -230,7 +211,6 @@ impl FlexOfferBuilder {
             earliest_start: TimeSlot::EPOCH,
             latest_start: None,
             profile: None,
-            total_energy: None,
             unit_price: Price::ZERO,
         }
     }
@@ -272,12 +252,6 @@ impl FlexOfferBuilder {
         self
     }
 
-    /// Set an optional total energy constraint.
-    pub fn total_energy(mut self, r: EnergyRange) -> Self {
-        self.total_energy = Some(r);
-        self
-    }
-
     /// Set the activation price (EUR/kWh).
     pub fn unit_price(mut self, p: Price) -> Self {
         self.unit_price = p;
@@ -297,7 +271,6 @@ impl FlexOfferBuilder {
             earliest_start: self.earliest_start,
             latest_start: self.latest_start.unwrap_or(self.earliest_start),
             profile,
-            total_energy: self.total_energy,
             unit_price: self.unit_price,
         };
         offer.validate()?;
@@ -369,23 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unsatisfiable_total_energy() {
-        let e = FlexOffer::builder(5, 1)
-            .earliest_start(TimeSlot(0))
-            .profile(Profile::uniform(2, EnergyRange::new(1.0, 2.0).unwrap()))
-            .total_energy(EnergyRange::new(10.0, 20.0).unwrap())
-            .build();
-        assert!(e.is_err());
-        // overlapping constraint is fine
-        let ok = FlexOffer::builder(6, 1)
-            .earliest_start(TimeSlot(0))
-            .profile(Profile::uniform(2, EnergyRange::new(1.0, 2.0).unwrap()))
-            .total_energy(EnergyRange::new(3.0, 3.5).unwrap())
-            .build();
-        assert!(ok.is_ok());
-    }
-
-    #[test]
     fn requires_profile() {
         assert!(FlexOffer::builder(7, 1).build().is_err());
     }
@@ -397,7 +353,6 @@ mod tests {
         es: i64,
         ls: i64,
         slices: Vec<(SlotSpan, f64, f64)>,
-        total: Option<(f64, f64)>,
         price: f64,
     }
 
@@ -406,7 +361,6 @@ mod tests {
             es,
             ls,
             slices: slices.to_vec(),
-            total: None,
             price: 0.25,
         }
     }
@@ -420,15 +374,12 @@ mod tests {
         }
 
         fn build(&self) -> Result<FlexOffer, DomainError> {
-            let mut b = FlexOffer::builder(9, 1)
+            FlexOffer::builder(9, 1)
                 .earliest_start(TimeSlot(self.es))
                 .latest_start(TimeSlot(self.ls))
                 .profile(Profile::new(self.slices())?)
-                .unit_price(Price(self.price));
-            if let Some((lo, hi)) = self.total {
-                b = b.total_energy(EnergyRange::new(lo, hi).unwrap());
-            }
-            b.build()
+                .unit_price(Price(self.price))
+                .build()
         }
 
         /// The bytes `FlexOffer::encode` would write, field by field.
@@ -441,9 +392,6 @@ mod tests {
             TimeSlot(self.es).encode(&mut out);
             TimeSlot(self.ls).encode(&mut out);
             self.slices().encode(&mut out);
-            self.total
-                .map(|(lo, hi)| EnergyRange::new(lo, hi).unwrap())
-                .encode(&mut out);
             Price(self.price).encode(&mut out);
             out
         }
@@ -463,9 +411,8 @@ mod tests {
             raw(0, 4, &[(2, 1.0, inf)]),
             raw(0, 4, &[(2, -inf, 1.0)]),
         ];
-        for (total, price) in [(Some((1.0, inf)), 0.25), (None, f64::NAN), (None, inf)] {
+        for price in [f64::NAN, inf] {
             cases.push(Raw {
-                total,
                 price,
                 ..raw(0, 4, &[(2, 1.0, 2.0)])
             });

@@ -46,6 +46,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod budget;
 pub mod codec;
 pub mod energy;
 pub mod error;
@@ -58,6 +59,7 @@ pub mod profile;
 pub mod schedule;
 pub mod time;
 
+pub use budget::Budget;
 pub use codec::{CodecError, Wire};
 pub use energy::{Energy, EnergyRange};
 pub use error::DomainError;

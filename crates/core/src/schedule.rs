@@ -80,7 +80,7 @@ impl ScheduledFlexOffer {
     }
 
     /// Validate this schedule against the constraints of `offer`
-    /// (identity, start window, per-slot ranges, total energy).
+    /// (identity, start window, per-slot ranges).
     pub fn validate_against(&self, offer: &FlexOffer, eps: f64) -> Result<(), DomainError> {
         if self.offer_id != offer.id() {
             return Err(DomainError::InvalidSchedule(format!(
@@ -113,14 +113,6 @@ impl ScheduledFlexOffer {
             if !r.contains(*e, eps) {
                 return Err(DomainError::InvalidSchedule(format!(
                     "slot {i} energy {e} outside {r}"
-                )));
-            }
-        }
-        if let Some(te) = offer.total_energy() {
-            if !te.contains(self.total_energy(), eps * self.slot_energies.len() as f64) {
-                return Err(DomainError::InvalidSchedule(format!(
-                    "total energy {} outside {te}",
-                    self.total_energy()
                 )));
             }
         }
@@ -215,20 +207,6 @@ mod tests {
         let mut s = ScheduledFlexOffer::at_min(&o, TimeSlot(10));
         s.offer_id = FlexOfferId(99);
         assert!(s.validate_against(&o, 1e-9).is_err());
-    }
-
-    #[test]
-    fn total_energy_constraint_enforced() {
-        let o = FlexOffer::builder(2, 1)
-            .earliest_start(TimeSlot(0))
-            .profile(Profile::uniform(2, EnergyRange::new(0.0, 4.0).unwrap()))
-            .total_energy(EnergyRange::new(3.0, 5.0).unwrap())
-            .build()
-            .unwrap();
-        let too_little = ScheduledFlexOffer::at_min(&o, TimeSlot(0));
-        assert!(too_little.validate_against(&o, 1e-9).is_err());
-        let ok = ScheduledFlexOffer::at_fraction(&o, TimeSlot(0), 0.5);
-        ok.validate_against(&o, 1e-9).unwrap();
     }
 
     #[test]

@@ -112,7 +112,9 @@ impl Wire for Offers {
 
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(Offers {
-            rx: decode_rows(buf)?,
+            rx: decode_rows(buf, |rows| {
+                HashMap::with_capacity_and_hasher(rows, Default::default())
+            })?,
             policy: AcceptancePolicy::default(),
         })
     }

@@ -494,13 +494,14 @@ impl Federation {
 
         // Advisory settlement: the energy the federation could shift
         // across borders this cycle — capped both by what regions are
-        // short (baseline deficit) and by what was actually exported.
+        // short (baseline deficit) and by what was actually exported, at
+        // each published macro offer's profile maximum.
         let deficit: f64 = self.sims.iter().map(|sim| sim.cycle_residual(c).0).sum();
         let offered: f64 = self
             .gateways
             .iter()
             .flat_map(|g| g.exports())
-            .map(offered_energy)
+            .map(|o| o.profile().max_total_energy().kwh())
             .sum();
         self.matched_kwh += deficit.min(offered);
     }
@@ -566,16 +567,6 @@ impl Federation {
         }
         fed.finish()
     }
-}
-
-/// The energy a published macro offer puts on the table: its
-/// total-energy cap when constrained, else the profile's maximum.
-fn offered_energy(offer: &FlexOffer) -> f64 {
-    offer
-        .total_energy()
-        .map(|r| r.max())
-        .unwrap_or_else(|| offer.profile().max_total_energy())
-        .kwh()
 }
 
 #[cfg(test)]

@@ -37,9 +37,9 @@
 //!   mutable state, so whole regions run concurrently on the worker
 //!   pool; only the region-ordered exchange splice is serial, keeping
 //!   every report bit-identical at any pool width and any region
-//!   count. Every [`Envelope`] and
-//!   [`EventRecord`] carries the [`mirabel_core::RegionId`] it was
-//!   routed in (tenant-registry pattern) — pure metadata for
+//!   count. Every [`Envelope`] — and so every [`EventRecord`] framing
+//!   one — carries the [`mirabel_core::RegionId`] it was routed in
+//!   (tenant-registry pattern) — pure metadata for
 //!   isolation book-keeping, WAL namespacing and region-scoped chaos
 //!   ([`ChaosPlan::in_region`](comm::ChaosPlan::in_region)), never an
 //!   input to planning.
@@ -53,10 +53,10 @@
 //! 1. **detect** — [`wire::LinkHealth`] turns heartbeats piggybacked on
 //!    the sequenced delta streams ([`Message::Heartbeat`](message::Message))
 //!    plus deterministic ack-timeout tracking into an
-//!    `Up → Suspect → Down → Recovering` link-state machine, while
-//!    [`wire::RetransmitTracker`] drives bounded exponential-backoff
-//!    retransmits of unacked outbox flushes (always as idempotent
-//!    resync snapshots, never replayed deltas);
+//!    `Up → Suspect → Down → Recovering` link-state machine, and the
+//!    same detector drives bounded exponential-backoff retransmits of
+//!    unacked outbox flushes (always as idempotent resync snapshots,
+//!    never replayed deltas);
 //! 2. **island** — a node whose parent link is `Down` keeps balancing: it
 //!    plans its own pool locally, and the commit stamps every assignment
 //!    [`OfferState::Provisional`] in the store *and* the WAL, so even a
@@ -100,9 +100,8 @@
 //!   out-of-order buffering and resync requests (a lost delta degrades
 //!   to one extra round-trip instead of silent divergence),
 //!   [`DedupRx`] gives at-most-once semantics where
-//!   ordering doesn't matter, and [`LinkHealth`] /
-//!   [`RetransmitTracker`] supply the failure-detection half of the
-//!   degraded-operation loop above;
+//!   ordering doesn't matter, and [`LinkHealth`] supplies the
+//!   failure-detection half of the degraded-operation loop above;
 //! * [`message`] — the message vocabulary exchanged between nodes,
 //!   including the repair protocol
 //!   ([`ResyncRequest`](message::Message::ResyncRequest) /
@@ -191,6 +190,5 @@ pub use simulation::{simulate, RegionSim, SimulationConfig, SimulationReport};
 pub use tso::{Deltas, TsoNode};
 pub use wal::{EventRecord, FileWalStore, LoadedLog, MemWalStore, NodeWal, WalConfig, WalStore};
 pub use wire::{
-    DedupRx, LinkHealth, LinkHealthConfig, LinkHealthStats, LinkState, RetransmitTracker,
-    SequencedRx, StreamStats,
+    DedupRx, LinkHealth, LinkHealthConfig, LinkHealthStats, LinkState, SequencedRx, StreamStats,
 };

@@ -59,11 +59,9 @@ impl Committed {
 /// reject the schedule at tolerance `eps` — decided with that method's own
 /// comparisons, so which assignments a prosumer accepts cannot move.
 /// Otherwise returns the schedule's worst excess over the offer's bounds:
-/// the largest distance of a slot's energy outside its range, or of the
-/// total outside the total-energy range divided by the slot count (the
-/// scale `validate_against` widens that range by). A schedule then fails
-/// `validate_against` at a tolerance exactly when its excess is above it,
-/// up to rounding at the boundary.
+/// the largest distance of a slot's energy outside its range. A schedule
+/// then fails `validate_against` at a tolerance exactly when its excess is
+/// above it, up to rounding at the boundary.
 ///
 /// [`ScheduledFlexOffer::validate_against`]: mirabel_core::ScheduledFlexOffer::validate_against
 fn checked_excess(
@@ -79,7 +77,6 @@ fn checked_excess(
         return None;
     }
     let mut excess: f64 = 0.0;
-    let mut total = Energy::ZERO;
     for (&e, r) in energies.iter().zip(offer.profile().slot_ranges()) {
         if !r.contains(e, eps) {
             return None;
@@ -87,16 +84,6 @@ fn checked_excess(
         excess = excess
             .max(r.min().kwh() - e.kwh())
             .max(e.kwh() - r.max().kwh());
-        total += e;
-    }
-    if let Some(te) = offer.total_energy() {
-        let slots = energies.len() as f64;
-        if !te.contains(total, eps * slots) {
-            return None;
-        }
-        excess = excess
-            .max((te.min().kwh() - total.kwh()) / slots)
-            .max((total.kwh() - te.max().kwh()) / slots);
     }
     Some(excess)
 }
@@ -222,11 +209,8 @@ impl ProsumerNode {
         let mut energies = Vec::with_capacity(offer.duration() as usize);
         energies.extend(offer.profile().slot_ranges().map(|r| r.max()));
         let energies = energies.into_boxed_slice();
-        // The open contract always fits its own offer's window and length;
-        // only a total-energy bound can leave it with an excess.
-        let excess = checked_excess(offer, offer.earliest_start(), &energies, f64::INFINITY)
-            .unwrap_or(f64::INFINITY);
-        self.commit(offer, false, offer.earliest_start(), energies, excess);
+        // The open contract sits on its own offer's slot maxima: no excess.
+        self.commit(offer, false, offer.earliest_start(), energies, 0.0);
     }
 
     /// Record `offer` as committed to `energies` from `start`, keeping the

@@ -23,10 +23,11 @@
 //! exports together at the top, so everything in this module stays
 //! region-oblivious.
 
+use crate::comm::splitmix;
 use crate::datastore::{DataStore, OfferState};
 use crate::message::{Envelope, Message};
 use crate::wal::{Journal, NodeWal, WalConfig, WalStore};
-use crate::wire::{LinkHealth, LinkHealthConfig, LinkHealthStats, LinkState, RetransmitTracker};
+use crate::wire::{LinkHealth, LinkHealthConfig, LinkHealthStats, LinkState};
 use mirabel_aggregate::{
     AggregateUpdate, AggregatedFlexOffer, AggregationPipeline, FlexOfferUpdate,
 };
@@ -167,10 +168,7 @@ impl LivePlan {
 
 /// Mix a window start into a node's base seed (splitmix64 finalizer).
 fn window_seed(base: u64, window_start: TimeSlot) -> u64 {
-    let mut z = base ^ (window_start.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix(base ^ (window_start.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Remove the live offer with id `fid`, recording its reachable slots
@@ -277,10 +275,19 @@ impl Wire for PoolRow {
         }
     }
 
+    /// The rows go into a vector sized once, which the map is then built
+    /// from in place: collecting them straight into the map grew that
+    /// vector by doubling, some 4 MB touched for 10 k offers, and made a
+    /// recovery's time depend on whether glibc had kept or returned that
+    /// memory.
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let rows = usize::decode(buf)?;
-        let entry = |_| <(FlexOffer, NodeId)>::decode(buf).map(|e| (e.0.id(), e));
-        (0..rows).map(entry).collect::<Result<_, _>>().map(PoolRow)
+        let mut pool = Vec::with_capacity(rows.min(buf.len()));
+        for _ in 0..rows {
+            let entry = <(FlexOffer, NodeId)>::decode(buf)?;
+            pool.push((entry.0.id(), entry));
+        }
+        Ok(PoolRow(pool.into_iter().collect()))
     }
 }
 
@@ -320,14 +327,13 @@ pub struct IslandedRound {
 }
 
 /// A planner node's link to its parent: the export delta stream up, the
-/// failure detector and ack tracker on it, and the island the node falls
+/// failure detector and ack bookkeeping on it, and the island the node falls
 /// back to while the parent is unreachable. The exports themselves are
 /// the node's live aggregates, named in its export-id space.
 #[derive(Debug)]
 pub(crate) struct ParentLink {
     parent: NodeId,
     health: LinkHealth,
-    retransmit: RetransmitTracker,
     /// Envelopes accepted from the parent so far — the cumulative count
     /// this node's heartbeats piggyback as an ack.
     heard: u64,
@@ -350,7 +356,6 @@ impl ParentLink {
         ParentLink {
             parent,
             health: LinkHealth::new(config),
-            retransmit: RetransmitTracker::default(),
             heard: 0,
             outbox: BTreeSet::new(),
             islanded_since: None,
@@ -734,7 +739,7 @@ impl<P: ChildPort> PlannerNode<P> {
                 match envelope.message {
                     Message::Heartbeat { seen } => {
                         link.health.heard_heartbeat(now);
-                        link.retransmit.on_ack(seen);
+                        link.health.on_ack(seen);
                         Vec::new()
                     }
                     // An assignment for an exported macro offer: the
@@ -904,11 +909,7 @@ impl<P: ChildPort> PlannerNode<P> {
         let Some(link) = self.up.as_mut() else {
             return Vec::new();
         };
-        if link
-            .retransmit
-            .should_retransmit(now, &link.health.config())
-        {
-            link.health.note_retransmit();
+        if link.health.due_retransmit(now) {
             return self.export_snapshot(now);
         }
         let pipeline = &self.pipeline;
@@ -934,7 +935,7 @@ impl<P: ChildPort> PlannerNode<P> {
                 Message::Heartbeat { seen },
             )];
         }
-        link.retransmit.on_flush(now);
+        link.health.on_flush(now);
         let env = Envelope::new(self.id, link.parent, now, Message::MacroOfferDeltas(deltas));
         self.journal.mark(&env, now);
         self.compact();
@@ -1249,7 +1250,7 @@ impl<P: ChildPort> PlannerNode<P> {
 
     /// Upward flushes the parent has not acknowledged yet.
     pub fn unacked_flushes(&self) -> u64 {
-        self.up.as_ref().map_or(0, |l| l.retransmit.unacked())
+        self.up.as_ref().map_or(0, |l| l.health.unacked())
     }
 
     /// Provisional macro assignments awaiting reconciliation.

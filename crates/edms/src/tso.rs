@@ -18,7 +18,7 @@
 //! * a [`Message::ProvisionalReport`] is audited on receipt: what is
 //!   still pooled is adopted, the rest superseded;
 //! * a planning round heartbeats every child with its applied-flush
-//!   count (the ack the child's retransmit tracker waits for), and a
+//!   count (the ack the child's link health waits for), and a
 //!   restart asks every child for a resync snapshot;
 //! * the node pools the macro offers by value, with their source child
 //!   ([`TsoNode::source_of`]), as every level does; the port's part of a
@@ -89,10 +89,10 @@ impl Wire for Deltas {
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let rx = decode_rows(buf)?;
+        let rx = decode_rows(buf, |_| BTreeMap::new())?;
         Ok(Deltas {
             streams: StreamRx { rx },
-            applied: decode_rows(buf)?,
+            applied: decode_rows::<NodeId, u64, _>(buf, |_| BTreeMap::new())?,
             provisional_adopted: u64::decode(buf)?,
             provisional_superseded: u64::decode(buf)?,
             last_fold: None,

@@ -55,7 +55,7 @@
 
 use crate::message::Envelope;
 use mirabel_core::codec::{put_u64, take_u64, CodecError, Wire};
-use mirabel_core::{RegionId, TimeSlot};
+use mirabel_core::TimeSlot;
 use std::fs;
 use std::io::{Read, Write as IoWrite};
 use std::path::{Path, PathBuf};
@@ -76,7 +76,9 @@ impl Default for WalConfig {
     }
 }
 
-/// One durable record: the event envelope around a wire envelope.
+/// One durable record: the event envelope around a wire envelope. The
+/// record's federation region is [`Envelope::region`], which the frame
+/// already carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// Monotonic per-node event id (also the WAL position).
@@ -95,11 +97,6 @@ pub struct EventRecord {
     pub recorded_at: TimeSlot,
     /// The wire envelope.
     pub envelope: Envelope,
-    /// Federation region the event belongs to (tenant-registry pattern:
-    /// the tenant id rides the durable record, denormalized from
-    /// [`Envelope::region`] so region-scoped audits and per-region WAL
-    /// namespaces don't have to peel the envelope).
-    pub region: RegionId,
 }
 
 /// The bytes of an [`EventRecord`], written from its fields by
@@ -111,14 +108,12 @@ fn encode_record(
     replay_safe: bool,
     recorded_at: TimeSlot,
     envelope: &Envelope,
-    region: RegionId,
 ) {
     event_id.encode(out);
     causation_id.encode(out);
     replay_safe.encode(out);
     recorded_at.encode(out);
     envelope.encode(out);
-    region.encode(out);
 }
 
 impl Wire for EventRecord {
@@ -130,7 +125,6 @@ impl Wire for EventRecord {
             self.replay_safe,
             self.recorded_at,
             &self.envelope,
-            self.region,
         );
     }
 
@@ -141,7 +135,6 @@ impl Wire for EventRecord {
             replay_safe: bool::decode(buf)?,
             recorded_at: TimeSlot::decode(buf)?,
             envelope: Envelope::decode(buf)?,
-            region: RegionId::decode(buf)?,
         })
     }
 }
@@ -403,10 +396,14 @@ impl NodeWal {
         let (snapshot_bytes, frames) = store.load()?;
         let mut wal = NodeWal::new(store, config);
         wal.snapshot_len = snapshot_bytes.as_ref().map_or(0, Vec::len);
-        let snapshot = snapshot_bytes.and_then(|bytes| {
+        // The header is cut off in place: a copy of the state would be a
+        // second snapshot-sized allocation on every recovery.
+        let snapshot = snapshot_bytes.and_then(|mut bytes| {
             let mut state = bytes.as_slice();
             wal.next_event_id = take_u64(&mut state).ok()?;
-            Some(state.to_vec())
+            let header = bytes.len() - state.len();
+            bytes.drain(..header);
+            Some(bytes)
         });
         let mut records = Vec::with_capacity(frames.len());
         for frame in &frames {
@@ -441,7 +438,6 @@ impl NodeWal {
             replay_safe,
             recorded_at,
             envelope,
-            envelope.region,
         );
         if self.store.append(&self.frame).is_err() {
             self.io_errors += 1;
@@ -591,7 +587,7 @@ impl Journal {
 mod tests {
     use super::*;
     use crate::message::Message;
-    use mirabel_core::{FlexOfferId, NodeId};
+    use mirabel_core::{FlexOfferId, NodeId, RegionId};
 
     fn env(n: u64) -> Envelope {
         Envelope::new(
@@ -613,7 +609,6 @@ mod tests {
             replay_safe: true,
             recorded_at: TimeSlot(-3),
             envelope: env(9).in_region(RegionId(3)),
-            region: RegionId(3),
         };
         let back = EventRecord::from_bytes(&rec.to_bytes()).unwrap();
         assert_eq!(back, rec);
@@ -656,7 +651,6 @@ mod tests {
             replay_safe: true,
             recorded_at: TimeSlot(0),
             envelope: env(0),
-            region: RegionId::DEFAULT,
         };
         store.append(&frame.to_bytes()).unwrap();
         recover_and_append(store);

@@ -34,9 +34,9 @@
 //!   ([`Message::Heartbeat`])
 //!   piggyback on the existing sequenced streams, and silence drives
 //!   the `Up → Suspect → Down` edge of the state machine while renewed
-//!   traffic drives `Down → Recovering → Up`. [`RetransmitTracker`]
-//!   pairs with it: the heartbeat's cumulative `seen` counter acts as a
-//!   piggybacked ack for outbox flushes, and an unacked flush is
+//!   traffic drives `Down → Recovering → Up`. The same detector keeps
+//!   the link's acks: the heartbeat's cumulative `seen` counter acts as
+//!   a piggybacked ack for outbox flushes, and an unacked flush is
 //!   retransmitted — as an idempotent resync *snapshot*, never a
 //!   replayed delta batch — under exponential backoff with a bounded
 //!   attempt budget.
@@ -102,24 +102,21 @@ impl std::iter::Sum for StreamStats {
     }
 }
 
-/// Default cap on a [`SequencedRx`]'s out-of-order buffer. Beyond this
-/// many parked envelopes the guard stops buffering, drops what it
-/// parked, and relies on the (already requested) resync snapshot to
-/// re-anchor — bounding memory during long partitions.
+/// Cap on a [`SequencedRx`]'s out-of-order buffer. Beyond this many
+/// parked envelopes the guard stops buffering, drops what it parked,
+/// and relies on the (already requested) resync snapshot to re-anchor —
+/// bounding memory during long partitions.
 pub const DEFAULT_BUFFER_CAP: usize = 1024;
 
 /// In-order, exactly-once delivery guard for one inbound stateful
 /// stream (one sender).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SequencedRx {
     /// The next sequence number that can be delivered.
     next_expected: u64,
     /// Out-of-order envelopes parked until the gap below them closes or
     /// a snapshot supersedes them.
     buffer: BTreeMap<u64, Envelope>,
-    /// Most envelopes the buffer may park before overflow discards them
-    /// in favour of a resync snapshot.
-    buffer_cap: usize,
     /// Whether a resync request is believed to be in flight. Kept for
     /// reporting; the guard still re-requests on every gapped arrival,
     /// because the request itself can be lost on the same bad link.
@@ -127,26 +124,7 @@ pub struct SequencedRx {
     stats: StreamStats,
 }
 
-impl Default for SequencedRx {
-    fn default() -> SequencedRx {
-        SequencedRx {
-            next_expected: 0,
-            buffer: BTreeMap::new(),
-            buffer_cap: DEFAULT_BUFFER_CAP,
-            resync_pending: false,
-            stats: StreamStats::default(),
-        }
-    }
-}
-
 impl SequencedRx {
-    /// A guard with a custom out-of-order buffer cap (≥ 1).
-    pub fn with_buffer_cap(cap: usize) -> SequencedRx {
-        SequencedRx {
-            buffer_cap: cap.max(1),
-            ..SequencedRx::default()
-        }
-    }
     /// Offer one envelope to the guard. Returns the envelopes now
     /// deliverable **in stream order** (possibly empty) plus whether the
     /// caller should send a resync request to the stream's sender.
@@ -170,7 +148,7 @@ impl SequencedRx {
             return (Vec::new(), false);
         }
         if seq > self.next_expected {
-            if self.buffer.len() >= self.buffer_cap {
+            if self.buffer.len() >= DEFAULT_BUFFER_CAP {
                 // Overflow: a long gap has parked more than the cap.
                 // Everything buffered (and this arrival) is discarded —
                 // the resync snapshot the caller sends for supersedes
@@ -254,7 +232,7 @@ impl SequencedRx {
 }
 
 /// A guard's row in a WAL snapshot: sequencing cursor, parked envelopes
-/// (in sequence order), buffer cap, pending-resync flag and counters. A
+/// (in sequence order), pending-resync flag and counters. A
 /// compaction writes it from the live guard; a crashed receiver decoded
 /// from it resumes the stream exactly where it stood — no spurious gap,
 /// no double delivery.
@@ -265,7 +243,6 @@ impl Wire for SequencedRx {
         for envelope in self.buffer.values() {
             envelope.encode(out);
         }
-        (self.buffer_cap as u64).encode(out);
         self.resync_pending.encode(out);
         self.stats.encode(out);
     }
@@ -282,7 +259,6 @@ impl Wire for SequencedRx {
                 .into_iter()
                 .filter_map(|e| Some((e.seq?, e)))
                 .collect(),
-            buffer_cap: (u64::decode(buf)? as usize).max(1),
             resync_pending: bool::decode(buf)?,
             stats: StreamStats::decode(buf)?,
         })
@@ -359,7 +335,7 @@ pub enum LinkState {
     Recovering,
 }
 
-/// Tuning knobs for [`LinkHealth`] and [`RetransmitTracker`]. All
+/// Tuning knobs for [`LinkHealth`]. All
 /// horizons are in slots (the deterministic simulation clock), so
 /// detection behaviour is bit-identical at any worker-pool width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -417,7 +393,8 @@ impl LinkHealthStats {
     }
 }
 
-/// Deterministic ack-timeout failure detector for one link.
+/// Deterministic ack-timeout failure detector for one link, and the
+/// link's piggybacked-ack bookkeeping for outbox flushes.
 ///
 /// Purely slot-clocked: [`heard`](Self::heard) records peer traffic,
 /// [`tick`](Self::tick) advances the state machine against the silence
@@ -425,6 +402,16 @@ impl LinkHealthStats {
 /// always produces the same transition sequence, which is what lets the
 /// chaos campaigns compare islanded runs bit-for-bit across pool
 /// widths.
+///
+/// The sender counts flushes ([`on_flush`](Self::on_flush)); the peer's
+/// heartbeats carry its cumulative applied count ([`Message::Heartbeat`]'s
+/// `seen`, fed to [`on_ack`](Self::on_ack)). When the frontier stays
+/// unacked past an exponentially backed-off deadline,
+/// [`due_retransmit`](Self::due_retransmit) fires — at most
+/// [`LinkHealthConfig::max_retransmits`] times per frontier. The
+/// retransmit payload is the sender's idempotent state *snapshot*
+/// (`ResyncSnapshot`), never a replayed delta batch: a re-sent batch
+/// would take a fresh sequence number and could regress newer state.
 #[derive(Debug, Clone)]
 pub struct LinkHealth {
     state: LinkState,
@@ -435,6 +422,14 @@ pub struct LinkHealth {
     last_heard: Option<TimeSlot>,
     config: LinkHealthConfig,
     stats: LinkHealthStats,
+    /// Flushes sent on this link so far.
+    flushes_sent: u64,
+    /// Highest cumulative applied count acked by the peer.
+    acked: u64,
+    /// Slot the current unacked frontier started waiting at.
+    pending_since: Option<TimeSlot>,
+    /// Retransmit attempts fired for the current frontier.
+    attempts: u32,
 }
 
 impl LinkHealth {
@@ -445,6 +440,10 @@ impl LinkHealth {
             last_heard: None,
             config,
             stats: LinkHealthStats::default(),
+            flushes_sent: 0,
+            acked: 0,
+            pending_since: None,
+            attempts: 0,
         }
     }
 
@@ -517,40 +516,6 @@ impl LinkHealth {
         self.stats
     }
 
-    /// The detector's horizons.
-    pub fn config(&self) -> LinkHealthConfig {
-        self.config
-    }
-
-    /// Count a retransmit fired on this link.
-    pub fn note_retransmit(&mut self) {
-        self.stats.retransmits += 1;
-    }
-}
-
-/// Piggybacked-ack bookkeeping for one link's outbox flushes.
-///
-/// The sender counts flushes; the peer's heartbeats carry its
-/// cumulative applied count ([`Message::Heartbeat`]'s `seen`). When the
-/// frontier stays unacked past an exponentially backed-off deadline,
-/// [`should_retransmit`](Self::should_retransmit) fires — at most
-/// [`LinkHealthConfig::max_retransmits`] times per frontier. The
-/// retransmit payload is the sender's idempotent state *snapshot*
-/// (`ResyncSnapshot`), never a replayed delta batch: a re-sent batch
-/// would take a fresh sequence number and could regress newer state.
-#[derive(Debug, Clone, Default)]
-pub struct RetransmitTracker {
-    /// Flushes sent on this link so far.
-    flushes_sent: u64,
-    /// Highest cumulative applied count acked by the peer.
-    acked: u64,
-    /// Slot the current unacked frontier started waiting at.
-    pending_since: Option<TimeSlot>,
-    /// Retransmit attempts fired for the current frontier.
-    attempts: u32,
-}
-
-impl RetransmitTracker {
     /// Record one outbox flush at `now`.
     pub fn on_flush(&mut self, now: TimeSlot) {
         self.flushes_sent += 1;
@@ -574,29 +539,26 @@ impl RetransmitTracker {
     }
 
     /// Whether an unacked frontier has outwaited its backoff deadline.
-    /// Firing consumes one attempt and restarts the (doubled) backoff
-    /// clock; after the attempt budget is spent the tracker stays quiet
-    /// and leaves recovery to the resync path.
-    pub fn should_retransmit(&mut self, now: TimeSlot, config: &LinkHealthConfig) -> bool {
+    /// Firing consumes one attempt, counts one retransmit in
+    /// [`stats`](Self::stats) and restarts the (doubled) backoff clock;
+    /// after the attempt budget is spent the link stays quiet and leaves
+    /// recovery to the resync path.
+    pub fn due_retransmit(&mut self, now: TimeSlot) -> bool {
         let Some(since) = self.pending_since else {
             return false;
         };
-        if self.attempts >= config.max_retransmits {
+        if self.attempts >= self.config.max_retransmits {
             return false;
         }
-        let wait = config.retransmit_base << self.attempts.min(31);
+        let wait = self.config.retransmit_base << self.attempts.min(31);
         if now.0.saturating_sub(since.0) >= wait {
             self.attempts += 1;
             self.pending_since = Some(now);
+            self.stats.retransmits += 1;
             true
         } else {
             false
         }
-    }
-
-    /// Flushes sent on this link so far.
-    pub fn flushes_sent(&self) -> u64 {
-        self.flushes_sent
     }
 
     /// Flushes the peer has not acknowledged yet.
@@ -682,13 +644,20 @@ impl Wire for DedupRx {
 }
 
 /// Decode a snapshot's `(key, value)` rows, the bytes of a `Vec<(K, V)>`,
-/// straight into their map: a transient vector of 10 k rows cost a BRP
-/// recovery ~600 page faults (glibc's adaptive mmap / trim thresholds).
-pub(crate) fn decode_rows<K: Wire, V: Wire, M: FromIterator<(K, V)>>(
+/// straight into the map `empty` makes for the row count (capped by the
+/// bytes left): a transient vector of 10 k rows cost a BRP recovery ~600
+/// page faults (glibc's adaptive mmap / trim thresholds), and so did a
+/// hash map grown by doubling to its size.
+pub(crate) fn decode_rows<K: Wire, V: Wire, M: Extend<(K, V)>>(
     buf: &mut &[u8],
+    empty: impl FnOnce(usize) -> M,
 ) -> Result<M, CodecError> {
     let rows = usize::decode(buf)?;
-    (0..rows).map(|_| <(K, V)>::decode(buf)).collect()
+    let mut map = empty(rows.min(buf.len()));
+    for _ in 0..rows {
+        map.extend([<(K, V)>::decode(buf)?]);
+    }
+    Ok(map)
 }
 
 #[cfg(test)]
@@ -817,25 +786,27 @@ mod tests {
 
     #[test]
     fn buffer_overflow_drops_and_forces_resync() {
-        let mut rx = SequencedRx::with_buffer_cap(3);
+        let mut rx = SequencedRx::default();
         rx.receive(env(0));
-        // Seq 1 lost; 2, 3, 4 park (cap reached), 5 overflows.
-        for s in 2..=4 {
+        // Seq 1 lost; 2 ..= cap + 1 park (cap reached), cap + 2 overflows.
+        let cap = DEFAULT_BUFFER_CAP as u64;
+        for s in 2..=cap + 1 {
             let (out, resync) = rx.receive(env(s));
             assert!(out.is_empty());
             assert!(resync);
         }
-        assert_eq!(rx.buffered(), 3);
-        let (out, resync) = rx.receive(env(5));
+        assert_eq!(rx.buffered(), DEFAULT_BUFFER_CAP);
+        let (out, resync) = rx.receive(env(cap + 2));
         assert!(out.is_empty());
         assert!(resync, "overflow still asks for a resync");
         assert_eq!(rx.buffered(), 0, "parked envelopes were discarded");
-        assert_eq!(rx.stats().overflow_dropped, 4);
-        // The snapshot (stamped 5) re-anchors the stream; 6 flows.
-        let released = rx.resynced(Some(5));
+        assert_eq!(rx.stats().overflow_dropped, cap + 1);
+        // The snapshot (stamped cap + 2) re-anchors the stream; the next
+        // one flows.
+        let released = rx.resynced(Some(cap + 2));
         assert!(released.is_empty());
-        let (out, resync) = rx.receive(env(6));
-        assert_eq!(seqs(&out), vec![6]);
+        let (out, resync) = rx.receive(env(cap + 3));
+        assert_eq!(seqs(&out), vec![cap + 3]);
         assert!(!resync);
     }
 
@@ -870,14 +841,14 @@ mod tests {
 
     #[test]
     fn sequenced_rx_state_freezes_and_restores_mid_gap() {
-        let mut rx = SequencedRx::with_buffer_cap(8);
+        let mut rx = SequencedRx::default();
         rx.receive(env(0));
         rx.receive(env(2)); // gap at 1 parks seq 2
         let row = rx.to_bytes();
-        // `(next_expected, (parked, (buffer_cap, (resync_pending,
-        // stats))))`, written independently.
+        // `(next_expected, (parked, (resync_pending, stats)))`, written
+        // independently.
         let parked = vec![env(2)];
-        let described = (1u64, (parked, (8u64, (true, rx.stats())))).to_bytes();
+        let described = (1u64, (parked, (true, rx.stats()))).to_bytes();
         assert_eq!(row, described, "encoded in place, byte for byte");
         // Wire roundtrip, then resume: the late 1 still drains 1 and 2.
         let mut restored = SequencedRx::from_bytes(&row).unwrap();
@@ -938,30 +909,30 @@ mod tests {
     }
 
     #[test]
-    fn retransmit_tracker_backs_off_exponentially_and_is_bounded() {
-        let config = LinkHealthConfig {
+    fn retransmits_back_off_exponentially_and_are_bounded() {
+        let mut link = LinkHealth::new(LinkHealthConfig {
             retransmit_base: 4,
             max_retransmits: 2,
             ..LinkHealthConfig::default()
-        };
-        let mut tracker = RetransmitTracker::default();
-        tracker.on_flush(TimeSlot(0));
-        assert_eq!(tracker.unacked(), 1);
-        assert!(!tracker.should_retransmit(TimeSlot(3), &config));
+        });
+        link.on_flush(TimeSlot(0));
+        assert_eq!(link.unacked(), 1);
+        assert!(!link.due_retransmit(TimeSlot(3)));
         // First deadline: base << 0 = 4 slots.
-        assert!(tracker.should_retransmit(TimeSlot(4), &config));
+        assert!(link.due_retransmit(TimeSlot(4)));
         // Second deadline doubles: base << 1 = 8 slots after the retry.
-        assert!(!tracker.should_retransmit(TimeSlot(11), &config));
-        assert!(tracker.should_retransmit(TimeSlot(12), &config));
-        // Attempt budget spent: the tracker stays quiet forever after.
-        assert!(!tracker.should_retransmit(TimeSlot(10_000), &config));
-        // A full ack clears the frontier and re-arms the tracker.
-        assert!(tracker.on_ack(1));
-        tracker.on_flush(TimeSlot(10_100));
-        assert!(tracker.should_retransmit(TimeSlot(10_104), &config));
+        assert!(!link.due_retransmit(TimeSlot(11)));
+        assert!(link.due_retransmit(TimeSlot(12)));
+        // Attempt budget spent: the link stays quiet forever after.
+        assert!(!link.due_retransmit(TimeSlot(10_000)));
+        assert_eq!(link.stats().retransmits, 2, "each firing is counted");
+        // A full ack clears the frontier and re-arms the link.
+        assert!(link.on_ack(1));
+        link.on_flush(TimeSlot(10_100));
+        assert!(link.due_retransmit(TimeSlot(10_104)));
         // Partial acks do not clear the frontier.
-        tracker.on_flush(TimeSlot(10_105));
-        assert!(!tracker.on_ack(2));
-        assert_eq!(tracker.unacked(), 1);
+        link.on_flush(TimeSlot(10_105));
+        assert!(!link.on_ack(2));
+        assert_eq!(link.unacked(), 1);
     }
 }

@@ -1,7 +1,6 @@
 //! Property tests for the failure-detection half of the degraded-mode
 //! loop: [`LinkHealth`]'s slot-clocked `Up → Suspect → Down →
-//! Recovering` machine and [`RetransmitTracker`]'s bounded exponential
-//! backoff.
+//! Recovering` machine and its bounded exponential retransmit backoff.
 //!
 //! The properties mirror what the chaos campaigns rely on: detection
 //! latency is bounded by `down_after` plus one tick interval, every
@@ -11,7 +10,7 @@
 //! bit-identical across worker-pool widths.
 
 use mirabel_core::TimeSlot;
-use mirabel_edms::{LinkHealth, LinkHealthConfig, LinkState, RetransmitTracker};
+use mirabel_edms::{LinkHealth, LinkHealthConfig, LinkState};
 use proptest::prelude::*;
 
 /// A random but valid pair of horizons (`down_after >= suspect_after`).
@@ -195,7 +194,7 @@ proptest! {
         prop_assert_eq!(replay(config, &schedule), replay(config, &schedule));
     }
 
-    /// With an unacked frontier and no acks, the tracker fires exactly
+    /// With an unacked frontier and no acks, the link fires exactly
     /// `max_retransmits` times under exponential backoff — attempt `n`
     /// waits at least `retransmit_base << n` — then stays quiet forever.
     /// A full ack clears the frontier immediately.
@@ -211,21 +210,21 @@ proptest! {
             retransmit_base: base,
             max_retransmits: budget,
         };
-        let mut tracker = RetransmitTracker::default();
+        let mut link = LinkHealth::new(config);
         for _ in 0..flushes {
-            tracker.on_flush(TimeSlot(0));
+            link.on_flush(TimeSlot(0));
         }
-        prop_assert_eq!(tracker.flushes_sent(), flushes);
-        prop_assert_eq!(tracker.unacked(), flushes);
+        prop_assert_eq!(link.unacked(), flushes);
 
         let horizon = base.saturating_mul(1 << (budget + 2));
         let mut fired_at = Vec::new();
         for now in 0..=horizon {
-            if tracker.should_retransmit(TimeSlot(now), &config) {
+            if link.due_retransmit(TimeSlot(now)) {
                 fired_at.push(now);
             }
         }
         prop_assert_eq!(fired_at.len(), budget as usize);
+        prop_assert_eq!(link.stats().retransmits, u64::from(budget));
         for (n, pair) in fired_at.windows(2).enumerate() {
             prop_assert!(
                 pair[1] - pair[0] >= base << (n + 1),
@@ -237,10 +236,10 @@ proptest! {
         }
 
         // A partial ack leaves the frontier pending; a full ack clears
-        // it and silences the tracker for good.
-        prop_assert!(!tracker.on_ack(flushes - 1));
-        prop_assert!(tracker.on_ack(flushes));
-        prop_assert_eq!(tracker.unacked(), 0);
-        prop_assert!(!tracker.should_retransmit(TimeSlot(horizon * 2 + 1), &config));
+        // it and silences the link for good.
+        prop_assert!(!link.on_ack(flushes - 1));
+        prop_assert!(link.on_ack(flushes));
+        prop_assert_eq!(link.unacked(), 0);
+        prop_assert!(!link.due_retransmit(TimeSlot(horizon * 2 + 1)));
     }
 }

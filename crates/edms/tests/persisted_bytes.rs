@@ -344,32 +344,33 @@ fn tso_store(cadence: usize) -> (Box<dyn WalStore>, TsoNode) {
     (store, tso)
 }
 
-/// Digests recorded at the commit before the journal refactor, one row
-/// per cadence in [`CADENCES`]: the BRP's three stores, then the TSO's.
+/// Digests of the persisted format, one row per cadence in [`CADENCES`]:
+/// the BRP's three stores, then the TSO's. A declared format change
+/// regenerates them; anything else that moves them is a bug.
 const PINNED: [([u64; 3], u64); 3] = [
     (
         [
             0x0e2f_f178_8e8c_bed7,
             0x0e2f_f178_8e8c_bed7,
-            0xc020_e0d4_b25e_ad82,
+            0xfed2_085b_4db5_3fdb,
         ],
-        0xf470_7e06_46ac_1655,
+        0xd27f_e09f_58cb_f70b,
     ),
     (
         [
-            0x7e88_6b16_abb9_a7da,
-            0x9c03_c9d6_aa82_0420,
-            0xe885_93d8_a98b_f206,
+            0x4f70_f8d1_d5e3_9632,
+            0x35fa_6056_7519_d0c9,
+            0xfe95_8ca1_b6b7_629c,
         ],
-        0x188e_447b_9191_bf9a,
+        0xbc5c_05d1_fd44_3697,
     ),
     (
         [
-            0xfa3f_41d7_f16c_06d1,
-            0x7b54_9629_9397_5875,
-            0xadbf_4b96_5333_4f6b,
+            0x5c21_6eb0_d74e_45c6,
+            0x53a7_b3dd_8feb_6b25,
+            0xa11b_e6fd_a48d_bf7e,
         ],
-        0x30ad_ea32_a97d_0359,
+        0x7244_d9a6_5972_a712,
     ),
 ];
 
@@ -609,7 +610,6 @@ fn store_of(state: Option<Vec<u8>>, envelopes: Vec<Envelope>) -> Box<dyn WalStor
                 causation_id: None,
                 replay_safe: true,
                 recorded_at: envelope.sent_at,
-                region: envelope.region,
                 envelope,
             }
             .to_bytes()
@@ -634,9 +634,8 @@ fn cursors_and_counters_at_u64_max_saturate() {
         let pool: Vec<(FlexOffer, NodeId)> = Vec::new();
         (pool, (vec![(child, rx)], (vec![(child, applied)], audit))).to_bytes()
     };
-    let cursor_at = |next_expected: u64, stats: StreamStats| {
-        (next_expected, (Vec::new(), (1024, (false, stats))))
-    };
+    let cursor_at =
+        |next_expected: u64, stats: StreamStats| (next_expected, (Vec::new(), (false, stats)));
     let delivered_max = StreamStats {
         delivered: MAX,
         ..StreamStats::default()
@@ -744,8 +743,8 @@ fn cursors_and_counters_at_u64_max_saturate() {
 type BrpTuple = (Vec<(FlexOffer, NodeId)>, Vec<(u64, ((u64, Vec<u64>), u64))>);
 
 /// A stream guard's row as the tuple it decodes as:
-/// `(next_expected, (parked, (buffer_cap, (resync_pending, stats))))`.
-type StreamRow = (u64, (Vec<Envelope>, (u64, (bool, StreamStats))));
+/// `(next_expected, (parked, (resync_pending, stats)))`.
+type StreamRow = (u64, (Vec<Envelope>, (bool, StreamStats)));
 
 /// A TSO snapshot as the public tuple it decodes as: the pool with its
 /// sources, then the stream guards, the applied counters and the audit.

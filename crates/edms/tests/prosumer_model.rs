@@ -189,7 +189,7 @@ const HORIZON: i64 = 80;
 const TOLERANCES: [f64; 4] = [0.0, 1e-9, 1e-6, 1e-3];
 
 /// An offer with id `id`: consumption or production, one to three
-/// slices, and sometimes a total-energy bound narrower than the profile.
+/// slices.
 fn random_offer(rng: &mut StdRng, id: u64) -> FlexOffer {
     let es = rng.gen_range(20i64..50);
     let slices = (0..rng.gen_range(1usize..=3))
@@ -207,12 +207,7 @@ fn random_offer(rng: &mut StdRng, id: u64) -> FlexOffer {
             .unwrap()
         })
         .collect();
-    let profile = Profile::new(slices).unwrap();
-    let (lo, hi) = (
-        profile.min_total_energy().kwh(),
-        profile.max_total_energy().kwh(),
-    );
-    let mut builder = FlexOffer::builder(id, 7)
+    FlexOffer::builder(id, 7)
         .kind(if rng.gen_bool(0.3) {
             OfferKind::Production
         } else {
@@ -221,39 +216,22 @@ fn random_offer(rng: &mut StdRng, id: u64) -> FlexOffer {
         .earliest_start(TimeSlot(es))
         .time_flexibility(rng.gen_range(0u32..=6))
         .assignment_before(TimeSlot(rng.gen_range(0i64..=es)))
-        .profile(profile);
-    if rng.gen_bool(0.4) {
-        let a = lo + (hi - lo) * rng.gen_range(0.0..0.4);
-        let b: f64 = hi - (hi - lo) * rng.gen_range(0.0..0.4);
-        builder = builder.total_energy(EnergyRange::new(a, b.max(a)).unwrap());
-    }
-    builder.build().unwrap()
+        .profile(Profile::new(slices).unwrap())
+        .build()
+        .unwrap()
 }
 
 /// A schedule for `offer` the prosumer must accept: a start in the
-/// window and every slot at one fraction of its range, chosen so the
-/// total meets the total-energy bound when there is one.
+/// window and every slot at one fraction of its range.
 fn valid_schedule(rng: &mut StdRng, offer: &FlexOffer) -> ScheduledFlexOffer {
     let start =
         TimeSlot(rng.gen_range(offer.earliest_start().index()..=offer.latest_start().index()));
-    let (lo, hi) = (
-        offer.profile().min_total_energy().kwh(),
-        offer.profile().max_total_energy().kwh(),
-    );
-    let (f_lo, f_hi) = match offer.total_energy() {
-        Some(te) if hi > lo => (
-            (te.min().kwh() - lo) / (hi - lo),
-            (te.max().kwh() - lo) / (hi - lo),
-        ),
-        _ => (0.0, 1.0),
-    };
-    let frac = f_lo + (f_hi - f_lo) * rng.gen_range(0.0..=1.0);
-    ScheduledFlexOffer::at_fraction(offer, start, frac.clamp(0.0, 1.0))
+    ScheduledFlexOffer::at_fraction(offer, start, rng.gen_range(0.0..=1.0))
 }
 
 /// A schedule for `offer` of one of the shapes a BRP, a lossy wire or a
 /// bug can deliver: valid, off by less than the prosumer's 1e-6
-/// tolerance, or invalid in start, length, a slot's energy or the total.
+/// tolerance, or invalid in start, length or a slot's energy.
 fn random_schedule(rng: &mut StdRng, offer: &FlexOffer) -> ScheduledFlexOffer {
     let mut s = valid_schedule(rng, offer);
     let slot = rng.gen_range(0..s.slot_energies.len());
@@ -338,7 +316,6 @@ struct Coverage {
     accepted_in_band: bool,
     refused: bool,
     late_or_duplicate: bool,
-    fallback_over_total: bool,
     production_committed: bool,
     committed_out_of_order: bool,
 }
@@ -349,7 +326,6 @@ impl Coverage {
         self.accepted_in_band |= other.accepted_in_band;
         self.refused |= other.refused;
         self.late_or_duplicate |= other.late_or_duplicate;
-        self.fallback_over_total |= other.fallback_over_total;
         self.production_committed |= other.production_committed;
         self.committed_out_of_order |= other.committed_out_of_order;
     }
@@ -359,7 +335,6 @@ impl Coverage {
             && self.accepted_in_band
             && self.refused
             && self.late_or_duplicate
-            && self.fallback_over_total
             && self.production_committed
             && self.committed_out_of_order
     }
@@ -486,7 +461,6 @@ fn run(seed: u64, steps: usize) -> Coverage {
         }
         seen.accepted_in_band |= reference.assigned_count > assigned_before
             && reference.energy_violations(1e-9) > in_band_before;
-        seen.fallback_over_total |= reference.energy_violations(1e-3) > 0;
 
         let a = rng.gen_range(0..HORIZON);
         let window = (a, rng.gen_range(a..=HORIZON));

@@ -246,15 +246,14 @@ proptest! {
         prop_assert_eq!(roundtrip(&msg), msg);
     }
 
-    /// A [`SequencedRx`] row — cursor, parked envelopes, buffer cap,
-    /// resync flag, counters — written as an independent tuple decodes
+    /// A [`SequencedRx`] row — cursor, parked envelopes, resync flag,
+    /// counters — written as an independent tuple decodes
     /// as the live guard, which reports what the row says and re-encodes
     /// to the same bytes.
     #[test]
     fn prop_sequenced_rx_state_roundtrip(
         next_expected in any::<u64>(),
         parked in proptest::collection::vec((any::<u64>(), 0.0f64..1.0), 0..5),
-        buffer_cap in 1u64..1_024,
         resync_pending in any::<bool>(),
         delivered in any::<u32>(),
         duplicates in any::<u32>(),
@@ -281,7 +280,7 @@ proptest! {
             ..StreamStats::default()
         };
         let count = parked.len();
-        let row = (next_expected, (parked, (buffer_cap, (resync_pending, stats)))).to_bytes();
+        let row = (next_expected, (parked, (resync_pending, stats))).to_bytes();
         let rx = SequencedRx::from_bytes(&row).unwrap();
         prop_assert_eq!(rx.to_bytes(), row);
         prop_assert_eq!(rx.buffered(), count);
@@ -336,7 +335,6 @@ proptest! {
                 Message::OfferRejected { offer: FlexOfferId(id) },
             )
             .in_region(RegionId(region)),
-            region: RegionId(region),
         };
         let back = EventRecord::from_bytes(&record.to_bytes()).unwrap();
         prop_assert_eq!(back, record);
@@ -346,14 +344,7 @@ proptest! {
 /// The bytes `FlexOffer::encode` writes for offer `id`, field by field,
 /// so they can carry values the builder refuses: slices are
 /// `(duration, min, max)` and the price and bounds may be non-finite.
-fn raw_offer(
-    id: u64,
-    es: i64,
-    ls: i64,
-    slices: &[(SlotSpan, f64, f64)],
-    total: Option<(f64, f64)>,
-    price: f64,
-) -> Vec<u8> {
+fn raw_offer(id: u64, es: i64, ls: i64, slices: &[(SlotSpan, f64, f64)], price: f64) -> Vec<u8> {
     let range = |lo: f64, hi: f64| EnergyRange::new(lo, hi).unwrap();
     let slices: Vec<Slice> = slices
         .iter()
@@ -367,7 +358,6 @@ fn raw_offer(
     TimeSlot(es).encode(&mut out);
     TimeSlot(ls).encode(&mut out);
     slices.encode(&mut out);
-    total.map(|(lo, hi)| range(lo, hi)).encode(&mut out);
     Price(price).encode(&mut out);
     out
 }
@@ -379,14 +369,13 @@ fn crafted_offers(id: u64) -> Vec<Vec<u8>> {
     let inf = f64::INFINITY;
     let slot = [(2, 1.0, 2.0)];
     vec![
-        raw_offer(id, i64::MAX - 5, i64::MAX - 1, &[(8, 1.0, 2.0)], None, 0.25),
-        raw_offer(id, 0, 4, &[(3_000_000_000, 1.0, 2.0); 2], None, 0.25),
-        raw_offer(id, i64::MIN + 10, i64::MAX - 10, &slot, None, 0.25),
-        raw_offer(id, 0, 4, &[(2, 1.0, inf)], None, 0.25),
-        raw_offer(id, 0, 4, &[(2, -inf, 1.0)], None, 0.25),
-        raw_offer(id, 0, 4, &slot, Some((1.0, inf)), 0.25),
-        raw_offer(id, 0, 4, &slot, None, f64::NAN),
-        raw_offer(id, 0, 4, &slot, None, inf),
+        raw_offer(id, i64::MAX - 5, i64::MAX - 1, &[(8, 1.0, 2.0)], 0.25),
+        raw_offer(id, 0, 4, &[(3_000_000_000, 1.0, 2.0); 2], 0.25),
+        raw_offer(id, i64::MIN + 10, i64::MAX - 10, &slot, 0.25),
+        raw_offer(id, 0, 4, &[(2, 1.0, inf)], 0.25),
+        raw_offer(id, 0, 4, &[(2, -inf, 1.0)], 0.25),
+        raw_offer(id, 0, 4, &slot, f64::NAN),
+        raw_offer(id, 0, 4, &slot, inf),
     ]
 }
 
@@ -442,8 +431,8 @@ fn tso_recovery_drops_a_frame_carrying_a_crafted_offer() {
 type BrpTuple = (Vec<(FlexOffer, NodeId)>, Vec<(u64, ((u64, Vec<u64>), u64))>);
 
 /// A stream guard's row as a tuple:
-/// `(next_expected, (parked, (buffer_cap, (resync_pending, stats))))`.
-type StreamRow = (u64, (Vec<Envelope>, (u64, (bool, StreamStats))));
+/// `(next_expected, (parked, (resync_pending, stats)))`.
+type StreamRow = (u64, (Vec<Envelope>, (bool, StreamStats)));
 
 /// The TSO snapshot as its public tuple:
 /// `(pool, (streams, (applied, (adopted, superseded))))`.
@@ -595,7 +584,6 @@ fn decoders_survive_arbitrary_and_mutated_bytes() {
             replay_safe: true,
             recorded_at: TimeSlot(5),
             envelope: envelope.clone(),
-            region: RegionId(1),
         }
         .to_bytes()
     }));

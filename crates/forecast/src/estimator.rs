@@ -16,6 +16,7 @@
 //! error) so the Figure 4(a) error-development curves fall directly out of
 //! the API.
 
+pub use mirabel_core::Budget;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -71,33 +72,6 @@ impl<'a> Objective<'a> {
     }
 }
 
-/// Estimation budget: evaluation cap and optional wall-clock cap.
-#[derive(Debug, Clone, Copy)]
-pub struct Budget {
-    /// Maximum number of objective evaluations.
-    pub max_evaluations: usize,
-    /// Optional wall-clock limit.
-    pub max_time: Option<Duration>,
-}
-
-impl Budget {
-    /// Evaluation-count budget (deterministic; used in tests).
-    pub fn evaluations(n: usize) -> Budget {
-        Budget {
-            max_evaluations: n,
-            max_time: None,
-        }
-    }
-
-    /// Wall-clock budget with a generous evaluation backstop.
-    pub fn time(d: Duration) -> Budget {
-        Budget {
-            max_evaluations: usize::MAX,
-            max_time: Some(d),
-        }
-    }
-}
-
 /// One improvement event during estimation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryPoint {
@@ -148,15 +122,7 @@ impl<'o, 'f> Tracker<'o, 'f> {
     }
 
     fn exhausted(&self) -> bool {
-        if self.evaluations >= self.budget.max_evaluations {
-            return true;
-        }
-        if let Some(t) = self.budget.max_time {
-            if self.start.elapsed() >= t {
-                return true;
-            }
-        }
-        false
+        self.budget.exhausted(self.evaluations, self.start)
     }
 
     fn eval(&mut self, x: &[f64]) -> f64 {

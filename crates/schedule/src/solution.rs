@@ -8,6 +8,7 @@
 
 use crate::cost::CostBreakdown;
 use crate::problem::SchedulingProblem;
+pub use mirabel_core::Budget;
 use mirabel_core::{FlexOffer, ScheduledFlexOffer, TimeSlot};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -177,33 +178,6 @@ impl Solution {
     }
 }
 
-/// Scheduling budget: evaluation cap and optional wall-clock cap.
-#[derive(Debug, Clone, Copy)]
-pub struct Budget {
-    /// Maximum cost evaluations (candidate scorings count too).
-    pub max_evaluations: usize,
-    /// Optional wall-clock limit.
-    pub max_time: Option<Duration>,
-}
-
-impl Budget {
-    /// Evaluation-count budget (deterministic; used in tests).
-    pub fn evaluations(n: usize) -> Budget {
-        Budget {
-            max_evaluations: n,
-            max_time: None,
-        }
-    }
-
-    /// Wall-clock budget.
-    pub fn time(d: Duration) -> Budget {
-        Budget {
-            max_evaluations: usize::MAX,
-            max_time: Some(d),
-        }
-    }
-}
-
 /// One point of the best-cost-so-far trajectory (the Figure 6 curves).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryPoint {
@@ -270,15 +244,7 @@ impl Recorder {
     }
 
     pub(crate) fn exhausted(&self) -> bool {
-        if self.evaluations >= self.budget.max_evaluations {
-            return true;
-        }
-        if let Some(t) = self.budget.max_time {
-            if self.start.elapsed() >= t {
-                return true;
-            }
-        }
-        false
+        self.budget.exhausted(self.evaluations, self.start)
     }
 
     pub(crate) fn finish(self, solution: Solution, cost: CostBreakdown) -> ScheduleResult {
